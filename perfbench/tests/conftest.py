@@ -1,0 +1,6 @@
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path[:0] = [BENCH, os.path.join(os.path.dirname(BENCH), "src")]
