@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Union
 
+from .classical import check_characteristic
 from .errors import ConsistencyError, DomainError
 
 EXC_GROUPS = ("G2", "F4", "E6", "E7", "E8")
@@ -381,10 +382,7 @@ class Atlas:
         starred *_r join them.
         """
         group = exc_group_from_name(group)
-        if not (char == 0 or (char >= 2 and all(char % q for q in range(2, int(char**0.5) + 1)))):
-            raise DomainError(
-                f"characteristic must be 0 or a prime, got {char}", code="bad_characteristic"
-            )
+        check_characteristic(char)
         return tuple(
             row.rep
             for row in self._rows[group]

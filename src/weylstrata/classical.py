@@ -30,16 +30,7 @@ from functools import reduce
 from typing import Iterable, Optional
 
 from .errors import DomainError
-from .jordan import (
-    JordanDatum,
-    JordanFamily,
-    in_family,
-    sp2_unipotent_bp,
-    sp_unipotent_bp,
-    so2_unipotent_bp,
-    so_unipotent_bp_even,
-    so_unipotent_bp_odd,
-)
+from .jordan import JordanDatum, JordanFamily, apply_bijection, in_family
 from .partitions import (
     Bipartition,
     Excess,
@@ -78,8 +69,44 @@ def series_from_name(name: str) -> Series:
     )
 
 
-def _check_characteristic(p: int) -> int:
-    if p == 0 or (p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))):
+# Miller-Rabin with the first thirteen prime bases decides primality exactly
+# below this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster); twelve bases stop short at 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_characteristic(p: int) -> int:
+    """p itself when it is 0 or a prime; otherwise a bad_characteristic error."""
+    if p >= _PRIME_BOUND:
+        raise DomainError(
+            f"characteristic {p} is too large: primality is decided exactly only "
+            f"below {_PRIME_BOUND}",
+            code="bad_characteristic",
+        )
+    if p == 0 or _is_prime(p):
         return p
     raise DomainError(
         f"characteristic must be 0 or a prime, got {p}", code="bad_characteristic"
@@ -102,7 +129,7 @@ class GroupDescriptor:
     def __post_init__(self):
         if not isinstance(self.series, Series):
             object.__setattr__(self, "series", series_from_name(str(self.series)))
-        _check_characteristic(self.characteristic)
+        check_characteristic(self.characteristic)
         d = self.dimension
         if d < 0:
             raise DomainError(f"dimension must be nonnegative, got {d}", code="bad_dimension")
@@ -283,23 +310,6 @@ def _stratum(group: GroupDescriptor, bp: Bipartition) -> StratumResult:
     return StratumResult(bp, n_e, dim, degenerate)
 
 
-def _orbit_contribution(g: GroupDescriptor, orbit: EigenOrbit) -> Bipartition:
-    if orbit.kind is OrbitKind.GENERIC:
-        return Bipartition(orbit.jordan)
-    char = g.characteristic
-    if g.series is Series.SP:
-        fwd = sp2_unipotent_bp if char == 2 else sp_unipotent_bp
-        return fwd(orbit.jordan)
-    if g.series is Series.SO_ODD:
-        # characteristic not 2 here; eigenvalue 1 has odd weight, -1 even
-        if orbit.ident == "1":
-            return so_unipotent_bp_odd(orbit.jordan)
-        return so_unipotent_bp_even(orbit.jordan)
-    if char == 2:
-        return so2_unipotent_bp(orbit.jordan)
-    return so_unipotent_bp_even(orbit.jordan)
-
-
 def classify(datum: SpectralDatum) -> StratumResult:
     """The stratum containing the conjugacy class with the given spectral data."""
     g = datum.group
@@ -310,8 +320,14 @@ def classify(datum: SpectralDatum) -> StratumResult:
         inner = classify(reduced)
         # same rank, same positive-root count: the stratum data carry over
         return StratumResult(inner.bp, inner.n_invariant, inner.class_dim, None)
-    total = reduce(bp_sum, (_orbit_contribution(g, o) for o in datum.orbits), Bipartition())
-    return _stratum(g, total)
+    # SpectralDatum gives the SO_odd eigenvalue 1 odd weight and -1 even
+    # weight, so the datum's weight picks the orthogonal map's variant
+    family = _involutive_family(g.series, g.characteristic)
+    contributions = (
+        apply_bijection(family, o.jordan) if o.kind is OrbitKind.INVOLUTIVE else Bipartition(o.jordan)
+        for o in datum.orbits
+    )
+    return _stratum(g, reduce(bp_sum, contributions, Bipartition()))
 
 
 def stratum_excess(series: Series) -> Excess:

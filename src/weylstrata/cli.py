@@ -20,14 +20,14 @@ from .classical import (
     GroupDescriptor,
     OrbitKind,
     SpectralDatum,
+    _stratum,
     classify,
     enumerate_strata,
-    positive_roots,
     series_from_name,
 )
 from .errors import ConsistencyError, DomainError
 from .jordan import LabeledPartition, family_from_name, invert_bijection
-from .partitions import Bipartition, Partition, n_invariant
+from .partitions import Bipartition, Partition
 from .verify import check_names, run_suite
 from .weyl import (
     SignedCycleType,
@@ -58,14 +58,18 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _read_document(path: str) -> dict:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as err:
-            raise DomainError(f"cannot read {path}: {err}", code="io_error")
+        # a stdin decoded with surrogateescape passes invalid bytes through
+        text.encode("utf-8")
+    except OSError as err:
+        raise DomainError(f"cannot read {path}: {err}", code="io_error")
+    except UnicodeError:
+        raise DomainError("input is not valid UTF-8", code="bad_document")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -105,8 +109,10 @@ def _orbit_from_doc(doc: dict) -> EigenOrbit:
         if not isinstance(raw_labels, dict):
             raise DomainError("orbit labels must be an object", code="bad_document")
         try:
-            labels = {int(k): int(v) for k, v in raw_labels.items()}
-        except (TypeError, ValueError):
+            labels = {int(k): v for k, v in raw_labels.items()}
+            if not all(type(v) is int for v in labels.values()):  # no floats, no bools
+                raise ValueError
+        except ValueError:
             raise DomainError("orbit labels must map integers to bits", code="bad_document")
         jordan = LabeledPartition(parts, labels)
     else:
@@ -119,14 +125,13 @@ def _group_payload(group: GroupDescriptor) -> dict:
 
 
 def _stratum_payload(result) -> dict:
-    payload = {
+    return {
         "stratum": {"parts": list(result.bp)},
         "n_invariant": result.n_invariant,
         "class_dim": result.class_dim,
         "springer_dim": result.springer_dim,
         "pair_degenerate": result.pair_degenerate,
     }
-    return payload
 
 
 def _cmd_classify(args) -> tuple[dict, list[str]]:
@@ -175,16 +180,15 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
                 )
         else:
             cls = SignedCycleType.parse(args.class_label)
-        bp = stratum_of_class(wt, cls)
         group = _WEYL_GROUP_FOR_DIMS[series](args.rank)
-        n_inv = n_invariant(bp, group.rank_half)
+        result = _stratum(group, stratum_of_class(wt, cls))
         payload = {
             "weyl": {"series": series.value, "rank": args.rank},
             "class": str(cls) if series is not WeylSeries.A else ",".join(map(str, cls)),
             "group": _group_payload(group),
-            "stratum": {"parts": list(bp)},
-            "n_invariant": n_inv,
-            "class_dim": 2 * positive_roots(group) - 2 * n_inv,
+            "stratum": {"parts": list(result.bp)},
+            "n_invariant": result.n_invariant,
+            "class_dim": result.class_dim,
             "fixed_space_dim": fixed_space_dim(wt, cls),
         }
         return payload, diagnostics
@@ -214,18 +218,10 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
 
 def _cmd_enumerate(args) -> tuple[dict, list[str]]:
     group = GroupDescriptor(_series_for_cli(args.series, args.dimension), args.dimension, args.char)
-    strata = enumerate_strata(group)
     rows = []
-    for result in strata:
-        row = {"parts": list(result.bp)}
-        row.update(
-            {
-                "n_invariant": result.n_invariant,
-                "class_dim": result.class_dim,
-                "springer_dim": result.springer_dim,
-                "pair_degenerate": result.pair_degenerate,
-            }
-        )
+    for result in enumerate_strata(group):
+        row = _stratum_payload(result)
+        row["parts"] = row.pop("stratum")["parts"]
         rows.append(row)
     payload = {"group": _group_payload(group), "count": len(rows), "strata": rows}
     return payload, []

@@ -15,15 +15,35 @@ characteristic regime:
   addition have an even number of parts (even orthogonal groups in
   characteristic 2).
 
-Each forward map rewrites the partition string by string.  A *string* is a
+Every family map rewrites the partition string by string.  A *string* is a
 maximal run of equal positive parts; its *origin* is the 1-based position
-where the run starts.  Every string of value v and length l is replaced by l
-new entries in place, and the concatenation of the replacements, read as a
-single sequence and trimmed of trailing zeros, is the image bipartition.
-Replacement patterns depend only on the value's parity, the string length's
-parity, the label (when present), and the origin's parity, as documented on
-each function.  Weight always halves: each map sends weight-N Jordan data to
-weight-N/2 bipartitions (weight (N-1)/2 for the odd-weight orthogonal map).
+where the run starts.  A string of value 2a or 2a+1 and length l is replaced
+in place by the l entries a+d1, a+d2, a+d1, ..., and the concatenation of the
+replacements, read as a single sequence and trimmed of trailing zeros, is the
+image bipartition.  The offsets (d1, d2) depend only on the family, the
+parity of the total weight N, the value's parity, whether the string carries
+label 0, and the origin's parity; the table ``_REPLACEMENTS`` holds them all:
+
+* Z1: an even value 2a becomes a repeated; an odd value 2a+1 (necessarily of
+  even length) becomes the alternation a, a+1, ....
+* Z2: as Z1, except that an even value of even length with label 0 becomes
+  a-1, a+1, ....
+* Z1P, odd N: an even value 2a (necessarily of even length) becomes a-1,
+  a+1, ... at odd origin and a repeated at even origin; an odd value 2a+1
+  becomes a, a+1, ... at odd origin and a+1, a, ... at even origin.
+* Z1P, even N: the same with the origin parities swapped.
+* Z2P: an even value 2a of odd length or with label 1 becomes a-1, a+1, ...
+  at even origin and a+1, a-1, ... at odd origin; with label 0 it becomes
+  a-2, a+2, ... at even origin and a repeated at odd origin; an odd value 2a+1
+  becomes a-1, a+2, ... at even origin and a+1, a, ... at odd origin.  The
+  family's parity constraints (even part count, labels only on even-length
+  runs) rule out every configuration that would emit a negative entry.
+
+Weight always halves: each map sends weight-N Jordan data to weight-N//2
+bipartitions of the family's excess ((N-1)/2 for odd-weight orthogonal data).
+Only ORTHOGONAL has odd weights.  That each image is a bipartition of the
+stated weight and excess is checked at run time, and a violation is reported
+as a consistency failure.
 """
 
 from __future__ import annotations
@@ -95,13 +115,13 @@ def decompose_strings(parts: Iterable[int]) -> tuple[PartString, ...]:
     return tuple(out)
 
 
+def _eligible(strings: tuple[PartString, ...]) -> tuple[int, ...]:
+    return tuple(s.value for s in strings if s.value % 2 == 0 and s.length % 2 == 0)
+
+
 def eligible_values(parts: Partition) -> tuple[int, ...]:
     """Even part values occurring a positive even number of times, descending."""
-    out = []
-    for s in decompose_strings(parts):
-        if s.value % 2 == 0 and s.length % 2 == 0:
-            out.append(s.value)
-    return tuple(out)
+    return _eligible(decompose_strings(parts))
 
 
 @dataclass(frozen=True)
@@ -119,13 +139,14 @@ class LabeledPartition:
 
     def __init__(self, parts: Iterable[int], labels: Mapping[int, int] | None = None):
         base = parts if isinstance(parts, Partition) else Partition(parts)
-        for s in decompose_strings(base):
+        strings = decompose_strings(base)
+        for s in strings:
             if s.value % 2 == 1 and s.length % 2 == 1:
                 raise DomainError(
                     f"odd value {s.value} occurs {s.length} times in {tuple(base)}; "
                     "odd values must occur an even number of times"
                 )
-        eligible = eligible_values(base)
+        eligible = _eligible(strings)
         given = dict(labels or {})
         if set(given) != set(eligible):
             raise DomainError(
@@ -137,9 +158,16 @@ class LabeledPartition:
             if bit not in (0, 1):
                 raise DomainError(f"label for value {v} must be 0 or 1, got {bit!r}")
         object.__setattr__(self, "parts", base)
-        object.__setattr__(
-            self, "labels", tuple((v, given[v]) for v in sorted(given, reverse=True))
-        )
+        object.__setattr__(self, "labels", tuple((v, given[v]) for v in eligible))
+
+    @classmethod
+    def _trusted(cls, parts: Partition, labels: tuple[tuple[int, int], ...]):
+        # For data valid by construction: labels keyed by the eligible values
+        # of parts, descending.
+        self = object.__new__(cls)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "labels", labels)
+        return self
 
     @property
     def weight(self) -> int:
@@ -173,199 +201,96 @@ def in_family(family: JordanFamily, nu: JordanDatum) -> bool:
     if family.labeled != isinstance(nu, LabeledPartition):
         return False
     parts = nu.parts if isinstance(nu, LabeledPartition) else nu
-    strings = decompose_strings(parts)
-    if family in (JordanFamily.SYMPLECTIC, JordanFamily.SYMPLECTIC_CHAR2):
-        if any(s.value % 2 == 1 and s.length % 2 == 1 for s in strings):
-            return False
-        if parts.weight % 2 == 1:
-            return False
-    elif family is JordanFamily.ORTHOGONAL:
-        if any(s.value % 2 == 0 and s.length % 2 == 1 for s in strings):
-            return False
-    else:  # ORTHOGONAL_CHAR2
-        if any(s.value % 2 == 1 and s.length % 2 == 1 for s in strings):
-            return False
-        if len(parts) % 2 == 1 or parts.weight % 2 == 1:
-            return False
-    return True
+    return _strings_in_family(family, parts, decompose_strings(parts))
 
 
-def _require(family: JordanFamily, nu: JordanDatum, map_name: str) -> Partition:
-    if not in_family(family, nu):
-        raise DomainError(f"{map_name}: {nu} is not in the {family.value} family")
-    return nu.parts if isinstance(nu, LabeledPartition) else nu
+def _strings_in_family(family: JordanFamily, parts: Partition, strings) -> bool:
+    if family is JordanFamily.ORTHOGONAL:
+        return all(s.value % 2 == 1 or s.length % 2 == 0 for s in strings)
+    if any(s.value % 2 == 1 and s.length % 2 == 1 for s in strings) or parts.weight % 2:
+        return False
+    return family is not JordanFamily.ORTHOGONAL_CHAR2 or len(parts) % 2 == 0
 
 
-def _alternating(first: int, second: int, length: int) -> list[int]:
-    return [first if k % 2 == 0 else second for k in range(length)]
-
-
-def _finish(entries: list[int], map_name: str, excess: Excess, half: int) -> Bipartition:
+def _finish(entries: list[int], family: JordanFamily, excess: Excess, half: int) -> Bipartition:
     # The emitted entries are claimed to form a bipartition of the stated
     # excess; on validated input a failure here falsifies the construction
     # itself, so it surfaces as a consistency error rather than a bad-input one.
     if any(c < 0 for c in entries):
-        raise ConsistencyError(f"{map_name} emitted a negative entry: {entries}")
+        raise ConsistencyError(f"the {family.value} map emitted a negative entry: {entries}")
     try:
         bp = Bipartition(entries)
     except DomainError as exc:
-        raise ConsistencyError(f"{map_name} emitted a non-bipartition: {exc}") from exc
+        raise ConsistencyError(f"the {family.value} map emitted a non-bipartition: {exc}") from exc
     if bp.weight != half or not has_excess(bp, excess):
         raise ConsistencyError(
-            f"{map_name} emitted {tuple(bp)}, outside the stated codomain"
+            f"the {family.value} map emitted {tuple(bp)}, outside the stated codomain"
         )
     return bp
 
 
 # ---------------------------------------------------------------------------
-# the five forward maps
+# the replacement table, and the one rewrite loop behind every family map
 
 
-def sp_unipotent_bp(nu: Partition) -> Bipartition:
-    """Symplectic Jordan type (characteristic not 2) to its stratum bipartition.
-
-    String replacements: an even value 2a of length l becomes a repeated l
-    times; an odd value 2a+1 (necessarily of even length) becomes the
-    alternation a, a+1, ... of the same length.  Image: weight N/2,
-    excess (1, 1).
-    """
-    parts = _require(JordanFamily.SYMPLECTIC, nu, "sp_unipotent_bp")
-    out: list[int] = []
-    for s in decompose_strings(parts):
-        a = s.value // 2
-        if s.value % 2 == 0:
-            out.extend([a] * s.length)
-        else:
-            out.extend(_alternating(a, a + 1, s.length))
-    return _finish(out, "sp_unipotent_bp", Excess(1, 1), parts.weight // 2)
+def _offsets(odd, even, even_label0):
+    # each argument pairs (d1, d2) at odd origin with (d1, d2) at even origin
+    rows = {(1, False): odd, (0, False): even, (0, True): even_label0}
+    return {
+        (value, label0, origin): pair[1 - origin]
+        for (value, label0), pair in rows.items()
+        if pair is not None
+        for origin in (1, 0)
+    }
 
 
-def sp2_unipotent_bp(nu: LabeledPartition) -> Bipartition:
-    """Labeled symplectic Jordan type (characteristic 2) to its stratum.
-
-    An even value 2a of odd length, or of even length with label 1, becomes a
-    repeated; an even value of even length with label 0 becomes the
-    alternation a-1, a+1, ...; an odd value 2a+1 becomes a, a+1, ....
-    Image: weight N/2, excess (2, 2).
-    """
-    parts = _require(JordanFamily.SYMPLECTIC_CHAR2, nu, "sp2_unipotent_bp")
-    out: list[int] = []
-    for s in decompose_strings(parts):
-        a = s.value // 2
-        if s.value % 2 == 1:
-            out.extend(_alternating(a, a + 1, s.length))
-        elif s.length % 2 == 1 or nu.label_of(s.value) == 1:
-            out.extend([a] * s.length)
-        else:
-            out.extend(_alternating(a - 1, a + 1, s.length))
-    return _finish(out, "sp2_unipotent_bp", Excess(2, 2), parts.weight // 2)
+# (family, N % 2) -> (codomain excess, {(value % 2, string carries label 0,
+# origin % 2): (d1, d2)}).  A missing pair is an even-only family at odd weight.
+_REPLACEMENTS = {
+    (FAMILY_ALIASES[name], parity): (Excess(*excess), _offsets(odd, even, even_label0))
+    for name, parity, excess, odd, even, even_label0 in (
+        # family, N % 2, excess, then (d1, d2) at odd / even origin for an odd
+        # value, an even value, and an even value whose string has label 0
+        ("Z1", 0, (1, 1), ((0, 1), (0, 1)), ((0, 0), (0, 0)), None),
+        ("Z2", 0, (2, 2), ((0, 1), (0, 1)), ((0, 0), (0, 0)), ((-1, 1), (-1, 1))),
+        ("Z1P", 1, (2, 0), ((0, 1), (1, 0)), ((-1, 1), (0, 0)), None),
+        ("Z1P", 0, (0, 2), ((1, 0), (0, 1)), ((0, 0), (-1, 1)), None),
+        ("Z2P", 0, (0, 4), ((1, 0), (-1, 2)), ((1, -1), (-1, 1)), ((0, 0), (-2, 2))),
+    )
+}
 
 
-def so_unipotent_bp_odd(nu: Partition) -> Bipartition:
-    """Orthogonal Jordan type of odd total weight to its stratum bipartition.
-
-    Replacements depend on the origin's parity.  An even value 2a
-    (necessarily of even length): a-1, a+1, ... at odd origin, a repeated at
-    even origin.  An odd value 2a+1: a, a+1, ... at odd origin, a+1, a, ...
-    at even origin.  Image: weight (N-1)/2, excess (2, 0).
-    """
-    parts = _require(JordanFamily.ORTHOGONAL, nu, "so_unipotent_bp_odd")
-    if parts.weight % 2 == 0:
+def _rule(family: JordanFamily, N: int):
+    rule = _REPLACEMENTS.get((family, N % 2)) if N >= 0 else None
+    if rule is None:
         raise DomainError(
-            f"so_unipotent_bp_odd needs odd total weight, got {parts.weight}"
+            f"the {family.value} family is defined for even weights, got {N}",
+            code="bad_parity",
         )
-    out: list[int] = []
-    for s in decompose_strings(parts):
-        a = s.value // 2
-        odd_origin = s.origin % 2 == 1
-        if s.value % 2 == 0:
-            out.extend(_alternating(a - 1, a + 1, s.length) if odd_origin else [a] * s.length)
-        else:
-            pattern = (a, a + 1) if odd_origin else (a + 1, a)
-            out.extend(_alternating(*pattern, s.length))
-    return _finish(out, "so_unipotent_bp_odd", Excess(2, 0), (parts.weight - 1) // 2)
-
-
-def so_unipotent_bp_even(nu: Partition) -> Bipartition:
-    """Orthogonal Jordan type of even total weight to its stratum bipartition.
-
-    Same replacements as the odd-weight map with the origin parities swapped:
-    an even value 2a becomes a-1, a+1, ... at even origin and a repeated at
-    odd origin; an odd value 2a+1 becomes a, a+1, ... at even origin and
-    a+1, a, ... at odd origin.  Image: weight N/2, excess (0, 2).
-    """
-    parts = _require(JordanFamily.ORTHOGONAL, nu, "so_unipotent_bp_even")
-    if parts.weight % 2 == 1:
-        raise DomainError(
-            f"so_unipotent_bp_even needs even total weight, got {parts.weight}"
-        )
-    out: list[int] = []
-    for s in decompose_strings(parts):
-        a = s.value // 2
-        even_origin = s.origin % 2 == 0
-        if s.value % 2 == 0:
-            out.extend(_alternating(a - 1, a + 1, s.length) if even_origin else [a] * s.length)
-        else:
-            pattern = (a, a + 1) if even_origin else (a + 1, a)
-            out.extend(_alternating(*pattern, s.length))
-    return _finish(out, "so_unipotent_bp_even", Excess(0, 2), parts.weight // 2)
-
-
-def so2_unipotent_bp(nu: LabeledPartition) -> Bipartition:
-    """Labeled even-orthogonal Jordan type (characteristic 2) to its stratum.
-
-    An even value 2a of odd length or with label 1: a-1, a+1, ... at even
-    origin, a+1, a-1, ... at odd origin.  An even value of even length with
-    label 0: a-2, a+2, ... at even origin, a repeated at odd origin.  An odd
-    value 2a+1: a-1, a+2, ... at even origin, a+1, a, ... at odd origin.
-    Image: weight N/2, excess (0, 4).
-
-    The patterns subtract up to 2 from a, but the parity constraints of the
-    family (even part count, labels only on even-length runs) rule out every
-    configuration that would emit a negative entry; this is asserted at run
-    time and a violation is reported as a consistency failure.
-    """
-    parts = _require(JordanFamily.ORTHOGONAL_CHAR2, nu, "so2_unipotent_bp")
-    out: list[int] = []
-    for s in decompose_strings(parts):
-        a = s.value // 2
-        even_origin = s.origin % 2 == 0
-        if s.value % 2 == 1:
-            pattern = (a - 1, a + 2) if even_origin else (a + 1, a)
-        elif s.length % 2 == 1 or nu.label_of(s.value) == 1:
-            pattern = (a - 1, a + 1) if even_origin else (a + 1, a - 1)
-        else:
-            pattern = (a - 2, a + 2) if even_origin else (a, a)
-        out.extend(_alternating(*pattern, s.length))
-    return _finish(out, "so2_unipotent_bp", Excess(0, 4), parts.weight // 2)
-
-
-# ---------------------------------------------------------------------------
-# family-level dispatch, enumeration, inversion
-
-# (family, weight parity) -> (map, codomain excess, codomain weight)
-def _dispatch(family: JordanFamily, N: int):
-    if family is JordanFamily.SYMPLECTIC:
-        return sp_unipotent_bp, Excess(1, 1), N // 2
-    if family is JordanFamily.SYMPLECTIC_CHAR2:
-        return sp2_unipotent_bp, Excess(2, 2), N // 2
-    if family is JordanFamily.ORTHOGONAL:
-        if N % 2 == 1:
-            return so_unipotent_bp_odd, Excess(2, 0), (N - 1) // 2
-        return so_unipotent_bp_even, Excess(0, 2), N // 2
-    return so2_unipotent_bp, Excess(0, 4), N // 2
+    return rule
 
 
 def apply_bijection(family: JordanFamily, nu: JordanDatum) -> Bipartition:
-    """Apply the family's forward map, picking the parity variant by weight."""
-    forward, _, _ = _dispatch(family, nu.weight)
-    return forward(nu)
+    """Rewrite a Jordan datum string by string into its stratum bipartition."""
+    parts = nu.parts if isinstance(nu, LabeledPartition) else nu
+    strings = decompose_strings(parts)
+    if family.labeled != isinstance(nu, LabeledPartition) or not _strings_in_family(
+        family, parts, strings
+    ):
+        raise DomainError(f"{nu} is not in the {family.value} family")
+    excess, offsets = _rule(family, nu.weight)
+    labels = dict(nu.labels) if family.labeled else {}
+    out: list[int] = []
+    for s in strings:
+        a = s.value // 2
+        d1, d2 = offsets[s.value % 2, labels.get(s.value) == 0, s.origin % 2]
+        out.extend(a + d1 if k % 2 == 0 else a + d2 for k in range(s.length))
+    return _finish(out, family, excess, nu.weight // 2)
 
 
 def codomain(family: JordanFamily, N: int) -> tuple[Excess, int]:
     """Excess and weight of the image set for weight-N data of a family."""
-    _, excess, half = _dispatch(family, N)
-    return excess, half
+    return _rule(family, N)[0], N // 2
 
 
 def enumerate_jordan(family: JordanFamily, N: int) -> tuple[JordanDatum, ...]:
@@ -377,24 +302,18 @@ def enumerate_jordan(family: JordanFamily, N: int) -> tuple[JordanDatum, ...]:
     """
     if N < 0:
         raise DomainError(f"weight must be nonnegative, got {N}")
-    if family is not JordanFamily.ORTHOGONAL and N % 2 == 1:
-        raise DomainError(
-            f"the {family.value} family is defined for even weights, got {N}",
-            code="bad_parity",
-        )
+    _rule(family, N)
     out: list[JordanDatum] = []
     for p in enumerate_partitions(N):
+        strings = decompose_strings(p)
+        if not _strings_in_family(family, p, strings):
+            continue
         if family.labeled:
-            if not in_family(JordanFamily.SYMPLECTIC, p):
-                continue
-            if family is JordanFamily.ORTHOGONAL_CHAR2 and len(p) % 2 == 1:
-                continue
-            values = eligible_values(p)
+            values = _eligible(strings)
             for bits in product((1, 0), repeat=len(values)):
-                out.append(LabeledPartition(p, dict(zip(values, bits))))
+                out.append(LabeledPartition._trusted(p, tuple(zip(values, bits))))
         else:
-            if in_family(family, p):
-                out.append(p)
+            out.append(p)
     return tuple(out)
 
 
@@ -406,19 +325,14 @@ def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> Jorda
     ConsistencyError.
     """
     bp = target if isinstance(target, Bipartition) else Bipartition(target)
-    if N < 0 or (family is not JordanFamily.ORTHOGONAL and N % 2 == 1):
-        raise DomainError(
-            f"the {family.value} family is defined for even weights, got {N}",
-            code="bad_parity",
-        )
-    forward, excess, half = _dispatch(family, N)
+    excess, half = codomain(family, N)
     if bp.weight != half or not has_excess(bp, excess):
         raise DomainError(
             f"{tuple(bp)} lies outside the image of weight-{N} {family.value} data "
             f"(expected weight {half}, excess {tuple(excess)})",
             code="no_preimage",
         )
-    matches = [nu for nu in enumerate_jordan(family, N) if forward(nu) == bp]
+    matches = [nu for nu in enumerate_jordan(family, N) if apply_bijection(family, nu) == bp]
     if not matches:
         raise DomainError(
             f"no weight-{N} {family.value} datum maps to {tuple(bp)}",

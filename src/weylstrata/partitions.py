@@ -42,11 +42,10 @@ def _as_excess(x) -> Excess:
 
 
 def _as_int_seq(seq) -> list[int]:
-    out = []
-    for x in seq:
-        if isinstance(x, bool) or not isinstance(x, int):
+    out = list(seq)
+    for x in out:
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
             raise DomainError(f"entries must be integers, got {x!r}")
-        out.append(x)
     return out
 
 
@@ -203,7 +202,7 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 
     def extend(prefix: list[int], remaining: int, cap: int) -> None:
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(tuple.__new__(Partition, prefix))  # valid by construction
             return
         for v in range(min(cap, remaining), 0, -1):
             prefix.append(v)
@@ -229,7 +228,7 @@ def enumerate_bipartitions(n: int, x) -> tuple[Bipartition, ...]:
 
     def extend(prefix: list[int], remaining: int) -> None:
         if remaining == 0:
-            out.append(Bipartition(prefix))
+            out.append(tuple.__new__(Bipartition, prefix))  # valid by construction
             return
         if len(prefix) >= 2 and prefix[-1] == 0 and prefix[-2] == 0:
             return

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import ConsistencyError, DomainError
-from .jordan import LabeledPartition, so2_unipotent_bp, sp2_unipotent_bp
+from .jordan import JordanFamily, LabeledPartition, apply_bijection
 from .partitions import Bipartition, Partition, enumerate_partitions
 
 
@@ -194,10 +194,8 @@ def stratum_of_class(w: WeylType, c: WeylClass) -> Bipartition:
     c = _check_class(w, c)
     if w.series is WeylSeries.A:
         return Bipartition(c)
-    nu = jordan_of_class(c)
-    if w.series is WeylSeries.B:
-        return sp2_unipotent_bp(nu)
-    return so2_unipotent_bp(nu)
+    family = JordanFamily.SYMPLECTIC_CHAR2 if w.series is WeylSeries.B else JordanFamily.ORTHOGONAL_CHAR2
+    return apply_bijection(family, jordan_of_class(c))
 
 
 def fixed_space_dim(w: WeylType, c: WeylClass) -> int:

@@ -1,8 +1,10 @@
 import random
+import time
 from math import comb
 
 import pytest
 
+from weylstrata.atlas import strata_for_characteristic
 from weylstrata.classical import (
     EigenOrbit,
     GroupDescriptor,
@@ -66,6 +68,35 @@ def test_group_descriptor_validation():
     with pytest.raises(DomainError):
         GroupDescriptor(Series.GL, 3, 4)  # 4 is not a characteristic
     GroupDescriptor(Series.GL, 3, 7)  # odd primes fine
+
+
+def _accepted(char, check):
+    try:
+        check(char)
+    except DomainError as err:
+        assert err.code == "bad_characteristic"
+        return False
+    return True
+
+
+def test_characteristic_primality():
+    start = time.perf_counter()
+    assert _accepted(2**61 - 1, lambda p: gl(3, p))  # used to hang in trial division
+    assert time.perf_counter() - start < 1.0
+    for composite in (561, 1000000000001, 4):
+        assert not _accepted(composite, lambda p: gl(3, p))
+    # a composite that passes Miller-Rabin for the first twelve prime bases
+    assert not _accepted(318665857834031151167461, lambda p: gl(3, p))
+    # at and above the bound of exactness the answer is refused, not guessed
+    assert not _accepted(3317044064679887385961981, lambda p: gl(3, p))
+
+
+def test_characteristic_checks_agree():
+    for p in range(0, 2001):
+        on_group = _accepted(p, lambda c: gl(3, c))
+        on_atlas = _accepted(p, lambda c: strata_for_characteristic("G2", c))
+        assert on_group == on_atlas, p
+        assert on_group == (p == 0 or (p >= 2 and all(p % q for q in range(2, p)))), p
 
 
 def test_positive_roots():

@@ -2,7 +2,9 @@
 
 import io
 import json
+from importlib import resources
 
+import jsonschema
 import pytest
 
 from weylstrata.atlas import ATLAS_ENV_VAR, load_atlas
@@ -10,10 +12,17 @@ from weylstrata.cli import main
 from weylstrata.jordan import JordanFamily, invert_bijection
 from weylstrata.partitions import Bipartition
 
+SCHEMA_FILE = resources.files("weylstrata").joinpath("data").joinpath("envelope.schema.json")
+ENVELOPE = jsonschema.Draft7Validator(json.loads(SCHEMA_FILE.read_text(encoding="utf-8")))
+
 
 def run_cli(capsys, *argv):
     status = main(list(argv))
-    return status, capsys.readouterr().out
+    out = capsys.readouterr().out
+    if "--format" not in argv and "--raw" not in argv:
+        # every JSON envelope the tool writes must match the shipped schema
+        ENVELOPE.validate(json.loads(out))
+    return status, out
 
 
 def run_json(capsys, *argv):
@@ -120,6 +129,31 @@ def test_classify_rejects_bad_documents(capsys, monkeypatch, text, code):
     assert status == 1
     assert env["status"] == "error"
     assert env["payload"]["code"] == code
+
+
+def test_classify_rejects_non_utf8_input(tmp_path, capsys, monkeypatch):
+    doc = b'{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "g\xe9", "kind": "generic", "parts": [2]}]}'
+    path = tmp_path / "latin1.json"
+    path.write_bytes(doc)
+    status, env = run_json(capsys, "classify", str(path))
+    assert (status, env["payload"]["code"]) == (1, "bad_document")
+    # stdin decoded strictly, and decoded with surrogateescape as in UTF-8 mode
+    for errors in ("strict", "surrogateescape"):
+        stdin = io.TextIOWrapper(io.BytesIO(doc), encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        status, env = run_json(capsys, "classify", "-")
+        assert (status, env["payload"]["code"]) == (1, "bad_document")
+
+
+@pytest.mark.parametrize("label", [1.7, 1.0, True, "1"])
+def test_classify_rejects_non_integer_labels(capsys, monkeypatch, label):
+    doc = {
+        "group": {"series": "Sp", "N": 4, "char": 2},
+        "orbits": [{"id": "1", "kind": "involutive", "parts": [2, 2], "labels": {"2": label}}],
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    status, env = run_json(capsys, "classify", "-")
+    assert (status, env["payload"]["code"]) == (1, "bad_document")
 
 
 def test_classify_missing_file(capsys):
@@ -349,3 +383,14 @@ def test_envelope_schema_file_is_wellformed():
     assert schema["required"] == ["status", "payload", "diagnostics"]
     assert set(schema["properties"]) == {"status", "payload", "diagnostics"}
     assert schema["definitions"]["errorPayload"]["required"] == ["code", "message"]
+
+
+def test_envelope_schema_separates_error_payloads():
+    def valid(status, payload):
+        return ENVELOPE.is_valid({"status": status, "payload": payload, "diagnostics": []})
+
+    assert valid("error", {"code": "bad_group", "message": "no"})
+    assert not valid("error", {"code": "bad_group"})
+    assert not valid("error", {"code": "bad_group", "message": "no", "parts": []})
+    assert valid("ok", {"parts": [4]})
+    assert not valid("ok", [4])

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from weylstrata.errors import DomainError
@@ -14,11 +16,6 @@ from weylstrata.jordan import (
     family_from_name,
     in_family,
     invert_bijection,
-    sp2_unipotent_bp,
-    sp_unipotent_bp,
-    so2_unipotent_bp,
-    so_unipotent_bp_even,
-    so_unipotent_bp_odd,
 )
 from weylstrata.partitions import (
     Bipartition,
@@ -101,13 +98,13 @@ def test_family_aliases():
 
 
 def test_sp_map_examples():
-    assert sp_unipotent_bp(Partition([2, 1, 1])) == (1, 0, 1)
-    assert sp_unipotent_bp(Partition([3, 3])) == (1, 2)
-    assert sp_unipotent_bp(Partition([1, 1])) == (0, 1)
-    assert sp_unipotent_bp(Partition([2, 2, 1, 1])) == (1, 1, 0, 1)
-    assert sp_unipotent_bp(Partition()) == ()
+    assert apply_bijection(SP, Partition([2, 1, 1])) == (1, 0, 1)
+    assert apply_bijection(SP, Partition([3, 3])) == (1, 2)
+    assert apply_bijection(SP, Partition([1, 1])) == (0, 1)
+    assert apply_bijection(SP, Partition([2, 2, 1, 1])) == (1, 1, 0, 1)
+    assert apply_bijection(SP, Partition()) == ()
     with pytest.raises(DomainError):
-        sp_unipotent_bp(Partition([3, 1]))
+        apply_bijection(SP, Partition([3, 1]))
 
 
 def test_sp_map_transvection_chain():
@@ -115,46 +112,42 @@ def test_sp_map_transvection_chain():
     # nonzero-dimension stratum of the symplectic group
     for n in range(2, 7):
         nu = Partition([2] + [1] * (2 * n - 2))
-        bp = sp_unipotent_bp(nu)
+        bp = apply_bijection(SP, nu)
         assert bp == Bipartition([1] + [0, 1] * (n - 2) + [0, 1])
 
 
 def test_sp2_map_examples():
-    assert sp2_unipotent_bp(LabeledPartition([2, 2, 1, 1], {2: 1})) == (1, 1, 0, 1)
-    assert sp2_unipotent_bp(LabeledPartition([2, 2, 1, 1], {2: 0})) == (0, 2, 0, 1)
-    assert sp2_unipotent_bp(LabeledPartition([6], {})) == (3,)
+    assert apply_bijection(SP2, LabeledPartition([2, 2, 1, 1], {2: 1})) == (1, 1, 0, 1)
+    assert apply_bijection(SP2, LabeledPartition([2, 2, 1, 1], {2: 0})) == (0, 2, 0, 1)
+    assert apply_bijection(SP2, LabeledPartition([6], {})) == (3,)
     with pytest.raises(DomainError):
-        sp2_unipotent_bp(Partition([2, 2]))  # unlabeled input
+        apply_bijection(SP2, Partition([2, 2]))  # unlabeled input
 
 
 def test_so_odd_map_examples():
-    assert so_unipotent_bp_odd(Partition([3])) == (1,)
-    assert so_unipotent_bp_odd(Partition([1, 1, 1])) == (0, 1)
-    assert so_unipotent_bp_odd(Partition([1])) == ()
-    assert so_unipotent_bp_odd(Partition([2, 2, 1])) == (0, 2)
+    assert apply_bijection(SO, Partition([3])) == (1,)
+    assert apply_bijection(SO, Partition([1, 1, 1])) == (0, 1)
+    assert apply_bijection(SO, Partition([1])) == ()
+    assert apply_bijection(SO, Partition([2, 2, 1])) == (0, 2)
     with pytest.raises(DomainError):
-        so_unipotent_bp_odd(Partition([2, 2]))  # even weight
-    with pytest.raises(DomainError):
-        so_unipotent_bp_odd(Partition([2, 1]))  # 2 occurs once
+        apply_bijection(SO, Partition([2, 1]))  # 2 occurs once
 
 
 def test_so_even_map_examples():
-    assert so_unipotent_bp_even(Partition([3, 1])) == (2,)
-    assert so_unipotent_bp_even(Partition([2, 2])) == (1, 1)
-    assert so_unipotent_bp_even(Partition([1, 1, 1, 1])) == (1, 0, 1)
-    assert so_unipotent_bp_even(Partition([5, 3])) == (3, 1)
-    assert so_unipotent_bp_even(Partition()) == ()
-    with pytest.raises(DomainError):
-        so_unipotent_bp_even(Partition([3]))  # odd weight
+    assert apply_bijection(SO, Partition([3, 1])) == (2,)
+    assert apply_bijection(SO, Partition([2, 2])) == (1, 1)
+    assert apply_bijection(SO, Partition([1, 1, 1, 1])) == (1, 0, 1)
+    assert apply_bijection(SO, Partition([5, 3])) == (3, 1)
+    assert apply_bijection(SO, Partition()) == ()
 
 
 def test_so2_map_examples():
-    assert so2_unipotent_bp(LabeledPartition([6, 2], {})) == (4,)
-    assert so2_unipotent_bp(LabeledPartition([4, 4], {4: 1})) == (3, 1)
-    assert so2_unipotent_bp(LabeledPartition([4, 4], {4: 0})) == (2, 2)
-    assert so2_unipotent_bp(LabeledPartition([4, 2, 1, 1], {})) == (3, 0, 1)
+    assert apply_bijection(SO2, LabeledPartition([6, 2], {})) == (4,)
+    assert apply_bijection(SO2, LabeledPartition([4, 4], {4: 1})) == (3, 1)
+    assert apply_bijection(SO2, LabeledPartition([4, 4], {4: 0})) == (2, 2)
+    assert apply_bijection(SO2, LabeledPartition([4, 2, 1, 1], {})) == (3, 0, 1)
     with pytest.raises(DomainError):
-        so2_unipotent_bp(LabeledPartition([2, 1, 1], {}))  # odd part count
+        apply_bijection(SO2, LabeledPartition([2, 1, 1], {}))  # odd part count
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +185,7 @@ def test_golden_table_sp2_weight6():
     assert len(domain) == len(GOLDEN_SP2_6) == 9
     for nu, ((parts, labels), expected) in zip(domain, GOLDEN_SP2_6):
         assert nu == LabeledPartition(parts, labels)
-        assert sp2_unipotent_bp(nu) == expected
+        assert apply_bijection(SP2, nu) == expected
 
 
 def test_golden_table_so2_weight8():
@@ -200,7 +193,71 @@ def test_golden_table_so2_weight8():
     assert len(domain) == len(GOLDEN_SO2_8) == 10
     for nu, ((parts, labels), expected) in zip(domain, GOLDEN_SO2_8):
         assert nu == LabeledPartition(parts, labels)
-        assert so2_unipotent_bp(nu) == expected
+        assert apply_bijection(SO2, nu) == expected
+
+
+# ---------------------------------------------------------------------------
+# pinned images: one sha256 per (family, weight) over the ordered list of
+# (str(datum), image) pairs, so that any change to any image is caught, even
+# one that permutes images inside the codomain
+
+IMAGE_DIGESTS = {
+    ("Z1", 0): "0bdba3cb90956b92ddaa2adf02fbd78ed8c6076a49e11e4231b1890f9cb924d1",
+    ("Z1", 2): "ed6a16ed380cf677b0845aef83caf277824ab6d00a4a06e83886e44d077dad6b",
+    ("Z1", 4): "cc6b28c4b1e7997cc723327e2cbb56948c55084427f6d23ed9b89fcc24744fb5",
+    ("Z1", 6): "f8c194c86646b4d4cd2a1cb96641be129da030a014a53e347d965c0505042849",
+    ("Z1", 8): "2ad67973faac9be4fe1d2651495db1ab37c7ae6a04e14c9791c59d7303274595",
+    ("Z1", 10): "55d16078fea1fee529ad1a29db72459ed6ffd4b52092f98b39c537724a240361",
+    ("Z1", 12): "278a07e768634b2d8b2cd3658a1e25fb3466bbdb1652114901f1650e374731fc",
+    ("Z1", 14): "617c785856fe0f856c9b9aa072982b8aead9b2d733e37aa5de32c19bf09d5d6d",
+    ("Z1", 16): "1cd365aa66046a2d19bced9c690c3c6596f44160a2089abf17a1f946e1e09933",
+    ("Z2", 0): "0bdba3cb90956b92ddaa2adf02fbd78ed8c6076a49e11e4231b1890f9cb924d1",
+    ("Z2", 2): "ed6a16ed380cf677b0845aef83caf277824ab6d00a4a06e83886e44d077dad6b",
+    ("Z2", 4): "374b6cf10bdd943f580c6618efbe8ef4ce947c527c7e7ffc858bb6dec1d43258",
+    ("Z2", 6): "83c5de6d8e7ee26c8a2ef26acad69fcc63c13ffea5c4de17860a3e9e79be516e",
+    ("Z2", 8): "b3bf30080152b90d2d23da3b3fa7f9535705b7deea58675dbd676e714d10435f",
+    ("Z2", 10): "0fc7bc5b8420d9d5a3df7fed4a56378d61e4e110a7f16227ace85206e7cc1999",
+    ("Z2", 12): "a327c32165d206573e84eac87f5cac8b5ecc38c771b3a119d8df60494bcd12df",
+    ("Z2", 14): "b814dc06e9db5f4aea4529f26aea3db48c5298d78991f3017957ad8200ac97d3",
+    ("Z2", 16): "1d63088582d6047594737e58af4c6e58592b9cad3106bd2150766d6babfa25e3",
+    ("Z1P", 1): "d709c43ce2b73175084855cda2ce5b33ee279cdc59ac4d56a88369b715e3afa5",
+    ("Z1P", 2): "ae79ac01c6878e213942595969bf79641e450e3d83a180fe8213c0b46987694b",
+    ("Z1P", 3): "f2b5fc53ea84b0cf75fa798c0c2f484188d092dc25d4ea81594e8bcd2a3c1b0b",
+    ("Z1P", 4): "cb2277acb7a95d9091f19bc0ec321e6849922f43347b4f4a86431e4b22f252f8",
+    ("Z1P", 5): "8bfbc6fe116e0dada84961807a956a857400ee27eb3bdc02282e67421826222b",
+    ("Z1P", 6): "460e7d8a8d2f35e983b94f0addb60698cd15c8edd99154534a97749a2e30a3d8",
+    ("Z1P", 7): "bc66b80fbc21b9583702d87a85c04132df26721e99e8c63f60ef28e6bfec006a",
+    ("Z1P", 8): "71e9c453ff5978b943410f454565acc2f2aa42ca4151b3dfd319780f42d92a91",
+    ("Z1P", 9): "2e5aa632e1ce1b6205421586c7bf40d1e26196ccba0fdd68bd5191805ba78a31",
+    ("Z1P", 10): "784245e7a07d94a475c47fd10ae3099448833ee6669956bf2ce2f6cf438d9722",
+    ("Z1P", 11): "b658f461d63b51c790b67d69cb5e5db1178a16f124aa96f3fb41f247a032173f",
+    ("Z1P", 12): "9213ce2509f979e05c10c2cd2c5b2f4d9ce49470c5a1123f80d163d03989972d",
+    ("Z1P", 13): "b0fa6fd319596aabd696aeb0401f70335b8885788dc9448537f7869fe77acf75",
+    ("Z1P", 14): "f80d26d6c25fb82e7c4b6343dc575e431ce0576341426554e48a9f69b8c51073",
+    ("Z1P", 15): "26e457416983a9cc41414bac38e7f6907a6f2a3d97204ab0395cea4c3e717728",
+    ("Z1P", 16): "8f7a77deab0393fa0bd8e508c3de31990fb90f282b93b5633ae2a0f3f1089891",
+    ("Z1P", 17): "6b4a2da63fcffcf6fd87865530cd4eea326fa529126282ef1e0a052aa4c700d4",
+    ("Z2P", 0): "0bdba3cb90956b92ddaa2adf02fbd78ed8c6076a49e11e4231b1890f9cb924d1",
+    ("Z2P", 2): "ae79ac01c6878e213942595969bf79641e450e3d83a180fe8213c0b46987694b",
+    ("Z2P", 4): "cde1a2f1519948d4d7037ae09720eea31d90c445e529563d707f4ec14174971d",
+    ("Z2P", 6): "79fe7f56e3b87ad6445a0014e20d9b7a47470d9965454c91e8c6776397f120ca",
+    ("Z2P", 8): "b1d25db17a27a09bc1e3eb06d65b9cf58e5f21e0d0801c35010d84ea346a1cfb",
+    ("Z2P", 10): "73e4d6d9c9a7a5295adfbb2b2522ee7d46899282f542b001231e76ca88d0072e",
+    ("Z2P", 12): "ac828c74d6adeb6095835db8e5303f5a7e44a5501323465928470bb92a449b8a",
+    ("Z2P", 14): "39d8a7371fde336b9cbcda314443eaf48579a753d9ef77eccc9121a31e6bf956",
+    ("Z2P", 16): "8bc0156d069d96f24bad298c47b984aff125b51ce3b741446ff2f09f7a4ee7c7",
+}
+
+
+def _image_digest(family, N):
+    rows = [(str(nu), tuple(apply_bijection(family, nu))) for nu in enumerate_jordan(family, N)]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_pinned_image_digests():
+    assert len(IMAGE_DIGESTS) == 9 + 9 + 17 + 9
+    for (name, N), want in IMAGE_DIGESTS.items():
+        assert _image_digest(FAMILY_ALIASES[name], N) == want, (name, N)
 
 
 # ---------------------------------------------------------------------------
