@@ -74,6 +74,8 @@ def _read_document(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise DomainError(f"input is not valid JSON: {err}", code="bad_document")
+    except RecursionError:
+        raise DomainError("input JSON is nested too deeply", code="bad_document")
     if not isinstance(doc, dict):
         raise DomainError("input document must be a JSON object", code="bad_document")
     return doc
@@ -85,7 +87,7 @@ def _group_from_doc(doc: dict) -> GroupDescriptor:
     series = series_from_name(str(doc["series"]))
     dimension = doc["N"]
     char = doc.get("char", 0)
-    if not isinstance(dimension, int) or not isinstance(char, int):
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (dimension, char)):
         raise DomainError("group N and char must be integers", code="bad_document")
     return GroupDescriptor(series, dimension, char)
 

@@ -39,6 +39,9 @@ label 0, and the origin's parity; the table ``_REPLACEMENTS`` holds them all:
   family's parity constraints (even part count, labels only on even-length
   runs) rule out every configuration that would emit a negative entry.
 
+The inverse, ``invert_bijection``, reads the same table backwards, parsing a
+bipartition left to right into the strings of its preimage.
+
 Weight always halves: each map sends weight-N Jordan data to weight-N//2
 bipartitions of the family's excess ((N-1)/2 for odd-weight orthogonal data).
 Only ORTHOGONAL has odd weights.  That each image is a bipartition of the
@@ -317,12 +320,68 @@ def enumerate_jordan(family: JordanFamily, N: int) -> tuple[JordanDatum, ...]:
     return tuple(out)
 
 
+def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[tuple]]:
+    # Up to two run lists (value, length, label or None) whose rewrites give t.
+    # A parse state is (position, previous value, remaining weight); it keeps
+    # at most two partial parses, each a linked list of runs, newest first.
+    # Every run advances the position, so states settle position by position.
+    # Entries past the end of t are implicit zeros.
+    offsets = _rule(family, N)[1]
+    rows = [
+        [(parity, label0, d1, d2) for (parity, label0, o), (d1, d2) in offsets.items() if o == origin]
+        for origin in (0, 1)
+    ]
+    odd_length_parity = 1 if family is JordanFamily.ORTHOGONAL else 0
+    even_count = family is JordanFamily.ORTHOGONAL_CHAR2
+
+    def entry(i: int) -> int:
+        return t[i] if i < len(t) else 0
+
+    layers: dict[int, dict[tuple[int, int], list]] = {0: {(N + 1, N): [None]}}
+    found: list = []
+    i = 0
+    while layers and len(found) < 2:
+        for (prev, rem), parses in layers.pop(i, {}).items():
+            if rem == 0:
+                if i >= len(t) and not (even_count and i % 2):
+                    found.extend(parses[: 2 - len(found)])
+                continue
+            for parity, label0, d1, d2 in rows[(i + 1) % 2]:
+                a = entry(i) - d1
+                v = 2 * a + parity
+                if not 0 < v < prev or v > rem:
+                    continue
+                length = 0
+                while (length + 1) * v <= rem and entry(i + length) == a + (d2 if length % 2 else d1):
+                    length += 1
+                    if length % 2 and parity != odd_length_parity:
+                        continue  # this value parity needs an even run length
+                    eligible = family.labeled and parity == 0 and length % 2 == 0
+                    if label0 and not eligible:
+                        continue
+                    label = (0 if label0 else 1) if eligible else None
+                    state = layers.setdefault(i + length, {}).setdefault((v, rem - length * v), [])
+                    state.extend((v, length, label, p) for p in parses[: 2 - len(state)])
+        i += 1
+    runs = []
+    for parse in found:
+        out = []
+        while parse is not None:
+            v, length, label, parse = parse
+            out.append((v, length, label))
+        runs.append(out[::-1])
+    return runs
+
+
 def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> JordanDatum:
     """The unique weight-N preimage of a bipartition under the family's map.
 
-    Exhaustive search over the domain.  No match raises a DomainError;
-    more than one match would falsify injectivity and raises a
-    ConsistencyError.
+    The target is parsed left to right one run at a time by reading
+    ``_REPLACEMENTS`` backwards; parses that reach the same position,
+    previous value and remaining weight are merged, so the cost grows with
+    the target's length and the table, not with the number of partitions
+    of N.  No parse raises a DomainError; two parses would falsify
+    injectivity and raise a ConsistencyError.
     """
     bp = target if isinstance(target, Bipartition) else Bipartition(target)
     excess, half = codomain(family, N)
@@ -332,15 +391,25 @@ def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> Jorda
             f"(expected weight {half}, excess {tuple(excess)})",
             code="no_preimage",
         )
-    matches = [nu for nu in enumerate_jordan(family, N) if apply_bijection(family, nu) == bp]
-    if not matches:
+    parses = _parse_runs(family, N, bp)
+    if not parses:
         raise DomainError(
             f"no weight-{N} {family.value} datum maps to {tuple(bp)}",
             code="no_preimage",
         )
+    matches = []
+    for runs in parses:
+        parts = Partition([v for v, length, _ in runs for _ in range(length)])
+        labels = {v: label for v, _, label in runs if label is not None}
+        matches.append(LabeledPartition(parts, labels) if family.labeled else parts)
     if len(matches) > 1:
         raise ConsistencyError(
             f"injectivity failed: {len(matches)} weight-{N} {family.value} data map "
             f"to {tuple(bp)}: {[str(m) for m in matches]}"
+        )
+    if apply_bijection(family, matches[0]) != bp:
+        raise ConsistencyError(
+            f"the {family.value} inverse parsed {tuple(bp)} as {matches[0]}, "
+            "which does not map back to it"
         )
     return matches[0]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -63,6 +64,17 @@ def test_invert_labeled(capsys):
     assert status == 0
     assert env["payload"]["parts"] == [2, 2, 1, 1]
     assert env["payload"]["labels"] == {"2": 1}
+
+
+def test_invert_large_weight_is_fast(capsys):
+    start = time.perf_counter()
+    status, env = run_json(
+        capsys, "invert", "--family", "Z1", "--N", "1000000000", "--target", "500000000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (status, env["payload"]["parts"]) == (0, [1000000000])
+    status, env = run_json(capsys, "invert", "--family", "Z1", "--N", "60", "--target", "30")
+    assert (status, env["payload"]["parts"]) == (0, [60])
 
 
 def test_classify_file(tmp_path, capsys):
@@ -151,6 +163,23 @@ def test_classify_rejects_non_integer_labels(capsys, monkeypatch, label):
         "group": {"series": "Sp", "N": 4, "char": 2},
         "orbits": [{"id": "1", "kind": "involutive", "parts": [2, 2], "labels": {"2": label}}],
     }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    status, env = run_json(capsys, "classify", "-")
+    assert (status, env["payload"]["code"]) == (1, "bad_document")
+
+
+def test_classify_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    status, env = run_json(capsys, "classify", str(path))
+    assert (status, env["payload"]["code"]) == (1, "bad_document")
+
+
+@pytest.mark.parametrize("field,value", [("N", True), ("char", False)])
+def test_classify_rejects_boolean_group_fields(capsys, monkeypatch, field, value):
+    group = {"series": "Sp", "N": 4, "char": 0}
+    group[field] = value
+    doc = {"group": group, "orbits": [{"id": "1", "kind": "involutive", "parts": [2, 1, 1]}]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     status, env = run_json(capsys, "classify", "-")
     assert (status, env["payload"]["code"]) == (1, "bad_document")

@@ -1,8 +1,10 @@
 import hashlib
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from weylstrata.errors import DomainError
+from weylstrata.errors import ConsistencyError, DomainError
 from weylstrata.jordan import (
     FAMILY_ALIASES,
     JordanFamily,
@@ -358,3 +360,100 @@ def test_invert_no_preimage():
 def test_invert_rejects_malformed_target():
     with pytest.raises(DomainError):
         invert_bijection(SP2, 6, (1, 2, 3))  # not a bipartition
+
+
+# the exhaustive inverse, kept as the oracle for the run-by-run parse: every
+# datum of weight N mapped forward, keyed by its image
+
+
+def _exhaustive_inverse(family, N):
+    domain = enumerate_jordan(family, N)
+    table = {apply_bijection(family, nu): nu for nu in domain}
+    assert len(table) == len(domain), (family, N)  # injective
+    return table
+
+
+@pytest.mark.parametrize("family", list(JordanFamily))
+def test_invert_matches_exhaustive_oracle(family):
+    weights = range(0, 22) if family is SO else range(0, 21, 2)
+    for N in weights:
+        oracle = _exhaustive_inverse(family, N)
+        excess, half = codomain(family, N)
+        for bp in enumerate_bipartitions(half, excess):
+            assert invert_bijection(family, N, bp) == oracle[bp], (family, N, bp)
+
+
+@pytest.mark.parametrize(
+    "runs,message",
+    [
+        ([[(2, 1, None), (1, 2, None)], [(4, 1, None)]], "injectivity failed"),
+        ([[(2, 1, None), (1, 2, None)]], "does not map back"),
+    ],
+)
+def test_invert_checks_what_the_parse_returns(monkeypatch, runs, message):
+    # a second parse, or one that maps elsewhere, can only come from a broken
+    # table; fake the parse to reach both checks
+    monkeypatch.setattr("weylstrata.jordan._parse_runs", lambda *args: runs)
+    with pytest.raises(ConsistencyError, match=message):
+        invert_bijection(SP, 4, Bipartition([2]))
+
+
+WEIGHT_CAP = 60
+
+
+@st.composite
+def family_members(draw, family):
+    """A family member of weight at most WEIGHT_CAP, random labels on its eligible values."""
+    budget = WEIGHT_CAP
+    parts = []
+    for v in sorted(draw(st.sets(st.integers(1, WEIGHT_CAP), max_size=8)), reverse=True):
+        # a multiplicity of the parity the family asks of this value
+        step = 2 if (v % 2 == 0) == (family is SO) else 1
+        top = budget // (v * step)
+        if top:
+            m = step * draw(st.integers(1, min(top, 4)))
+            parts += [v] * m
+            budget -= v * m
+    nu = Partition(parts)
+    if family.labeled:
+        nu = LabeledPartition(nu, {v: draw(st.integers(0, 1)) for v in eligible_values(nu)})
+    assume(in_family(family, nu))  # weight parity, and an even part count for Z2P
+    return nu
+
+
+@st.composite
+def codomain_members(draw, family):
+    """(N, bp) with bp drawn entry by entry from the codomain of weight-N data, N <= WEIGHT_CAP."""
+    N = draw(st.integers(0, WEIGHT_CAP))
+    if family is not SO:
+        N -= N % 2
+    excess, remaining = codomain(family, N)
+    entries = []
+    while remaining:
+        cap = remaining
+        if len(entries) >= 2:
+            cap = min(cap, entries[-2])
+        if entries:
+            cap = min(cap, entries[-1] + excess[(len(entries) - 1) % 2])
+        low = 1 if entries and entries[-1] == 0 else 0
+        assume(low <= cap)  # both tracks ended before the weight was used up
+        entries.append(draw(st.integers(low, cap)))
+        remaining -= entries[-1]
+    return N, Bipartition(entries)
+
+
+@pytest.mark.parametrize("family", list(JordanFamily))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_invert_inverts_the_forward_map(family, data):
+    nu = data.draw(family_members(family))
+    assert invert_bijection(family, nu.weight, apply_bijection(family, nu)) == nu
+
+
+@pytest.mark.parametrize("family", list(JordanFamily))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_forward_map_inverts_the_inverse(family, data):
+    N, bp = data.draw(codomain_members(family))
+    assert has_excess(bp, codomain(family, N)[0]) and bp.weight == N // 2
+    assert apply_bijection(family, invert_bijection(family, N, bp)) == bp
