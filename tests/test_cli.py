@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import io
 import json
 import time
@@ -423,3 +424,99 @@ def test_envelope_schema_separates_error_payloads():
     assert not valid("error", {"code": "bad_group", "message": "no", "parts": []})
     assert valid("ok", {"parts": [4]})
     assert not valid("ok", [4])
+
+
+# One sha256 over (argv, exit status, stdout) for a fixed corpus of commands,
+# each run in both formats; recorded before the command table replaced the
+# dispatch chain, so any byte the refactor changes fails here.  verify is left
+# out because its payload carries wall-clock timings.
+CLI_CORPUS = (
+    ("phi", "--group", "E8", "--class", "D_7(a_1)"),
+    ("phi", "--group", "E8", "--class", "A_0"),
+    ("phi", "--group", "E7", "--class", "A_3+A_2"),
+    ("phi", "--group", "E7", "--class", "A_3+A_2", "--rep", "84_15"),
+    ("phi", "--group", "E7", "--class", "A_3+A_2", "--rep", "378_14"),
+    ("phi", "--group", "G2", "--class", "B_2"),
+    ("phi", "--group", "E9", "--class", "A_2"),
+    ("phi", "--group", "E8", "--rank", "4", "--class", "A_2"),
+    ("phi", "--group", "B", "--rank", "3", "--class", "3;"),
+    ("phi", "--group", "B", "--rank", "3", "--class", "1;2"),
+    ("phi", "--group", "C", "--rank", "2", "--class", "1,1;"),
+    ("phi", "--group", "D", "--rank", "4", "--class", "1,1;1,1"),
+    ("phi", "--group", "D", "--rank", "4", "--class", "2;2"),
+    ("phi", "--group", "A", "--rank", "2", "--class", "2,1"),
+    ("phi", "--group", "A", "--rank", "2", "--class", "2,2"),
+    ("phi", "--group", "B", "--class", "3;"),
+    ("phi", "--group", "B", "--rank", "3", "--class", "3;", "--rep", "1_0"),
+    ("enumerate", "--series", "Sp", "--dimension", "6"),
+    ("enumerate", "--series", "Sp", "--dimension", "6", "--char", "2"),
+    ("enumerate", "--series", "SO", "--dimension", "7"),
+    ("enumerate", "--series", "SO_odd", "--dimension", "5", "--char", "2"),
+    ("enumerate", "--series", "SO", "--dimension", "8"),
+    ("enumerate", "--series", "GL", "--dimension", "0"),
+    ("enumerate", "--series", "GL", "--dimension", "5"),
+    ("enumerate", "--series", "Sp", "--dimension", "4", "--char", "6"),
+    ("enumerate", "--series", "Sp", "--dimension", "5"),
+    ("enumerate", "--series", "Xq", "--dimension", "4"),
+    ("tables", "--group", "E8"),
+    ("tables", "--group", "E8", "--char", "2"),
+    ("tables", "--group", "E6", "--char", "3"),
+    ("tables", "--group", "E7", "--class", "A_3+A_2"),
+    ("tables", "--group", "F4", "--rep", "8_3#1"),
+    ("tables", "--group", "G2"),
+    ("tables", "--group", "E9"),
+    ("tables", "--group", "G2", "--rep", "7_9"),
+    ("tables", "--group", "G2", "--raw"),
+    ("invert", "--family", "Z2", "--N", "6", "--target", "3"),
+    ("invert", "--family", "Z2", "--N", "6", "--target", "1,1,0,1"),
+    ("invert", "--family", "Z1P", "--N", "7", "--target", "0,2,0,1"),
+    ("invert", "--family", "Z2P", "--N", "8", "--target", "2,0,2"),
+    ("invert", "--family", "Z1", "--N", "4", "--target", "5"),
+    ("invert", "--family", "Qx", "--N", "4", "--target", "2"),
+    ("classify", "sp4.json"),
+    ("classify", "so8.json"),
+    ("classify", "so8_pair.json"),
+    ("classify", "so7_char2.json"),
+    ("classify", "bad.json"),
+    ("classify", "missing.json"),
+)
+
+CLI_CORPUS_FILES = {
+    "sp4.json": {
+        "group": {"series": "Sp", "N": 4, "char": 0},
+        "orbits": [
+            {"id": "1", "kind": "involutive", "parts": [1, 1]},
+            {"id": "-1", "kind": "involutive", "parts": [1, 1]},
+        ],
+    },
+    "so8.json": {
+        "group": {"series": "SO_even", "N": 8},
+        "orbits": [
+            {"id": "1", "kind": "involutive", "parts": [2, 2]},
+            {"id": "x", "kind": "generic", "parts": [2]},
+        ],
+    },
+    "so8_pair.json": {
+        "group": {"series": "SO_even", "N": 8},
+        "orbits": [{"id": "1", "kind": "involutive", "parts": [4, 4]}],
+    },
+    "so7_char2.json": {
+        "group": {"series": "SO_odd", "N": 7, "char": 2},
+        "orbits": [{"id": "1", "kind": "involutive", "parts": [2, 2, 1, 1], "labels": {"2": 0}}],
+    },
+    "bad.json": {"group": {"series": "Sp", "N": 4}},
+}
+
+CLI_CORPUS_DIGEST = "10c501fd4c034dde557a90d90df2ec54b19e2ed0672dbe182454cd4238e315ad"
+
+
+def test_cli_bytes_pinned(tmp_path, capsys, monkeypatch):
+    for name, doc in CLI_CORPUS_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    rows = []
+    for argv in CLI_CORPUS:
+        for fmt in ("json", "table"):
+            status = main([*argv, "--format", fmt])
+            rows.append((argv, fmt, status, capsys.readouterr().out))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CLI_CORPUS_DIGEST
