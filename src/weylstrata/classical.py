@@ -314,12 +314,9 @@ def classify(datum: SpectralDatum) -> StratumResult:
     """The stratum containing the conjugacy class with the given spectral data."""
     g = datum.group
     if g.series is Series.SO_ODD and g.characteristic == 2:
-        reduced = SpectralDatum(
-            GroupDescriptor(Series.SP, g.dimension - 1, 2), datum.orbits
-        )
-        inner = classify(reduced)
-        # same rank, same positive-root count: the stratum data carry over
-        return StratumResult(inner.bp, inner.n_invariant, inner.class_dim, None)
+        # SpectralDatum checked the orbits as symplectic data on Sp_{N-1}, which
+        # has the same rank and positive-root count and no pair symmetry
+        g = GroupDescriptor(Series.SP, g.dimension - 1, 2)
     # SpectralDatum gives the SO_odd eigenvalue 1 odd weight and -1 even
     # weight, so the datum's weight picks the orthogonal map's variant
     family = _involutive_family(g.series, g.characteristic)

@@ -2,7 +2,8 @@
 
 Every invocation runs exactly one subcommand and writes a single result
 envelope to standard output: {"status": "ok"|"error", "payload": ...,
-"diagnostics": [...]}.  The JSON shape is described in
+"diagnostics": [...]}.  The one exception is a successful `tables --raw`,
+which writes the table file's bytes verbatim.  The JSON shape is described in
 data/envelope.schema.json.  Exit codes: 0 success, 1 domain error,
 2 usage error, 3 consistency failure (a recorded claim was falsified).
 """
@@ -10,11 +11,12 @@ data/envelope.schema.json.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
-from .atlas import ATLAS_ENV_VAR, Atlas, exc_group_from_name, load_atlas, m_of_class, parse_carter
+from .atlas import ATLAS_ENV_VAR, exc_group_from_name, load_atlas, m_of_class, parse_carter
 from .classical import (
     EigenOrbit,
     GroupDescriptor,
@@ -28,7 +30,7 @@ from .classical import (
 from .errors import ConsistencyError, DomainError
 from .jordan import LabeledPartition, family_from_name, invert_bijection
 from .partitions import Bipartition, Partition
-from .verify import check_names, run_suite
+from .verify import CheckResult, check_names, run_suite
 from .weyl import (
     SignedCycleType,
     WeylSeries,
@@ -126,13 +128,27 @@ def _group_payload(group: GroupDescriptor) -> dict:
     return {"series": group.series.value, "N": group.dimension, "char": group.characteristic}
 
 
-def _stratum_payload(result) -> dict:
+_STRATUM_FIELDS = ("n_invariant", "class_dim", "springer_dim", "pair_degenerate")
+
+
+def _stratum_payload(result, fields=_STRATUM_FIELDS) -> dict:
+    # classical phi reports only the first two fields
+    payload = {"stratum": {"parts": list(result.bp)}}
+    payload.update((name, getattr(result, name)) for name in fields)
+    return payload
+
+
+def _rep_payload(atlas, group: str, rep) -> dict:
+    # the exceptional row shared by phi and tables
     return {
-        "stratum": {"parts": list(result.bp)},
-        "n_invariant": result.n_invariant,
-        "class_dim": result.class_dim,
-        "springer_dim": result.springer_dim,
-        "pair_degenerate": result.pair_degenerate,
+        "display": atlas.format_rep(rep),
+        "d": rep.d,
+        "n": rep.n,
+        "star": rep.star,
+        "synthetic_id": rep.synthetic_id,
+        "class_dim": atlas.class_dim(rep),
+        "cross_section": atlas.cross_section(group, rep).raw,
+        "note": atlas.note(group, rep),
     }
 
 
@@ -145,8 +161,7 @@ def _cmd_classify(args) -> tuple[dict, list[str]]:
     group = _group_from_doc(doc["group"])
     datum = SpectralDatum(group, [_orbit_from_doc(o) for o in doc["orbits"]])
     result = classify(datum)
-    payload = {"group": _group_payload(group)}
-    payload.update(_stratum_payload(result))
+    payload = {"group": _group_payload(group), **_stratum_payload(result)}
     diagnostics = []
     if result.pair_degenerate:
         diagnostics.append("stratum label is fixed by the even orthogonal pair symmetry")
@@ -188,32 +203,23 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
             "weyl": {"series": series.value, "rank": args.rank},
             "class": str(cls) if series is not WeylSeries.A else ",".join(map(str, cls)),
             "group": _group_payload(group),
-            "stratum": {"parts": list(result.bp)},
-            "n_invariant": result.n_invariant,
-            "class_dim": result.class_dim,
+            **_stratum_payload(result, _STRATUM_FIELDS[:2]),
             "fixed_space_dim": fixed_space_dim(wt, cls),
         }
         return payload, diagnostics
     group = exc_group_from_name(name)
     if args.rank is not None:
         raise DomainError("--rank applies only to classical series", code="bad_rank")
-    atlas = _atlas_for(args)
+    atlas = load_atlas(args.data_file)
     hint = atlas.rep_from_string(group, args.rep) if args.rep is not None else None
     label = parse_carter(args.class_label)
     rep = atlas.rep_of_class(group, args.class_label, rep_hint=hint)
     payload = {
         "group": group,
         "class": label.raw,
-        "d": rep.d,
-        "n": rep.n,
-        "star": rep.star,
-        "synthetic_id": rep.synthetic_id,
-        "display": atlas.format_rep(rep),
-        "class_dim": atlas.class_dim(rep),
         "fixed_space_dim": m_of_class(group, args.class_label),
+        **_rep_payload(atlas, group, rep),
         "fiber": [c.raw for c in atlas.fiber(group, rep)],
-        "cross_section": atlas.cross_section(group, rep).raw,
-        "note": atlas.note(group, rep),
     }
     return payload, diagnostics
 
@@ -229,8 +235,10 @@ def _cmd_enumerate(args) -> tuple[dict, list[str]]:
     return payload, []
 
 
-def _cmd_tables(args) -> tuple[dict, list[str]]:
-    atlas = _atlas_for(args)
+def _cmd_tables(args) -> tuple[dict | str, list[str]]:
+    atlas = load_atlas(args.data_file)
+    if args.raw:
+        return atlas.text, []
     group = exc_group_from_name(args.group)
     rows = atlas.rows(group)
     if args.char is not None:
@@ -247,53 +255,32 @@ def _cmd_tables(args) -> tuple[dict, list[str]]:
         "checksum": atlas.checksum(),
         "count": len(rows),
         "rows": [
-            {
-                "display": atlas.format_rep(row.rep),
-                "d": row.rep.d,
-                "n": row.rep.n,
-                "star": row.rep.star,
-                "synthetic_id": row.rep.synthetic_id,
-                "class_dim": atlas.class_dim(row.rep),
-                "classes": [c.raw for c in row.classes],
-                "cross_section": atlas.cross_section(group, row.rep).raw,
-                "note": row.note,
-            }
+            {**_rep_payload(atlas, group, row.rep), "classes": [c.raw for c in row.classes]}
             for row in rows
         ],
     }
     return payload, []
 
 
-def _cmd_verify(args) -> tuple[dict, list[str], int]:
+def _cmd_verify(args) -> tuple[dict, list[str]]:
     names = check_names() if args.suite == "all" else (args.suite,)
+    # checks load the atlas themselves; route the override through the env var
+    saved = os.environ.get(ATLAS_ENV_VAR)
     if args.data_file is not None:
-        # checks load the atlas themselves; route the override through the env var
-        saved = os.environ.get(ATLAS_ENV_VAR)
         os.environ[ATLAS_ENV_VAR] = os.path.abspath(args.data_file)
-        try:
-            results = run_suite(names)
-        finally:
-            if saved is None:
-                os.environ.pop(ATLAS_ENV_VAR, None)
-            else:
-                os.environ[ATLAS_ENV_VAR] = saved
-    else:
+    try:
         results = run_suite(names)
+    finally:
+        if saved is None:
+            os.environ.pop(ATLAS_ENV_VAR, None)
+        else:
+            os.environ[ATLAS_ENV_VAR] = saved
+    # each row holds exactly the fields of CheckResult, so the renderer rebuilds it
     payload = {
         "passed": all(r.passed for r in results),
-        "results": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "seconds": round(r.seconds, 6),
-                "budget": r.budget,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "results": [{**dataclasses.asdict(r), "seconds": round(r.seconds, 6)} for r in results],
     }
-    status = 0 if payload["passed"] else 3
-    return payload, [], status
+    return payload, []
 
 
 def _cmd_invert(args) -> tuple[dict, list[str]]:
@@ -309,21 +296,15 @@ def _cmd_invert(args) -> tuple[dict, list[str]]:
     return payload, []
 
 
-def _atlas_for(args) -> Atlas:
-    return load_atlas(args.data_file)
-
-
-def _emit(envelope: dict, fmt: str, renderer=None) -> None:
+def _emit(envelope: dict, fmt: str, renderer) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
         return
     if envelope["status"] == "error":
         err = envelope["payload"]
         sys.stdout.write(f"error [{err['code']}]: {err['message']}\n")
-    elif renderer is not None:
-        sys.stdout.write(renderer(envelope["payload"]))
     else:
-        sys.stdout.write(json.dumps(envelope["payload"], sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(renderer(envelope["payload"]))
     for note in envelope["diagnostics"]:
         sys.stdout.write(f"# {note}\n")
 
@@ -347,7 +328,9 @@ def _render_stratum(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_phi_exceptional(payload: dict) -> str:
+def _render_phi(payload: dict) -> str:
+    if "d" not in payload:
+        return _render_stratum(payload)
     lines = [
         f"class        {payload['class']}",
         f"rep          {payload['display']}",
@@ -359,12 +342,6 @@ def _render_phi_exceptional(payload: dict) -> str:
     if payload["note"]:
         lines.append(f"note         {payload['note']}")
     return "\n".join(lines) + "\n"
-
-
-def _render_phi(payload: dict) -> str:
-    if "d" in payload:
-        return _render_phi_exceptional(payload)
-    return _render_stratum(payload)
 
 
 def _render_enumerate(payload: dict) -> str:
@@ -393,13 +370,7 @@ def _render_tables(payload: dict) -> str:
 
 
 def _render_verify(payload: dict) -> str:
-    lines = []
-    for row in payload["results"]:
-        verdict = "PASS" if row["passed"] else "FAIL"
-        timing = f"{row['seconds']:.3f}s"
-        if row["budget"] is not None:
-            timing += f" (budget {row['budget']:g}s)"
-        lines.append(f"{verdict} {row['name']} [{timing}]: {row['detail']}")
+    lines = [CheckResult(**row).line() for row in payload["results"]]
     lines.append("all checks passed" if payload["passed"] else "verification FAILED")
     return "\n".join(lines) + "\n"
 
@@ -412,13 +383,14 @@ def _render_invert(payload: dict) -> str:
     return text
 
 
-_RENDERERS = {
-    "classify": _render_stratum,
-    "phi": _render_phi,
-    "enumerate": _render_enumerate,
-    "tables": _render_tables,
-    "verify": _render_verify,
-    "invert": _render_invert,
+# command -> (handler returning (payload, diagnostics), table renderer)
+_COMMANDS = {
+    "classify": (_cmd_classify, _render_stratum),
+    "phi": (_cmd_phi, _render_phi),
+    "enumerate": (_cmd_enumerate, _render_enumerate),
+    "tables": (_cmd_tables, _render_tables),
+    "verify": (_cmd_verify, _render_verify),
+    "invert": (_cmd_invert, _render_invert),
 }
 
 
@@ -484,41 +456,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "tables" and args.raw:
-        sys.stdout.write(_atlas_for(args).text)
-        return 0
-    status = 0
+    handler, renderer = _COMMANDS[args.command]
     try:
-        if args.command == "classify":
-            payload, diagnostics = _cmd_classify(args)
-        elif args.command == "phi":
-            payload, diagnostics = _cmd_phi(args)
-        elif args.command == "enumerate":
-            payload, diagnostics = _cmd_enumerate(args)
-        elif args.command == "tables":
-            payload, diagnostics = _cmd_tables(args)
-        elif args.command == "verify":
-            payload, diagnostics, status = _cmd_verify(args)
-        else:
-            payload, diagnostics = _cmd_invert(args)
-        envelope = {"status": "ok", "payload": payload, "diagnostics": diagnostics}
-    except DomainError as err:
-        envelope = {
-            "status": "error",
-            "payload": {"code": err.code or "domain_error", "message": str(err)},
-            "diagnostics": [],
-        }
-        status = 1
-    except ConsistencyError as err:
-        code = getattr(err, "code", None)
-        envelope = {
-            "status": "error",
-            "payload": {"code": code or "consistency_error", "message": str(err)},
-            "diagnostics": [],
-        }
-        status = 3
-    _emit(envelope, args.format, _RENDERERS.get(args.command))
-    return status
+        payload, diagnostics = handler(args)
+    except (DomainError, ConsistencyError) as err:
+        error = {"code": err.code, "message": str(err)}
+        _emit({"status": "error", "payload": error, "diagnostics": []}, args.format, renderer)
+        return 3 if isinstance(err, ConsistencyError) else 1
+    if isinstance(payload, str):
+        # tables --raw: the table file bytes verbatim, not an envelope
+        sys.stdout.write(payload)
+        return 0
+    _emit({"status": "ok", "payload": payload, "diagnostics": diagnostics}, args.format, renderer)
+    # only verify reports "passed"; a falsified check is a consistency failure
+    return 3 if payload.get("passed") is False else 0
 
 
 if __name__ == "__main__":

@@ -264,7 +264,9 @@ _REPLACEMENTS = {
 
 
 def _rule(family: JordanFamily, N: int):
-    rule = _REPLACEMENTS.get((family, N % 2)) if N >= 0 else None
+    if N < 0:
+        raise DomainError(f"weight must be nonnegative, got {N}", code="bad_weight")
+    rule = _REPLACEMENTS.get((family, N % 2))
     if rule is None:
         raise DomainError(
             f"the {family.value} family is defined for even weights, got {N}",
@@ -303,8 +305,6 @@ def enumerate_jordan(family: JordanFamily, N: int) -> tuple[JordanDatum, ...]:
     each base expands into its label assignments, values descending, label 1
     before label 0.
     """
-    if N < 0:
-        raise DomainError(f"weight must be nonnegative, got {N}")
     _rule(family, N)
     out: list[JordanDatum] = []
     for p in enumerate_partitions(N):

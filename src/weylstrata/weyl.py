@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import ConsistencyError, DomainError
-from .jordan import JordanFamily, LabeledPartition, apply_bijection
+from .jordan import JordanFamily, LabeledPartition, apply_bijection, eligible_values
 from .partitions import Bipartition, Partition, enumerate_partitions
 
 
@@ -176,10 +176,7 @@ def jordan_of_class(c: SignedCycleType) -> LabeledPartition:
         reverse=True,
     )
     base = Partition(parts)
-    labels = {}
-    for v in set(parts):
-        if v % 2 == 0 and base.multiplicity(v) % 2 == 0:
-            labels[v] = 1 if (v // 2) in c.negative else 0
+    labels = {v: 1 if (v // 2) in c.negative else 0 for v in eligible_values(base)}
     return LabeledPartition(base, labels)
 
 

@@ -11,7 +11,8 @@ import pytest
 
 from weylstrata.atlas import ATLAS_ENV_VAR, load_atlas
 from weylstrata.cli import main
-from weylstrata.jordan import JordanFamily, invert_bijection
+from weylstrata.errors import DomainError
+from weylstrata.jordan import FAMILY_ALIASES, JordanFamily, enumerate_jordan, invert_bijection
 from weylstrata.partitions import Bipartition
 
 SCHEMA_FILE = resources.files("weylstrata").joinpath("data").joinpath("envelope.schema.json")
@@ -76,6 +77,18 @@ def test_invert_large_weight_is_fast(capsys):
     assert (status, env["payload"]["parts"]) == (0, [1000000000])
     status, env = run_json(capsys, "invert", "--family", "Z1", "--N", "60", "--target", "30")
     assert (status, env["payload"]["parts"]) == (0, [60])
+
+
+@pytest.mark.parametrize("N", [-3, -2])
+@pytest.mark.parametrize("name", sorted(FAMILY_ALIASES))
+def test_negative_weight_is_refused_for_its_sign(capsys, name, N):
+    # not as a parity error: Z1P takes odd weights, the others even ones
+    status, env = run_json(capsys, "invert", "--family", name, "--N", str(N), "--target", "0")
+    assert (status, env["payload"]["code"]) == (1, "bad_weight")
+    assert "nonnegative" in env["payload"]["message"]
+    with pytest.raises(DomainError) as err:
+        enumerate_jordan(FAMILY_ALIASES[name], N)
+    assert err.value.code == "bad_weight"
 
 
 def test_classify_file(tmp_path, capsys):
@@ -320,6 +333,15 @@ def test_tables_raw_is_exact_file_text(capsys):
     assert out == load_atlas().text
 
 
+def test_tables_raw_with_unreadable_atlas_is_an_error_envelope(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-atlas.txt")
+    status, out = run_cli(capsys, "tables", "--group", "E8", "--raw", "--data-file", missing)
+    envelope = json.loads(out)
+    ENVELOPE.validate(envelope)
+    assert (status, envelope["status"]) == (1, "error")
+    assert envelope["payload"]["code"] == "atlas_io_error"
+
+
 def test_tables_human_format_shows_dimension(capsys):
     status, out = run_cli(capsys, "tables", "--group", "G2", "--format", "table")
     assert status == 0
@@ -426,10 +448,10 @@ def test_envelope_schema_separates_error_payloads():
     assert not valid("ok", [4])
 
 
-# One sha256 over (argv, exit status, stdout) for a fixed corpus of commands,
-# each run in both formats; recorded before the command table replaced the
-# dispatch chain, so any byte the refactor changes fails here.  verify is left
-# out because its payload carries wall-clock timings.
+# One sha256 over (argv, format, exit status, stdout) for a fixed corpus of
+# commands, each run in both formats, so a change to the CLI that alters any
+# byte of its output fails here.  verify is left out because its payload
+# carries wall-clock timings.
 CLI_CORPUS = (
     ("phi", "--group", "E8", "--class", "D_7(a_1)"),
     ("phi", "--group", "E8", "--class", "A_0"),
