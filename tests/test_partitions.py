@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import zip_longest
 
@@ -235,11 +236,28 @@ def test_enumerate_bipartitions_empty_weight():
 
 
 def test_enumerate_bipartitions_matches_oracle():
+    # one-sided slacks ((1, 0), (0, 3), ...) decide on their own whether a
+    # zero entry can be followed by a positive one
+    excesses = [(0, 0), (1, 1), (2, 2), (2, 0), (0, 2), (0, 4), (1, 0), (0, 1), (3, 0), (0, 3)]
     for n in range(7):
-        for x in [(0, 0), (1, 1), (2, 2), (2, 0), (0, 2), (0, 4)]:
+        for x in excesses:
             got = enumerate_bipartitions(n, x)
-            assert len(set(got)) == len(got)
+            assert list(got) == sorted(set(got), reverse=True)
             assert {tuple(b) for b in got} == _oracle_bipartitions(n, *x)
+
+
+def test_enumeration_digests():
+    # order-sensitive fingerprint of both enumerators, types included
+    h = hashlib.sha256()
+    for n in range(21):
+        for p in enumerate_partitions(n):
+            h.update(f"{type(p).__name__} {n}: {list(p)}\n".encode())
+    for n in range(11):
+        for e in range(5):
+            for ep in range(5):
+                for bp in enumerate_bipartitions(n, (e, ep)):
+                    h.update(f"{type(bp).__name__} {n} ({e}, {ep}): {list(bp)}\n".encode())
+    assert h.hexdigest() == "2076824fe36079cc2c264bb8e3cedbefc19b724e256b921cf31a9733782af6e7"
 
 
 def test_enumerate_bipartitions_membership_postconditions():
