@@ -252,12 +252,12 @@ class Atlas:
         self.source = source
         self._rows: dict[str, list[AtlasRow]] = {g: [] for g in EXC_GROUPS}
         self._by_class: dict[tuple[str, str], list[AtlasRow]] = {}
-        self._by_rep: dict[tuple[str, int, int, int, int], AtlasRow] = {}
+        self._by_rep: dict[RepLabel, AtlasRow] = {}
         self._dns_count: dict[tuple[str, int, int, int], int] = {}
         for row in rows:
             r = row.rep
             self._rows[row.group].append(row)
-            self._by_rep[(row.group, r.d, r.n, r.star, r.synthetic_id)] = row
+            self._by_rep[r] = row
             key = (row.group, r.d, r.n, r.star)
             self._dns_count[key] = self._dns_count.get(key, 0) + 1
             for c in row.classes:
@@ -325,8 +325,11 @@ class Atlas:
         group = exc_group_from_name(group)
         if isinstance(rep, str):
             rep = self.rep_from_string(group, rep)
-        key = (group, rep.d, rep.n, rep.star, rep.synthetic_id)
-        row = self._by_rep.get(key)
+        elif rep.group != group:
+            raise DomainError(
+                f"representation {rep} belongs to {rep.group}, not {group}", code="unknown_rep"
+            )
+        row = self._by_rep.get(rep)
         if row is None:
             raise DomainError(f"no representation {rep} in {group}", code="unknown_rep")
         return row
@@ -443,11 +446,9 @@ def _parse_atlas(text: str, source: str) -> Atlas:
                     f"{source}: unsupported atlas format version {version}",
                     code="atlas_version",
                 )
+        elif kind in ("row", "iso") and version is None:
+            raise DomainError(f"{source}:{lineno}: missing version record", code="atlas_version")
         elif kind == "row":
-            if version is None:
-                raise DomainError(
-                    f"{source}:{lineno}: missing version record", code="atlas_version"
-                )
             if len(fields) != 8:
                 raise _parse_error(source, lineno, f"row needs 8 fields, got {len(fields)}")
             _, group, d, n, star, sid, classes, note = fields
@@ -481,10 +482,6 @@ def _parse_atlas(text: str, source: str) -> Atlas:
                     )
             rows.append(AtlasRow(group, parsed, rep, note))
         elif kind == "iso":
-            if version is None:
-                raise DomainError(
-                    f"{source}:{lineno}: missing version record", code="atlas_version"
-                )
             if len(fields) != 5:
                 raise _parse_error(source, lineno, f"iso needs 5 fields, got {len(fields)}")
             _, group, flavor, subtype, constraint = fields

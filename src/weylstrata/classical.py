@@ -37,7 +37,6 @@ from .partitions import (
     Partition,
     bp_sum,
     enumerate_bipartitions,
-    enumerate_partitions,
     n_invariant,
 )
 
@@ -321,7 +320,7 @@ def classify(datum: SpectralDatum) -> StratumResult:
     # weight, so the datum's weight picks the orthogonal map's variant
     family = _involutive_family(g.series, g.characteristic)
     contributions = (
-        apply_bijection(family, o.jordan) if o.kind is OrbitKind.INVOLUTIVE else Bipartition(o.jordan)
+        apply_bijection(family, o.jordan) if o.kind is OrbitKind.INVOLUTIVE else o.jordan
         for o in datum.orbits
     )
     return _stratum(g, reduce(bp_sum, contributions, Bipartition()))
@@ -329,6 +328,8 @@ def classify(datum: SpectralDatum) -> StratumResult:
 
 def stratum_excess(series: Series) -> Excess:
     """The excess cutting out the stratum labels of a series."""
+    if series is Series.GL:
+        return Excess(0, 0)
     if series is Series.SO_EVEN:
         return Excess(0, 4)
     return Excess(2, 2)
@@ -338,13 +339,11 @@ def enumerate_strata(group: GroupDescriptor) -> tuple[StratumResult, ...]:
     """All strata of the group, in canonical (lexicographically descending) order.
 
     The answer does not depend on the characteristic: strata are indexed by
-    partitions of n for GL_n, by weight-N/2 bipartitions of excess (2, 2)
-    for Sp_N and SO_{N+1}, and of excess (0, 4) for SO_N with N even.
+    weight-n bipartitions of excess (0, 0), that is partitions of n, for
+    GL_n, by weight-N/2 bipartitions of excess (2, 2) for Sp_N and SO_{N+1},
+    and of excess (0, 4) for SO_N with N even.
     """
-    if group.series is Series.GL:
-        bps = [Bipartition(p) for p in enumerate_partitions(group.dimension)]
-    else:
-        bps = enumerate_bipartitions(group.rank_half, stratum_excess(group.series))
+    bps = enumerate_bipartitions(group.rank_half, stratum_excess(group.series))
     return tuple(_stratum(group, bp) for bp in bps)
 
 

@@ -106,7 +106,7 @@ def _orbit_from_doc(doc: dict) -> EigenOrbit:
     except ValueError:
         raise DomainError(f"unknown orbit kind {doc['kind']!r}", code="bad_document")
     parts = doc["parts"]
-    if not isinstance(parts, list) or not all(isinstance(p, int) for p in parts):
+    if not isinstance(parts, list) or not all(type(p) is int for p in parts):
         raise DomainError("orbit parts must be a list of integers", code="bad_document")
     if "labels" in doc and doc["labels"] is not None:
         raw_labels = doc["labels"]

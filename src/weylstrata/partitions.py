@@ -10,10 +10,11 @@ significant: (1, 0, 1) and (1, 1) are different bipartitions.
 The *excess* pair (e, e') bounds how much the sequence may climb from one
 entry to the next: c[i] + e >= c[i+1] at odd positions i and c[i] + e' >=
 c[i+1] at even positions (1-based).  A partition is exactly a bipartition
-with excess (0, 0).  The sets BP(n; e, e') of weight-n bipartitions with a
-given excess index the strata of the classical groups, with (2, 2) for the
-symplectic and odd orthogonal series and (0, 4) for the even orthogonal
-series.
+with excess (0, 0), and `Partition` is that subtype of `Bipartition`: a
+partition is accepted wherever a bipartition is.  The sets BP(n; e, e') of
+weight-n bipartitions with a given excess index the strata of the classical
+groups, with (0, 0) for GL, (2, 2) for the symplectic and odd orthogonal
+series and (0, 4) for the even orthogonal series.
 """
 
 from __future__ import annotations
@@ -47,41 +48,6 @@ def _as_int_seq(seq) -> list[int]:
         if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
             raise DomainError(f"entries must be integers, got {x!r}")
     return out
-
-
-class Partition(tuple):
-    """A weakly decreasing tuple of positive integers.
-
-    Trailing zeros in the input are trimmed; any other zero would break weak
-    decrease and is rejected.  Instances are plain tuples, so equality,
-    hashing, and lexicographic comparison all behave as expected.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, parts: Iterable[int] = ()):
-        data = _as_int_seq(parts)
-        while data and data[-1] == 0:
-            data.pop()
-        for i, x in enumerate(data):
-            if x <= 0:
-                raise DomainError(f"partition parts must be positive, got {x} in {data}")
-            if i > 0 and data[i - 1] < x:
-                raise DomainError(f"partition parts must weakly decrease, got {data}")
-        return tuple.__new__(cls, data)
-
-    @property
-    def weight(self) -> int:
-        return sum(self)
-
-    def multiplicity(self, value: int) -> int:
-        return sum(1 for x in self if x == value)
-
-    def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram."""
-        if not self:
-            return Partition()
-        return Partition(sum(1 for x in self if x > i) for i in range(self[0]))
 
 
 class Bipartition(tuple):
@@ -135,6 +101,37 @@ class Bipartition(tuple):
     def is_pair_symmetric(self) -> bool:
         """True when c1 = c2, c3 = c4, ...; fixed points of pair_swapped."""
         return self == self.pair_swapped()
+
+
+class Partition(Bipartition):
+    """A weakly decreasing tuple of positive integers: a bipartition of excess (0, 0).
+
+    Trailing zeros in the input are trimmed; any other zero would break weak
+    decrease and is rejected.  Instances are plain tuples, so equality,
+    hashing, and lexicographic comparison all behave as expected.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int] = ()):
+        data = _as_int_seq(parts)
+        while data and data[-1] == 0:
+            data.pop()
+        for i, x in enumerate(data):
+            if x <= 0:
+                raise DomainError(f"partition parts must be positive, got {x} in {data}")
+            if i > 0 and data[i - 1] < x:
+                raise DomainError(f"partition parts must weakly decrease, got {data}")
+        return tuple.__new__(cls, data)
+
+    def multiplicity(self, value: int) -> int:
+        return sum(1 for x in self if x == value)
+
+    def conjugate(self) -> "Partition":
+        """Transpose of the Young diagram."""
+        if not self:
+            return Partition()
+        return Partition(sum(1 for x in self if x > i) for i in range(self[0]))
 
 
 def is_bipartition(seq: Iterable[int]) -> bool:
@@ -194,54 +191,43 @@ def n_invariant(bp: Bipartition, half: int) -> int:
     return total
 
 
-def enumerate_partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, lexicographically descending."""
-    if n < 0:
-        raise DomainError(f"weight must be nonnegative, got {n}")
-    out: list[Partition] = []
-
-    def extend(prefix: list[int], remaining: int, cap: int) -> None:
-        if remaining == 0:
-            out.append(tuple.__new__(Partition, prefix))  # valid by construction
-            return
-        for v in range(min(cap, remaining), 0, -1):
-            prefix.append(v)
-            extend(prefix, remaining - v, v)
-            prefix.pop()
-
-    extend([], n, n)
-    return tuple(out)
-
-
-def enumerate_bipartitions(n: int, x) -> tuple[Bipartition, ...]:
-    """All weight-n bipartitions with excess x, lexicographically descending.
+def _enumerate(n: int, x, cls: type) -> tuple:
+    """All weight-n sequences of excess x as `cls`, lexicographically descending.
 
     Generation is entry by entry; each candidate entry is capped by the value
     two positions back (its track) and by the previous entry plus the
-    applicable slack.  A branch where both tracks have reached zero cannot
-    absorb the remaining weight and is pruned, which also bounds the depth.
+    applicable slack.  A zero is tried only when the entry after it may be
+    positive (its slack and the entry two back from it are both positive):
+    two adjacent zeros end both tracks with weight still to place, so this
+    prunes exactly the dead branches and bounds the length by 2n.
     """
     ex = _as_excess(x)
     if n < 0:
         raise DomainError(f"weight must be nonnegative, got {n}")
-    out: list[Bipartition] = []
+    out: list = []
+    prefix: list[int] = []
 
-    def extend(prefix: list[int], remaining: int) -> None:
+    def extend(remaining: int, track_cap: int, prev: int, slack: int, next_slack: int) -> None:
         if remaining == 0:
-            out.append(tuple.__new__(Bipartition, prefix))  # valid by construction
+            out.append(tuple.__new__(cls, prefix))  # valid by construction
             return
-        if len(prefix) >= 2 and prefix[-1] == 0 and prefix[-2] == 0:
-            return
-        cap = remaining
-        if len(prefix) >= 2:
-            cap = min(cap, prefix[-2])
-        if prefix:
-            slack = ex.e if len(prefix) % 2 == 1 else ex.e_prime
-            cap = min(cap, prefix[-1] + slack)
-        for v in range(cap, -1, -1):
+        stop = -1 if next_slack > 0 and prev > 0 else 0
+        for v in range(min(remaining, track_cap, prev + slack), stop, -1):
             prefix.append(v)
-            extend(prefix, remaining - v)
+            extend(remaining - v, prev, v, next_slack, slack)
             prefix.pop()
 
-    extend([], n)
+    # the first entry is capped by n alone; the climb from it to the second
+    # entry uses e
+    extend(n, n, n, ex.e_prime, ex.e)
     return tuple(out)
+
+
+def enumerate_partitions(n: int) -> tuple[Partition, ...]:
+    """All partitions of n, lexicographically descending."""
+    return _enumerate(n, Excess(0, 0), Partition)
+
+
+def enumerate_bipartitions(n: int, x) -> tuple[Bipartition, ...]:
+    """All weight-n bipartitions with excess x, lexicographically descending."""
+    return _enumerate(n, x, Bipartition)

@@ -35,7 +35,6 @@ from .jordan import (
     enumerate_jordan,
 )
 from .partitions import (
-    Bipartition,
     Partition,
     enumerate_bipartitions,
     enumerate_partitions,
@@ -342,7 +341,7 @@ def _check_surjectivity() -> str:
         wt = WeylType(WeylSeries.A, n)
         for cls in enumerate_classes(wt):
             _ensure(
-                stratum_of_class(wt, cls) == Bipartition(cls),
+                stratum_of_class(wt, cls) == cls,
                 f"A_{n}: class {cls} does not map to itself",
             )
     return "B (n<=6) and D (n in 4..6) surject; A (n<=8) is the identity"
@@ -353,10 +352,9 @@ def _check_gl_oracle() -> str:
     """The general-linear dimension formula matches the conjugate-sum oracle."""
     checked = 0
     for n in range(0, 13):
-        for p in enumerate_partitions(n):
-            part = Partition(p)
+        for part in enumerate_partitions(n):
             expected = sum(c * (c - 1) // 2 for c in part.conjugate())
-            got = n_invariant(Bipartition(part), n)
+            got = n_invariant(part, n)
             _ensure(
                 got == expected,
                 f"partition {tuple(part)}: n-invariant {got} != oracle {expected}",

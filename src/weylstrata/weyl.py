@@ -190,7 +190,7 @@ def stratum_of_class(w: WeylType, c: WeylClass) -> Bipartition:
     """
     c = _check_class(w, c)
     if w.series is WeylSeries.A:
-        return Bipartition(c)
+        return c
     family = JordanFamily.SYMPLECTIC_CHAR2 if w.series is WeylSeries.B else JordanFamily.ORTHOGONAL_CHAR2
     return apply_bijection(family, jordan_of_class(c))
 

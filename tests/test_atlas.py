@@ -136,6 +136,15 @@ def test_fiber_examples():
     assert err.value.code == "unknown_rep"
 
 
+@pytest.mark.parametrize("method", ["fiber", "note", "cross_section"])
+def test_rep_label_of_another_group_is_refused(method):
+    # G2's 1_0 shares its key fields with E8's 1_0, but is not an E8 row
+    with pytest.raises(DomainError) as err:
+        getattr(load_atlas(), method)("E8", RepLabel("G2", 1, 0))
+    assert err.value.code == "unknown_rep"
+    assert "G2" in str(err.value) and "E8" in str(err.value)
+
+
 def test_fibers_partition_the_label_instances():
     atlas = load_atlas()
     for group in EXC_GROUPS:

@@ -497,6 +497,7 @@ def test_gl_springer_dimension_matches_conjugate_binomials():
 def test_stratum_excess():
     from weylstrata.partitions import Excess
 
+    assert stratum_excess(Series.GL) == Excess(0, 0)
     assert stratum_excess(Series.SP) == Excess(2, 2)
     assert stratum_excess(Series.SO_ODD) == Excess(2, 2)
     assert stratum_excess(Series.SO_EVEN) == Excess(0, 4)

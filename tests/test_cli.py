@@ -189,11 +189,14 @@ def test_classify_rejects_deeply_nested_json(tmp_path, capsys):
     assert (status, env["payload"]["code"]) == (1, "bad_document")
 
 
-@pytest.mark.parametrize("field,value", [("N", True), ("char", False)])
+@pytest.mark.parametrize(
+    "field,value", [("N", True), ("char", False), ("parts", [True, True, True, True])]
+)
 def test_classify_rejects_boolean_group_fields(capsys, monkeypatch, field, value):
     group = {"series": "Sp", "N": 4, "char": 0}
-    group[field] = value
-    doc = {"group": group, "orbits": [{"id": "1", "kind": "involutive", "parts": [2, 1, 1]}]}
+    orbit = {"id": "1", "kind": "involutive", "parts": [2, 1, 1]}
+    (orbit if field == "parts" else group)[field] = value
+    doc = {"group": group, "orbits": [orbit]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     status, env = run_json(capsys, "classify", "-")
     assert (status, env["payload"]["code"]) == (1, "bad_document")
