@@ -393,8 +393,9 @@ class Atlas:
         )
 
     def class_dim(self, rep: RepLabel) -> int:
-        """Common dimension of the conjugacy classes in the stratum."""
-        return 2 * EXC_POSITIVE_ROOTS[rep.group] - 2 * rep.n
+        """Common dimension of the conjugacy classes in the stratum of a table row."""
+        row = self._resolve_rep(rep.group, rep)
+        return 2 * EXC_POSITIVE_ROOTS[row.group] - 2 * row.rep.n
 
     def cross_section(self, group: str, rep: Union[RepLabel, str]) -> CarterLabel:
         """The unique class of the fiber with minimal fixed-space dimension.

@@ -39,6 +39,15 @@ label 0, and the origin's parity; the table ``_REPLACEMENTS`` holds them all:
   family's parity constraints (even part count, labels only on even-length
   runs) rule out every configuration that would emit a negative entry.
 
+Inside the module a member travels as its *runs*: one (value, length, label)
+triple per string, values descending, the label None unless the family is
+labeled and the value eligible.  ``enumerate_jordan`` generates the runs of
+every member directly, one run at a time, and ``count_jordan`` counts them
+by a dynamic programme without listing them.  One rewrite, ``_rewrite``,
+maps runs to their image: ``apply_bijection`` decomposes its datum once
+after checking membership, while generated data and the Jordan types of
+Weyl classes (``weyl``) reach it with runs known by construction.
+
 The inverse, ``invert_bijection``, reads the same table backwards, parsing a
 bipartition left to right into the strings of its preimage.
 
@@ -54,10 +63,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ConsistencyError, DomainError
-from .partitions import Bipartition, Excess, Partition, enumerate_partitions, has_excess
+from .partitions import Bipartition, Excess, Partition, has_excess
 
 
 class JordanFamily(enum.Enum):
@@ -194,6 +203,11 @@ class LabeledPartition:
 
 JordanDatum = Union[Partition, LabeledPartition]
 
+# A run (value, length, label) is a string of `length` parts equal to `value`;
+# label is the string's 0/1 label when the family is labeled and the value is
+# eligible, else None.
+Run = tuple[int, int, Optional[int]]
+
 
 # ---------------------------------------------------------------------------
 # family membership
@@ -275,6 +289,20 @@ def _rule(family: JordanFamily, N: int):
     return rule
 
 
+def _rewrite(family: JordanFamily, N: int, runs: Iterable[Run]) -> Bipartition:
+    # The one rewrite loop: the image of a weight-N family member given by its
+    # runs, values descending.  Membership is the caller's to establish.
+    excess, offsets = _rule(family, N)
+    out: list[int] = []
+    for value, length, label in runs:
+        a = value // 2
+        d1, d2 = offsets[value % 2, label == 0, (len(out) + 1) % 2]
+        out += [a + d1, a + d2] * (length // 2)
+        if length % 2:
+            out.append(a + d1)
+    return _finish(out, family, excess, N // 2)
+
+
 def apply_bijection(family: JordanFamily, nu: JordanDatum) -> Bipartition:
     """Rewrite a Jordan datum string by string into its stratum bipartition."""
     parts = nu.parts if isinstance(nu, LabeledPartition) else nu
@@ -283,14 +311,8 @@ def apply_bijection(family: JordanFamily, nu: JordanDatum) -> Bipartition:
         family, parts, strings
     ):
         raise DomainError(f"{nu} is not in the {family.value} family")
-    excess, offsets = _rule(family, nu.weight)
     labels = dict(nu.labels) if family.labeled else {}
-    out: list[int] = []
-    for s in strings:
-        a = s.value // 2
-        d1, d2 = offsets[s.value % 2, labels.get(s.value) == 0, s.origin % 2]
-        out.extend(a + d1 if k % 2 == 0 else a + d2 for k in range(s.length))
-    return _finish(out, family, excess, nu.weight // 2)
+    return _rewrite(family, nu.weight, [(s.value, s.length, labels.get(s.value)) for s in strings])
 
 
 def codomain(family: JordanFamily, N: int) -> tuple[Excess, int]:
@@ -298,26 +320,94 @@ def codomain(family: JordanFamily, N: int) -> tuple[Excess, int]:
     return _rule(family, N)[0], N // 2
 
 
+def _paired_parity(family: JordanFamily) -> int:
+    # the parity of the values whose runs must have even length
+    return 0 if family is JordanFamily.ORTHOGONAL else 1
+
+
+def _member_runs(family: JordanFamily, N: int) -> list[tuple[Run, ...]]:
+    # The runs of every weight-N member, in the canonical order of
+    # enumerate_jordan.  Runs are placed one at a time, each value below the
+    # last and each length from longest to shortest, so base partitions come
+    # out lexicographically descending.  A run whose length breaks the parity
+    # rule is never placed, and a run of 1s must use up the remaining weight,
+    # so only the even part count of ORTHOGONAL_CHAR2 is checked at the end.
+    _rule(family, N)
+    paired = _paired_parity(family)
+    even_count = family is JordanFamily.ORTHOGONAL_CHAR2
+    out: list[tuple[Run, ...]] = []
+    choices: list[tuple[Run, ...]] = []  # per placed run, its labelings
+
+    def place(rem: int, cap: int, count: int) -> None:
+        if rem == 0:
+            if not (even_count and count % 2):
+                out.extend(product(*choices))
+            return
+        for v in range(min(cap, rem), 0, -1):
+            step = 2 if v % 2 == paired else 1
+            top = rem // v - (rem // v) % step
+            for length in range(top, rem - 1 if v == 1 else 0, -step):
+                if family.labeled and v % 2 == 0 and length % 2 == 0:
+                    choices.append(((v, length, 1), (v, length, 0)))
+                else:
+                    choices.append(((v, length, None),))
+                place(rem - v * length, v - 1, count + length)
+                choices.pop()
+
+    place(N, N, 0)
+    return out
+
+
+def _datum(family: JordanFamily, runs: Iterable[Run]) -> JordanDatum:
+    # The family member with these runs, valid by construction.
+    parts: list[int] = []
+    labels = []
+    for value, length, label in runs:
+        parts += [value] * length
+        if label is not None:
+            labels.append((value, label))
+    base = tuple.__new__(Partition, parts)
+    return LabeledPartition._trusted(base, tuple(labels)) if family.labeled else base
+
+
 def enumerate_jordan(family: JordanFamily, N: int) -> tuple[JordanDatum, ...]:
     """All family members of weight N, in canonical order.
 
     Base partitions run lexicographically descending; for labeled families
     each base expands into its label assignments, values descending, label 1
-    before label 0.
+    before label 0.  Members are generated run by run, so no partition
+    outside the family is ever built.
+    """
+    return tuple(_datum(family, runs) for runs in _member_runs(family, N))
+
+
+def count_jordan(family: JordanFamily, N: int) -> int:
+    """The number of weight-N family members, each labeling counted, without listing them.
+
+    A dynamic programme over part values v = 1, 2, ..., N: ways[w][p] counts
+    the members of weight w built from the values so far whose part count
+    has parity p.  Taking m parts equal to v multiplies by 0 when the parity
+    rule forbids m, by 2 when the m parts form a labeled run (labeled family,
+    even v, positive even m), and by 1 otherwise.
     """
     _rule(family, N)
-    out: list[JordanDatum] = []
-    for p in enumerate_partitions(N):
-        strings = decompose_strings(p)
-        if not _strings_in_family(family, p, strings):
-            continue
-        if family.labeled:
-            values = _eligible(strings)
-            for bits in product((1, 0), repeat=len(values)):
-                out.append(LabeledPartition._trusted(p, tuple(zip(values, bits))))
-        else:
-            out.append(p)
-    return tuple(out)
+    paired = _paired_parity(family)
+    ways = [[1, 0]] + [[0, 0] for _ in range(N)]
+    for v in range(1, N + 1):
+        new = [[0, 0] for _ in range(N + 1)]
+        for w, (even, odd) in enumerate(ways):
+            if not (even or odd):
+                continue
+            for m in range((N - w) // v + 1):
+                if m % 2 and v % 2 == paired:
+                    continue
+                factor = 2 if family.labeled and v % 2 == 0 and m and m % 2 == 0 else 1
+                row = new[w + m * v]
+                row[m % 2] += factor * even
+                row[1 - m % 2] += factor * odd
+        ways = new
+    even, odd = ways[N]
+    return even if family is JordanFamily.ORTHOGONAL_CHAR2 else even + odd
 
 
 def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[tuple]]:
@@ -331,7 +421,7 @@ def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[tuple
         [(parity, label0, d1, d2) for (parity, label0, o), (d1, d2) in offsets.items() if o == origin]
         for origin in (0, 1)
     ]
-    odd_length_parity = 1 if family is JordanFamily.ORTHOGONAL else 0
+    paired = _paired_parity(family)
     even_count = family is JordanFamily.ORTHOGONAL_CHAR2
 
     def entry(i: int) -> int:
@@ -354,7 +444,7 @@ def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[tuple
                 length = 0
                 while (length + 1) * v <= rem and entry(i + length) == a + (d2 if length % 2 else d1):
                     length += 1
-                    if length % 2 and parity != odd_length_parity:
+                    if length % 2 and parity == paired:
                         continue  # this value parity needs an even run length
                     eligible = family.labeled and parity == 0 and length % 2 == 0
                     if label0 and not eligible:

@@ -30,9 +30,11 @@ from .classical import (
 from .errors import DomainError
 from .jordan import (
     JordanFamily,
-    apply_bijection,
+    _datum,
+    _member_runs,
+    _rewrite,
     codomain,
-    enumerate_jordan,
+    count_jordan,
 )
 from .partitions import (
     Partition,
@@ -141,17 +143,18 @@ GOLDEN_SO2_WEIGHT8 = (
 
 def _golden(family: JordanFamily, weight: int, table) -> str:
     # The enumerated data are valid by construction, so each is compared with
-    # its table row and mapped as it stands, not rebuilt from the row.
-    listed = enumerate_jordan(family, weight)
+    # its table row and mapped from the runs it was generated from.
+    listed = _member_runs(family, weight)
     _ensure(
         len(listed) == len(table),
         f"expected {len(table)} weight-{weight} data, enumerated {len(listed)}",
     )
-    for nu, ((parts, labels), want) in zip(listed, table):
+    for runs, ((parts, labels), want) in zip(listed, table):
+        nu = _datum(family, runs)
         row = (nu.parts, dict(nu.labels)) if family.labeled else (nu, {})
         if row != (parts, labels):
             raise CheckFailure(f"enumeration order differs at {nu}")
-        got = apply_bijection(family, nu)
+        got = _rewrite(family, weight, runs)
         if tuple(got) != want:
             raise CheckFailure(f"{family.name} sends {nu} to {tuple(got)}, table says {want}")
     return f"all {len(table)} rows exact, in enumeration order"
@@ -171,16 +174,26 @@ def _check_golden_so2() -> str:
 
 @_check("bijectivity", budget=10.0)
 def _check_bijectivity() -> str:
-    """Each family map is a bijection onto its enumerated codomain."""
+    """Each family map is a bijection onto its enumerated codomain.
+
+    The enumerated domain must also have as many members as the counting
+    programme finds without listing them.
+    """
     cases = 0
     for family in JordanFamily:
         if family is JordanFamily.ORTHOGONAL:
-            weights = range(0, 18)
+            weights = range(0, 26)
         else:
-            weights = range(0, 17, 2)
+            weights = range(0, 25, 2)
         for weight in weights:
             excess, half = codomain(family, weight)
-            images = [apply_bijection(family, nu) for nu in enumerate_jordan(family, weight)]
+            members = _member_runs(family, weight)
+            _ensure(
+                len(members) == count_jordan(family, weight),
+                f"{family.name} weight {weight}: enumerated {len(members)} members, "
+                f"counted {count_jordan(family, weight)}",
+            )
+            images = [_rewrite(family, weight, runs) for runs in members]
             _ensure(
                 len(set(images)) == len(images),
                 f"{family.name} weight {weight}: map is not injective",
@@ -238,8 +251,8 @@ def _check_dimension_sets() -> str:
             _ensure(got == base, f"n={n}: {label} dimension set differs")
         # unipotent classes in characteristic 2 already realize every value
         from_unipotents = set()
-        for nu in enumerate_jordan(JordanFamily.SYMPLECTIC_CHAR2, 2 * n):
-            bp = apply_bijection(JordanFamily.SYMPLECTIC_CHAR2, nu)
+        for runs in _member_runs(JordanFamily.SYMPLECTIC_CHAR2, 2 * n):
+            bp = _rewrite(JordanFamily.SYMPLECTIC_CHAR2, 2 * n, runs)
             from_unipotents.add(2 * n * n - 2 * n_invariant(bp, n))
         _ensure(from_unipotents == base, f"n={n}: char-2 unipotent dims differ")
     return "SO_odd, Sp, and char-2 unipotent dimension sets agree for n <= 6"
@@ -316,8 +329,8 @@ def _check_cross_sections() -> str:
             atlas.cross_section(group, row.rep)  # raises on a tie
             rows += 1
     fibers = 0
-    types = [WeylType(WeylSeries.B, n) for n in range(1, 7)]
-    types += [WeylType(WeylSeries.D, n) for n in (4, 5, 6)]
+    types = [WeylType(WeylSeries.B, n) for n in range(1, 11)]
+    types += [WeylType(WeylSeries.D, n) for n in range(4, 11)]
     types += [WeylType(WeylSeries.A, n) for n in range(1, 9)]
     for wt in types:
         fibers += len(strata_fibers(wt))  # unique-minimum is checked inside
@@ -327,12 +340,12 @@ def _check_cross_sections() -> str:
 @_check("surjectivity")
 def _check_surjectivity() -> str:
     """Classical class-to-stratum maps hit every stratum label."""
-    for n in range(1, 7):
+    for n in range(1, 11):
         wt = WeylType(WeylSeries.B, n)
         got = set(strata_fibers(wt))
         want = set(enumerate_bipartitions(n, (2, 2)))
         _ensure(got == want, f"B_{n}: image covers {len(got)} of {len(want)} labels")
-    for n in (4, 5, 6):
+    for n in range(4, 11):
         wt = WeylType(WeylSeries.D, n)
         got = set(strata_fibers(wt))
         want = set(enumerate_bipartitions(n, (0, 4)))
@@ -344,7 +357,7 @@ def _check_surjectivity() -> str:
                 stratum_of_class(wt, cls) == cls,
                 f"A_{n}: class {cls} does not map to itself",
             )
-    return "B (n<=6) and D (n in 4..6) surject; A (n<=8) is the identity"
+    return "B (n<=10) and D (n in 4..10) surject; A (n<=8) is the identity"
 
 
 @_check("gl-oracle", budget=1.0)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import ConsistencyError, DomainError
-from .jordan import JordanFamily, LabeledPartition, apply_bijection, eligible_values
+from .jordan import JordanFamily, LabeledPartition, Run, _datum, _rewrite
 from .partitions import Bipartition, Partition, enumerate_partitions
 
 
@@ -164,6 +164,21 @@ def _check_class(w: WeylType, c: WeylClass) -> WeylClass:
     return c
 
 
+def _class_runs(c: SignedCycleType) -> list[Run]:
+    # The runs of the labeled Jordan type of c, values descending: a value v
+    # occurs twice per positive v-cycle and once per negative v/2-cycle.
+    mult: dict[int, int] = {}
+    for l in c.positive:
+        mult[l] = mult.get(l, 0) + 2
+    for l in c.negative:
+        mult[2 * l] = mult.get(2 * l, 0) + 1
+    negative = set(c.negative)
+    return [
+        (v, m, (1 if v // 2 in negative else 0) if v % 2 == 0 and m % 2 == 0 else None)
+        for v, m in sorted(mult.items(), reverse=True)
+    ]
+
+
 def jordan_of_class(c: SignedCycleType) -> LabeledPartition:
     """The labeled Jordan type attached to a signed cycle type.
 
@@ -171,13 +186,20 @@ def jordan_of_class(c: SignedCycleType) -> LabeledPartition:
     An eligible even value 2l is labeled 1 exactly when l occurs as a
     negative cycle length.
     """
-    parts = sorted(
-        [l for l in c.positive for _ in (0, 1)] + [2 * l for l in c.negative],
-        reverse=True,
-    )
-    base = Partition(parts)
-    labels = {v: 1 if (v // 2) in c.negative else 0 for v in eligible_values(base)}
-    return LabeledPartition(base, labels)
+    return _datum(JordanFamily.SYMPLECTIC_CHAR2, _class_runs(c))
+
+
+def _stratum(w: WeylType, c: WeylClass) -> Bipartition:
+    # c is a class of w
+    if w.series is WeylSeries.A:
+        return c
+    family = JordanFamily.SYMPLECTIC_CHAR2 if w.series is WeylSeries.B else JordanFamily.ORTHOGONAL_CHAR2
+    return _rewrite(family, 2 * w.rank, _class_runs(c))
+
+
+def _fixed_space_dim(w: WeylType, c: WeylClass) -> int:
+    # c is a class of w
+    return len(c) - 1 if w.series is WeylSeries.A else len(c.positive)
 
 
 def stratum_of_class(w: WeylType, c: WeylClass) -> Bipartition:
@@ -186,21 +208,15 @@ def stratum_of_class(w: WeylType, c: WeylClass) -> Bipartition:
     Type A: the partition itself.  Type B: the labeled Jordan type pushed
     through the characteristic-2 symplectic bijection (weight-n bipartitions
     of excess (2, 2)).  Type D: through the characteristic-2 even-orthogonal
-    bijection (excess (0, 4)).
+    bijection (excess (0, 4)).  The Jordan type is rewritten from the runs
+    read off the cycle type, without being built.
     """
-    c = _check_class(w, c)
-    if w.series is WeylSeries.A:
-        return c
-    family = JordanFamily.SYMPLECTIC_CHAR2 if w.series is WeylSeries.B else JordanFamily.ORTHOGONAL_CHAR2
-    return apply_bijection(family, jordan_of_class(c))
+    return _stratum(w, _check_class(w, c))
 
 
 def fixed_space_dim(w: WeylType, c: WeylClass) -> int:
     """Dimension of the fixed space on the reflection representation."""
-    c = _check_class(w, c)
-    if w.series is WeylSeries.A:
-        return len(c) - 1
-    return len(c.positive)
+    return _fixed_space_dim(w, _check_class(w, c))
 
 
 class ClassFiber(NamedTuple):
@@ -219,11 +235,11 @@ def strata_fibers(w: WeylType) -> dict[Bipartition, ClassFiber]:
     """
     grouped: dict[Bipartition, list[WeylClass]] = {}
     for c in enumerate_classes(w):
-        grouped.setdefault(stratum_of_class(w, c), []).append(c)
+        grouped.setdefault(_stratum(w, c), []).append(c)
     out: dict[Bipartition, ClassFiber] = {}
     for bp in sorted(grouped, reverse=True):
         classes = grouped[bp]
-        dims = [fixed_space_dim(w, c) for c in classes]
+        dims = [_fixed_space_dim(w, c) for c in classes]
         best = min(dims)
         winners = [c for c, d in zip(classes, dims) if d == best]
         if len(winners) != 1:

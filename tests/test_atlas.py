@@ -189,6 +189,21 @@ def test_class_dim():
             assert dim % 2 == 0
 
 
+def test_class_dim_refuses_a_label_without_a_row():
+    atlas = load_atlas()
+    for rep in (RepLabel("G2", 1, 500), RepLabel("E8", 7, 3)):
+        with pytest.raises(DomainError) as err:
+            atlas.class_dim(rep)
+        assert err.value.code == "unknown_rep"
+
+
+def test_class_dim_of_every_row_is_twice_the_positive_roots_less_2n():
+    atlas = load_atlas()
+    for group in EXC_GROUPS:
+        for row in atlas.rows(group):
+            assert atlas.class_dim(row.rep) == 2 * EXC_POSITIVE_ROOTS[group] - 2 * row.rep.n
+
+
 def test_cross_section_examples():
     assert str(cross_section("F4", "9_10")) == "4A_1"
     assert str(cross_section("G2", "1_6")) == "A_0"

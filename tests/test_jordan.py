@@ -1,17 +1,22 @@
 import hashlib
+from itertools import groupby, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from weylstrata import jordan
 from weylstrata.errors import ConsistencyError, DomainError
 from weylstrata.jordan import (
     FAMILY_ALIASES,
     JordanFamily,
     LabeledPartition,
     PartString,
+    _eligible,
+    _strings_in_family,
     apply_bijection,
     codomain,
+    count_jordan,
     decompose_strings,
     eligible_values,
     enumerate_jordan,
@@ -23,8 +28,11 @@ from weylstrata.partitions import (
     Bipartition,
     Partition,
     enumerate_bipartitions,
+    enumerate_partitions,
     has_excess,
 )
+from weylstrata.verify import run_check
+from weylstrata.weyl import WeylSeries, WeylType, strata_fibers
 
 SP = JordanFamily.SYMPLECTIC
 SP2 = JordanFamily.SYMPLECTIC_CHAR2
@@ -284,6 +292,116 @@ def test_enumerate_jordan_membership_and_weight():
             for nu in enumerate_jordan(family, N):
                 assert in_family(family, nu)
                 assert nu.weight == N
+
+
+def _weights(family, top):
+    return range(0, top + 1) if family is SO else range(0, top + 1, 2)
+
+
+# the filter over every partition of N, which enumerate_jordan was before it
+# generated members run by run; kept as the oracle for the generator and for
+# count_jordan
+
+
+def _filter_enumerate(family, N):
+    codomain(family, N)  # the same weight and parity guard
+    out = []
+    for p in enumerate_partitions(N):
+        strings = decompose_strings(p)
+        if not _strings_in_family(family, p, strings):
+            continue
+        if family.labeled:
+            values = _eligible(strings)
+            for bits in product((1, 0), repeat=len(values)):
+                out.append(LabeledPartition._trusted(p, tuple(zip(values, bits))))
+        else:
+            out.append(p)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("family", list(JordanFamily))
+def test_generator_matches_filter_oracle(family):
+    for N in _weights(family, 30):
+        got, want = enumerate_jordan(family, N), _filter_enumerate(family, N)
+        assert [(str(nu), type(nu)) for nu in got] == [(str(nu), type(nu)) for nu in want], (family, N)
+        assert got == want
+
+
+def test_count_jordan_matches_filter_oracle():
+    # the filter, counting only: each partition's runs against the parity
+    # rules of the module docstring, 2 per eligible value for the labeled
+    # families
+    for N in range(0, 41):
+        want = dict.fromkeys(JordanFamily, 0)
+        for p in enumerate_partitions(N):
+            runs = [(v, len(list(g))) for v, g in groupby(p)]
+            if all(v % 2 or m % 2 == 0 for v, m in runs):
+                want[SO] += 1
+            if N % 2 == 0 and all(v % 2 == 0 or m % 2 == 0 for v, m in runs):
+                labelings = 2 ** sum(1 for v, m in runs if v % 2 == 0 and m % 2 == 0)
+                want[SP] += 1
+                want[SP2] += labelings
+                want[SO2] += labelings if len(p) % 2 == 0 else 0
+        for family in JordanFamily:
+            if family is SO or N % 2 == 0:
+                assert count_jordan(family, N) == want[family], (family, N)
+                continue
+            with pytest.raises(DomainError) as err:
+                count_jordan(family, N)
+            assert err.value.code == "bad_parity"
+
+
+def test_bijectivity_check_asserts_the_count(monkeypatch):
+    monkeypatch.setattr("weylstrata.verify.count_jordan", lambda family, N: -1)
+    result = run_check("bijectivity")
+    assert not result.passed and "counted -1" in result.detail
+
+
+def test_count_jordan_examples():
+    assert count_jordan(SP2, 6) == 9
+    assert count_jordan(SO2, 8) == 10
+    assert count_jordan(SP, 0) == 1
+    with pytest.raises(DomainError) as err:
+        count_jordan(SO, -1)
+    assert err.value.code == "bad_weight"
+
+
+@pytest.mark.parametrize(
+    "family,nu",
+    [
+        (SP, Partition([3, 1])),  # odd value once
+        (SP, LabeledPartition([2, 2], {2: 1})),  # labels on an unlabeled family
+        (SP2, Partition([2, 2])),  # labels missing
+        (SO, Partition([2, 1])),  # even value once
+        (SO2, LabeledPartition([2, 1, 1], {})),  # odd part count
+    ],
+)
+def test_apply_bijection_refuses_non_members(family, nu):
+    with pytest.raises(DomainError, match="is not in the"):
+        apply_bijection(family, nu)
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda key, d1, d2: (d1 - 5, d2), "negative entry"),
+        (lambda key, d1, d2: (d1, d2 + 10) if key[::2] == (1, 0) else (d1, d2), "non-bipartition"),
+        (lambda key, d1, d2: (d1 + 1, d2), "outside the stated codomain"),
+    ],
+)
+def test_every_path_keeps_the_consistency_checks(monkeypatch, change, message):
+    # a broken replacement row surfaces as a ConsistencyError whether the datum
+    # was generated, read off a signed cycle type, or passed in
+    excess, offsets = jordan._REPLACEMENTS[SP2, 0]
+    broken = dict(jordan._REPLACEMENTS)
+    broken[SP2, 0] = (excess, {key: change(key, *pair) for key, pair in offsets.items()})
+    monkeypatch.setattr(jordan, "_REPLACEMENTS", broken)
+    with pytest.raises(ConsistencyError, match=message):
+        run_check("golden-sp2")
+    with pytest.raises(ConsistencyError, match=message):
+        strata_fibers(WeylType(WeylSeries.B, 3))
+    with pytest.raises(ConsistencyError, match=message):
+        apply_bijection(SP2, LabeledPartition([2, 1, 1, 1, 1], {}))
 
 
 def test_enumerate_jordan_label_expansion_order():

@@ -1,7 +1,8 @@
 import pytest
 
-from weylstrata.errors import DomainError
-from weylstrata.jordan import JordanFamily, LabeledPartition, in_family
+from weylstrata import weyl
+from weylstrata.errors import ConsistencyError, DomainError
+from weylstrata.jordan import JordanFamily, LabeledPartition, apply_bijection, in_family
 from weylstrata.partitions import Bipartition, Partition, enumerate_bipartitions
 from weylstrata.weyl import (
     SignedCycleType,
@@ -210,6 +211,36 @@ def test_stratum_map_is_bijective_for_b2():
     fibers = strata_fibers(wb(2))
     assert len(fibers) == 5
     assert all(len(f.classes) == 1 for f in fibers.values())
+
+
+def _validated_jordan(c):
+    # the Jordan type of c built through the validating constructor
+    parts = sorted([l for l in c.positive for _ in (0, 1)] + [2 * l for l in c.negative], reverse=True)
+    labels = {
+        v: int(v // 2 in c.negative) for v in set(parts) if v % 2 == 0 and parts.count(v) % 2 == 0
+    }
+    return LabeledPartition(parts, labels)
+
+
+def test_stratum_of_class_matches_the_validated_path():
+    for n in range(1, 10):
+        for w, family in (
+            (wb(n), JordanFamily.SYMPLECTIC_CHAR2),
+            (wd(n), JordanFamily.ORTHOGONAL_CHAR2),
+        ):
+            for c in enumerate_classes(w):
+                nu = _validated_jordan(c)
+                assert jordan_of_class(c) == nu, str(c)
+                assert stratum_of_class(w, c) == apply_bijection(family, nu), str(c)
+            for bp, fiber in strata_fibers(w).items():
+                assert all(stratum_of_class(w, c) == bp for c in fiber.classes)
+
+
+def test_strata_fibers_keeps_the_tie_check(monkeypatch):
+    # every class of a fiber at the same fixed-space dimension is a tie
+    monkeypatch.setattr(weyl, "_fixed_space_dim", lambda w, c: 0)
+    with pytest.raises(ConsistencyError, match="cross-section not unique"):
+        strata_fibers(wd(4))
 
 
 def test_stratum_of_class_rejects_mismatches():
