@@ -10,13 +10,13 @@ PATH is a checkout of the parent commit (made with `git clone` or
 
 in the parent checkout and in this one, `--pairs` times, the side that
 runs first alternating from pair to pair, so that slow phases of the host
-fall on both sides alike.  The last stdout line of
-each run is perfbench's result JSON.  The file written at the root of this
-checkout, named after its HEAD, holds per workload and end-to-end metric the
-median, quartiles, minimum and maximum of each side, the ratio of the
-medians, the share of pairs in which the change is better, and every run's
-value; besides the attempted and failed counts and the first-cycle digests
-of every run.
+fall on both sides alike.  The last stdout line of each run is perfbench's
+result JSON.  The file written at the root of this checkout, named after
+its HEAD, holds per workload and end-to-end metric the median, quartiles,
+minimum and maximum of each side, the ratio of the medians, the share of
+pairs in which the change is better, and every run's value; besides the
+attempted and failed counts of every run and whether the first-cycle
+digests of the two sides agree.
 """
 
 from __future__ import annotations

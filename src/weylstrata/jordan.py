@@ -382,7 +382,7 @@ def enumerate_jordan(family: JordanFamily, N: int) -> tuple[JordanDatum, ...]:
 
 
 def count_jordan(family: JordanFamily, N: int) -> int:
-    """The number of weight-N family members, each labeling counted, without listing them.
+    """The number of weight-N family members, labelings included, without listing them.
 
     A dynamic programme over part values v = 1, 2, ..., N: ways[w][p] counts
     the members of weight w built from the values so far whose part count

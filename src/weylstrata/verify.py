@@ -188,10 +188,10 @@ def _check_bijectivity() -> str:
         for weight in weights:
             excess, half = codomain(family, weight)
             members = _member_runs(family, weight)
+            count = count_jordan(family, weight)
             _ensure(
-                len(members) == count_jordan(family, weight),
-                f"{family.name} weight {weight}: enumerated {len(members)} members, "
-                f"counted {count_jordan(family, weight)}",
+                len(members) == count,
+                f"{family.name} weight {weight}: enumerated {len(members)} members, counted {count}",
             )
             images = [_rewrite(family, weight, runs) for runs in members]
             _ensure(

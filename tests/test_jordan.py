@@ -385,7 +385,8 @@ def test_apply_bijection_refuses_non_members(family, nu):
     "change,message",
     [
         (lambda key, d1, d2: (d1 - 5, d2), "negative entry"),
-        (lambda key, d1, d2: (d1, d2 + 10) if key[::2] == (1, 0) else (d1, d2), "non-bipartition"),
+        # key is (value % 2, label 0, origin % 2): odd values at even origin
+        (lambda key, d1, d2: (d1, d2 + 10) if (key[0], key[2]) == (1, 0) else (d1, d2), "non-bipartition"),
         (lambda key, d1, d2: (d1 + 1, d2), "outside the stated codomain"),
     ],
 )
