@@ -49,7 +49,6 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return {
         "attempted": result["attempted"],
         "failed": result["failed"],
-        "correct": result["correct"],
         "digests": digests[0] if digests else None,
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "units": {name: m["unit"] for name, m in result["metrics"].items()},
