@@ -1,6 +1,6 @@
 """Alternating parent/change runs of perfbench, summarised as BENCH_<short-sha>.json.
 
-    python3 scripts/bench_pairs.py --parent PATH --pairs 5 --seed 11 --seconds 20 \\
+    python3 scripts/bench_pairs.py --parent PATH --pairs 5 --seed 11 \\
         --workload bulk-enumerate --workload invert
 
 PATH is a checkout of the parent commit (made with `git clone` or
@@ -8,9 +8,9 @@ PATH is a checkout of the parent commit (made with `git clone` or
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-in the parent checkout and in this one, `--pairs` times, the side that
-runs first alternating from pair to pair, so that slow phases of the host
-fall on both sides alike.  The last stdout line of each run is perfbench's
+with T the `run_seconds` of BENCHMARK.json, in the parent checkout and
+in this one, `--pairs` times, the side that runs first alternating from
+pair to pair, so that slow phases of the host fall on both sides alike.  The last stdout line of each run is perfbench's
 result JSON.  The file written at the root of this checkout, named after
 its HEAD, holds per workload and end-to-end metric the median, quartiles,
 minimum and maximum of each side, the ratio of the medians, the share of
@@ -90,15 +90,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        benchmark = json.load(f)
+    seconds = benchmark["run_seconds"]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     sha = short_sha(ROOT)
     report = {
         "parent": short_sha(args.parent),
         "change": sha,
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds:g} --trace 0",
         "pairs": args.pairs,
         "order": "parent first in odd-numbered pairs, change first in even-numbered ones",
         "python": sys.version.split()[0],
@@ -109,11 +110,11 @@ def main(argv=None) -> int:
         runs = []
         for i in range(args.pairs):
             if i % 2:
-                change = run_once(ROOT, workload, args.seed, args.seconds)
-                parent = run_once(args.parent, workload, args.seed, args.seconds)
+                change = run_once(ROOT, workload, args.seed, seconds)
+                parent = run_once(args.parent, workload, args.seed, seconds)
             else:
-                parent = run_once(args.parent, workload, args.seed, args.seconds)
-                change = run_once(ROOT, workload, args.seed, args.seconds)
+                parent = run_once(args.parent, workload, args.seed, seconds)
+                change = run_once(ROOT, workload, args.seed, seconds)
             runs.append((parent, change))
             print(f"{workload}: pair {i + 1} of {args.pairs} done", file=sys.stderr)
         report["workloads"][workload] = summarise(runs, better)

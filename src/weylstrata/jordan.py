@@ -63,7 +63,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Container, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ConsistencyError, DomainError
 from .partitions import Bipartition, Excess, Partition, has_excess
@@ -127,8 +127,13 @@ def decompose_strings(parts: Iterable[int]) -> tuple[PartString, ...]:
     return tuple(out)
 
 
+def _is_eligible(value: int, length: int) -> bool:
+    # The one label rule: an even value occurring a positive even number of times.
+    return value % 2 == 0 and length > 0 and length % 2 == 0
+
+
 def _eligible(strings: tuple[PartString, ...]) -> tuple[int, ...]:
-    return tuple(s.value for s in strings if s.value % 2 == 0 and s.length % 2 == 0)
+    return tuple(s.value for s in strings if _is_eligible(s.value, s.length))
 
 
 def eligible_values(parts: Partition) -> tuple[int, ...]:
@@ -207,6 +212,18 @@ JordanDatum = Union[Partition, LabeledPartition]
 # label is the string's 0/1 label when the family is labeled and the value is
 # eligible, else None.
 Run = tuple[int, int, Optional[int]]
+
+
+def _runs(
+    family: JordanFamily, multiplicities: Iterable[tuple[int, int]], ones: Container[int]
+) -> list[Run]:
+    # The runs of the family member with these (value, multiplicity) pairs,
+    # values descending, whose eligible values in `ones` carry label 1 and
+    # whose other eligible values carry label 0.
+    return [
+        (v, m, (1 if v in ones else 0) if family.labeled and _is_eligible(v, m) else None)
+        for v, m in multiplicities
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +328,8 @@ def apply_bijection(family: JordanFamily, nu: JordanDatum) -> Bipartition:
         family, parts, strings
     ):
         raise DomainError(f"{nu} is not in the {family.value} family")
-    labels = dict(nu.labels) if family.labeled else {}
-    return _rewrite(family, nu.weight, [(s.value, s.length, labels.get(s.value)) for s in strings])
+    ones = {v for v, bit in nu.labels if bit} if family.labeled else set()
+    return _rewrite(family, nu.weight, _runs(family, ((s.value, s.length) for s in strings), ones))
 
 
 def codomain(family: JordanFamily, N: int) -> tuple[Excess, int]:
@@ -347,7 +364,7 @@ def _member_runs(family: JordanFamily, N: int) -> list[tuple[Run, ...]]:
             step = 2 if v % 2 == paired else 1
             top = rem // v - (rem // v) % step
             for length in range(top, rem - 1 if v == 1 else 0, -step):
-                if family.labeled and v % 2 == 0 and length % 2 == 0:
+                if family.labeled and _is_eligible(v, length):
                     choices.append(((v, length, 1), (v, length, 0)))
                 else:
                     choices.append(((v, length, None),))
@@ -401,7 +418,7 @@ def count_jordan(family: JordanFamily, N: int) -> int:
             for m in range((N - w) // v + 1):
                 if m % 2 and v % 2 == paired:
                     continue
-                factor = 2 if family.labeled and v % 2 == 0 and m and m % 2 == 0 else 1
+                factor = 2 if family.labeled and _is_eligible(v, m) else 1
                 row = new[w + m * v]
                 row[m % 2] += factor * even
                 row[1 - m % 2] += factor * odd
@@ -446,7 +463,7 @@ def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[tuple
                     length += 1
                     if length % 2 and parity == paired:
                         continue  # this value parity needs an even run length
-                    eligible = family.labeled and parity == 0 and length % 2 == 0
+                    eligible = family.labeled and _is_eligible(v, length)
                     if label0 and not eligible:
                         continue
                     label = (0 if label0 else 1) if eligible else None

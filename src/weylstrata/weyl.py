@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import ConsistencyError, DomainError
-from .jordan import JordanFamily, LabeledPartition, Run, _datum, _rewrite
+from .jordan import JordanFamily, LabeledPartition, _datum, _rewrite, _runs
 from .partitions import Bipartition, Partition, enumerate_partitions
 
 
@@ -164,19 +164,16 @@ def _check_class(w: WeylType, c: WeylClass) -> WeylClass:
     return c
 
 
-def _class_runs(c: SignedCycleType) -> list[Run]:
-    # The runs of the labeled Jordan type of c, values descending: a value v
-    # occurs twice per positive v-cycle and once per negative v/2-cycle.
+def _class_runs(family: JordanFamily, c: SignedCycleType) -> list:
+    # The runs of the labeled Jordan type of c: a value v occurs twice per
+    # positive v-cycle and once per negative v/2-cycle, and 2l is labeled 1
+    # when l is a negative cycle length.
     mult: dict[int, int] = {}
     for l in c.positive:
         mult[l] = mult.get(l, 0) + 2
     for l in c.negative:
         mult[2 * l] = mult.get(2 * l, 0) + 1
-    negative = set(c.negative)
-    return [
-        (v, m, (1 if v // 2 in negative else 0) if v % 2 == 0 and m % 2 == 0 else None)
-        for v, m in sorted(mult.items(), reverse=True)
-    ]
+    return _runs(family, sorted(mult.items(), reverse=True), {2 * l for l in c.negative})
 
 
 def jordan_of_class(c: SignedCycleType) -> LabeledPartition:
@@ -186,7 +183,7 @@ def jordan_of_class(c: SignedCycleType) -> LabeledPartition:
     An eligible even value 2l is labeled 1 exactly when l occurs as a
     negative cycle length.
     """
-    return _datum(JordanFamily.SYMPLECTIC_CHAR2, _class_runs(c))
+    return _datum(JordanFamily.SYMPLECTIC_CHAR2, _class_runs(JordanFamily.SYMPLECTIC_CHAR2, c))
 
 
 def _stratum(w: WeylType, c: WeylClass) -> Bipartition:
@@ -194,12 +191,7 @@ def _stratum(w: WeylType, c: WeylClass) -> Bipartition:
     if w.series is WeylSeries.A:
         return c
     family = JordanFamily.SYMPLECTIC_CHAR2 if w.series is WeylSeries.B else JordanFamily.ORTHOGONAL_CHAR2
-    return _rewrite(family, 2 * w.rank, _class_runs(c))
-
-
-def _fixed_space_dim(w: WeylType, c: WeylClass) -> int:
-    # c is a class of w
-    return len(c) - 1 if w.series is WeylSeries.A else len(c.positive)
+    return _rewrite(family, 2 * w.rank, _class_runs(family, c))
 
 
 def stratum_of_class(w: WeylType, c: WeylClass) -> Bipartition:
@@ -216,7 +208,8 @@ def stratum_of_class(w: WeylType, c: WeylClass) -> Bipartition:
 
 def fixed_space_dim(w: WeylType, c: WeylClass) -> int:
     """Dimension of the fixed space on the reflection representation."""
-    return _fixed_space_dim(w, _check_class(w, c))
+    c = _check_class(w, c)
+    return len(c) - 1 if w.series is WeylSeries.A else len(c.positive)
 
 
 class ClassFiber(NamedTuple):
@@ -239,7 +232,7 @@ def strata_fibers(w: WeylType) -> dict[Bipartition, ClassFiber]:
     out: dict[Bipartition, ClassFiber] = {}
     for bp in sorted(grouped, reverse=True):
         classes = grouped[bp]
-        dims = [_fixed_space_dim(w, c) for c in classes]
+        dims = [len(c) - 1 if w.series is WeylSeries.A else len(c.positive) for c in classes]
         best = min(dims)
         winners = [c for c, d in zip(classes, dims) if d == best]
         if len(winners) != 1:

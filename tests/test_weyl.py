@@ -237,8 +237,9 @@ def test_stratum_of_class_matches_the_validated_path():
 
 
 def test_strata_fibers_keeps_the_tie_check(monkeypatch):
-    # every class of a fiber at the same fixed-space dimension is a tie
-    monkeypatch.setattr(weyl, "_fixed_space_dim", lambda w, c: 0)
+    # listing every class twice puts a tie at the minimum of every fiber
+    classes = enumerate_classes(wd(4))
+    monkeypatch.setattr(weyl, "enumerate_classes", lambda w: classes + classes)
     with pytest.raises(ConsistencyError, match="cross-section not unique"):
         strata_fibers(wd(4))
 
