@@ -429,7 +429,6 @@ def _parse_atlas(text: str, source: str) -> Atlas:
     rows: list[AtlasRow] = []
     iso: list[IsolatedSubgroup] = []
     dn_next: dict[tuple[str, int, int], int] = {}
-    seen_keys = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -464,10 +463,6 @@ def _parse_atlas(text: str, source: str) -> Atlas:
                     source, lineno, f"synthetic id should be {expected}, got {rep.synthetic_id}"
                 )
             dn_next[(group, rep.d, rep.n)] = expected + 1
-            key = (group, rep.d, rep.n, rep.star, rep.synthetic_id)
-            if key in seen_keys:
-                raise _parse_error(source, lineno, f"duplicate representation {key}")
-            seen_keys.add(key)
             if not classes:
                 raise _parse_error(source, lineno, "row has no classes")
             try:

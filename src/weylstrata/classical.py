@@ -200,6 +200,15 @@ class EigenOrbit:
         return self.jordan.weight
 
 
+def _classifying_group(g: GroupDescriptor) -> GroupDescriptor:
+    # SO_odd in characteristic 2 is classified through Sp_{N-1}, characteristic
+    # 2, which has the same rank and positive-root count and no pair symmetry;
+    # every other group through itself
+    if g.series is Series.SO_ODD and g.characteristic == 2:
+        return GroupDescriptor(Series.SP, g.dimension - 1, 2)
+    return g
+
+
 def _involutive_family(series: Series, char: int) -> JordanFamily:
     if series is Series.SP:
         return JordanFamily.SYMPLECTIC_CHAR2 if char == 2 else JordanFamily.SYMPLECTIC
@@ -228,7 +237,7 @@ class SpectralDatum:
         self._validate()
 
     def _validate(self) -> None:
-        g = self.group
+        g = _classifying_group(self.group)
         ids = [o.ident for o in self.orbits]
         if len(set(ids)) != len(ids):
             raise DomainError(f"orbit ids must be distinct, got {ids}")
@@ -241,12 +250,6 @@ class SpectralDatum:
                     f"GL orbit weights add to {total}, expected {g.dimension}",
                     code="bookkeeping",
                 )
-            return
-        if g.series is Series.SO_ODD and g.characteristic == 2:
-            # classified through the symplectic group on dimension N-1;
-            # orbits must be valid symplectic data there
-            reduced = GroupDescriptor(Series.SP, g.dimension - 1, 2)
-            SpectralDatum(reduced, self.orbits)
             return
         char = g.characteristic
         total = 0
@@ -311,11 +314,7 @@ def _stratum(group: GroupDescriptor, bp: Bipartition) -> StratumResult:
 
 def classify(datum: SpectralDatum) -> StratumResult:
     """The stratum containing the conjugacy class with the given spectral data."""
-    g = datum.group
-    if g.series is Series.SO_ODD and g.characteristic == 2:
-        # SpectralDatum checked the orbits as symplectic data on Sp_{N-1}, which
-        # has the same rank and positive-root count and no pair symmetry
-        g = GroupDescriptor(Series.SP, g.dimension - 1, 2)
+    g = _classifying_group(datum.group)
     # SpectralDatum gives the SO_odd eigenvalue 1 odd weight and -1 even
     # weight, so the datum's weight picks the orthogonal map's variant
     family = _involutive_family(g.series, g.characteristic)

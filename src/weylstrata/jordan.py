@@ -39,14 +39,20 @@ label 0, and the origin's parity; the table ``_REPLACEMENTS`` holds them all:
   family's parity constraints (even part count, labels only on even-length
   runs) rule out every configuration that would emit a negative entry.
 
-Inside the module a member travels as its *runs*: one (value, length, label)
-triple per string, values descending, the label None unless the family is
-labeled and the value eligible.  ``enumerate_jordan`` generates the runs of
-every member directly, one run at a time, and ``count_jordan`` counts them
-by a dynamic programme without listing them.  One rewrite, ``_rewrite``,
-maps runs to their image: ``apply_bijection`` decomposes its datum once
-after checking membership, while generated data and the Jordan types of
-Weyl classes (``weyl``) reach it with runs known by construction.
+Inside the module each family's rules sit on ``JordanFamily``: ``paired``
+is the parity of the values whose strings must have even length,
+``even_count`` whether members need an even number of parts, and ``labeled``
+whether eligible strings carry a label.  A partition is read as its strings,
+one (value, multiplicity) pair each, and ``_is_member`` is the one
+membership test on them, behind both ``in_family`` and ``apply_bijection``.
+A member travels as its *runs*: one (value, length, label) triple per
+string, values descending, the label None unless the family is labeled and
+the value eligible.  ``enumerate_jordan`` generates the runs of every member
+directly, one run at a time, and ``count_jordan`` counts them by a dynamic
+programme without listing them; both read the family's rules once per call.
+One rewrite, ``_rewrite``, maps runs to their image: ``apply_bijection``
+decomposes its datum once, while generated data and the Jordan types of Weyl
+classes (``weyl``) reach it with runs known by construction.
 
 The inverse, ``invert_bijection``, reads the same table backwards, parsing a
 bipartition left to right into the strings of its preimage.
@@ -62,8 +68,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
-from typing import Container, Iterable, Mapping, NamedTuple, Optional, Union
+from itertools import groupby, product
+from typing import Container, Iterable, Mapping, Optional, Union
 
 from .errors import ConsistencyError, DomainError
 from .partitions import Bipartition, Excess, Partition, has_excess
@@ -79,7 +85,18 @@ class JordanFamily(enum.Enum):
 
     @property
     def labeled(self) -> bool:
+        """Whether eligible strings carry a 0/1 label."""
         return self in (JordanFamily.SYMPLECTIC_CHAR2, JordanFamily.ORTHOGONAL_CHAR2)
+
+    @property
+    def paired(self) -> int:
+        """The parity of the values whose strings must have even length."""
+        return 0 if self is JordanFamily.ORTHOGONAL else 1
+
+    @property
+    def even_count(self) -> bool:
+        """Whether members need an even number of parts."""
+        return self is JordanFamily.ORTHOGONAL_CHAR2
 
 
 # Terse aliases used in the literature and accepted by the command line.
@@ -105,40 +122,14 @@ def family_from_name(name: str) -> JordanFamily:
         ) from None
 
 
-class PartString(NamedTuple):
-    """A maximal run of equal positive parts: value, 1-based origin, length."""
-
-    value: int
-    origin: int
-    length: int
-
-
-def decompose_strings(parts: Iterable[int]) -> tuple[PartString, ...]:
-    """Maximal runs of equal positive values, with 1-based origins."""
-    nu = Partition(parts) if not isinstance(parts, Partition) else parts
-    out: list[PartString] = []
-    i = 0
-    while i < len(nu):
-        j = i
-        while j < len(nu) and nu[j] == nu[i]:
-            j += 1
-        out.append(PartString(nu[i], i + 1, j - i))
-        i = j
-    return tuple(out)
+def _strings(parts: Iterable[int]) -> list[tuple[int, int]]:
+    # One (value, multiplicity) pair per string, in the order of parts.
+    return [(v, len(list(run))) for v, run in groupby(parts)]
 
 
 def _is_eligible(value: int, length: int) -> bool:
     # The one label rule: an even value occurring a positive even number of times.
     return value % 2 == 0 and length > 0 and length % 2 == 0
-
-
-def _eligible(strings: tuple[PartString, ...]) -> tuple[int, ...]:
-    return tuple(s.value for s in strings if _is_eligible(s.value, s.length))
-
-
-def eligible_values(parts: Partition) -> tuple[int, ...]:
-    """Even part values occurring a positive even number of times, descending."""
-    return _eligible(decompose_strings(parts))
 
 
 @dataclass(frozen=True)
@@ -156,14 +147,15 @@ class LabeledPartition:
 
     def __init__(self, parts: Iterable[int], labels: Mapping[int, int] | None = None):
         base = parts if isinstance(parts, Partition) else Partition(parts)
-        strings = decompose_strings(base)
-        for s in strings:
-            if s.value % 2 == 1 and s.length % 2 == 1:
+        strings = _strings(base)
+        paired = JordanFamily.SYMPLECTIC_CHAR2.paired  # shared by both labeled families
+        for v, m in strings:
+            if m % 2 and v % 2 == paired:
                 raise DomainError(
-                    f"odd value {s.value} occurs {s.length} times in {tuple(base)}; "
+                    f"odd value {v} occurs {m} times in {tuple(base)}; "
                     "odd values must occur an even number of times"
                 )
-        eligible = _eligible(strings)
+        eligible = [v for v, m in strings if _is_eligible(v, m)]
         given = dict(labels or {})
         if set(given) != set(eligible):
             raise DomainError(
@@ -231,19 +223,25 @@ def _runs(
 
 
 def in_family(family: JordanFamily, nu: JordanDatum) -> bool:
-    """Whether a Jordan datum belongs to the given family (weight aside)."""
+    """Whether a Jordan datum is a member of the family, at whatever weight it has.
+
+    A member is labeled exactly when the family is, and keeps the family's
+    string-length parity and part-count rules.  Those rules force an even
+    weight on every family but ORTHOGONAL.
+    """
     if family.labeled != isinstance(nu, LabeledPartition):
         return False
     parts = nu.parts if isinstance(nu, LabeledPartition) else nu
-    return _strings_in_family(family, parts, decompose_strings(parts))
+    return _is_member(family, _strings(parts), len(parts))
 
 
-def _strings_in_family(family: JordanFamily, parts: Partition, strings) -> bool:
-    if family is JordanFamily.ORTHOGONAL:
-        return all(s.value % 2 == 1 or s.length % 2 == 0 for s in strings)
-    if any(s.value % 2 == 1 and s.length % 2 == 1 for s in strings) or parts.weight % 2:
+def _is_member(family: JordanFamily, multiplicities: Iterable[tuple[int, int]], count: int) -> bool:
+    # The family's parity rules on a partition's (value, multiplicity) pairs
+    # and its part count; labels are the caller's to check.
+    paired = family.paired
+    if any(m % 2 and v % 2 == paired for v, m in multiplicities):
         return False
-    return family is not JordanFamily.ORTHOGONAL_CHAR2 or len(parts) % 2 == 0
+    return not (family.even_count and count % 2)
 
 
 def _finish(entries: list[int], family: JordanFamily, excess: Excess, half: int) -> Bipartition:
@@ -323,23 +321,18 @@ def _rewrite(family: JordanFamily, N: int, runs: Iterable[Run]) -> Bipartition:
 def apply_bijection(family: JordanFamily, nu: JordanDatum) -> Bipartition:
     """Rewrite a Jordan datum string by string into its stratum bipartition."""
     parts = nu.parts if isinstance(nu, LabeledPartition) else nu
-    strings = decompose_strings(parts)
-    if family.labeled != isinstance(nu, LabeledPartition) or not _strings_in_family(
-        family, parts, strings
+    strings = _strings(parts)
+    if family.labeled != isinstance(nu, LabeledPartition) or not _is_member(
+        family, strings, len(parts)
     ):
         raise DomainError(f"{nu} is not in the {family.value} family")
     ones = {v for v, bit in nu.labels if bit} if family.labeled else set()
-    return _rewrite(family, nu.weight, _runs(family, ((s.value, s.length) for s in strings), ones))
+    return _rewrite(family, nu.weight, _runs(family, strings, ones))
 
 
 def codomain(family: JordanFamily, N: int) -> tuple[Excess, int]:
     """Excess and weight of the image set for weight-N data of a family."""
     return _rule(family, N)[0], N // 2
-
-
-def _paired_parity(family: JordanFamily) -> int:
-    # the parity of the values whose runs must have even length
-    return 0 if family is JordanFamily.ORTHOGONAL else 1
 
 
 def _member_runs(family: JordanFamily, N: int) -> list[tuple[Run, ...]]:
@@ -348,10 +341,9 @@ def _member_runs(family: JordanFamily, N: int) -> list[tuple[Run, ...]]:
     # last and each length from longest to shortest, so base partitions come
     # out lexicographically descending.  A run whose length breaks the parity
     # rule is never placed, and a run of 1s must use up the remaining weight,
-    # so only the even part count of ORTHOGONAL_CHAR2 is checked at the end.
+    # so only the family's even part count is checked at the end.
     _rule(family, N)
-    paired = _paired_parity(family)
-    even_count = family is JordanFamily.ORTHOGONAL_CHAR2
+    paired, even_count = family.paired, family.even_count
     out: list[tuple[Run, ...]] = []
     choices: list[tuple[Run, ...]] = []  # per placed run, its labelings
 
@@ -408,7 +400,7 @@ def count_jordan(family: JordanFamily, N: int) -> int:
     even v, positive even m), and by 1 otherwise.
     """
     _rule(family, N)
-    paired = _paired_parity(family)
+    paired = family.paired
     ways = [[1, 0]] + [[0, 0] for _ in range(N)]
     for v in range(1, N + 1):
         new = [[0, 0] for _ in range(N + 1)]
@@ -424,7 +416,7 @@ def count_jordan(family: JordanFamily, N: int) -> int:
                 row[1 - m % 2] += factor * odd
         ways = new
     even, odd = ways[N]
-    return even if family is JordanFamily.ORTHOGONAL_CHAR2 else even + odd
+    return even if family.even_count else even + odd
 
 
 def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[tuple]]:
@@ -438,8 +430,7 @@ def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[tuple
         [(parity, label0, d1, d2) for (parity, label0, o), (d1, d2) in offsets.items() if o == origin]
         for origin in (0, 1)
     ]
-    paired = _paired_parity(family)
-    even_count = family is JordanFamily.ORTHOGONAL_CHAR2
+    paired, even_count = family.paired, family.even_count
 
     def entry(i: int) -> int:
         return t[i] if i < len(t) else 0

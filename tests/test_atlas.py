@@ -373,6 +373,8 @@ def test_load_atlas_env_override(tmp_path, monkeypatch):
         (lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|1|4|0|A_2|"), "atlas_parse_error"),
         (lambda t: t.replace("iso|A|pseudo_levi|A_n|n>=0", "iso|A|levi|A_n|n>=0"), "atlas_parse_error"),
         (lambda t: t + "wat|1|2\n", "atlas_parse_error"),
+        # a row repeated at the end: its synthetic id is already taken
+        (lambda t: t + next(l for l in t.splitlines() if l.startswith("row|E8|")) + "\n", "atlas_parse_error"),
     ],
 )
 def test_load_atlas_rejects_malformed(tmp_path, mangle, code):

@@ -271,6 +271,45 @@ def test_classify_so_odd_char2_delegates():
         SpectralDatum(so_odd(7, 2), [EigenOrbit("1", INV, Partition([7]))])
 
 
+def _outcome(group, orbits):
+    # the stratum, or the code and message of the refusal
+    try:
+        return classify(SpectralDatum(group, orbits))
+    except DomainError as exc:
+        return exc.code, str(exc)
+
+
+@pytest.mark.parametrize(
+    "orbits,refusal",
+    [
+        ([EigenOrbit("1", INV, LabeledPartition([2, 2, 1, 1], {2: 1}))], None),
+        ([EigenOrbit("1", INV, LabeledPartition([1] * 6, {}))], None),
+        (
+            [EigenOrbit("1", INV, LabeledPartition([2, 2], {2: 0})), EigenOrbit("a", GEN, Partition([1]))],
+            None,
+        ),
+        ([EigenOrbit("a", GEN, Partition([2, 1]))], None),
+        (
+            [EigenOrbit("1", INV, LabeledPartition([1, 1], {})), EigenOrbit("-1", INV, LabeledPartition([2, 2], {2: 1}))],
+            "does not exist in characteristic 2",
+        ),
+        ([EigenOrbit("1", INV, Partition([2, 2, 1, 1]))], "not in the symplectic_char2 family"),
+        ([EigenOrbit("1", INV, LabeledPartition([3, 3], {}))], None),
+        ([EigenOrbit("a", GEN, Partition([2])), EigenOrbit("a", GEN, Partition([1]))], "must be distinct"),
+        ([EigenOrbit("1", INV, LabeledPartition([2, 2, 1, 1, 1, 1], {2: 1}))], "expected 6"),
+        ([], "expected 6"),
+    ],
+)
+def test_so_odd_char2_answers_as_sp_one_dimension_down(orbits, refusal):
+    # SO_7 in characteristic 2 gives the strata and the refusals of Sp_6 there
+    got, twin = _outcome(so_odd(7, 2), orbits), _outcome(sp(6, 2), orbits)
+    assert got == twin
+    if refusal is None:
+        assert got.pair_degenerate is None
+    else:
+        assert refusal in got[1]
+
+
 # ---------------------------------------------------------------------------
 # enumerate_strata and dimension sets
 

@@ -11,14 +11,9 @@ from weylstrata.jordan import (
     FAMILY_ALIASES,
     JordanFamily,
     LabeledPartition,
-    PartString,
-    _eligible,
-    _strings_in_family,
     apply_bijection,
     codomain,
     count_jordan,
-    decompose_strings,
-    eligible_values,
     enumerate_jordan,
     family_from_name,
     in_family,
@@ -44,27 +39,19 @@ SO2 = JordanFamily.ORTHOGONAL_CHAR2
 # strings and labels
 
 
-def test_decompose_strings():
-    assert decompose_strings(Partition([4, 4, 2, 1, 1])) == (
-        PartString(4, 1, 2),
-        PartString(2, 3, 1),
-        PartString(1, 4, 2),
-    )
-    assert decompose_strings(Partition()) == ()
-    assert decompose_strings(Partition([3, 3, 3])) == (PartString(3, 1, 3),)
-
-
-def test_eligible_values():
-    assert eligible_values(Partition([4, 4, 2, 2, 1, 1])) == (4, 2)
-    assert eligible_values(Partition([4, 2, 2, 2])) == ()  # 2 has odd multiplicity
-    assert eligible_values(Partition([1, 1])) == ()  # odd values never eligible
-
-
 def test_labeled_partition_validation():
     lp = LabeledPartition([2, 2, 1, 1], {2: 1})
     assert lp.weight == 6
     assert lp.label_of(2) == 1
     assert lp.label_map() == {2: 1}
+    # labels sit on the eligible values, descending, whatever the order given
+    assert LabeledPartition([4, 4, 2, 2, 1, 1], {2: 0, 4: 1}).labels == ((4, 1), (2, 0))
+    assert LabeledPartition([4, 2, 2, 2], {}).labels == ()
+    with pytest.raises(DomainError):
+        LabeledPartition([4, 2, 2, 2], {2: 0})  # 2 has odd multiplicity
+    assert LabeledPartition([1, 1], {}).labels == ()
+    with pytest.raises(DomainError):
+        LabeledPartition([1, 1], {1: 0})  # odd values never eligible
     with pytest.raises(DomainError):
         LabeledPartition([2, 2, 1, 1], {})  # missing label
     with pytest.raises(DomainError):
@@ -299,19 +286,22 @@ def _weights(family, top):
 
 
 # the filter over every partition of N, which enumerate_jordan was before it
-# generated members run by run; kept as the oracle for the generator and for
-# count_jordan
+# generated members run by run; kept as the oracle for the generator.  It
+# spells out the rules of the module docstring itself: Z1P pairs even values,
+# the other families odd ones; Z2P needs an even part count; Z2 and Z2P label
+# each even value of positive even multiplicity
 
 
 def _filter_enumerate(family, N):
     codomain(family, N)  # the same weight and parity guard
+    paired = 0 if family is SO else 1
     out = []
     for p in enumerate_partitions(N):
-        strings = decompose_strings(p)
-        if not _strings_in_family(family, p, strings):
+        runs = [(v, len(list(g))) for v, g in groupby(p)]
+        if any(m % 2 and v % 2 == paired for v, m in runs) or (family is SO2 and len(p) % 2):
             continue
         if family.labeled:
-            values = _eligible(strings)
+            values = [v for v, m in runs if v % 2 == 0 and m % 2 == 0]
             for bits in product((1, 0), repeat=len(values)):
                 out.append(LabeledPartition._trusted(p, tuple(zip(values, bits))))
         else:
@@ -535,8 +525,9 @@ def family_members(draw, family):
             budget -= v * m
     nu = Partition(parts)
     if family.labeled:
-        nu = LabeledPartition(nu, {v: draw(st.integers(0, 1)) for v in eligible_values(nu)})
-    assume(in_family(family, nu))  # weight parity, and an even part count for Z2P
+        eligible = [v for v, g in groupby(nu) if v % 2 == 0 and len(list(g)) % 2 == 0]
+        nu = LabeledPartition(nu, {v: draw(st.integers(0, 1)) for v in eligible})
+    assume(in_family(family, nu))  # an even part count for Z2P
     return nu
 
 
