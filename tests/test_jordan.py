@@ -39,11 +39,7 @@ SO2 = JordanFamily.ORTHOGONAL_CHAR2
 # strings and labels
 
 
-def test_labeled_partition_validation():
-    lp = LabeledPartition([2, 2, 1, 1], {2: 1})
-    assert lp.weight == 6
-    assert lp.label_of(2) == 1
-    assert lp.label_map() == {2: 1}
+def test_eligible_values():
     # labels sit on the eligible values, descending, whatever the order given
     assert LabeledPartition([4, 4, 2, 2, 1, 1], {2: 0, 4: 1}).labels == ((4, 1), (2, 0))
     assert LabeledPartition([4, 2, 2, 2], {}).labels == ()
@@ -52,6 +48,13 @@ def test_labeled_partition_validation():
     assert LabeledPartition([1, 1], {}).labels == ()
     with pytest.raises(DomainError):
         LabeledPartition([1, 1], {1: 0})  # odd values never eligible
+
+
+def test_labeled_partition_validation():
+    lp = LabeledPartition([2, 2, 1, 1], {2: 1})
+    assert lp.weight == 6
+    assert lp.label_of(2) == 1
+    assert lp.label_map() == {2: 1}
     with pytest.raises(DomainError):
         LabeledPartition([2, 2, 1, 1], {})  # missing label
     with pytest.raises(DomainError):
