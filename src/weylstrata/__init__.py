@@ -7,138 +7,59 @@ degree/invariant pairs (exceptional types).  It covers the bipartition
 combinatorics, the unipotent Jordan-type bijections in every characteristic,
 the map from Weyl-group conjugacy classes onto strata, and a command-line
 front end.
+
+Every public name is importable from the package itself.  Its defining
+submodule is imported on first access to one of its names (PEP 562), so
+``import weylstrata`` imports no submodule.
 """
 
-from .atlas import (
-    Atlas,
-    AtlasRow,
-    CarterLabel,
-    IsoFlavor,
-    IsolatedSubgroup,
-    RepLabel,
-    cross_section,
-    exc_group_from_name,
-    fiber_of_rep,
-    isolated_subgroups,
-    load_atlas,
-    m_of_class,
-    parse_carter,
-    rep_of_class,
-    strata_for_characteristic,
-)
-from .classical import (
-    EigenOrbit,
-    GroupDescriptor,
-    OrbitKind,
-    Series,
-    SpectralDatum,
-    StratumResult,
-    classify,
-    dimension_set,
-    enumerate_strata,
-    positive_roots,
-    series_from_name,
-    stratum_excess,
-)
-from .errors import ConsistencyError, DomainError, StrataError
-from .jordan import (
-    JordanFamily,
-    LabeledPartition,
-    apply_bijection,
-    codomain,
-    count_jordan,
-    enumerate_jordan,
-    family_from_name,
-    invert_bijection,
-)
-from .partitions import (
-    Bipartition,
-    Excess,
-    Partition,
-    bp_sum,
-    enumerate_bipartitions,
-    enumerate_partitions,
-    has_excess,
-    is_bipartition,
-    n_invariant,
-)
-from .verify import CheckResult, check_names, run_check, run_suite
-from .weyl import (
-    ClassFiber,
-    SignedCycleType,
-    WeylSeries,
-    WeylType,
-    enumerate_classes,
-    fixed_space_dim,
-    jordan_of_class,
-    strata_fibers,
-    stratum_of_class,
-    weyl_series_from_name,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Atlas",
-    "AtlasRow",
-    "Bipartition",
-    "CarterLabel",
-    "CheckResult",
-    "ClassFiber",
-    "ConsistencyError",
-    "DomainError",
-    "EigenOrbit",
-    "Excess",
-    "GroupDescriptor",
-    "IsoFlavor",
-    "IsolatedSubgroup",
-    "JordanFamily",
-    "LabeledPartition",
-    "OrbitKind",
-    "Partition",
-    "RepLabel",
-    "Series",
-    "SignedCycleType",
-    "SpectralDatum",
-    "StrataError",
-    "StratumResult",
-    "WeylSeries",
-    "WeylType",
-    "apply_bijection",
-    "bp_sum",
-    "check_names",
-    "classify",
-    "codomain",
-    "count_jordan",
-    "cross_section",
-    "dimension_set",
-    "enumerate_bipartitions",
-    "enumerate_classes",
-    "enumerate_jordan",
-    "enumerate_partitions",
-    "enumerate_strata",
-    "exc_group_from_name",
-    "family_from_name",
-    "fiber_of_rep",
-    "fixed_space_dim",
-    "has_excess",
-    "invert_bijection",
-    "is_bipartition",
-    "isolated_subgroups",
-    "jordan_of_class",
-    "load_atlas",
-    "m_of_class",
-    "n_invariant",
-    "parse_carter",
-    "positive_roots",
-    "rep_of_class",
-    "run_check",
-    "run_suite",
-    "series_from_name",
-    "strata_fibers",
-    "strata_for_characteristic",
-    "stratum_excess",
-    "stratum_of_class",
-    "weyl_series_from_name",
-    "__version__",
-]
+# each public name -> the submodule that defines it
+_MODULE_OF = {
+    name: module
+    for module, names in (
+        ("atlas", (
+            "Atlas", "AtlasRow", "CarterLabel", "IsoFlavor", "IsolatedSubgroup", "RepLabel",
+            "cross_section", "exc_group_from_name", "fiber_of_rep", "isolated_subgroups",
+            "load_atlas", "m_of_class", "parse_carter", "rep_of_class", "strata_for_characteristic",
+        )),
+        ("classical", (
+            "EigenOrbit", "GroupDescriptor", "OrbitKind", "Series", "SpectralDatum",
+            "StratumResult", "classify", "dimension_set", "enumerate_strata", "positive_roots",
+            "series_from_name", "stratum_excess",
+        )),
+        ("errors", ("ConsistencyError", "DomainError", "StrataError")),
+        ("jordan", (
+            "JordanFamily", "LabeledPartition", "apply_bijection", "codomain", "count_jordan",
+            "enumerate_jordan", "family_from_name", "invert_bijection",
+        )),
+        ("partitions", (
+            "Bipartition", "Excess", "Partition", "bp_sum", "enumerate_bipartitions",
+            "enumerate_partitions", "has_excess", "is_bipartition", "n_invariant",
+        )),
+        ("verify", ("CheckResult", "check_names", "run_check", "run_suite")),
+        ("weyl", (
+            "ClassFiber", "SignedCycleType", "WeylSeries", "WeylType", "enumerate_classes",
+            "fixed_space_dim", "jordan_of_class", "strata_fibers", "stratum_of_class",
+            "weyl_series_from_name",
+        )),
+    )
+    for name in names
+}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

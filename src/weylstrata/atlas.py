@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Union
 
-from .classical import check_characteristic
 from .errors import ConsistencyError, DomainError
 
 EXC_GROUPS = ("G2", "F4", "E6", "E7", "E8")
@@ -384,6 +383,8 @@ class Atlas:
         the unstarred rows; in characteristic r in {2, 3} the rows
         starred *_r join them.
         """
+        from .classical import check_characteristic
+
         group = exc_group_from_name(group)
         check_characteristic(char)
         return tuple(
@@ -428,7 +429,8 @@ def _parse_atlas(text: str, source: str) -> Atlas:
     version: Optional[int] = None
     rows: list[AtlasRow] = []
     iso: list[IsolatedSubgroup] = []
-    dn_next: dict[tuple[str, int, int], int] = {}
+    # line numbers of the rows read so far, per (group, d, n) in synthetic-id order
+    dn_lines: dict[tuple[str, int, int], list[int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -457,12 +459,16 @@ def _parse_atlas(text: str, source: str) -> Atlas:
                 rep = RepLabel(group, int(d), int(n), int(star), int(sid))
             except (ValueError, DomainError) as exc:
                 raise _parse_error(source, lineno, f"bad row: {exc}") from None
-            expected = dn_next.get((group, rep.d, rep.n), 0)
-            if rep.synthetic_id != expected:
+            earlier = dn_lines.setdefault((group, rep.d, rep.n), [])
+            if rep.synthetic_id < len(earlier):
                 raise _parse_error(
-                    source, lineno, f"synthetic id should be {expected}, got {rep.synthetic_id}"
+                    source, lineno, f"row {rep} repeats line {earlier[rep.synthetic_id]}"
                 )
-            dn_next[(group, rep.d, rep.n)] = expected + 1
+            if rep.synthetic_id != len(earlier):
+                raise _parse_error(
+                    source, lineno, f"synthetic id should be {len(earlier)}, got {rep.synthetic_id}"
+                )
+            earlier.append(lineno)
             if not classes:
                 raise _parse_error(source, lineno, "row has no classes")
             try:

@@ -30,7 +30,7 @@ from functools import reduce
 from typing import Iterable, Optional
 
 from .errors import DomainError
-from .jordan import JordanDatum, JordanFamily, apply_bijection, in_family
+from .jordan import JordanDatum, JordanFamily, _rewrite, _runs_if_member
 from .partitions import (
     Bipartition,
     Excess,
@@ -225,7 +225,8 @@ class SpectralDatum:
     twice the generic weights add up to the natural dimension; once for GL),
     distinct ids, the absence of the eigenvalue -1 in characteristic 2, and
     membership of each involutive Jordan type in the family dictated by the
-    series and characteristic.
+    series and characteristic.  Validation keeps each involutive orbit's
+    runs, and ``classify`` rewrites them without testing membership again.
     """
 
     group: GroupDescriptor
@@ -234,9 +235,11 @@ class SpectralDatum:
     def __init__(self, group: GroupDescriptor, orbits: Iterable[EigenOrbit]):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "orbits", tuple(orbits))
-        self._validate()
+        # not a field: equality, hashing and repr see group and orbits only
+        object.__setattr__(self, "_orbit_runs", self._validate())
 
-    def _validate(self) -> None:
+    def _validate(self) -> tuple:
+        # one entry per orbit: the runs of an involutive one, else None
         g = _classifying_group(self.group)
         ids = [o.ident for o in self.orbits]
         if len(set(ids)) != len(ids):
@@ -250,17 +253,20 @@ class SpectralDatum:
                     f"GL orbit weights add to {total}, expected {g.dimension}",
                     code="bookkeeping",
                 )
-            return
+            return (None,) * len(self.orbits)
         char = g.characteristic
         total = 0
+        orbit_runs = []
         for o in self.orbits:
             if o.kind is OrbitKind.GENERIC:
                 total += 2 * o.weight
+                orbit_runs.append(None)
                 continue
             if o.ident == "-1" and char == 2:
                 raise DomainError("the eigenvalue -1 does not exist in characteristic 2")
             fam = _involutive_family(g.series, char)
-            if not in_family(fam, o.jordan):
+            orbit_runs.append(_runs_if_member(fam, o.jordan))
+            if orbit_runs[-1] is None:
                 raise DomainError(
                     f"involutive orbit {o.ident!r}: Jordan type {o.jordan} is not in "
                     f"the {fam.value} family"
@@ -282,6 +288,7 @@ class SpectralDatum:
                 f"orbit weights account for dimension {total}, expected {g.dimension}",
                 code="bookkeeping",
             )
+        return tuple(orbit_runs)
 
 
 @dataclass(frozen=True)
@@ -319,8 +326,8 @@ def classify(datum: SpectralDatum) -> StratumResult:
     # weight, so the datum's weight picks the orthogonal map's variant
     family = _involutive_family(g.series, g.characteristic)
     contributions = (
-        apply_bijection(family, o.jordan) if o.kind is OrbitKind.INVOLUTIVE else o.jordan
-        for o in datum.orbits
+        o.jordan if runs is None else _rewrite(family, o.weight, runs)
+        for o, runs in zip(datum.orbits, datum._orbit_runs)
     )
     return _stratum(g, reduce(bp_sum, contributions, Bipartition()))
 

@@ -6,6 +6,9 @@ envelope to standard output: {"status": "ok"|"error", "payload": ...,
 which writes the table file's bytes verbatim.  The JSON shape is described in
 data/envelope.schema.json.  Exit codes: 0 success, 1 domain error,
 2 usage error, 3 consistency failure (a recorded claim was falsified).
+
+Each command imports the package modules it uses when it runs, so a
+process pays only for those.
 """
 
 from __future__ import annotations
@@ -16,34 +19,14 @@ import json
 import os
 import sys
 
-from .atlas import ATLAS_ENV_VAR, exc_group_from_name, load_atlas, m_of_class, parse_carter
-from .classical import (
-    EigenOrbit,
-    GroupDescriptor,
-    OrbitKind,
-    SpectralDatum,
-    _stratum,
-    classify,
-    enumerate_strata,
-    series_from_name,
-)
 from .errors import ConsistencyError, DomainError
-from .jordan import LabeledPartition, family_from_name, invert_bijection
-from .partitions import Bipartition, Partition
-from .verify import CheckResult, check_names, run_suite
-from .weyl import (
-    SignedCycleType,
-    WeylSeries,
-    WeylType,
-    fixed_space_dim,
-    stratum_of_class,
-    weyl_series_from_name,
-)
 
 _CLASSICAL_LETTERS = {"A", "B", "C", "D"}
 
 
 def _series_for_cli(name: str, dimension: int):
+    from .classical import series_from_name
+
     # bare "SO" picks the odd or even series from the dimension
     if name.strip().lower() == "so":
         return series_from_name("SO_odd" if dimension % 2 else "SO_even")
@@ -83,7 +66,9 @@ def _read_document(path: str) -> dict:
     return doc
 
 
-def _group_from_doc(doc: dict) -> GroupDescriptor:
+def _group_from_doc(doc: dict):
+    from .classical import GroupDescriptor, series_from_name
+
     if not isinstance(doc, dict) or "series" not in doc or "N" not in doc:
         raise DomainError('group must be {"series": ..., "N": ..., "char"?: ...}', code="bad_document")
     series = series_from_name(str(doc["series"]))
@@ -94,7 +79,11 @@ def _group_from_doc(doc: dict) -> GroupDescriptor:
     return GroupDescriptor(series, dimension, char)
 
 
-def _orbit_from_doc(doc: dict) -> EigenOrbit:
+def _orbit_from_doc(doc: dict):
+    from .classical import EigenOrbit, OrbitKind
+    from .jordan import LabeledPartition
+    from .partitions import Partition
+
     if not isinstance(doc, dict):
         raise DomainError("each orbit must be a JSON object", code="bad_document")
     missing = {"id", "kind", "parts"} - set(doc)
@@ -124,7 +113,7 @@ def _orbit_from_doc(doc: dict) -> EigenOrbit:
     return EigenOrbit(str(doc["id"]), kind, jordan)
 
 
-def _group_payload(group: GroupDescriptor) -> dict:
+def _group_payload(group) -> dict:
     return {"series": group.series.value, "N": group.dimension, "char": group.characteristic}
 
 
@@ -153,6 +142,8 @@ def _rep_payload(atlas, group: str, rep) -> dict:
 
 
 def _cmd_classify(args) -> tuple[dict, list[str]]:
+    from .classical import SpectralDatum, classify
+
     doc = _read_document(args.input)
     if "group" not in doc or "orbits" not in doc:
         raise DomainError('document must have "group" and "orbits"', code="bad_document")
@@ -168,18 +159,21 @@ def _cmd_classify(args) -> tuple[dict, list[str]]:
     return payload, diagnostics
 
 
-_WEYL_GROUP_FOR_DIMS = {
-    # dimensions of strata come from the algebraic group with this Weyl group
-    WeylSeries.A: lambda rank: GroupDescriptor(series_from_name("GL"), rank + 1),
-    WeylSeries.B: lambda rank: GroupDescriptor(series_from_name("Sp"), 2 * rank),
-    WeylSeries.D: lambda rank: GroupDescriptor(series_from_name("SO_even"), 2 * rank),
-}
-
-
 def _cmd_phi(args) -> tuple[dict, list[str]]:
     name = args.group.strip()
     diagnostics: list[str] = []
     if name.upper() in _CLASSICAL_LETTERS:
+        from .classical import GroupDescriptor, Series, _stratum
+        from .partitions import Partition
+        from .weyl import (
+            SignedCycleType,
+            WeylSeries,
+            WeylType,
+            fixed_space_dim,
+            stratum_of_class,
+            weyl_series_from_name,
+        )
+
         if args.rank is None:
             raise DomainError("classical series need --rank", code="bad_rank")
         if args.rep is not None:
@@ -197,7 +191,12 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
                 )
         else:
             cls = SignedCycleType.parse(args.class_label)
-        group = _WEYL_GROUP_FOR_DIMS[series](args.rank)
+        # dimensions of strata come from the algebraic group with this Weyl group
+        group = GroupDescriptor(*{
+            WeylSeries.A: (Series.GL, args.rank + 1),
+            WeylSeries.B: (Series.SP, 2 * args.rank),
+            WeylSeries.D: (Series.SO_EVEN, 2 * args.rank),
+        }[series])
         result = _stratum(group, stratum_of_class(wt, cls))
         payload = {
             "weyl": {"series": series.value, "rank": args.rank},
@@ -207,6 +206,8 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
             "fixed_space_dim": fixed_space_dim(wt, cls),
         }
         return payload, diagnostics
+    from .atlas import exc_group_from_name, load_atlas, m_of_class, parse_carter
+
     group = exc_group_from_name(name)
     if args.rank is not None:
         raise DomainError("--rank applies only to classical series", code="bad_rank")
@@ -225,6 +226,8 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_enumerate(args) -> tuple[dict, list[str]]:
+    from .classical import GroupDescriptor, enumerate_strata
+
     group = GroupDescriptor(_series_for_cli(args.series, args.dimension), args.dimension, args.char)
     rows = []
     for result in enumerate_strata(group):
@@ -236,6 +239,8 @@ def _cmd_enumerate(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_tables(args) -> tuple[dict | str, list[str]]:
+    from .atlas import exc_group_from_name, load_atlas, parse_carter
+
     atlas = load_atlas(args.data_file)
     if args.raw:
         return atlas.text, []
@@ -263,6 +268,9 @@ def _cmd_tables(args) -> tuple[dict | str, list[str]]:
 
 
 def _cmd_verify(args) -> tuple[dict, list[str]]:
+    from .atlas import ATLAS_ENV_VAR
+    from .verify import check_names, run_suite
+
     names = check_names() if args.suite == "all" else (args.suite,)
     # checks load the atlas themselves; route the override through the env var
     saved = os.environ.get(ATLAS_ENV_VAR)
@@ -284,6 +292,9 @@ def _cmd_verify(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_invert(args) -> tuple[dict, list[str]]:
+    from .jordan import LabeledPartition, family_from_name, invert_bijection
+    from .partitions import Bipartition
+
     family = family_from_name(args.family)
     target = Bipartition(_parse_int_list(args.target))
     preimage = invert_bijection(family, args.N, target)
@@ -370,6 +381,8 @@ def _render_tables(payload: dict) -> str:
 
 
 def _render_verify(payload: dict) -> str:
+    from .verify import CheckResult
+
     lines = [CheckResult(**row).line() for row in payload["results"]]
     lines.append("all checks passed" if payload["passed"] else "verification FAILED")
     return "\n".join(lines) + "\n"
@@ -381,6 +394,18 @@ def _render_invert(payload: dict) -> str:
         bits = ", ".join(f"{v}:{bit}" for v, bit in payload["labels"].items())
         text += f"labels {bits}\n"
     return text
+
+
+class _SuiteChoices:
+    """The choices of verify --suite, read from the verify module when needed."""
+
+    def __iter__(self):
+        from .verify import check_names
+
+        return iter(("all",) + check_names())
+
+    def __contains__(self, name) -> bool:
+        return name in iter(self)
 
 
 # command -> (handler returning (payload, diagnostics), table renderer)
@@ -441,8 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the recorded verification checks")
-    p.add_argument("--suite", default="all", choices=("all",) + check_names(),
-                   help="which check to run (default all)")
+    # with a metavar, argparse lists the choices only when it checks a value
+    # or formats help, so other commands never import the verify module
+    p.add_argument("--suite", default="all", choices=_SuiteChoices(), metavar="SUITE",
+                   help="which check to run (default all): %(choices)s")
 
     p = sub.add_parser("invert", parents=[common],
                        help="find the preimage of a stratum under a family bijection")

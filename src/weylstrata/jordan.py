@@ -44,15 +44,17 @@ is the parity of the values whose strings must have even length,
 ``even_count`` whether members need an even number of parts, and ``labeled``
 whether eligible strings carry a label.  A partition is read as its strings,
 one (value, multiplicity) pair each, and ``_is_member`` is the one
-membership test on them, behind both ``in_family`` and ``apply_bijection``.
+membership test on them.  ``_runs_if_member`` applies it to a datum and
+serves ``in_family`` and ``apply_bijection``.
 A member travels as its *runs*: one (value, length, label) triple per
 string, values descending, the label None unless the family is labeled and
 the value eligible.  ``enumerate_jordan`` generates the runs of every member
 directly, one run at a time, and ``count_jordan`` counts them by a dynamic
 programme without listing them; both read the family's rules once per call.
 One rewrite, ``_rewrite``, maps runs to their image: ``apply_bijection``
-decomposes its datum once, while generated data and the Jordan types of Weyl
-classes (``weyl``) reach it with runs known by construction.
+decomposes its datum once, ``classical.classify`` rewrites the runs its
+validation found, and generated data and the Jordan types of Weyl classes
+(``weyl``) reach it with runs known by construction.
 
 The inverse, ``invert_bijection``, reads the same table backwards, parsing a
 bipartition left to right into the strings of its preimage.
@@ -229,10 +231,19 @@ def in_family(family: JordanFamily, nu: JordanDatum) -> bool:
     string-length parity and part-count rules.  Those rules force an even
     weight on every family but ORTHOGONAL.
     """
+    return _runs_if_member(family, nu) is not None
+
+
+def _runs_if_member(family: JordanFamily, nu: JordanDatum) -> Optional[list[Run]]:
+    # The runs of nu when it is a member of the family, else None.
     if family.labeled != isinstance(nu, LabeledPartition):
-        return False
-    parts = nu.parts if isinstance(nu, LabeledPartition) else nu
-    return _is_member(family, _strings(parts), len(parts))
+        return None
+    parts = nu.parts if family.labeled else nu
+    strings = _strings(parts)
+    if not _is_member(family, strings, len(parts)):
+        return None
+    ones = {v for v, bit in nu.labels if bit} if family.labeled else ()
+    return _runs(family, strings, ones)
 
 
 def _is_member(family: JordanFamily, multiplicities: Iterable[tuple[int, int]], count: int) -> bool:
@@ -320,14 +331,10 @@ def _rewrite(family: JordanFamily, N: int, runs: Iterable[Run]) -> Bipartition:
 
 def apply_bijection(family: JordanFamily, nu: JordanDatum) -> Bipartition:
     """Rewrite a Jordan datum string by string into its stratum bipartition."""
-    parts = nu.parts if isinstance(nu, LabeledPartition) else nu
-    strings = _strings(parts)
-    if family.labeled != isinstance(nu, LabeledPartition) or not _is_member(
-        family, strings, len(parts)
-    ):
+    runs = _runs_if_member(family, nu)
+    if runs is None:
         raise DomainError(f"{nu} is not in the {family.value} family")
-    ones = {v for v, bit in nu.labels if bit} if family.labeled else set()
-    return _rewrite(family, nu.weight, _runs(family, strings, ones))
+    return _rewrite(family, nu.weight, runs)
 
 
 def codomain(family: JordanFamily, N: int) -> tuple[Excess, int]:

@@ -12,6 +12,7 @@ stated budget where one applies.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -82,6 +83,10 @@ def check_names() -> tuple[str, ...]:
 
 def run_check(name: str) -> CheckResult:
     """Run one named check and report the result."""
+    return run_suite((name,))[0]
+
+
+def _run(name: str) -> CheckResult:
     if name not in _CHECKS:
         raise DomainError(f"unknown check {name!r}; have {', '.join(_CHECKS)}", code="bad_suite")
     func, budget = _CHECKS[name]
@@ -103,7 +108,11 @@ def run_suite(names=None) -> tuple[CheckResult, ...]:
     """Run the named checks (default: all) in registration order."""
     if names is None:
         names = check_names()
-    return tuple(run_check(name) for name in names)
+    try:
+        return tuple(_run(name) for name in names)
+    finally:
+        # what checks share lives for one suite run, so each run does the same work
+        _signed_fibers.cache_clear()
 
 
 def _ensure(condition: bool, message: str) -> None:
@@ -319,6 +328,15 @@ def _check_endpoints() -> str:
     return "both endpoints exact in all five tables"
 
 
+@functools.cache
+def _signed_fibers() -> dict[WeylType, dict]:
+    # The fibers of B_1..B_10 and D_4..D_10, which cross-sections and
+    # surjectivity both check.
+    types = [WeylType(WeylSeries.B, n) for n in range(1, 11)]
+    types += [WeylType(WeylSeries.D, n) for n in range(4, 11)]
+    return {wt: strata_fibers(wt) for wt in types}
+
+
 @_check("cross-sections", budget=10.0)
 def _check_cross_sections() -> str:
     """Fixed-space dimension has a unique minimizer on every fiber."""
@@ -328,28 +346,22 @@ def _check_cross_sections() -> str:
         for row in atlas.rows(group):
             atlas.cross_section(group, row.rep)  # raises on a tie
             rows += 1
-    fibers = 0
-    types = [WeylType(WeylSeries.B, n) for n in range(1, 11)]
-    types += [WeylType(WeylSeries.D, n) for n in range(4, 11)]
-    types += [WeylType(WeylSeries.A, n) for n in range(1, 9)]
-    for wt in types:
-        fibers += len(strata_fibers(wt))  # unique-minimum is checked inside
+    # strata_fibers checks the unique minimum inside
+    fibers = sum(map(len, _signed_fibers().values()))
+    fibers += sum(len(strata_fibers(WeylType(WeylSeries.A, n))) for n in range(1, 9))
     return f"unique minimizer on {rows} exceptional rows and {fibers} classical fibers"
 
 
 @_check("surjectivity")
 def _check_surjectivity() -> str:
     """Classical class-to-stratum maps hit every stratum label."""
-    for n in range(1, 11):
-        wt = WeylType(WeylSeries.B, n)
-        got = set(strata_fibers(wt))
-        want = set(enumerate_bipartitions(n, (2, 2)))
-        _ensure(got == want, f"B_{n}: image covers {len(got)} of {len(want)} labels")
-    for n in range(4, 11):
-        wt = WeylType(WeylSeries.D, n)
-        got = set(strata_fibers(wt))
-        want = set(enumerate_bipartitions(n, (0, 4)))
-        _ensure(got == want, f"D_{n}: image covers {len(got)} of {len(want)} labels")
+    for wt, fibers in _signed_fibers().items():
+        excess = (2, 2) if wt.series is WeylSeries.B else (0, 4)
+        got, want = set(fibers), set(enumerate_bipartitions(wt.rank, excess))
+        _ensure(
+            got == want,
+            f"{wt.series.value}_{wt.rank}: image covers {len(got)} of {len(want)} labels",
+        )
     for n in range(1, 9):
         wt = WeylType(WeylSeries.A, n)
         for cls in enumerate_classes(wt):

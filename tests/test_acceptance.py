@@ -6,9 +6,13 @@ asserts the verdict.  Timing budgets are part of the verdict where the
 check declares one.
 """
 
+from collections import Counter
+
 import pytest
 
-from weylstrata.verify import check_names, run_check
+from weylstrata import verify
+from weylstrata.verify import check_names, run_check, run_suite
+from weylstrata.weyl import WeylSeries
 
 
 @pytest.mark.parametrize("name", check_names())
@@ -41,3 +45,15 @@ def test_unknown_check_is_rejected():
     with pytest.raises(DomainError) as err:
         run_check("no-such-check")
     assert err.value.code == "bad_suite"
+
+
+def test_suite_builds_each_signed_fiber_map_once(monkeypatch):
+    built = Counter()
+    build = verify.strata_fibers
+    monkeypatch.setattr(verify, "strata_fibers", lambda wt: built.update([wt]) or build(wt))
+    for _ in range(2):
+        assert all(r.passed for r in run_suite(("cross-sections", "surjectivity")))
+    signed = {wt for wt in built if wt.series is not WeylSeries.A}
+    assert len(signed) == 17
+    # shared by the two checks of one suite run, built again by the next run
+    assert {built[wt] for wt in signed} == {2}

@@ -361,6 +361,10 @@ def test_load_atlas_env_override(tmp_path, monkeypatch):
     assert load_atlas().source.endswith("exceptional_atlas.txt")
 
 
+# the first E8 row repeated at the end of the file
+_REPEAT_E8_ROW = lambda t: t + next(l for l in t.splitlines() if l.startswith("row|E8|")) + "\n"  # noqa: E731
+
+
 @pytest.mark.parametrize(
     "mangle,code",
     [
@@ -373,8 +377,7 @@ def test_load_atlas_env_override(tmp_path, monkeypatch):
         (lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|1|4|0|A_2|"), "atlas_parse_error"),
         (lambda t: t.replace("iso|A|pseudo_levi|A_n|n>=0", "iso|A|levi|A_n|n>=0"), "atlas_parse_error"),
         (lambda t: t + "wat|1|2\n", "atlas_parse_error"),
-        # a row repeated at the end: its synthetic id is already taken
-        (lambda t: t + next(l for l in t.splitlines() if l.startswith("row|E8|")) + "\n", "atlas_parse_error"),
+        (_REPEAT_E8_ROW, "atlas_parse_error"),
     ],
 )
 def test_load_atlas_rejects_malformed(tmp_path, mangle, code):
@@ -383,6 +386,11 @@ def test_load_atlas_rejects_malformed(tmp_path, mangle, code):
     with pytest.raises(DomainError) as err:
         load_atlas(str(bad))
     assert err.value.code == code
+    if mangle is _REPEAT_E8_ROW:
+        # the refusal names the line the row repeats
+        lines = load_atlas().text.splitlines()
+        first = next(i for i, l in enumerate(lines, 1) if l.startswith("row|E8|"))
+        assert str(err.value).endswith(f":{len(lines) + 1}: row 1_0 repeats line {first}")
 
 
 def test_atlas_row_spot_checks():

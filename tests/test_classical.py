@@ -232,6 +232,22 @@ def test_classify_mixed_generic_and_involutive():
     assert res.class_dim == 2 * 16 - 2 * res.n_invariant
 
 
+def test_classify_tests_membership_once(monkeypatch):
+    # validation tests each involutive orbit; classify rewrites the runs it kept
+    from weylstrata import jordan
+
+    calls = []
+    member = jordan._is_member
+    monkeypatch.setattr(jordan, "_is_member", lambda *args: calls.append(args) or member(*args))
+    datum = SpectralDatum(
+        sp(8),
+        [EigenOrbit("1", INV, Partition([2, 1, 1])), EigenOrbit("-1", INV, Partition([2, 2]))],
+    )
+    assert len(calls) == 2
+    assert classify(datum).bp == (2, 1, 1)
+    assert len(calls) == 2
+
+
 def test_classify_sp_char2_identity():
     res = classify(
         SpectralDatum(

@@ -285,6 +285,16 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.value.code == 2
 
 
+def test_unknown_suite_lists_the_checks(capsys):
+    from weylstrata.verify import check_names
+
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "no-such-suite"])
+    assert err.value.code == 2
+    choices = ", ".join(map(repr, ("all",) + check_names()))
+    assert f"invalid choice: 'no-such-suite' (choose from {choices})" in capsys.readouterr().err
+
+
 def test_verify_single_suite(capsys):
     status, env = run_json(capsys, "verify", "--suite", "e8-counts")
     assert status == 0

@@ -1,0 +1,100 @@
+"""A CLI process imports only the package modules its command uses.
+
+``import weylstrata`` imports no submodule: each public name is looked up
+in its defining module on first access (PEP 562).  Each command imports
+its own modules, so a fresh process of one command leaves the others'
+modules unloaded.  Import sets are read in fresh interpreters, since this
+one has imported everything already.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import weylstrata
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# runs main() on argv and prints the weylstrata submodules then loaded
+_PROBE = """
+import contextlib, io, json, sys
+from weylstrata.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(json.dumps(sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("weylstrata."))))
+"""
+
+_DATUM = '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "1", "kind": "involutive", "parts": [2, 1, 1]}]}'
+
+
+def _loaded(code: str, *argv: str, stdin: str = "") -> set[str]:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], input=stdin, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True,
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_bare_import_loads_no_submodule():
+    code = "import json, sys, weylstrata; print(json.dumps([m for m in sys.modules if m.startswith('weylstrata.')]))"
+    assert _loaded(code) == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "--group", "E8", "--class", "D_7(a_1)"),
+        ("tables", "--group", "E8"),
+        ("invert", "--family", "Z2", "--N", "6", "--target", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_exceptional_and_invert_commands_load_no_classical_module(argv):
+    assert _loaded(_PROBE, *argv).isdisjoint({"classical", "weyl", "verify"})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "-"),
+        ("phi", "--group", "B", "--rank", "3", "--class", "1;2"),
+        ("enumerate", "--series", "Sp", "--dimension", "4"),
+        ("tables", "--group", "E8", "--char", "2"),
+        ("phi", "--group", "E9", "--class", "A_1"),
+        ("phi", "--group", "E8"),
+        ("verify", "--suite", "golden-sp2"),
+    ],
+    ids=["classify", "phi-classical", "enumerate", "tables-char", "domain-error", "usage-error", "verify"],
+)
+def test_only_verify_loads_verify(argv):
+    loaded = _loaded(_PROBE, *argv, stdin=_DATUM)
+    assert "cli" in loaded
+    assert ("verify" in loaded) == (argv[0] == "verify")
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    for name in weylstrata.__all__:
+        if name != "__version__":
+            module = importlib.import_module(f"weylstrata.{weylstrata._MODULE_OF[name]}")
+            assert getattr(weylstrata, name) is getattr(module, name), name
+
+
+def test_star_import_and_dir_cover_all():
+    namespace = {}
+    exec("from weylstrata import *", namespace)
+    assert set(weylstrata.__all__) <= set(namespace)
+    assert set(weylstrata.__all__) <= set(dir(weylstrata))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        weylstrata.no_such_name

@@ -1,6 +1,7 @@
 """Every name a weylstrata module imports is used in that module.
 
-``__init__`` is left out: it imports names to re-export them.
+``__init__`` is left out: it imports no module at its top level, and its
+table of public names must name for each the module that defines it.
 """
 
 import ast
@@ -24,6 +25,27 @@ def _unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def _top_level_names(source: str) -> set[str]:
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_init_table_names_each_defining_module():
+    import weylstrata
+
+    for module in set(weylstrata._MODULE_OF.values()):
+        defined = _top_level_names((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        names = {name for name, home in weylstrata._MODULE_OF.items() if home == module}
+        assert names <= defined, f"{module} does not define {sorted(names - defined)}"
 
 
 def test_every_module_is_checked():
