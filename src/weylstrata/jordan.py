@@ -236,13 +236,14 @@ def in_family(family: JordanFamily, nu: JordanDatum) -> bool:
 
 def _runs_if_member(family: JordanFamily, nu: JordanDatum) -> Optional[list[Run]]:
     # The runs of nu when it is a member of the family, else None.
-    if family.labeled != isinstance(nu, LabeledPartition):
+    labeled = family.labeled
+    if labeled != isinstance(nu, LabeledPartition):
         return None
-    parts = nu.parts if family.labeled else nu
+    parts = nu.parts if labeled else nu
     strings = _strings(parts)
     if not _is_member(family, strings, len(parts)):
         return None
-    ones = {v for v, bit in nu.labels if bit} if family.labeled else ()
+    ones = {v for v, bit in nu.labels if bit} if labeled else ()
     return _runs(family, strings, ones)
 
 

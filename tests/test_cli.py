@@ -291,8 +291,9 @@ def test_unknown_suite_lists_the_checks(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "no-such-suite"])
     assert err.value.code == 2
-    choices = ", ".join(map(repr, ("all",) + check_names()))
-    assert f"invalid choice: 'no-such-suite' (choose from {choices})" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert "argument --suite: invalid choice:" in stderr and "no-such-suite" in stderr
+    assert all(name in stderr for name in check_names())
 
 
 def test_verify_single_suite(capsys):
