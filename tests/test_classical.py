@@ -70,6 +70,21 @@ def test_group_descriptor_validation():
     GroupDescriptor(Series.GL, 3, 7)  # odd primes fine
 
 
+@pytest.mark.parametrize(
+    "series,dimension,message",
+    [
+        (Series.SP, 5, "Sp needs even dimension, got 5"),
+        (Series.SO_ODD, 6, "SO_odd needs odd dimension, got 6"),
+        (Series.SO_EVEN, 7, "SO_even needs even dimension, got 7"),
+    ],
+)
+def test_parity_refusal_messages(series, dimension, message):
+    with pytest.raises(DomainError) as err:
+        GroupDescriptor(series, dimension)
+    assert err.value.code == "bad_dimension"
+    assert str(err.value) == message
+
+
 def _accepted(char, check):
     try:
         check(char)

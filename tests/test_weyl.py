@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from weylstrata import weyl
+from weylstrata.cli import main
 from weylstrata.errors import ConsistencyError, DomainError
 from weylstrata.jordan import JordanFamily, LabeledPartition, apply_bijection, in_family
 from weylstrata.partitions import Bipartition, Partition, enumerate_bipartitions
@@ -115,6 +118,24 @@ def test_weyl_type_validation():
         weyl_series_from_name("E")
     WeylType(WeylSeries.B, 0)  # trivial group allowed
     WeylType(WeylSeries.D, 2)
+
+
+# the classical group whose strata each Weyl type's classes label:
+# A_r -> GL_{r+1}, B_r = C_r -> Sp_{2r}, D_r -> SO_{2r}
+_GROUP_OF_WEYL_TYPE = {
+    **{("A", r): ("GL", r + 1) for r in range(1, 7)},
+    **{(s, r): ("Sp", 2 * r) for s in "BC" for r in range(7)},
+    **{("D", r): ("SO_even", 2 * r) for r in range(7)},
+}
+
+
+@pytest.mark.parametrize("letter,rank", sorted(_GROUP_OF_WEYL_TYPE))
+def test_phi_reports_the_group_of_the_weyl_type(capsys, letter, rank):
+    # the trivial class of each type: rank + 1 fixed points in A, rank positive 1-cycles else
+    label = ",".join(["1"] * (rank + 1)) if letter == "A" else ",".join(["1"] * rank) + ";"
+    assert main(["phi", "--group", letter, "--rank", str(rank), "--class", label]) == 0
+    group = json.loads(capsys.readouterr().out)["payload"]["group"]
+    assert (group["series"], group["N"], group["char"]) == (*_GROUP_OF_WEYL_TYPE[letter, rank], 0)
 
 
 def test_signed_cycle_type_parse_and_str():
