@@ -26,10 +26,9 @@ import hashlib
 import os
 import re
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional, Union
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, check_characteristic
 
 EXC_GROUPS = ("G2", "F4", "E6", "E7", "E8")
 EXC_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
@@ -38,7 +37,7 @@ EXC_POSITIVE_ROOTS = {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
 CLASSICAL_SERIES = ("A", "B", "C", "D")
 
 ATLAS_ENV_VAR = "WEYLSTRATA_ATLAS"
-_DATA_RESOURCE = "exceptional_atlas.txt"
+_PACKAGED_PATH = os.path.join(os.path.dirname(__file__), "data", "exceptional_atlas.txt")
 ATLAS_FORMAT_VERSION = 1
 
 
@@ -383,8 +382,6 @@ class Atlas:
         the unstarred rows; in characteristic r in {2, 3} the rows
         starred *_r join them.
         """
-        from .classical import check_characteristic
-
         group = exc_group_from_name(group)
         check_characteristic(char)
         return tuple(
@@ -513,18 +510,10 @@ def _load_from_path(path: str) -> Atlas:
     return _parse_atlas(text, path)
 
 
-@functools.lru_cache(maxsize=1)
-def _load_packaged() -> Atlas:
-    text = resources.files(__package__).joinpath("data").joinpath(_DATA_RESOURCE).read_text("utf-8")
-    return _parse_atlas(text, f"{__package__}/data/{_DATA_RESOURCE}")
-
-
 def load_atlas(path: Optional[str] = None) -> Atlas:
     """The atlas: from a path, the env-var override, or the packaged file."""
     if path is None:
-        path = os.environ.get(ATLAS_ENV_VAR)
-    if path is None:
-        return _load_packaged()
+        path = os.environ.get(ATLAS_ENV_VAR, _PACKAGED_PATH)
     return _load_from_path(os.path.abspath(path))
 
 

@@ -19,7 +19,9 @@ twice the n-invariant of the label, and is constant on each stratum.
 Only whether the characteristic is 2 or not ever matters; odd primes are
 accepted and treated alike.  Odd orthogonal groups in characteristic 2 are
 classified through the isogeny onto the symplectic group one dimension
-down: callers supply the symplectic spectral data on dimension N-1.
+down: callers supply the symplectic spectral data on dimension N-1.  The
+check that a characteristic is 0 or a prime is ``errors.check_characteristic``,
+which the exceptional atlas shares.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Optional
 
-from .errors import DomainError
+from .errors import DomainError, check_characteristic
 from .jordan import JordanDatum, JordanFamily, _rewrite, _runs_if_member
 from .partitions import (
     Bipartition,
@@ -68,50 +70,6 @@ def series_from_name(name: str) -> Series:
     )
 
 
-# Miller-Rabin with the first thirteen prime bases decides primality exactly
-# below this bound, the least strong pseudoprime to all of them (Sorenson and
-# Webster); twelve bases stop short at 318665857834031151167461.
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_BOUND = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in _PRIME_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def check_characteristic(p: int) -> int:
-    """p itself when it is 0 or a prime; otherwise a bad_characteristic error."""
-    if p >= _PRIME_BOUND:
-        raise DomainError(
-            f"characteristic {p} is too large: primality is decided exactly only "
-            f"below {_PRIME_BOUND}",
-            code="bad_characteristic",
-        )
-    if p == 0 or _is_prime(p):
-        return p
-    raise DomainError(
-        f"characteristic must be 0 or a prime, got {p}", code="bad_characteristic"
-    )
-
-
 @dataclass(frozen=True)
 class GroupDescriptor:
     """A classical group: series, dimension of the natural module, characteristic.
@@ -132,21 +90,18 @@ class GroupDescriptor:
         d = self.dimension
         if d < 0:
             raise DomainError(f"dimension must be nonnegative, got {d}", code="bad_dimension")
-        if self.series is Series.SP and d % 2 == 1:
-            raise DomainError(f"Sp needs even dimension, got {d}", code="bad_dimension")
-        if self.series is Series.SO_ODD and d % 2 == 0:
-            raise DomainError(f"SO_odd needs odd dimension, got {d}", code="bad_dimension")
-        if self.series is Series.SO_EVEN and d % 2 == 1:
-            raise DomainError(f"SO_even needs even dimension, got {d}", code="bad_dimension")
+        odd = self.series is Series.SO_ODD
+        if self.series is not Series.GL and d % 2 != odd:
+            raise DomainError(
+                f"{self.series.value} needs {'odd' if odd else 'even'} dimension, got {d}",
+                code="bad_dimension",
+            )
 
     @property
     def rank_half(self) -> int:
         """The weight of stratum labels: n, N/2, or (N-1)/2 by series."""
-        if self.series is Series.GL:
-            return self.dimension
-        if self.series is Series.SO_ODD:
-            return (self.dimension - 1) // 2
-        return self.dimension // 2
+        # (N-1)/2 is N // 2 for the odd N of SO_odd
+        return self.dimension if self.series is Series.GL else self.dimension // 2
 
 
 def positive_roots(group: GroupDescriptor) -> int:

@@ -163,7 +163,7 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
     name = args.group.strip()
     diagnostics: list[str] = []
     if name.upper() in _CLASSICAL_LETTERS:
-        from .classical import GroupDescriptor, Series, _stratum
+        from .classical import _stratum
         from .partitions import Partition
         from .weyl import (
             SignedCycleType,
@@ -192,11 +192,7 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
         else:
             cls = SignedCycleType.parse(args.class_label)
         # dimensions of strata come from the algebraic group with this Weyl group
-        group = GroupDescriptor(*{
-            WeylSeries.A: (Series.GL, args.rank + 1),
-            WeylSeries.B: (Series.SP, 2 * args.rank),
-            WeylSeries.D: (Series.SO_EVEN, 2 * args.rank),
-        }[series])
+        group = wt.group
         result = _stratum(group, stratum_of_class(wt, cls))
         payload = {
             "weyl": {"series": series.value, "rank": args.rank},

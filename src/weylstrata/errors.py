@@ -6,6 +6,10 @@ the command-line tool.  ConsistencyError means the library itself derived
 something that contradicts a structural guarantee (a uniqueness claim, a
 nonnegativity claim, a bijectivity claim); it maps to exit code 3 and should
 be treated as a falsified theorem, not a usage mistake.
+
+The module also holds the one input check that both the classical groups
+and the exceptional atlas make: ``check_characteristic``, which accepts 0
+or a prime and refuses anything else with the code bad_characteristic.
 """
 
 
@@ -30,3 +34,47 @@ class ConsistencyError(StrataError, RuntimeError):
     """A structural guarantee failed to hold on valid input."""
 
     code = "consistency_error"
+
+
+# Miller-Rabin with the first thirteen prime bases decides primality exactly
+# below this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster); twelve bases stop short at 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_characteristic(p: int) -> int:
+    """p itself when it is 0 or a prime; otherwise a bad_characteristic error."""
+    if p >= _PRIME_BOUND:
+        raise DomainError(
+            f"characteristic {p} is too large: primality is decided exactly only "
+            f"below {_PRIME_BOUND}",
+            code="bad_characteristic",
+        )
+    if p == 0 or _is_prime(p):
+        return p
+    raise DomainError(
+        f"characteristic must be 0 or a prime, got {p}", code="bad_characteristic"
+    )

@@ -24,9 +24,11 @@ from .classical import (
     OrbitKind,
     Series,
     SpectralDatum,
+    _stratum,
     classify,
     dimension_set,
     enumerate_strata,
+    stratum_excess,
 )
 from .errors import DomainError
 from .jordan import (
@@ -251,18 +253,19 @@ def _check_sp4_strata() -> str:
 def _check_dimension_sets() -> str:
     """Odd orthogonal and symplectic dimension sets agree, any characteristic."""
     for n in range(1, 7):
+        sp2 = GroupDescriptor(Series.SP, 2 * n, 2)
         base = dimension_set(GroupDescriptor(Series.SO_ODD, 2 * n + 1))
         variants = {
             "Sp char 0": dimension_set(GroupDescriptor(Series.SP, 2 * n)),
-            "Sp char 2": dimension_set(GroupDescriptor(Series.SP, 2 * n, 2)),
+            "Sp char 2": dimension_set(sp2),
         }
         for label, got in variants.items():
             _ensure(got == base, f"n={n}: {label} dimension set differs")
         # unipotent classes in characteristic 2 already realize every value
-        from_unipotents = set()
-        for runs in _member_runs(JordanFamily.SYMPLECTIC_CHAR2, 2 * n):
-            bp = _rewrite(JordanFamily.SYMPLECTIC_CHAR2, 2 * n, runs)
-            from_unipotents.add(2 * n * n - 2 * n_invariant(bp, n))
+        from_unipotents = {
+            _stratum(sp2, _rewrite(JordanFamily.SYMPLECTIC_CHAR2, 2 * n, runs)).class_dim
+            for runs in _member_runs(JordanFamily.SYMPLECTIC_CHAR2, 2 * n)
+        }
         _ensure(from_unipotents == base, f"n={n}: char-2 unipotent dims differ")
     return "SO_odd, Sp, and char-2 unipotent dimension sets agree for n <= 6"
 
@@ -356,8 +359,7 @@ def _check_cross_sections() -> str:
 def _check_surjectivity() -> str:
     """Classical class-to-stratum maps hit every stratum label."""
     for wt, fibers in _signed_fibers().items():
-        excess = (2, 2) if wt.series is WeylSeries.B else (0, 4)
-        got, want = set(fibers), set(enumerate_bipartitions(wt.rank, excess))
+        got, want = set(fibers), set(enumerate_bipartitions(wt.rank, stratum_excess(wt.group.series)))
         _ensure(
             got == want,
             f"{wt.series.value}_{wt.rank}: image covers {len(got)} of {len(want)} labels",

@@ -31,6 +31,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
+from .classical import GroupDescriptor, Series
 from .errors import ConsistencyError, DomainError
 from .jordan import JordanFamily, LabeledPartition, _datum, _rewrite, _runs
 from .partitions import Bipartition, Partition, enumerate_partitions
@@ -72,6 +73,13 @@ class WeylType:
         lo = 1 if self.series is WeylSeries.A else 0
         if self.rank < lo:
             raise DomainError(f"rank must be at least {lo} for type {self.series.value}")
+
+    @property
+    def group(self) -> GroupDescriptor:
+        """The classical group whose strata the classes label: GL_{r+1}, Sp_{2r} or SO_{2r}."""
+        if self.series is WeylSeries.A:
+            return GroupDescriptor(Series.GL, self.rank + 1)
+        return GroupDescriptor(Series.SP if self.series is WeylSeries.B else Series.SO_EVEN, 2 * self.rank)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,7 @@ def test_bare_import_loads_no_submodule():
         ("phi", "--group", "E8", "--class", "D_7(a_1)"),
         ("tables", "--group", "E8"),
         ("invert", "--family", "Z2", "--N", "6", "--target", "3"),
+        pytest.param(("tables", "--group", "E8", "--char", "2"), id="tables-char"),
     ],
     ids=lambda argv: argv[0],
 )

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from weylstrata import weyl
+from weylstrata.classical import GroupDescriptor, Series
 from weylstrata.cli import main
 from weylstrata.errors import ConsistencyError, DomainError
 from weylstrata.jordan import JordanFamily, LabeledPartition, apply_bijection, in_family
@@ -136,6 +137,12 @@ def test_phi_reports_the_group_of_the_weyl_type(capsys, letter, rank):
     assert main(["phi", "--group", letter, "--rank", str(rank), "--class", label]) == 0
     group = json.loads(capsys.readouterr().out)["payload"]["group"]
     assert (group["series"], group["N"], group["char"]) == (*_GROUP_OF_WEYL_TYPE[letter, rank], 0)
+
+
+@pytest.mark.parametrize("letter,rank", sorted(_GROUP_OF_WEYL_TYPE))
+def test_weyl_type_group(letter, rank):
+    series, dimension = _GROUP_OF_WEYL_TYPE[letter, rank]
+    assert WeylType(letter, rank).group == GroupDescriptor(Series(series), dimension)
 
 
 def test_signed_cycle_type_parse_and_str():
