@@ -184,11 +184,6 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
         wt = WeylType(series, args.rank)
         if series is WeylSeries.A:
             cls = Partition(_parse_int_list(args.class_label))
-            if sum(cls) != args.rank + 1:
-                raise DomainError(
-                    f"series A rank {args.rank} classes are partitions of {args.rank + 1}",
-                    code="bad_class",
-                )
         else:
             cls = SignedCycleType.parse(args.class_label)
         # dimensions of strata come from the algebraic group with this Weyl group

@@ -72,7 +72,9 @@ class WeylType:
             object.__setattr__(self, "series", weyl_series_from_name(str(self.series)))
         lo = 1 if self.series is WeylSeries.A else 0
         if self.rank < lo:
-            raise DomainError(f"rank must be at least {lo} for type {self.series.value}")
+            raise DomainError(
+                f"rank must be at least {lo} for type {self.series.value}", code="bad_rank"
+            )
 
     @property
     def group(self) -> GroupDescriptor:
@@ -149,26 +151,25 @@ def enumerate_classes(w: WeylType) -> tuple[WeylClass, ...]:
     return tuple(out)
 
 
+def _bad_class(why: str) -> DomainError:
+    return DomainError(why, code="bad_class")
+
+
 def _check_class(w: WeylType, c: WeylClass) -> WeylClass:
     if w.series is WeylSeries.A:
         if not isinstance(c, Partition):
-            raise DomainError(f"type A classes are partitions, got {c!r}")
+            raise _bad_class(f"type A classes are partitions, got {c!r}")
         if c.weight != w.rank + 1:
-            raise DomainError(
-                f"type A rank {w.rank} classes are partitions of {w.rank + 1}, "
-                f"got weight {c.weight}"
+            raise _bad_class(
+                f"type A rank {w.rank} classes are partitions of {w.rank + 1}, got weight {c.weight}"
             )
         return c
     if not isinstance(c, SignedCycleType):
-        raise DomainError(f"type {w.series.value} classes are signed cycle types, got {c!r}")
+        raise _bad_class(f"type {w.series.value} classes are signed cycle types, got {c!r}")
     if c.rank != w.rank:
-        raise DomainError(
-            f"signed cycle type has rank {c.rank}, expected {w.rank}"
-        )
+        raise _bad_class(f"signed cycle type has rank {c.rank}, expected {w.rank}")
     if w.series is WeylSeries.D and len(c.negative) % 2 == 1:
-        raise DomainError(
-            f"type D classes have an even number of negative cycles, got {c}"
-        )
+        raise _bad_class(f"type D classes have an even number of negative cycles, got {c}")
     return c
 
 

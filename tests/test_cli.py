@@ -247,6 +247,9 @@ def test_phi_a_series_identity(capsys):
         (("invert", "--family", "Qx", "--N", "4", "--target", "2"), "bad_family"),
         (("enumerate", "--series", "Sp", "--dimension", "5"), "bad_dimension"),
         (("enumerate", "--series", "Sp", "--dimension", "4", "--char", "6"), "bad_characteristic"),
+        (("phi", "--group", "D", "--rank", "4", "--class", "2;2"), "bad_class"),
+        (("phi", "--group", "B", "--rank", "3", "--class", "1;1"), "bad_class"),
+        (("phi", "--group", "B", "--rank", "-1", "--class", ";"), "bad_rank"),
     ],
 )
 def test_domain_errors_exit_1(capsys, argv, code):
@@ -543,7 +546,7 @@ CLI_CORPUS_FILES = {
     "bad.json": {"group": {"series": "Sp", "N": 4}},
 }
 
-CLI_CORPUS_DIGEST = "10c501fd4c034dde557a90d90df2ec54b19e2ed0672dbe182454cd4238e315ad"
+CLI_CORPUS_DIGEST = "28a28fa20c3398eae1e86818175070f331d8de613ae998e302e27cd9e11a7180"
 
 
 def test_cli_bytes_pinned(tmp_path, capsys, monkeypatch):

@@ -113,8 +113,10 @@ def _simulated_jordan(c):
 def test_weyl_type_validation():
     assert WeylType("C", 3).series is WeylSeries.B
     assert weyl_series_from_name("d") is WeylSeries.D
-    with pytest.raises(DomainError):
-        WeylType(WeylSeries.A, 0)
+    for series, rank in ((WeylSeries.A, 0), (WeylSeries.B, -1), (WeylSeries.D, -1)):
+        with pytest.raises(DomainError) as err:
+            WeylType(series, rank)
+        assert err.value.code == "bad_rank"
     with pytest.raises(DomainError):
         weyl_series_from_name("E")
     WeylType(WeylSeries.B, 0)  # trivial group allowed
@@ -273,14 +275,18 @@ def test_strata_fibers_keeps_the_tie_check(monkeypatch):
 
 
 def test_stratum_of_class_rejects_mismatches():
-    with pytest.raises(DomainError):
-        stratum_of_class(wb(3), sct([2], []))  # rank 2 vs 3
-    with pytest.raises(DomainError):
-        stratum_of_class(wd(3), sct([2], [1]))  # odd number of negative cycles
-    with pytest.raises(DomainError):
-        stratum_of_class(wa(2), sct([3], []))
-    with pytest.raises(DomainError):
-        stratum_of_class(wa(2), Partition([2, 1, 1]))  # weight 4 != 3
+    mismatches = [
+        (wb(3), sct([2], [])),  # rank 2 vs 3
+        (wd(3), sct([2], [1])),  # odd number of negative cycles
+        (wa(2), sct([3], [])),
+        (wb(2), Partition([2])),
+        (wa(2), Partition([2, 1, 1])),  # weight 4 != 3
+    ]
+    for w, c in mismatches:
+        for query in (stratum_of_class, fixed_space_dim):
+            with pytest.raises(DomainError) as err:
+                query(w, c)
+            assert err.value.code == "bad_class", (w, c)
 
 
 def test_stratum_map_surjectivity():
