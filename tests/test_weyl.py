@@ -124,7 +124,7 @@ def test_weyl_type_validation():
 
 
 # the classical group whose strata each Weyl type's classes label:
-# A_r -> GL_{r+1}, B_r = C_r -> Sp_{2r}, D_r -> SO_{2r}
+# A_r -> GL_{r+1}, B_r = C_r -> Sp_{2r}, D_r -> SO_{2r}; A_0 is refused
 _GROUP_OF_WEYL_TYPE = {
     **{("A", r): ("GL", r + 1) for r in range(1, 7)},
     **{(s, r): ("Sp", 2 * r) for s in "BC" for r in range(7)},
@@ -133,18 +133,15 @@ _GROUP_OF_WEYL_TYPE = {
 
 
 @pytest.mark.parametrize("letter,rank", sorted(_GROUP_OF_WEYL_TYPE))
-def test_phi_reports_the_group_of_the_weyl_type(capsys, letter, rank):
-    # the trivial class of each type: rank + 1 fixed points in A, rank positive 1-cycles else
+def test_weyl_type_group(capsys, letter, rank):
+    series, dimension = _GROUP_OF_WEYL_TYPE[letter, rank]
+    assert WeylType(letter, rank).group == GroupDescriptor(Series(series), dimension)
+    # phi reports the same group; the class is the identity: rank + 1 fixed
+    # points in A, rank positive 1-cycles otherwise
     label = ",".join(["1"] * (rank + 1)) if letter == "A" else ",".join(["1"] * rank) + ";"
     assert main(["phi", "--group", letter, "--rank", str(rank), "--class", label]) == 0
     group = json.loads(capsys.readouterr().out)["payload"]["group"]
-    assert (group["series"], group["N"], group["char"]) == (*_GROUP_OF_WEYL_TYPE[letter, rank], 0)
-
-
-@pytest.mark.parametrize("letter,rank", sorted(_GROUP_OF_WEYL_TYPE))
-def test_weyl_type_group(letter, rank):
-    series, dimension = _GROUP_OF_WEYL_TYPE[letter, rank]
-    assert WeylType(letter, rank).group == GroupDescriptor(Series(series), dimension)
+    assert (group["series"], group["N"], group["char"]) == (series, dimension, 0)
 
 
 def test_signed_cycle_type_parse_and_str():
