@@ -10,6 +10,7 @@ import pytest
 
 from weylstrata.atlas import (
     ATLAS_ENV_VAR,
+    _parse_atlas,
     EXC_GROUPS,
     EXC_POSITIVE_ROOTS,
     IsoFlavor,
@@ -24,7 +25,7 @@ from weylstrata.atlas import (
     rep_of_class,
     strata_for_characteristic,
 )
-from weylstrata.errors import DomainError
+from weylstrata.errors import ConsistencyError, DomainError
 
 DATA_SHA256 = "ac32ec62a4e2e9866eefda0890e8c687fa888352716d75f6b34d7162ec400d32"
 
@@ -219,6 +220,16 @@ def test_cross_section_unique_everywhere():
             m = m_of_class(group, best)
             others = [c for c in row.classes if c.raw != best.raw]
             assert all(m_of_class(group, c) > m for c in others)
+
+
+def test_cross_section_refuses_a_tie():
+    # two classes of one rank in one row tie for the least fixed-space dimension
+    text = load_atlas().text.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|1|0|0|A_1,~A_1|")
+    atlas = _parse_atlas(text, "tie")
+    with pytest.raises(ConsistencyError) as err:
+        atlas.cross_section("G2", "2_1")
+    assert err.value.code == "cross_section_tie"
+    assert "A_1" in str(err.value) and "~A_1" in str(err.value)
 
 
 def test_parse_carter_examples():

@@ -175,6 +175,71 @@ def test_spectral_datum_family_checks():
         )
 
 
+@pytest.mark.parametrize(
+    "group,orbits,code,message",
+    [
+        (
+            sp(4),
+            [EigenOrbit("x", GEN, Partition([1])), EigenOrbit("x", GEN, Partition([1]))],
+            "domain_error",
+            "orbit ids must be distinct, got ['x', 'x']",
+        ),
+        (
+            gl(3),
+            [EigenOrbit("x", GEN, Partition([1])), EigenOrbit("1", INV, Partition([1, 1]))],
+            "domain_error",
+            "GL spectral data uses only generic orbits",
+        ),
+        (
+            sp(4, 2),
+            [EigenOrbit("-1", INV, LabeledPartition([2, 2], {2: 0}))],
+            "domain_error",
+            "the eigenvalue -1 does not exist in characteristic 2",
+        ),
+        (
+            sp(4),
+            [EigenOrbit("1", INV, Partition([3, 1]))],
+            "domain_error",
+            "involutive orbit '1': Jordan type (3, 1) is not in the symplectic family",
+        ),
+        (
+            so_odd(5),
+            [EigenOrbit("1", INV, Partition([1, 1])), EigenOrbit("-1", INV, Partition([3]))],
+            "domain_error",
+            "involutive orbit '1' of SO_odd must have odd weight, got 2",
+        ),
+        (
+            so_odd(5),
+            [EigenOrbit("-1", INV, Partition([3])), EigenOrbit("1", INV, Partition([1, 1]))],
+            "domain_error",
+            "involutive orbit '-1' of SO_odd must have even weight, got 3",
+        ),
+        (
+            so_even(4),
+            [EigenOrbit("1", INV, Partition([3])), EigenOrbit("-1", INV, Partition([1]))],
+            "domain_error",
+            "involutive orbit '1' of SO_even must have even weight",
+        ),
+        (
+            gl(3),
+            [EigenOrbit("x", GEN, Partition([4, 1]))],
+            "bookkeeping",
+            "GL orbit weights add to 5, expected 3",
+        ),
+        (
+            sp(4),
+            [EigenOrbit("1", INV, Partition([1, 1]))],
+            "bookkeeping",
+            "orbit weights account for dimension 2, expected 4",
+        ),
+    ],
+)
+def test_spectral_datum_refusals(group, orbits, code, message):
+    with pytest.raises(DomainError) as err:
+        SpectralDatum(group, orbits)
+    assert (err.value.code, str(err.value)) == (code, message)
+
+
 def test_eigen_orbit_validation():
     with pytest.raises(DomainError):
         EigenOrbit("q", INV, Partition([1]))  # involutive ids are 1 / -1
