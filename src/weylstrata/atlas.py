@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import ConsistencyError, DomainError, check_characteristic
+from .errors import DomainError, check_characteristic, unique_minimizer
 
 EXC_GROUPS = ("G2", "F4", "E6", "E7", "E8")
 EXC_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
@@ -402,15 +402,8 @@ class Atlas:
         a tie raises ConsistencyError rather than picking arbitrarily.
         """
         row = self._resolve_rep(group, rep)
-        best = min(m_of_class(row.group, c) for c in row.classes)
-        winners = [c for c in row.classes if m_of_class(row.group, c) == best]
-        if len(winners) != 1:
-            raise ConsistencyError(
-                f"fixed-space minimum is not unique on {row.group} "
-                f"{self.format_rep(row.rep)}: {', '.join(map(str, winners))}",
-                code="cross_section_tie",
-            )
-        return winners[0]
+        dims = [m_of_class(row.group, c) for c in row.classes]
+        return unique_minimizer(row.classes, dims, lambda: f"on {row.group} {self.format_rep(row.rep)}")
 
     def isolated_subgroups(self, group: str, flavor) -> tuple[IsolatedSubgroup, ...]:
         """The isolated-subsystem list of a group or classical series."""

@@ -176,11 +176,13 @@ def _involutive_family(series: Series, char: int) -> JordanFamily:
 class SpectralDatum:
     """Spectral data of one conjugacy class: the group plus its eigen orbits.
 
-    Validation enforces the dimension bookkeeping (involutive weights plus
-    twice the generic weights add up to the natural dimension; once for GL),
-    distinct ids, the absence of the eigenvalue -1 in characteristic 2, and
-    membership of each involutive Jordan type in the family dictated by the
-    series and characteristic.  Validation keeps each involutive orbit's
+    One loop validates every series.  It enforces the dimension bookkeeping
+    (involutive weights plus twice the generic weights add up to the natural
+    dimension; once for GL, which has no involutive orbits), distinct ids,
+    the absence of the eigenvalue -1 in characteristic 2, membership of each
+    involutive Jordan type in the family dictated by the series and
+    characteristic, and its weight parity: odd exactly for the eigenvalue 1
+    of an odd orthogonal group.  Validation keeps each involutive orbit's
     runs, and ``classify`` rewrites them without testing membership again.
     """
 
@@ -199,43 +201,33 @@ class SpectralDatum:
         ids = [o.ident for o in self.orbits]
         if len(set(ids)) != len(ids):
             raise DomainError(f"orbit ids must be distinct, got {ids}")
-        if g.series is Series.GL:
-            if any(o.kind is not OrbitKind.GENERIC for o in self.orbits):
-                raise DomainError("GL spectral data uses only generic orbits")
-            total = sum(o.weight for o in self.orbits)
-            if total != g.dimension:
-                raise DomainError(
-                    f"GL orbit weights add to {total}, expected {g.dimension}",
-                    code="bookkeeping",
-                )
-            return (None,) * len(self.orbits)
+        gl = g.series is Series.GL
         char = g.characteristic
+        fam = _involutive_family(g.series, char)
         total = 0
         orbit_runs = []
         for o in self.orbits:
             if o.kind is OrbitKind.GENERIC:
-                total += 2 * o.weight
+                # a pair {x, 1/x}, except in GL where eigenvalues are not paired
+                total += o.weight if gl else 2 * o.weight
                 orbit_runs.append(None)
                 continue
+            if gl:
+                raise DomainError("GL spectral data uses only generic orbits")
             if o.ident == "-1" and char == 2:
                 raise DomainError("the eigenvalue -1 does not exist in characteristic 2")
-            fam = _involutive_family(g.series, char)
             orbit_runs.append(_runs_if_member(fam, o.jordan))
             if orbit_runs[-1] is None:
                 raise DomainError(
                     f"involutive orbit {o.ident!r}: Jordan type {o.jordan} is not in "
                     f"the {fam.value} family"
                 )
-            if g.series is Series.SO_ODD:
-                want_odd = o.ident == "1"
-                if (o.weight % 2 == 1) != want_odd:
-                    raise DomainError(
-                        f"involutive orbit {o.ident!r} of SO_odd must have "
-                        f"{'odd' if want_odd else 'even'} weight, got {o.weight}"
-                    )
-            if g.series is Series.SO_EVEN and o.weight % 2 == 1:
+            # the symplectic families already force even weight
+            want_odd = g.series is Series.SO_ODD and o.ident == "1"
+            if o.weight % 2 != want_odd:
                 raise DomainError(
-                    f"involutive orbit {o.ident!r} of SO_even must have even weight"
+                    f"involutive orbit {o.ident!r} of {g.series.value} must have "
+                    f"{'odd' if want_odd else 'even'} weight, got {o.weight}"
                 )
             total += o.weight
         if total != g.dimension:

@@ -7,9 +7,12 @@ something that contradicts a structural guarantee (a uniqueness claim, a
 nonnegativity claim, a bijectivity claim); it maps to exit code 3 and should
 be treated as a falsified theorem, not a usage mistake.
 
-The module also holds the one input check that both the classical groups
-and the exceptional atlas make: ``check_characteristic``, which accepts 0
-or a prime and refuses anything else with the code bad_characteristic.
+The module also holds the two rules that the classical and the exceptional
+side share.  ``check_characteristic`` accepts 0 or a prime and refuses
+anything else with the code bad_characteristic.  ``unique_minimizer`` is the
+one cross-section rule: a fiber's cross-section is its unique class of least
+fixed-space dimension, and a tie raises a ConsistencyError with the code
+cross_section_tie.
 """
 
 
@@ -34,6 +37,23 @@ class ConsistencyError(StrataError, RuntimeError):
     """A structural guarantee failed to hold on valid input."""
 
     code = "consistency_error"
+
+
+def unique_minimizer(items, keys, where):
+    """The one item of least key; a tie raises ConsistencyError(cross_section_tie).
+
+    ``keys`` is the list of the items' fixed-space dimensions, in item order.
+    ``where()`` names the fiber in the message, and is called only on a tie.
+    """
+    best = min(keys)
+    winners = [item for item, key in zip(items, keys) if key == best]
+    if len(winners) != 1:
+        raise ConsistencyError(
+            f"cross-section not unique {where()}: {', '.join(map(str, winners))} "
+            f"all have fixed-space dimension {best}",
+            code="cross_section_tie",
+        )
+    return winners[0]
 
 
 # Miller-Rabin with the first thirteen prime bases decides primality exactly

@@ -7,7 +7,10 @@ failing check is an internal consistency failure, not a user error.
 
 Checks are registered in a fixed order; ``run_suite`` executes them and
 reports one result per check, with wall-clock time compared against the
-stated budget where one applies.
+stated budget where one applies.  A falsified claim has one channel: a
+ConsistencyError, raised by the check itself or by the library under it,
+becomes that check's FAIL row, and the other checks still run.  A
+DomainError, such as an unreadable atlas file, still propagates.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .classical import (
     enumerate_strata,
     stratum_excess,
 )
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .jordan import (
     JordanFamily,
     _datum,
@@ -46,10 +49,6 @@ from .partitions import (
     n_invariant,
 )
 from .weyl import WeylSeries, WeylType, strata_fibers, stratum_of_class, enumerate_classes
-
-
-class CheckFailure(Exception):
-    """A verification check found the recorded claim to be false."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ def _run(name: str) -> CheckResult:
     try:
         detail = func()
         passed = True
-    except CheckFailure as failure:
+    except ConsistencyError as failure:
         detail = str(failure)
         passed = False
     seconds = time.perf_counter() - start
@@ -119,7 +118,7 @@ def run_suite(names=None) -> tuple[CheckResult, ...]:
 
 def _ensure(condition: bool, message: str) -> None:
     if not condition:
-        raise CheckFailure(message)
+        raise ConsistencyError(message)
 
 
 # Golden rows: weight-6 symplectic characteristic-2 data against their
@@ -164,10 +163,10 @@ def _golden(family: JordanFamily, weight: int, table) -> str:
         nu = _datum(family, runs)
         row = (nu.parts, dict(nu.labels)) if family.labeled else (nu, {})
         if row != (parts, labels):
-            raise CheckFailure(f"enumeration order differs at {nu}")
+            raise ConsistencyError(f"enumeration order differs at {nu}")
         got = _rewrite(family, weight, runs)
         if tuple(got) != want:
-            raise CheckFailure(f"{family.name} sends {nu} to {tuple(got)}, table says {want}")
+            raise ConsistencyError(f"{family.name} sends {nu} to {tuple(got)}, table says {want}")
     return f"all {len(table)} rows exact, in enumeration order"
 
 

@@ -22,7 +22,8 @@ representative on the reflection representation: parts minus one in type A,
 the number of positive cycles in types B and D.  Within each fiber of the
 stratum map the minimizer of m is unique and is returned as the fiber's
 cross-section; a tie would falsify that uniqueness and raises a
-ConsistencyError.
+ConsistencyError with the code cross_section_tie, from the one rule
+``errors.unique_minimizer`` that the exceptional atlas shares.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .classical import GroupDescriptor, Series
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError, unique_minimizer
 from .jordan import JordanFamily, LabeledPartition, _datum, _rewrite, _runs
 from .partitions import Bipartition, Partition, enumerate_partitions
 
@@ -215,10 +216,14 @@ def stratum_of_class(w: WeylType, c: WeylClass) -> Bipartition:
     return _stratum(w, _check_class(w, c))
 
 
+def _fixed_space_dim(w: WeylType, c: WeylClass) -> int:
+    # c is a class of w
+    return len(c) - 1 if w.series is WeylSeries.A else len(c.positive)
+
+
 def fixed_space_dim(w: WeylType, c: WeylClass) -> int:
     """Dimension of the fixed space on the reflection representation."""
-    c = _check_class(w, c)
-    return len(c) - 1 if w.series is WeylSeries.A else len(c.positive)
+    return _fixed_space_dim(w, _check_class(w, c))
 
 
 class ClassFiber(NamedTuple):
@@ -233,7 +238,8 @@ def strata_fibers(w: WeylType) -> dict[Bipartition, ClassFiber]:
 
     Each fiber records its classes (in enumeration order) and the unique
     class minimizing the fixed-space dimension.  A tie for the minimum would
-    falsify the cross-section property and raises a ConsistencyError.
+    falsify the cross-section property and raises a ConsistencyError with
+    the code cross_section_tie.
     """
     grouped: dict[Bipartition, list[WeylClass]] = {}
     for c in enumerate_classes(w):
@@ -241,13 +247,7 @@ def strata_fibers(w: WeylType) -> dict[Bipartition, ClassFiber]:
     out: dict[Bipartition, ClassFiber] = {}
     for bp in sorted(grouped, reverse=True):
         classes = grouped[bp]
-        dims = [len(c) - 1 if w.series is WeylSeries.A else len(c.positive) for c in classes]
-        best = min(dims)
-        winners = [c for c, d in zip(classes, dims) if d == best]
-        if len(winners) != 1:
-            raise ConsistencyError(
-                f"cross-section not unique over {tuple(bp)} in {w}: "
-                f"{[str(c) for c in winners]} all have fixed-space dimension {best}"
-            )
-        out[bp] = ClassFiber(tuple(classes), winners[0])
+        dims = [_fixed_space_dim(w, c) for c in classes]
+        best = unique_minimizer(classes, dims, lambda: f"over {tuple(bp)} in {w}")
+        out[bp] = ClassFiber(tuple(classes), best)
     return out

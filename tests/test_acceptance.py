@@ -10,8 +10,9 @@ from collections import Counter
 
 import pytest
 
-from weylstrata import verify
+from weylstrata import jordan, verify
 from weylstrata.verify import check_names, run_check, run_suite
+from weylstrata.jordan import JordanFamily
 from weylstrata.weyl import WeylSeries
 
 
@@ -57,3 +58,17 @@ def test_suite_builds_each_signed_fiber_map_once(monkeypatch):
     assert len(signed) == 17
     # shared by the two checks of one suite run, built again by the next run
     assert {built[wt] for wt in signed} == {2}
+
+
+def test_library_consistency_error_fails_only_its_check(monkeypatch):
+    # a broken replacement row makes the library raise under golden-sp2; that
+    # check reports it as its FAIL row and the next check still runs
+    key = (JordanFamily.SYMPLECTIC_CHAR2, 0)
+    excess, offsets = jordan._REPLACEMENTS[key]
+    broken = dict(jordan._REPLACEMENTS)
+    broken[key] = (excess, {k: (d1 - 5, d2) for k, (d1, d2) in offsets.items()})
+    monkeypatch.setattr(jordan, "_REPLACEMENTS", broken)
+    golden, e8 = run_suite(("golden-sp2", "e8-counts"))
+    assert (golden.name, golden.passed) == ("golden-sp2", False)
+    assert "the symplectic_char2 map emitted a negative entry" in golden.detail
+    assert (e8.name, e8.passed) == ("e8-counts", True)

@@ -218,13 +218,13 @@ def test_spectral_datum_family_checks():
             so_even(4),
             [EigenOrbit("1", INV, Partition([3])), EigenOrbit("-1", INV, Partition([1]))],
             "domain_error",
-            "involutive orbit '1' of SO_even must have even weight",
+            "involutive orbit '1' of SO_even must have even weight, got 3",
         ),
         (
             gl(3),
             [EigenOrbit("x", GEN, Partition([4, 1]))],
             "bookkeeping",
-            "GL orbit weights add to 5, expected 3",
+            "orbit weights account for dimension 5, expected 3",
         ),
         (
             sp(4),

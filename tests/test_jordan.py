@@ -1,4 +1,5 @@
 import hashlib
+import re
 from itertools import groupby, product
 
 import pytest
@@ -385,13 +386,15 @@ def test_apply_bijection_refuses_non_members(family, nu):
 )
 def test_every_path_keeps_the_consistency_checks(monkeypatch, change, message):
     # a broken replacement row surfaces as a ConsistencyError whether the datum
-    # was generated, read off a signed cycle type, or passed in
+    # was generated (under verify, as a FAIL row), read off a signed cycle
+    # type, or passed in
     excess, offsets = jordan._REPLACEMENTS[SP2, 0]
     broken = dict(jordan._REPLACEMENTS)
     broken[SP2, 0] = (excess, {key: change(key, *pair) for key, pair in offsets.items()})
     monkeypatch.setattr(jordan, "_REPLACEMENTS", broken)
-    with pytest.raises(ConsistencyError, match=message):
-        run_check("golden-sp2")
+    # verify reports the error as the check's FAIL row
+    result = run_check("golden-sp2")
+    assert not result.passed and re.search(message, result.detail)
     with pytest.raises(ConsistencyError, match=message):
         strata_fibers(WeylType(WeylSeries.B, 3))
     with pytest.raises(ConsistencyError, match=message):

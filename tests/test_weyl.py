@@ -267,8 +267,9 @@ def test_strata_fibers_keeps_the_tie_check(monkeypatch):
     # listing every class twice puts a tie at the minimum of every fiber
     classes = enumerate_classes(wd(4))
     monkeypatch.setattr(weyl, "enumerate_classes", lambda w: classes + classes)
-    with pytest.raises(ConsistencyError, match="cross-section not unique"):
+    with pytest.raises(ConsistencyError, match="cross-section not unique") as err:
         strata_fibers(wd(4))
+    assert err.value.code == "cross_section_tie"
 
 
 def test_stratum_of_class_rejects_mismatches():
