@@ -183,7 +183,10 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
             diagnostics.append("series C shares its signed cycle classes with series B")
         wt = WeylType(series, args.rank)
         if series is WeylSeries.A:
-            cls = Partition(_parse_int_list(args.class_label))
+            parts = _parse_int_list(args.class_label)
+            if 0 in parts:
+                raise DomainError(f"class parts may not be 0, got {args.class_label!r}", code="bad_class")
+            cls = Partition(parts)
         else:
             cls = SignedCycleType.parse(args.class_label)
         # dimensions of strata come from the algebraic group with this Weyl group

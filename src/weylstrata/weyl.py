@@ -109,7 +109,7 @@ class SignedCycleType:
 
     @classmethod
     def parse(cls, text: str) -> "SignedCycleType":
-        """Parse "a1,a2,...;b1,b2,..." (either side may be empty)."""
+        """Parse "a1,a2,...;b1,b2,..." (either side may be empty; no length is 0)."""
         if text.count(";") != 1:
             raise DomainError(
                 f"signed cycle type needs exactly one ';', got {text!r}", code="parse_error"
@@ -124,6 +124,8 @@ class SignedCycleType:
                 parts = [int(x) for x in s.split(",")]
             except ValueError:
                 raise DomainError(f"bad cycle lengths {s!r}", code="parse_error") from None
+            if 0 in parts:
+                raise _bad_class(f"cycle lengths may not be 0, got {s!r}")
             return Partition(sorted(parts, reverse=True))
 
         return cls(side(pos_text), side(neg_text))

@@ -250,6 +250,10 @@ def test_phi_a_series_identity(capsys):
         (("phi", "--group", "D", "--rank", "4", "--class", "2;2"), "bad_class"),
         (("phi", "--group", "B", "--rank", "3", "--class", "1;1"), "bad_class"),
         (("phi", "--group", "B", "--rank", "-1", "--class", ";"), "bad_rank"),
+        (("phi", "--group", "B", "--rank", "3", "--class", "0;3"), "bad_class"),
+        (("phi", "--group", "B", "--rank", "3", "--class", "3,0;"), "bad_class"),
+        (("phi", "--group", "A", "--rank", "2", "--class", "3,0"), "bad_class"),
+        (("phi", "--group", "A", "--rank", "2", "--class", "0,3"), "bad_class"),
     ],
 )
 def test_domain_errors_exit_1(capsys, argv, code):
