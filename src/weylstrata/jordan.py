@@ -486,8 +486,9 @@ def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> Jorda
     ``_REPLACEMENTS`` backwards; parses that reach the same position,
     previous value and remaining weight are merged, so the cost grows with
     the target's length and the table, not with the number of partitions
-    of N.  No parse raises a DomainError; two parses would falsify
-    injectivity and raise a ConsistencyError.
+    of N.  A target outside the codomain raises a DomainError with the code
+    no_preimage.  Inside it, no parse would falsify surjectivity and two
+    parses injectivity; either raises a ConsistencyError.
     """
     bp = target if isinstance(target, Bipartition) else Bipartition(target)
     excess, half = codomain(family, N)
@@ -499,9 +500,8 @@ def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> Jorda
         )
     parses = _parse_runs(family, N, bp)
     if not parses:
-        raise DomainError(
-            f"no weight-{N} {family.value} datum maps to {tuple(bp)}",
-            code="no_preimage",
+        raise ConsistencyError(
+            f"surjectivity failed: no weight-{N} {family.value} datum maps to {tuple(bp)}"
         )
     matches = []
     for runs in parses:

@@ -503,11 +503,12 @@ def test_invert_matches_exhaustive_oracle(family):
     [
         ([[(2, 1, None), (1, 2, None)], [(4, 1, None)]], "injectivity failed"),
         ([[(2, 1, None), (1, 2, None)]], "does not map back"),
+        ([], "surjectivity failed"),
     ],
 )
 def test_invert_checks_what_the_parse_returns(monkeypatch, runs, message):
-    # a second parse, or one that maps elsewhere, can only come from a broken
-    # table; fake the parse to reach both checks
+    # no parse, a second parse, or one that maps elsewhere can only come from
+    # a broken table; fake the parse to reach each check
     monkeypatch.setattr("weylstrata.jordan._parse_runs", lambda *args: runs)
     with pytest.raises(ConsistencyError, match=message):
         invert_bijection(SP, 4, Bipartition([2]))
