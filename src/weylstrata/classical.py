@@ -114,6 +114,10 @@ def positive_roots(group: GroupDescriptor) -> int:
     return n * n - n
 
 
+def _bad_orbit(why: str) -> DomainError:
+    return DomainError(why, code="bad_orbit")
+
+
 class OrbitKind(enum.Enum):
     GENERIC = "generic"
     INVOLUTIVE = "involutive"
@@ -134,21 +138,17 @@ class EigenOrbit:
 
     def __post_init__(self):
         if not isinstance(self.ident, str) or not self.ident:
-            raise DomainError(f"orbit id must be a nonempty string, got {self.ident!r}")
+            raise _bad_orbit(f"orbit id must be a nonempty string, got {self.ident!r}")
         if self.kind is OrbitKind.INVOLUTIVE:
             if self.ident not in ("1", "-1"):
-                raise DomainError(
-                    f"involutive orbit ids must be '1' or '-1', got {self.ident!r}"
-                )
+                raise _bad_orbit(f"involutive orbit ids must be '1' or '-1', got {self.ident!r}")
         else:
             if self.ident in ("1", "-1"):
-                raise DomainError(
-                    f"generic orbits may not use the involutive id {self.ident!r}"
-                )
+                raise _bad_orbit(f"generic orbits may not use the involutive id {self.ident!r}")
             if not isinstance(self.jordan, Partition):
-                raise DomainError("generic orbits carry a plain partition Jordan type")
+                raise _bad_orbit("generic orbits carry a plain partition Jordan type")
         if self.weight == 0:
-            raise DomainError(f"orbit {self.ident!r} has empty Jordan type")
+            raise _bad_orbit(f"orbit {self.ident!r} has empty Jordan type")
 
     @property
     def weight(self) -> int:
@@ -200,7 +200,7 @@ class SpectralDatum:
         g = _classifying_group(self.group)
         ids = [o.ident for o in self.orbits]
         if len(set(ids)) != len(ids):
-            raise DomainError(f"orbit ids must be distinct, got {ids}")
+            raise _bad_orbit(f"orbit ids must be distinct, got {ids}")
         gl = g.series is Series.GL
         char = g.characteristic
         fam = _involutive_family(g.series, char)
@@ -213,21 +213,23 @@ class SpectralDatum:
                 orbit_runs.append(None)
                 continue
             if gl:
-                raise DomainError("GL spectral data uses only generic orbits")
+                raise _bad_orbit("GL spectral data uses only generic orbits")
             if o.ident == "-1" and char == 2:
-                raise DomainError("the eigenvalue -1 does not exist in characteristic 2")
+                raise _bad_orbit("the eigenvalue -1 does not exist in characteristic 2")
             orbit_runs.append(_runs_if_member(fam, o.jordan))
             if orbit_runs[-1] is None:
                 raise DomainError(
                     f"involutive orbit {o.ident!r}: Jordan type {o.jordan} is not in "
-                    f"the {fam.value} family"
+                    f"the {fam.value} family",
+                    code="not_in_family",
                 )
             # the symplectic families already force even weight
             want_odd = g.series is Series.SO_ODD and o.ident == "1"
             if o.weight % 2 != want_odd:
                 raise DomainError(
                     f"involutive orbit {o.ident!r} of {g.series.value} must have "
-                    f"{'odd' if want_odd else 'even'} weight, got {o.weight}"
+                    f"{'odd' if want_odd else 'even'} weight, got {o.weight}",
+                    code="bad_parity",
                 )
             total += o.weight
         if total != g.dimension:

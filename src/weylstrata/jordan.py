@@ -334,7 +334,7 @@ def apply_bijection(family: JordanFamily, nu: JordanDatum) -> Bipartition:
     """Rewrite a Jordan datum string by string into its stratum bipartition."""
     runs = _runs_if_member(family, nu)
     if runs is None:
-        raise DomainError(f"{nu} is not in the {family.value} family")
+        raise DomainError(f"{nu} is not in the {family.value} family", code="not_in_family")
     return _rewrite(family, nu.weight, runs)
 
 

@@ -181,43 +181,43 @@ def test_spectral_datum_family_checks():
         (
             sp(4),
             [EigenOrbit("x", GEN, Partition([1])), EigenOrbit("x", GEN, Partition([1]))],
-            "domain_error",
+            "bad_orbit",
             "orbit ids must be distinct, got ['x', 'x']",
         ),
         (
             gl(3),
             [EigenOrbit("x", GEN, Partition([1])), EigenOrbit("1", INV, Partition([1, 1]))],
-            "domain_error",
+            "bad_orbit",
             "GL spectral data uses only generic orbits",
         ),
         (
             sp(4, 2),
             [EigenOrbit("-1", INV, LabeledPartition([2, 2], {2: 0}))],
-            "domain_error",
+            "bad_orbit",
             "the eigenvalue -1 does not exist in characteristic 2",
         ),
         (
             sp(4),
             [EigenOrbit("1", INV, Partition([3, 1]))],
-            "domain_error",
+            "not_in_family",
             "involutive orbit '1': Jordan type (3, 1) is not in the symplectic family",
         ),
         (
             so_odd(5),
             [EigenOrbit("1", INV, Partition([1, 1])), EigenOrbit("-1", INV, Partition([3]))],
-            "domain_error",
+            "bad_parity",
             "involutive orbit '1' of SO_odd must have odd weight, got 2",
         ),
         (
             so_odd(5),
             [EigenOrbit("-1", INV, Partition([3])), EigenOrbit("1", INV, Partition([1, 1]))],
-            "domain_error",
+            "bad_parity",
             "involutive orbit '-1' of SO_odd must have even weight, got 3",
         ),
         (
             so_even(4),
             [EigenOrbit("1", INV, Partition([3])), EigenOrbit("-1", INV, Partition([1]))],
-            "domain_error",
+            "bad_parity",
             "involutive orbit '1' of SO_even must have even weight, got 3",
         ),
         (

@@ -147,6 +147,20 @@ def test_classify_labels_from_json_strings(capsys, monkeypatch):
             '{"group": {"series": "Xq", "N": 4}, "orbits": []}',
             "bad_series",
         ),
+        (
+            '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "a", "kind": "generic", "parts": [1]}, '
+            '{"id": "a", "kind": "generic", "parts": [1]}]}',
+            "bad_orbit",
+        ),
+        (
+            '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "1", "kind": "involutive", "parts": [3, 1]}]}',
+            "not_in_family",
+        ),
+        (
+            '{"group": {"series": "SO_even", "N": 4}, "orbits": [{"id": "1", "kind": "involutive", "parts": [3]}, '
+            '{"id": "-1", "kind": "involutive", "parts": [1]}]}',
+            "bad_parity",
+        ),
     ],
 )
 def test_classify_rejects_bad_documents(capsys, monkeypatch, text, code):

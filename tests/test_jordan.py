@@ -371,8 +371,9 @@ def test_count_jordan_examples():
     ],
 )
 def test_apply_bijection_refuses_non_members(family, nu):
-    with pytest.raises(DomainError, match="is not in the"):
+    with pytest.raises(DomainError, match="is not in the") as err:
         apply_bijection(family, nu)
+    assert err.value.code == "not_in_family"
 
 
 @pytest.mark.parametrize(
