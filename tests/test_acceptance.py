@@ -11,8 +11,8 @@ from collections import Counter
 import pytest
 
 from weylstrata import jordan, verify
-from weylstrata.verify import check_names, run_check, run_suite
 from weylstrata.jordan import JordanFamily
+from weylstrata.verify import check_names, run_check, run_suite
 from weylstrata.weyl import WeylSeries
 
 

@@ -10,11 +10,11 @@ import pytest
 
 from weylstrata.atlas import (
     ATLAS_ENV_VAR,
-    _parse_atlas,
     EXC_GROUPS,
     EXC_POSITIVE_ROOTS,
     IsoFlavor,
     RepLabel,
+    _parse_atlas,
     cross_section,
     exc_group_from_name,
     fiber_of_rep,

@@ -393,7 +393,6 @@ def test_every_path_keeps_the_consistency_checks(monkeypatch, change, message):
     broken = dict(jordan._REPLACEMENTS)
     broken[SP2, 0] = (excess, {key: change(key, *pair) for key, pair in offsets.items()})
     monkeypatch.setattr(jordan, "_REPLACEMENTS", broken)
-    # verify reports the error as the check's FAIL row
     result = run_check("golden-sp2")
     assert not result.passed and re.search(message, result.detail)
     with pytest.raises(ConsistencyError, match=message):
