@@ -144,6 +144,39 @@ def test_weyl_type_group(capsys, letter, rank):
     assert (group["series"], group["N"], group["char"]) == (series, dimension, 0)
 
 
+def _phi_class_text(w, c):
+    # the "class" text of phi's payload: "3,1" in type A, "3,1;2" in B/D
+    return ",".join(map(str, c)) if w.series is WeylSeries.A else str(c)
+
+
+def _parse_back(w, text):
+    if w.series is WeylSeries.A:
+        return Partition(int(piece) for piece in text.split(","))
+    return SignedCycleType.parse(text)
+
+
+_PHI_TYPES = (
+    [wa(r) for r in range(1, 7)] + [wb(r) for r in range(1, 7)] + [wd(r) for r in range(2, 7)]
+)
+
+
+@pytest.mark.parametrize("w", _PHI_TYPES, ids=lambda w: f"{w.series.value}{w.rank}")
+def test_phi_answers_every_class_as_the_library(capsys, w):
+    from weylstrata.classical import _stratum
+
+    for c in enumerate_classes(w):
+        text = _phi_class_text(w, c)
+        assert _parse_back(w, text) == c
+        argv = ["phi", "--group", w.series.value, "--rank", str(w.rank), "--class", text]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        want = _stratum(w.group, stratum_of_class(w, c))
+        assert payload["class"] == text
+        assert tuple(payload["stratum"]["parts"]) == want.bp
+        assert (payload["n_invariant"], payload["class_dim"]) == (want.n_invariant, want.class_dim)
+        assert payload["fixed_space_dim"] == fixed_space_dim(w, c)
+
+
 def test_signed_cycle_type_parse_and_str():
     c = SignedCycleType.parse("3,1;2")
     assert c == sct([3, 1], [2])
