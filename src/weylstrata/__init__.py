@@ -43,7 +43,7 @@ _MODULE_OF = {
         ("verify", ("CheckResult", "check_names", "run_check", "run_suite")),
         ("weyl", (
             "ClassFiber", "SignedCycleType", "WeylSeries", "WeylType", "enumerate_classes",
-            "fixed_space_dim", "jordan_of_class", "strata_fibers", "stratum_of_class",
+            "fixed_space_dim", "jordan_of_class", "parse_class", "strata_fibers", "stratum_of_class",
             "weyl_series_from_name",
         )),
     )

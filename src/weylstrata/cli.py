@@ -33,15 +33,6 @@ def _series_for_cli(name: str, dimension: int):
     return series_from_name(name)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    entries = [piece.strip() for piece in text.split(",")]
-    entries = [piece for piece in entries if piece]
-    try:
-        return tuple(int(piece) for piece in entries)
-    except ValueError:
-        raise DomainError(f"expected comma-separated integers, got {text!r}", code="bad_document")
-
-
 def _read_document(path: str) -> dict:
     try:
         if path == "-":
@@ -164,12 +155,11 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
     diagnostics: list[str] = []
     if name.upper() in _CLASSICAL_LETTERS:
         from .classical import _stratum
-        from .partitions import Partition
         from .weyl import (
-            SignedCycleType,
             WeylSeries,
             WeylType,
             fixed_space_dim,
+            parse_class,
             stratum_of_class,
             weyl_series_from_name,
         )
@@ -182,13 +172,7 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
         if name.upper() == "C":
             diagnostics.append("series C shares its signed cycle classes with series B")
         wt = WeylType(series, args.rank)
-        if series is WeylSeries.A:
-            parts = _parse_int_list(args.class_label)
-            if 0 in parts:
-                raise DomainError(f"class parts may not be 0, got {args.class_label!r}", code="bad_class")
-            cls = Partition(parts)
-        else:
-            cls = SignedCycleType.parse(args.class_label)
+        cls = parse_class(wt, args.class_label)
         # dimensions of strata come from the algebraic group with this Weyl group
         group = wt.group
         result = _stratum(group, stratum_of_class(wt, cls))
@@ -287,10 +271,10 @@ def _cmd_verify(args) -> tuple[dict, list[str]]:
 
 def _cmd_invert(args) -> tuple[dict, list[str]]:
     from .jordan import LabeledPartition, family_from_name, invert_bijection
-    from .partitions import Bipartition
+    from .partitions import Bipartition, _parse_entries
 
     family = family_from_name(args.family)
-    target = Bipartition(_parse_int_list(args.target))
+    target = Bipartition(_parse_entries(args.target))
     preimage = invert_bijection(family, args.N, target)
     payload = {"family": family.value, "N": args.N, "target": list(target)}
     if isinstance(preimage, LabeledPartition):
@@ -436,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="A, B, C, D (with --rank) or G2, F4, E6, E7, E8")
     p.add_argument("--rank", type=int, default=None, help="rank for classical series")
     p.add_argument("--class", dest="class_label", required=True,
-                   help="class name: partition '3,1' (A), signed cycles '3,1;2' (B/C/D), "
-                        "or a class label like 'D_7(a_1)'")
+                   help="class name: cycle lengths '3,1' (A), positive;negative cycle "
+                        "lengths '3,1;2' (B/C/D), or a class label like 'D_7(a_1)'; cycle "
+                        "lengths are positive integers in any order")
     p.add_argument("--rep", default=None,
                    help="representation hint 'd_n[*r][#k]' when the class name is ambiguous")
 

@@ -50,6 +50,19 @@ def _as_int_seq(seq) -> list[int]:
     return out
 
 
+def _parse_entries(text: str) -> list[int]:
+    """The integers of comma-separated text, in order; empty text has none.
+
+    An empty or non-integer piece is refused with the code parse_error.
+    """
+    if not text.strip():
+        return []
+    try:
+        return [int(piece) for piece in text.split(",")]
+    except ValueError:
+        raise DomainError(f"expected comma-separated integers, got {text!r}", code="parse_error") from None
+
+
 class Bipartition(tuple):
     """Canonical form of an interleaved pair of partitions.
 

@@ -8,6 +8,13 @@ cycles; the two classes into which an all-positive, all-even cycle type
 splits inside the rotation subgroup are represented by the single unsplit
 pair, since every quantity computed here agrees on the two halves.
 
+``parse_class`` reads a class of a given Weyl type from text: cycle lengths
+"3,1,1" in type A, and positive and negative cycle lengths "3,1;2" in types
+B/C/D, either side possibly empty.  Both sides follow the one rule of type
+A: comma-separated positive integers in any order, empty text for no
+cycles.  An empty or non-integer piece is a parse_error, a length of 0 or
+less a bad_class, and the class is then checked against the type.
+
 The map onto strata goes through a labeled Jordan type: a positive cycle of
 length l contributes two parts l, a negative cycle of length l contributes
 one part 2l, and an eligible even value 2l is labeled 1 exactly when l
@@ -15,7 +22,10 @@ occurs among the negative cycle lengths (negative cycles are the ones whose
 point orbits are stable under the sign-flip involution, hence commute with
 it).  Composing with the characteristic-2 unipotent bijections lands in the
 stratum sets: excess (2, 2) in weight n for type B, excess (0, 4) for type
-D.  For type A the class partition itself is the stratum label.
+D.  For type A the class partition itself is the stratum label.  Which
+bijection serves a type is read from ``classical``: the characteristic-2
+family of the group, GL_{r+1}, Sp_{2r} or SO_{2r}, that ``_GROUP_SERIES``
+assigns to the Weyl series.
 
 Each class also carries the dimension m of the fixed space of a
 representative on the reflection representation: parts minus one in type A,
@@ -32,16 +42,20 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .classical import GroupDescriptor, Series
+from .classical import GroupDescriptor, Series, _involutive_family
 from .errors import DomainError, unique_minimizer
 from .jordan import JordanFamily, LabeledPartition, _datum, _rewrite, _runs
-from .partitions import Bipartition, Partition, enumerate_partitions
+from .partitions import Bipartition, Partition, _parse_entries, enumerate_partitions
 
 
 class WeylSeries(enum.Enum):
     A = "A"
     B = "B"
     D = "D"
+
+
+# the series of the classical group whose strata the classes label
+_GROUP_SERIES = {WeylSeries.A: Series.GL, WeylSeries.B: Series.SP, WeylSeries.D: Series.SO_EVEN}
 
 
 def weyl_series_from_name(name: str) -> WeylSeries:
@@ -80,9 +94,8 @@ class WeylType:
     @property
     def group(self) -> GroupDescriptor:
         """The classical group whose strata the classes label: GL_{r+1}, Sp_{2r} or SO_{2r}."""
-        if self.series is WeylSeries.A:
-            return GroupDescriptor(Series.GL, self.rank + 1)
-        return GroupDescriptor(Series.SP if self.series is WeylSeries.B else Series.SO_EVEN, 2 * self.rank)
+        series = _GROUP_SERIES[self.series]
+        return GroupDescriptor(series, self.rank + 1 if series is Series.GL else 2 * self.rank)
 
 
 @dataclass(frozen=True)
@@ -106,29 +119,6 @@ class SignedCycleType:
 
     def __str__(self) -> str:
         return f"{','.join(map(str, self.positive))};{','.join(map(str, self.negative))}"
-
-    @classmethod
-    def parse(cls, text: str) -> "SignedCycleType":
-        """Parse "a1,a2,...;b1,b2,..." (either side may be empty; no length is 0)."""
-        if text.count(";") != 1:
-            raise DomainError(
-                f"signed cycle type needs exactly one ';', got {text!r}", code="parse_error"
-            )
-        pos_text, neg_text = text.split(";")
-
-        def side(s: str) -> Partition:
-            s = s.strip()
-            if not s:
-                return Partition()
-            try:
-                parts = [int(x) for x in s.split(",")]
-            except ValueError:
-                raise DomainError(f"bad cycle lengths {s!r}", code="parse_error") from None
-            if 0 in parts:
-                raise _bad_class(f"cycle lengths may not be 0, got {s!r}")
-            return Partition(sorted(parts, reverse=True))
-
-        return cls(side(pos_text), side(neg_text))
 
 
 WeylClass = Union[Partition, SignedCycleType]
@@ -176,6 +166,24 @@ def _check_class(w: WeylType, c: WeylClass) -> WeylClass:
     return c
 
 
+def _cycle_lengths(text: str) -> Partition:
+    # one comma-separated side of class text
+    lengths = _parse_entries(text)
+    if any(l <= 0 for l in lengths):
+        raise _bad_class(f"cycle lengths must be positive, got {text!r}")
+    return Partition(sorted(lengths, reverse=True))
+
+
+def parse_class(w: WeylType, text: str) -> WeylClass:
+    """The class of w written as text: "3,1,1" in type A, "3,1;2" in types B/C/D."""
+    if w.series is WeylSeries.A:
+        return _check_class(w, _cycle_lengths(text))
+    if text.count(";") != 1:
+        raise DomainError(f"signed cycle type needs exactly one ';', got {text!r}", code="parse_error")
+    pos_text, neg_text = text.split(";")
+    return _check_class(w, SignedCycleType(_cycle_lengths(pos_text), _cycle_lengths(neg_text)))
+
+
 def _class_runs(family: JordanFamily, c: SignedCycleType) -> list:
     # The runs of the labeled Jordan type of c: a value v occurs twice per
     # positive v-cycle and once per negative v/2-cycle, and 2l is labeled 1
@@ -202,7 +210,7 @@ def _stratum(w: WeylType, c: WeylClass) -> Bipartition:
     # c is a class of w
     if w.series is WeylSeries.A:
         return c
-    family = JordanFamily.SYMPLECTIC_CHAR2 if w.series is WeylSeries.B else JordanFamily.ORTHOGONAL_CHAR2
+    family = _involutive_family(_GROUP_SERIES[w.series], 2)
     return _rewrite(family, 2 * w.rank, _class_runs(family, c))
 
 

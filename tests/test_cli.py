@@ -57,6 +57,9 @@ def test_invert_example(capsys):
     status, env = run_json(capsys, "invert", "--family", "Z2", "--N", "6", "--target", "3")
     assert status == 0
     assert env["payload"]["parts"] == [6]
+    # empty text is the empty bipartition
+    status, env = run_json(capsys, "invert", "--family", "Z2", "--N", "0", "--target", "")
+    assert (status, env["payload"]["target"], env["payload"]["parts"]) == (0, [], [])
 
 
 def test_invert_labeled(capsys):
@@ -246,6 +249,8 @@ def test_phi_a_series_identity(capsys):
     assert p["stratum"]["parts"] == [2, 1]
     assert p["class_dim"] == 4
     assert p["group"]["series"] == "GL" and p["group"]["N"] == 3
+    # cycle lengths in any order, as in types B/C/D
+    assert run_json(capsys, "phi", "--group", "A", "--rank", "2", "--class", "1,2") == (status, env)
 
 
 @pytest.mark.parametrize(
@@ -268,6 +273,13 @@ def test_phi_a_series_identity(capsys):
         (("phi", "--group", "B", "--rank", "3", "--class", "3,0;"), "bad_class"),
         (("phi", "--group", "A", "--rank", "2", "--class", "3,0"), "bad_class"),
         (("phi", "--group", "A", "--rank", "2", "--class", "0,3"), "bad_class"),
+        (("phi", "--group", "A", "--rank", "2", "--class", "2,,1"), "parse_error"),
+        (("phi", "--group", "A", "--rank", "2", "--class", ",2,1,"), "parse_error"),
+        (("phi", "--group", "A", "--rank", "2", "--class", "2;1"), "parse_error"),
+        (("phi", "--group", "A", "--rank", "2", "--class=-1,4"), "bad_class"),
+        (("phi", "--group", "B", "--rank", "3", "--class=-1,4;"), "bad_class"),
+        (("invert", "--family", "Z2", "--N", "6", "--target", "1,,1,0,1"), "parse_error"),
+        (("invert", "--family", "Z2", "--N", "6", "--target", "1,x"), "parse_error"),
     ],
 )
 def test_domain_errors_exit_1(capsys, argv, code):

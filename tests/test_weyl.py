@@ -15,6 +15,7 @@ from weylstrata.weyl import (
     enumerate_classes,
     fixed_space_dim,
     jordan_of_class,
+    parse_class,
     stratum_of_class,
     strata_fibers,
     weyl_series_from_name,
@@ -149,12 +150,6 @@ def _phi_class_text(w, c):
     return ",".join(map(str, c)) if w.series is WeylSeries.A else str(c)
 
 
-def _parse_back(w, text):
-    if w.series is WeylSeries.A:
-        return Partition(int(piece) for piece in text.split(","))
-    return SignedCycleType.parse(text)
-
-
 _PHI_TYPES = (
     [wa(r) for r in range(1, 7)] + [wb(r) for r in range(1, 7)] + [wd(r) for r in range(2, 7)]
 )
@@ -166,7 +161,7 @@ def test_phi_answers_every_class_as_the_library(capsys, w):
 
     for c in enumerate_classes(w):
         text = _phi_class_text(w, c)
-        assert _parse_back(w, text) == c
+        assert parse_class(w, text) == c
         argv = ["phi", "--group", w.series.value, "--rank", str(w.rank), "--class", text]
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)["payload"]
@@ -178,16 +173,34 @@ def test_phi_answers_every_class_as_the_library(capsys, w):
 
 
 def test_signed_cycle_type_parse_and_str():
-    c = SignedCycleType.parse("3,1;2")
+    c = parse_class(wb(6), "3,1;2")
     assert c == sct([3, 1], [2])
     assert str(c) == "3,1;2"
-    assert SignedCycleType.parse(";") == sct([], [])
-    assert SignedCycleType.parse("2,1;") == sct([2, 1], [])
-    assert SignedCycleType.parse("1,3;2") == sct([3, 1], [2])  # sorted on parse
-    with pytest.raises(DomainError):
-        SignedCycleType.parse("3,1")
-    with pytest.raises(DomainError):
-        SignedCycleType.parse("a;b")
+    assert parse_class(wb(0), ";") == sct([], [])
+    assert parse_class(wb(3), "2,1;") == sct([2, 1], [])
+    assert parse_class(wb(6), "1,3;2") == sct([3, 1], [2])  # sorted on parse
+    assert parse_class(wa(2), "2,1") == Partition([2, 1])
+    assert parse_class(wa(2), "1,2") == Partition([2, 1])  # type A sorts too
+    assert parse_class(wa(3), " 1, 3 ") == Partition([3, 1])
+    refusals = [
+        (wb(4), "3,1", "parse_error"),
+        (wb(4), "a;b", "parse_error"),
+        (wb(3), "2,,1;", "parse_error"),
+        (wa(2), "2,,1", "parse_error"),
+        (wa(2), ",2,1,", "parse_error"),
+        (wa(2), "2;1", "parse_error"),
+        (wa(2), "x", "parse_error"),
+        (wa(3), "-1,4", "bad_class"),
+        (wb(3), "-1,4;", "bad_class"),
+        (wa(2), "3,0", "bad_class"),
+        (wa(2), "", "bad_class"),  # no cycles: weight 0, not 3
+        (wa(2), "2,2", "bad_class"),
+        (wd(4), "2;2", "bad_class"),
+    ]
+    for w, text, code in refusals:
+        with pytest.raises(DomainError) as err:
+            parse_class(w, text)
+        assert err.value.code == code, (w, text)
 
 
 # ---------------------------------------------------------------------------
