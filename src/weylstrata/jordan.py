@@ -155,7 +155,8 @@ class LabeledPartition:
             if m % 2 and v % 2 == paired:
                 raise DomainError(
                     f"odd value {v} occurs {m} times in {tuple(base)}; "
-                    "odd values must occur an even number of times"
+                    "odd values must occur an even number of times",
+                    code="bad_parity",
                 )
         eligible = [v for v, m in strings if _is_eligible(v, m)]
         given = dict(labels or {})
@@ -163,11 +164,12 @@ class LabeledPartition:
             raise DomainError(
                 f"labels must be given for exactly the eligible values "
                 f"{sorted(eligible, reverse=True)} of {tuple(base)}, got keys "
-                f"{sorted(given)}"
+                f"{sorted(given)}",
+                code="bad_labels",
             )
         for v, bit in given.items():
             if bit not in (0, 1):
-                raise DomainError(f"label for value {v} must be 0 or 1, got {bit!r}")
+                raise DomainError(f"label for value {v} must be 0 or 1, got {bit!r}", code="bad_labels")
         object.__setattr__(self, "parts", base)
         object.__setattr__(self, "labels", tuple((v, given[v]) for v in eligible))
 
@@ -188,7 +190,7 @@ class LabeledPartition:
         for v, bit in self.labels:
             if v == value:
                 return bit
-        raise DomainError(f"value {value} carries no label in {self}")
+        raise DomainError(f"value {value} carries no label in {self}", code="bad_labels")
 
     def label_map(self) -> dict[int, int]:
         return dict(self.labels)

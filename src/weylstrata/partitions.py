@@ -36,9 +36,9 @@ def _as_excess(x) -> Excess:
     try:
         ex = Excess(int(x[0]), int(x[1]))
     except (TypeError, ValueError, IndexError):
-        raise DomainError(f"excess must be a pair of integers, got {x!r}") from None
+        raise DomainError(f"excess must be a pair of integers, got {x!r}", code="bad_excess") from None
     if ex.e < 0 or ex.e_prime < 0:
-        raise DomainError(f"excess components must be nonnegative, got {ex}")
+        raise DomainError(f"excess components must be nonnegative, got {ex}", code="bad_excess")
     return ex
 
 
@@ -46,7 +46,7 @@ def _as_int_seq(seq) -> list[int]:
     out = list(seq)
     for x in out:
         if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
-            raise DomainError(f"entries must be integers, got {x!r}")
+            raise DomainError(f"entries must be integers, got {x!r}", code="bad_entries")
     return out
 
 
@@ -80,11 +80,14 @@ class Bipartition(tuple):
             data.pop()
         for x in data:
             if x < 0:
-                raise DomainError(f"bipartition entries must be nonnegative, got {data}")
+                raise DomainError(
+                    f"bipartition entries must be nonnegative, got {data}", code="bad_bipartition"
+                )
         for i in range(len(data) - 2):
             if data[i] < data[i + 2]:
                 raise DomainError(
-                    f"entries at positions {i + 1} and {i + 3} must weakly decrease, got {data}"
+                    f"entries at positions {i + 1} and {i + 3} must weakly decrease, got {data}",
+                    code="bad_bipartition",
                 )
         return tuple.__new__(cls, data)
 
@@ -95,7 +98,7 @@ class Bipartition(tuple):
     def entry(self, i: int) -> int:
         """1-based entry access with implicit trailing zeros."""
         if i < 1:
-            raise DomainError(f"positions are 1-based, got {i}")
+            raise DomainError(f"positions are 1-based, got {i}", code="bad_position")
         return self[i - 1] if i <= len(self) else 0
 
     def tracks(self) -> tuple[Partition, Partition]:
@@ -132,9 +135,13 @@ class Partition(Bipartition):
             data.pop()
         for i, x in enumerate(data):
             if x <= 0:
-                raise DomainError(f"partition parts must be positive, got {x} in {data}")
+                raise DomainError(
+                    f"partition parts must be positive, got {x} in {data}", code="bad_partition"
+                )
             if i > 0 and data[i - 1] < x:
-                raise DomainError(f"partition parts must weakly decrease, got {data}")
+                raise DomainError(
+                    f"partition parts must weakly decrease, got {data}", code="bad_partition"
+                )
         return tuple.__new__(cls, data)
 
     def multiplicity(self, value: int) -> int:
@@ -190,7 +197,7 @@ def n_invariant(bp: Bipartition, half: int) -> int:
     if not isinstance(bp, Bipartition):
         bp = Bipartition(bp)
     if half < 0:
-        raise DomainError(f"half must be nonnegative, got {half}")
+        raise DomainError(f"half must be nonnegative, got {half}", code="bad_weight")
     if bp.weight != half:
         raise DomainError(
             f"weight mismatch: bipartition has weight {bp.weight}, expected {half}",
@@ -216,7 +223,7 @@ def _enumerate(n: int, x, cls: type) -> tuple:
     """
     ex = _as_excess(x)
     if n < 0:
-        raise DomainError(f"weight must be nonnegative, got {n}")
+        raise DomainError(f"weight must be nonnegative, got {n}", code="bad_weight")
     out: list = []
     prefix: list[int] = []
 

@@ -164,6 +164,29 @@ def test_classify_labels_from_json_strings(capsys, monkeypatch):
             '{"id": "-1", "kind": "involutive", "parts": [1]}]}',
             "bad_parity",
         ),
+        (
+            '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "x", "kind": "generic", "parts": [-1]}]}',
+            "bad_partition",
+        ),
+        (
+            '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "x", "kind": "generic", "parts": [1, 2]}]}',
+            "bad_partition",
+        ),
+        (
+            '{"group": {"series": "Sp", "N": 4, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
+            '"parts": [2, 2], "labels": {"2": 2}}]}',
+            "bad_labels",
+        ),
+        (
+            '{"group": {"series": "Sp", "N": 4, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
+            '"parts": [2, 2], "labels": {}}]}',
+            "bad_labels",
+        ),
+        (
+            '{"group": {"series": "Sp", "N": 4, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
+            '"parts": [3, 1], "labels": {}}]}',
+            "bad_parity",
+        ),
     ],
 )
 def test_classify_rejects_bad_documents(capsys, monkeypatch, text, code):
@@ -280,6 +303,7 @@ def test_phi_a_series_identity(capsys):
         (("phi", "--group", "B", "--rank", "3", "--class=-1,4;"), "bad_class"),
         (("invert", "--family", "Z2", "--N", "6", "--target", "1,,1,0,1"), "parse_error"),
         (("invert", "--family", "Z2", "--N", "6", "--target", "1,x"), "parse_error"),
+        (("invert", "--family", "Z2", "--N", "6", "--target", "1,0,2"), "bad_bipartition"),
     ],
 )
 def test_domain_errors_exit_1(capsys, argv, code):

@@ -2,6 +2,9 @@
 
 ``__init__`` is left out: it imports no module at its top level, and its
 table of public names must name for each the module that defines it.
+
+Every DomainError the package builds passes a ``code=``, so each refusal
+carries its machine-readable code rather than the generic domain_error.
 """
 
 import ast
@@ -25,6 +28,17 @@ def _unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def _uncoded_domain_errors(source: str) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "DomainError"
+        and not any(keyword.arg == "code" for keyword in node.keywords)
+    ]
 
 
 def _top_level_names(source: str) -> set[str]:
@@ -60,3 +74,20 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_caught():
     source = "from typing import NamedTuple, Optional\nimport os.path\nx: Optional[int] = None\n"
     assert _unused_imports(source) == ["NamedTuple (line 1)", "os (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_domain_error_has_a_code(path):
+    assert _uncoded_domain_errors(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_uncoded_domain_error_is_caught():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise DomainError('no', code='bad_x')\n"
+        "    raise DomainError(f'no {x}') from None\n"
+        "def g(why):\n"
+        "    return DomainError(why)\n"
+    )
+    assert _uncoded_domain_errors(source) == [4, 6]

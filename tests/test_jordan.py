@@ -66,6 +66,21 @@ def test_labeled_partition_validation():
         LabeledPartition([3, 1], {})  # odd value with odd multiplicity
 
 
+@pytest.mark.parametrize(
+    "make,code",
+    [
+        (lambda: LabeledPartition([2, 2, 1, 1], {}), "bad_labels"),
+        (lambda: LabeledPartition([2, 2, 1, 1], {2: 2}), "bad_labels"),
+        (lambda: LabeledPartition([3, 1], {}), "bad_parity"),
+        (lambda: LabeledPartition([4, 1, 1], {}).label_of(4), "bad_labels"),
+    ],
+)
+def test_labeled_partition_refusal_codes(make, code):
+    with pytest.raises(DomainError) as err:
+        make()
+    assert err.value.code == code
+
+
 def test_labeled_partition_equality_and_hash():
     a = LabeledPartition([4, 4], {4: 1})
     b = LabeledPartition((4, 4), {4: 1})

@@ -170,6 +170,28 @@ def test_bipartition_tracks_and_entry():
         bp.entry(0)
 
 
+@pytest.mark.parametrize(
+    "make,code",
+    [
+        (lambda: Partition([1, 2]), "bad_partition"),
+        (lambda: Partition([2, -1]), "bad_partition"),
+        (lambda: Partition([2, 1.5]), "bad_entries"),
+        (lambda: Bipartition([1, 1, 2]), "bad_bipartition"),
+        (lambda: Bipartition([1, -1]), "bad_bipartition"),
+        (lambda: Bipartition([True]), "bad_entries"),
+        (lambda: Bipartition([1]).entry(0), "bad_position"),
+        (lambda: has_excess(Bipartition([1]), (-1, 0)), "bad_excess"),
+        (lambda: has_excess(Bipartition([1]), "x"), "bad_excess"),
+        (lambda: n_invariant(Bipartition(), -1), "bad_weight"),
+        (lambda: enumerate_partitions(-1), "bad_weight"),
+    ],
+)
+def test_refusal_codes(make, code):
+    with pytest.raises(DomainError) as err:
+        make()
+    assert err.value.code == code
+
+
 def test_pair_swapped_and_symmetry():
     assert Bipartition([2, 1]).pair_swapped() == (1, 2)
     assert Bipartition([1, 0, 1]).pair_swapped() == (0, 1, 0, 1)
