@@ -3,7 +3,7 @@ import json
 import pytest
 
 from weylstrata import weyl
-from weylstrata.classical import GroupDescriptor, Series
+from weylstrata.classical import GroupDescriptor, Series, _stratum
 from weylstrata.cli import main
 from weylstrata.errors import ConsistencyError, DomainError
 from weylstrata.jordan import JordanFamily, LabeledPartition, apply_bijection, in_family
@@ -157,8 +157,6 @@ _PHI_TYPES = (
 
 @pytest.mark.parametrize("w", _PHI_TYPES, ids=lambda w: f"{w.series.value}{w.rank}")
 def test_phi_answers_every_class_as_the_library(capsys, w):
-    from weylstrata.classical import _stratum
-
     for c in enumerate_classes(w):
         text = _phi_class_text(w, c)
         assert parse_class(w, text) == c
