@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import enum
 import functools
-import hashlib
 import os
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import DomainError, check_characteristic, unique_minimizer
+from .errors import DomainError, Record, check_characteristic, unique_minimizer
 
 EXC_GROUPS = ("G2", "F4", "E6", "E7", "E8")
 EXC_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
@@ -56,8 +54,7 @@ def _iso_group_from_name(name: str) -> str:
     raise DomainError(f"unknown group or series {name!r}", code="bad_group")
 
 
-@dataclass(frozen=True)
-class RepLabel:
+class RepLabel(Record):
     """A representation named by degree and n-invariant, e.g. 1050_10*2.
 
     star is 0 for representations whose stratum has unipotent classes in
@@ -66,14 +63,10 @@ class RepLabel:
     disambiguates the few repeated degree_n symbols.
     """
 
-    group: str
-    d: int
-    n: int
-    star: int = 0
-    synthetic_id: int = 0
+    __slots__ = ("group", "d", "n", "star", "synthetic_id")
 
-    def __post_init__(self):
-        object.__setattr__(self, "group", exc_group_from_name(self.group))
+    def __init__(self, group: str, d: int, n: int, star: int = 0, synthetic_id: int = 0):
+        self._set(exc_group_from_name(group), d, n, star, synthetic_id)
         if self.d < 1:
             raise DomainError(f"degree must be positive, got {self.d}", code="bad_rep")
         if self.n < 0:
@@ -98,12 +91,14 @@ _SIMPLE_TOKEN = re.compile(
 _REP_TEXT = re.compile(r"^(\d+)_(\d+)(?:\*(\d+))?(?:#(\d+))?$")
 
 
-@dataclass(frozen=True)
-class CarterLabel:
+class CarterLabel(Record):
     """A conjugacy-class label: canonical string plus its parsed rank."""
 
-    raw: str
-    parsed_rank: int
+    __slots__ = ("raw", "parsed_rank")
+
+    def __init__(self, raw: str, parsed_rank: int):
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "parsed_rank", parsed_rank)
 
     def __str__(self) -> str:
         return self.raw
@@ -222,24 +217,22 @@ def _flavor_from_name(value) -> IsoFlavor:
         raise DomainError(f"unknown flavor {value!r}", code="bad_flavor") from None
 
 
-@dataclass(frozen=True)
-class IsolatedSubgroup:
+class IsolatedSubgroup(Record):
     """One entry of an isolated-subsystem list, e.g. type A_5A_1 in E6."""
 
-    group: str
-    flavor: IsoFlavor
-    subtype: str
-    constraint: str = ""
+    __slots__ = ("group", "flavor", "subtype", "constraint")
+
+    def __init__(self, group: str, flavor: IsoFlavor, subtype: str, constraint: str = ""):
+        self._set(group, flavor, subtype, constraint)
 
 
-@dataclass(frozen=True)
-class AtlasRow:
+class AtlasRow(Record):
     """One table row: a representation and the classes mapping to it."""
 
-    group: str
-    classes: tuple[CarterLabel, ...]
-    rep: RepLabel
-    note: str = ""
+    __slots__ = ("group", "classes", "rep", "note")
+
+    def __init__(self, group: str, classes: tuple[CarterLabel, ...], rep: RepLabel, note: str = ""):
+        self._set(group, classes, rep, note)
 
 
 class Atlas:
@@ -265,6 +258,8 @@ class Atlas:
             self._iso.setdefault((entry.group, entry.flavor), []).append(entry)
 
     def checksum(self) -> str:
+        import hashlib  # only tables needs it; other commands skip its import
+
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
     def rows(self, group: str) -> tuple[AtlasRow, ...]:

@@ -27,11 +27,10 @@ which the exceptional atlas shares.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Optional
 
-from .errors import DomainError, check_characteristic
+from .errors import DomainError, Record, check_characteristic
 from .jordan import JordanDatum, JordanFamily, _rewrite, _runs_if_member
 from .partitions import (
     Bipartition,
@@ -70,8 +69,7 @@ def series_from_name(name: str) -> Series:
     )
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Record):
     """A classical group: series, dimension of the natural module, characteristic.
 
     The dimension is n for GL_n and N for Sp_N / SO_N, with the parity
@@ -79,13 +77,14 @@ class GroupDescriptor:
     characteristic is ever consumed.
     """
 
-    series: Series
-    dimension: int
-    characteristic: int = 0
+    __slots__ = ("series", "dimension", "characteristic")
 
-    def __post_init__(self):
-        if not isinstance(self.series, Series):
-            object.__setattr__(self, "series", series_from_name(str(self.series)))
+    def __init__(self, series: Series, dimension: int, characteristic: int = 0):
+        if not isinstance(series, Series):
+            series = series_from_name(str(series))
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "characteristic", characteristic)
         check_characteristic(self.characteristic)
         d = self.dimension
         if d < 0:
@@ -123,8 +122,7 @@ class OrbitKind(enum.Enum):
     INVOLUTIVE = "involutive"
 
 
-@dataclass(frozen=True)
-class EigenOrbit:
+class EigenOrbit(Record):
     """One eigenvalue orbit with the Jordan type of its unipotent part.
 
     `ident` is "1" or "-1" for involutive orbits and an arbitrary distinct
@@ -132,11 +130,12 @@ class EigenOrbit:
     for involutive orbits in characteristic 2.
     """
 
-    ident: str
-    kind: OrbitKind
-    jordan: JordanDatum
+    __slots__ = ("ident", "kind", "jordan")
 
-    def __post_init__(self):
+    def __init__(self, ident: str, kind: OrbitKind, jordan: JordanDatum):
+        object.__setattr__(self, "ident", ident)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "jordan", jordan)
         if not isinstance(self.ident, str) or not self.ident:
             raise _bad_orbit(f"orbit id must be a nonempty string, got {self.ident!r}")
         if self.kind is OrbitKind.INVOLUTIVE:
@@ -172,8 +171,7 @@ def _involutive_family(series: Series, char: int) -> JordanFamily:
     return JordanFamily.ORTHOGONAL
 
 
-@dataclass(frozen=True)
-class SpectralDatum:
+class SpectralDatum(Record):
     """Spectral data of one conjugacy class: the group plus its eigen orbits.
 
     One loop validates every series.  It enforces the dimension bookkeeping
@@ -186,13 +184,13 @@ class SpectralDatum:
     runs, and ``classify`` rewrites them without testing membership again.
     """
 
-    group: GroupDescriptor
-    orbits: tuple[EigenOrbit, ...]
+    __slots__ = ("group", "orbits", "_orbit_runs")
+    # _orbit_runs is not a field: equality, hashing and repr see group and orbits only
+    _fields = ("group", "orbits")
 
     def __init__(self, group: GroupDescriptor, orbits: Iterable[EigenOrbit]):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "orbits", tuple(orbits))
-        # not a field: equality, hashing and repr see group and orbits only
         object.__setattr__(self, "_orbit_runs", self._validate())
 
     def _validate(self) -> tuple:
@@ -240,8 +238,7 @@ class SpectralDatum:
         return tuple(orbit_runs)
 
 
-@dataclass(frozen=True)
-class StratumResult:
+class StratumResult(Record):
     """A stratum: its bipartition label and derived dimensions.
 
     springer_dim equals the n-invariant; class_dim is the common dimension
@@ -251,10 +248,13 @@ class StratumResult:
     None for the other series.
     """
 
-    bp: Bipartition
-    n_invariant: int
-    class_dim: int
-    pair_degenerate: Optional[bool] = None
+    __slots__ = ("bp", "n_invariant", "class_dim", "pair_degenerate")
+
+    def __init__(self, bp: Bipartition, n_invariant: int, class_dim: int, pair_degenerate: Optional[bool] = None):
+        object.__setattr__(self, "bp", bp)
+        object.__setattr__(self, "n_invariant", n_invariant)
+        object.__setattr__(self, "class_dim", class_dim)
+        object.__setattr__(self, "pair_degenerate", pair_degenerate)
 
     @property
     def springer_dim(self) -> int:

@@ -14,7 +14,6 @@ process pays only for those.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -155,14 +154,8 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
     diagnostics: list[str] = []
     if name.upper() in _CLASSICAL_LETTERS:
         from .classical import _stratum
-        from .weyl import (
-            WeylSeries,
-            WeylType,
-            fixed_space_dim,
-            parse_class,
-            stratum_of_class,
-            weyl_series_from_name,
-        )
+        from .weyl import WeylSeries, WeylType, _fixed_space_dim, parse_class, weyl_series_from_name
+        from .weyl import _stratum as _class_stratum
 
         if args.rank is None:
             raise DomainError("classical series need --rank", code="bad_rank")
@@ -172,16 +165,17 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
         if name.upper() == "C":
             diagnostics.append("series C shares its signed cycle classes with series B")
         wt = WeylType(series, args.rank)
+        # parse_class checks the class once; the private maps below trust it
         cls = parse_class(wt, args.class_label)
         # dimensions of strata come from the algebraic group with this Weyl group
         group = wt.group
-        result = _stratum(group, stratum_of_class(wt, cls))
+        result = _stratum(group, _class_stratum(wt, cls))
         payload = {
             "weyl": {"series": series.value, "rank": args.rank},
             "class": str(cls) if series is not WeylSeries.A else ",".join(map(str, cls)),
             "group": _group_payload(group),
             **_stratum_payload(result, _STRATUM_FIELDS[:2]),
-            "fixed_space_dim": fixed_space_dim(wt, cls),
+            "fixed_space_dim": _fixed_space_dim(wt, cls),
         }
         return payload, diagnostics
     from .atlas import exc_group_from_name, load_atlas, m_of_class, parse_carter
@@ -264,7 +258,7 @@ def _cmd_verify(args) -> tuple[dict, list[str]]:
     # each row holds exactly the fields of CheckResult, so the renderer rebuilds it
     payload = {
         "passed": all(r.passed for r in results),
-        "results": [{**dataclasses.asdict(r), "seconds": round(r.seconds, 6)} for r in results],
+        "results": [dict(zip(r._fields, r._values(r)), seconds=round(r.seconds, 6)) for r in results],
     }
     return payload, []
 

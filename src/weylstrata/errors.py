@@ -13,7 +13,11 @@ anything else with the code bad_characteristic.  ``unique_minimizer`` is the
 one cross-section rule: a fiber's cross-section is its unique class of least
 fixed-space dimension, and a tie raises a ConsistencyError with the code
 cross_section_tie.
+
+``Record`` is the base of the package's immutable value records.
 """
+
+from operator import attrgetter
 
 
 class StrataError(Exception):
@@ -54,6 +58,52 @@ def unique_minimizer(items, keys, where):
             code="cross_section_tie",
         )
     return winners[0]
+
+
+class Record:
+    """An immutable record whose fields are slots; a subclass writes its own __init__.
+
+    The fields are ``_fields``, by default the ``__slots__``: a slot left out
+    of ``_fields`` is seen by no comparison, hash or repr.  Records are equal
+    only to records of their own class with equal fields, and hash as the
+    tuple of their fields.  ``__init__`` fills the slots through ``_set`` or,
+    on hot paths, one ``object.__setattr__`` each; afterwards assignment and
+    deletion raise AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        # every record has at least two fields, so this returns a tuple
+        cls._values = attrgetter(*cls._fields)
+
+    def _set(self, *values):
+        # the slots in order
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots here, past __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 # Miller-Rabin with the first thirteen prime bases decides primality exactly

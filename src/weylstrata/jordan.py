@@ -69,11 +69,10 @@ as a consistency failure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import groupby, product
 from typing import Container, Iterable, Mapping, Optional, Union
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, Record
 from .partitions import Bipartition, Excess, Partition, has_excess
 
 
@@ -134,8 +133,7 @@ def _is_eligible(value: int, length: int) -> bool:
     return value % 2 == 0 and length > 0 and length % 2 == 0
 
 
-@dataclass(frozen=True)
-class LabeledPartition:
+class LabeledPartition(Record):
     """A partition with one binary label per eligible even value.
 
     Valid instances always have every odd value occurring an even number of
@@ -144,8 +142,7 @@ class LabeledPartition:
     string position.
     """
 
-    parts: Partition
-    labels: tuple[tuple[int, int], ...]
+    __slots__ = ("parts", "labels")
 
     def __init__(self, parts: Iterable[int], labels: Mapping[int, int] | None = None):
         base = parts if isinstance(parts, Partition) else Partition(parts)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .atlas import EXC_GROUPS, EXC_POSITIVE_ROOTS, load_atlas
@@ -33,7 +32,7 @@ from .classical import (
     enumerate_strata,
     stratum_excess,
 )
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, Record
 from .jordan import (
     JordanFamily,
     _datum,
@@ -51,13 +50,11 @@ from .partitions import (
 from .weyl import WeylSeries, WeylType, strata_fibers, stratum_of_class, enumerate_classes
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
-    budget: Optional[float] = None
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail", "seconds", "budget")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float, budget: Optional[float] = None):
+        self._set(name, passed, detail, seconds, budget)
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

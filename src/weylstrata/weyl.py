@@ -39,11 +39,10 @@ ConsistencyError with the code cross_section_tie, from the one rule
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .classical import GroupDescriptor, Series, _involutive_family
-from .errors import DomainError, unique_minimizer
+from .errors import DomainError, Record, unique_minimizer
 from .jordan import JordanFamily, LabeledPartition, _datum, _rewrite, _runs
 from .partitions import Bipartition, Partition, _parse_entries, enumerate_partitions
 
@@ -70,8 +69,7 @@ def weyl_series_from_name(name: str) -> WeylSeries:
         ) from None
 
 
-@dataclass(frozen=True)
-class WeylType:
+class WeylType(Record):
     """A classical Weyl group: series and rank.
 
     Small ranks are permitted throughout, with rank 0 giving the trivial
@@ -79,12 +77,13 @@ class WeylType:
     cycle combinatorics.
     """
 
-    series: WeylSeries
-    rank: int
+    __slots__ = ("series", "rank")
 
-    def __post_init__(self):
-        if not isinstance(self.series, WeylSeries):
-            object.__setattr__(self, "series", weyl_series_from_name(str(self.series)))
+    def __init__(self, series: WeylSeries, rank: int):
+        if not isinstance(series, WeylSeries):
+            series = weyl_series_from_name(str(series))
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "rank", rank)
         lo = 1 if self.series is WeylSeries.A else 0
         if self.rank < lo:
             raise DomainError(
@@ -98,20 +97,14 @@ class WeylType:
         return GroupDescriptor(series, self.rank + 1 if series is Series.GL else 2 * self.rank)
 
 
-@dataclass(frozen=True)
-class SignedCycleType:
+class SignedCycleType(Record):
     """Cycle type of a signed permutation: positive and negative cycle lengths."""
 
-    positive: Partition
-    negative: Partition
+    __slots__ = ("positive", "negative")
 
     def __init__(self, positive, negative):
-        object.__setattr__(
-            self, "positive", positive if isinstance(positive, Partition) else Partition(positive)
-        )
-        object.__setattr__(
-            self, "negative", negative if isinstance(negative, Partition) else Partition(negative)
-        )
+        object.__setattr__(self, "positive", positive if isinstance(positive, Partition) else Partition(positive))
+        object.__setattr__(self, "negative", negative if isinstance(negative, Partition) else Partition(negative))
 
     @property
     def rank(self) -> int:

@@ -5,6 +5,9 @@ in its defining module on first access (PEP 562).  Each command imports
 its own modules, so a fresh process of one command leaves the others'
 modules unloaded.  Import sets are read in fresh interpreters, since this
 one has imported everything already.
+
+No command but ``tables`` loads ``hashlib``, which only the atlas checksum
+uses, and no command loads ``dataclasses`` or ``inspect``.
 """
 
 import importlib
@@ -20,8 +23,8 @@ import weylstrata
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# runs main() on argv and prints the weylstrata submodules then loaded
-_PROBE = """
+# runs main() on argv
+_MAIN = """
 import contextlib, io, json, sys
 from weylstrata.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -29,7 +32,15 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         main(sys.argv[1:])
     except SystemExit:
         pass
+"""
+# ...then prints the weylstrata submodules loaded
+_PROBE = _MAIN + """
 print(json.dumps(sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("weylstrata."))))
+"""
+# ...then prints which of these standard-library modules are loaded
+_STDLIB = ("dataclasses", "inspect", "hashlib")
+_STDLIB_PROBE = _MAIN + f"""
+print(json.dumps([m for m in {_STDLIB!r} if m in sys.modules]))
 """
 
 _DATUM = '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "1", "kind": "involutive", "parts": [2, 1, 1]}]}'
@@ -80,6 +91,25 @@ def test_only_verify_loads_verify(argv):
     loaded = _loaded(_PROBE, *argv, stdin=_DATUM)
     assert "cli" in loaded
     assert ("verify" in loaded) == (argv[0] == "verify")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "--group", "E8", "--class", "D_7(a_1)"),
+        ("phi", "--group", "B", "--rank", "3", "--class", "1;2"),
+        ("classify", "-"),
+        ("enumerate", "--series", "Sp", "--dimension", "4"),
+        ("invert", "--family", "Z2", "--N", "6", "--target", "3"),
+    ],
+    ids=["phi-exceptional", "phi-classical", "classify", "enumerate", "invert"],
+)
+def test_commands_load_no_dataclasses_inspect_or_hashlib(argv):
+    assert _loaded(_STDLIB_PROBE, *argv, stdin=_DATUM) == set()
+
+
+def test_tables_loads_hashlib_but_no_dataclasses_or_inspect():
+    assert _loaded(_STDLIB_PROBE, "tables", "--group", "E8") == {"hashlib"}
 
 
 def test_every_public_name_is_its_defining_modules_object():

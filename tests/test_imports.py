@@ -5,6 +5,9 @@ table of public names must name for each the module that defines it.
 
 Every DomainError the package builds passes a ``code=``, so each refusal
 carries its machine-readable code rather than the generic domain_error.
+
+No module imports ``dataclasses``: records build on ``errors.Record``, and
+``dataclasses`` would bring ``inspect`` into every command's start-up.
 """
 
 import ast
@@ -28,6 +31,16 @@ def _unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def _imported_modules(source: str) -> set[str]:
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return modules
 
 
 def _uncoded_domain_errors(source: str) -> list[int]:
@@ -74,6 +87,16 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_caught():
     source = "from typing import NamedTuple, Optional\nimport os.path\nx: Optional[int] = None\n"
     assert _unused_imports(source) == ["NamedTuple (line 1)", "os (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in _imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_an_imported_module_is_found():
+    source = "import dataclasses\nfrom .errors import Record\ndef f():\n    from inspect import signature\n"
+    assert _imported_modules(source) == {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)

@@ -136,6 +136,12 @@ def test_record_copies_and_pickles_equal(name):
         assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
 
 
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_keeps_its_fields_in_slots(name):
+    record = RECORDS[name][0]()
+    assert not hasattr(record, "__dict__")
+
+
 def test_records_of_different_classes_are_unequal():
     assert CarterLabel("A_1", 1) != WeylType(WeylSeries.A, 1)
     assert LabeledPartition([2, 1, 1]) != SignedCycleType([2, 1, 1], [])
