@@ -19,6 +19,7 @@ series and (0, 4) for the even orthogonal series.
 
 from __future__ import annotations
 
+import re
 from itertools import zip_longest
 from typing import Iterable, NamedTuple
 
@@ -50,17 +51,24 @@ def _as_int_seq(seq) -> list[int]:
     return out
 
 
+# an entry: ASCII digits with an optional sign, and around them the whitespace
+# that int() strips: \s less the separators \x1c-\x1f
+_ENTRY = re.compile(r"[^\S\x1c-\x1f]*[+-]?[0-9]+[^\S\x1c-\x1f]*")
+
+
 def _parse_entries(text: str) -> list[int]:
     """The integers of comma-separated text, in order; empty text has none.
 
-    An empty or non-integer piece is refused with the code parse_error.
+    Each piece is ASCII digits with an optional sign and optional whitespace
+    around it.  Anything else, an empty piece, underscores or non-ASCII
+    digits included, is refused with the code parse_error.
     """
     if not text.strip():
         return []
-    try:
-        return [int(piece) for piece in text.split(",")]
-    except ValueError:
-        raise DomainError(f"expected comma-separated integers, got {text!r}", code="parse_error") from None
+    pieces = text.split(",")
+    if not all(map(_ENTRY.fullmatch, pieces)):
+        raise DomainError(f"expected comma-separated integers, got {text!r}", code="parse_error")
+    return [int(piece) for piece in pieces]
 
 
 class Bipartition(tuple):

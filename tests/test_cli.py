@@ -304,6 +304,10 @@ def test_phi_a_series_identity(capsys):
         (("invert", "--family", "Z2", "--N", "6", "--target", "1,,1,0,1"), "parse_error"),
         (("invert", "--family", "Z2", "--N", "6", "--target", "1,x"), "parse_error"),
         (("invert", "--family", "Z2", "--N", "6", "--target", "1,0,2"), "bad_bipartition"),
+        (("phi", "--group", "A", "--rank", "9", "--class", "1_0"), "parse_error"),
+        (("phi", "--group", "A", "--rank", "2", "--class", "\u0663"), "parse_error"),
+        (("phi", "--group", "B", "--rank", "3", "--class", "\uff13;"), "parse_error"),
+        (("invert", "--family", "Z2", "--N", "20", "--target", "1_0"), "parse_error"),
     ],
 )
 def test_domain_errors_exit_1(capsys, argv, code):

@@ -11,6 +11,7 @@ from weylstrata.partitions import (
     Bipartition,
     Excess,
     Partition,
+    _parse_entries,
     bp_sum,
     enumerate_bipartitions,
     enumerate_partitions,
@@ -190,6 +191,33 @@ def test_refusal_codes(make, code):
     with pytest.raises(DomainError) as err:
         make()
     assert err.value.code == code
+
+
+@pytest.mark.parametrize(
+    "text,entries",
+    [
+        ("", []),
+        ("  ", []),
+        ("3", [3]),
+        ("2,0,1", [2, 0, 1]),
+        (" 1 , +2,-3 ", [1, 2, -3]),
+        ("\t7\n,007", [7, 7]),
+        ("\u20033\u2003", [3]),  # non-ASCII whitespace around a piece, as int() strips it
+    ],
+)
+def test_parse_entries_reads_signed_ascii_integers(text, entries):
+    assert _parse_entries(text) == entries
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_0", "\u0663", "\uff13", "1,\u0663", "2,,1", ",3", "3,", "x", "+", "-", "+-3", "3.0", "0x3",
+     "1 0", "\x1c3"],
+)
+def test_parse_entries_refuses_anything_else(text):
+    with pytest.raises(DomainError) as err:
+        _parse_entries(text)
+    assert err.value.code == "parse_error"
 
 
 def test_pair_swapped_and_symmetry():
