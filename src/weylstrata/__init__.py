@@ -37,8 +37,9 @@ _MODULE_OF = {
             "enumerate_jordan", "family_from_name", "invert_bijection",
         )),
         ("partitions", (
-            "Bipartition", "Excess", "Partition", "bp_sum", "enumerate_bipartitions",
-            "enumerate_partitions", "has_excess", "is_bipartition", "n_invariant",
+            "Bipartition", "Excess", "Partition", "bp_sum", "count_bipartitions",
+            "enumerate_bipartitions", "enumerate_partitions", "has_excess", "is_bipartition",
+            "n_invariant", "n_invariant_set",
         )),
         ("verify", ("CheckResult", "check_names", "run_check", "run_suite")),
         ("weyl", (

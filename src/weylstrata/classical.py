@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from functools import reduce
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .errors import DomainError, Record, check_characteristic
@@ -39,6 +40,7 @@ from .partitions import (
     bp_sum,
     enumerate_bipartitions,
     n_invariant,
+    n_invariant_set,
 )
 
 
@@ -298,10 +300,20 @@ def enumerate_strata(group: GroupDescriptor) -> tuple[StratumResult, ...]:
     GL_n, by weight-N/2 bipartitions of excess (2, 2) for Sp_N and SO_{N+1},
     and of excess (0, 4) for SO_N with N even.
     """
-    bps = enumerate_bipartitions(group.rank_half, stratum_excess(group.series))
-    return tuple(_stratum(group, bp) for bp in bps)
+    # each label's _stratum, without checking the enumerated label again
+    half = group.rank_half
+    two_roots = 2 * positive_roots(group)
+    so_even = group.series is Series.SO_EVEN
+    out = []
+    for bp in enumerate_bipartitions(half, stratum_excess(group.series)):
+        n_e = len(bp) * half - sum(accumulate(bp))
+        degenerate = len(bp) % 2 == 0 and bp[0::2] == bp[1::2] if so_even else None
+        out.append(StratumResult(bp, n_e, two_roots - 2 * n_e, degenerate))
+    return tuple(out)
 
 
 def dimension_set(group: GroupDescriptor) -> frozenset[int]:
-    """The set of class dimensions over all strata of the group."""
-    return frozenset(s.class_dim for s in enumerate_strata(group))
+    """The set of class dimensions over all strata of the group, listing no stratum."""
+    two_roots = 2 * positive_roots(group)
+    n_invariants = n_invariant_set(group.rank_half, stratum_excess(group.series))
+    return frozenset(two_roots - 2 * n_e for n_e in n_invariants)

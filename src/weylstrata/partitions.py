@@ -19,8 +19,9 @@ series and (0, 4) for the even orthogonal series.
 
 from __future__ import annotations
 
+import functools
 import re
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError
@@ -115,16 +116,14 @@ class Bipartition(tuple):
 
     def pair_swapped(self) -> "Bipartition":
         """Swap entries pairwise: (c2, c1, c4, c3, ...)."""
-        out = []
-        for i in range(0, len(self) + 1, 2):
-            out.append(self.entry(i + 2))
-            out.append(self.entry(i + 1))
-        return Bipartition(out)
+        padded = self + (0,) * (len(self) % 2)
+        return Bipartition(padded[i ^ 1] for i in range(len(padded)))
 
     @property
     def is_pair_symmetric(self) -> bool:
         """True when c1 = c2, c3 = c4, ...; fixed points of pair_swapped."""
-        return self == self.pair_swapped()
+        # an odd length pairs the last, nonzero entry with a zero
+        return len(self) % 2 == 0 and self[0::2] == self[1::2]
 
 
 class Partition(Bipartition):
@@ -211,12 +210,15 @@ def n_invariant(bp: Bipartition, half: int) -> int:
             f"weight mismatch: bipartition has weight {bp.weight}, expected {half}",
             code="weight_mismatch",
         )
-    total = 0
-    partial = 0
-    for c in bp:
-        partial += c
-        total += half - partial
-    return total
+    return len(bp) * half - sum(accumulate(bp))
+
+
+def _checked(n: int, x) -> Excess:
+    # the excess of a weight-n enumeration or count, after checking both
+    ex = _as_excess(x)
+    if n < 0:
+        raise DomainError(f"weight must be nonnegative, got {n}", code="bad_weight")
+    return ex
 
 
 def _enumerate(n: int, x, cls: type) -> tuple:
@@ -228,27 +230,77 @@ def _enumerate(n: int, x, cls: type) -> tuple:
     positive (its slack and the entry two back from it are both positive):
     two adjacent zeros end both tracks with weight still to place, so this
     prunes exactly the dead branches and bounds the length by 2n.
+
+    An entry that may take all the weight left ends a sequence, which is
+    emitted without another call; with no slack at all, an entry capped at 1
+    forces ones to the end, emitted in one step.
     """
-    ex = _as_excess(x)
-    if n < 0:
-        raise DomainError(f"weight must be nonnegative, got {n}", code="bad_weight")
-    out: list = []
-    prefix: list[int] = []
+    ex = _checked(n, x)
+    if n == 0:
+        return (tuple.__new__(cls),)
+    out, prefix = [], []
+    push, pop, emit, make = prefix.append, prefix.pop, out.append, tuple.__new__
+    ones = [1] * n if ex == (0, 0) else None
 
     def extend(remaining: int, track_cap: int, prev: int, slack: int, next_slack: int) -> None:
-        if remaining == 0:
-            out.append(tuple.__new__(cls, prefix))  # valid by construction
+        top = prev + slack
+        if track_cap < top:
+            top = track_cap
+        if top >= remaining:
+            push(remaining)
+            emit(make(cls, prefix))  # valid by construction
+            pop()
+            top = remaining - 1
+        elif top == 1 and ones:
+            emit(make(cls, prefix + ones[:remaining]))
             return
-        stop = -1 if next_slack > 0 and prev > 0 else 0
-        for v in range(min(remaining, track_cap, prev + slack), stop, -1):
-            prefix.append(v)
+        for v in range(top, -1 if next_slack and prev else 0, -1):
+            push(v)
             extend(remaining - v, prev, v, next_slack, slack)
-            prefix.pop()
+            pop()
 
     # the first entry is capped by n alone; the climb from it to the second
     # entry uses e
     extend(n, n, n, ex.e_prime, ex.e)
     return tuple(out)
+
+
+def _dp(n: int, x) -> tuple[int, int]:
+    """(count, n-invariant mask) of the weight-n sequences that `_enumerate` lists.
+
+    A state is the weight left, the largest entry allowed, the previous entry
+    and the two slacks in the order they come; capping the entries at the
+    weight left changes no completion and keeps the states few.  Bit k of a
+    state's mask is set when some completion adds k to the n-invariant: an
+    entry that leaves `rest` to place adds rest, so the next state's mask is
+    shifted by it.  The memo lives for one call.
+    """
+    ex = _checked(n, x)
+
+    @functools.cache
+    def tally(remaining: int, top: int, prev: int, slack: int, next_slack: int) -> tuple[int, int]:
+        if not remaining:
+            return 1, 1
+        count = mask = 0
+        for v in range(top, -1 if next_slack and prev else 0, -1):
+            rest = remaining - v
+            more, sub = tally(rest, min(rest, prev, v + next_slack), min(v, rest), next_slack, slack)
+            count += more
+            mask |= sub << rest
+        return count, mask
+
+    return tally(n, n, n, ex.e_prime, ex.e)
+
+
+def count_bipartitions(n: int, x) -> int:
+    """len(enumerate_bipartitions(n, x)), by a DP that lists nothing."""
+    return _dp(n, x)[0]
+
+
+def n_invariant_set(n: int, x) -> frozenset[int]:
+    """The n-invariants over the weight-n bipartitions of excess x, listing none."""
+    mask = _dp(n, x)[1]
+    return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:

@@ -11,6 +11,7 @@ from weylstrata.classical import (
     OrbitKind,
     Series,
     SpectralDatum,
+    _stratum,
     classify,
     dimension_set,
     enumerate_strata,
@@ -28,6 +29,7 @@ from weylstrata.jordan import (
 from weylstrata.partitions import (
     Bipartition,
     Partition,
+    enumerate_bipartitions,
     enumerate_partitions,
     n_invariant,
 )
@@ -443,6 +445,25 @@ def test_enumerate_strata_characteristic_independent():
     for a, b in [(sp(8, 0), sp(8, 2)), (so_even(8, 0), so_even(8, 2))]:
         assert [s.bp for s in enumerate_strata(a)] == [s.bp for s in enumerate_strata(b)]
         assert dimension_set(a) == dimension_set(b)
+
+
+def _groups_up_to(dimension):
+    for series in Series:
+        for d in range(dimension + 1):
+            if series is Series.GL or d % 2 == (series is Series.SO_ODD):
+                yield GroupDescriptor(series, d)
+
+
+def test_enumerate_strata_is_stratum_of_each_label():
+    # _stratum checks each label and computes it alone: the oracle of the one pass
+    for group in _groups_up_to(30):
+        labels = enumerate_bipartitions(group.rank_half, stratum_excess(group.series))
+        assert enumerate_strata(group) == tuple(_stratum(group, bp) for bp in labels), group
+
+
+def test_dimension_set_is_the_strata_class_dimensions():
+    for group in _groups_up_to(30):
+        assert dimension_set(group) == {s.class_dim for s in enumerate_strata(group)}, group
 
 
 def test_dimension_set_so5():

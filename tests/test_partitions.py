@@ -11,13 +11,16 @@ from weylstrata.partitions import (
     Bipartition,
     Excess,
     Partition,
+    _enumerate,
     _parse_entries,
     bp_sum,
+    count_bipartitions,
     enumerate_bipartitions,
     enumerate_partitions,
     has_excess,
     is_bipartition,
     n_invariant,
+    n_invariant_set,
 )
 
 
@@ -228,6 +231,13 @@ def test_pair_swapped_and_symmetry():
     assert Bipartition().is_pair_symmetric
 
 
+def test_pair_symmetry_is_fixed_by_pair_swap():
+    for n in range(13):
+        for x in ((2, 2), (0, 4)):
+            for bp in enumerate_bipartitions(n, x):
+                assert bp.is_pair_symmetric == (bp == bp.pair_swapped()), bp
+
+
 def test_pair_swapped_is_involution():
     rng = random.Random(11)
     for _ in range(200):
@@ -308,6 +318,66 @@ def test_enumeration_digests():
                 for bp in enumerate_bipartitions(n, (e, ep)):
                     h.update(f"{type(bp).__name__} {n} ({e}, {ep}): {list(bp)}\n".encode())
     assert h.hexdigest() == "2076824fe36079cc2c264bb8e3cedbefc19b724e256b921cf31a9733782af6e7"
+
+
+def _reference_enumerate(n, x, cls):
+    # the generator before leaves were emitted from their parent's call: one
+    # call per entry, the weight left checked at the top of each
+    e, ep = x
+    out, prefix = [], []
+
+    def extend(remaining, track_cap, prev, slack, next_slack):
+        if remaining == 0:
+            out.append(cls(prefix))
+            return
+        stop = -1 if next_slack > 0 and prev > 0 else 0
+        for v in range(min(remaining, track_cap, prev + slack), stop, -1):
+            prefix.append(v)
+            extend(remaining - v, prev, v, next_slack, slack)
+            prefix.pop()
+
+    extend(n, n, n, ep, e)
+    return tuple(out)
+
+
+def test_enumeration_matches_the_one_call_per_entry_reference():
+    excesses = [(0, 0), (2, 2), (0, 4), (1, 3), (3, 0), (1, 0), (0, 1)]
+    for n in range(15):
+        for x in excesses:
+            for cls in (Bipartition, Partition) if x == (0, 0) else (Bipartition,):
+                got = _enumerate(n, x, cls)
+                assert got == _reference_enumerate(n, x, cls), (n, x)
+                assert {type(bp) for bp in got} == {cls}
+
+
+_DP_EXCESSES = [(0, 0), (2, 2), (0, 4), (1, 3), (3, 0)]
+
+
+def test_counts_and_n_invariant_sets_match_the_enumeration():
+    # the enumeration is the oracle of the DP that lists nothing
+    for n in range(17):
+        for x in _DP_EXCESSES:
+            bps = enumerate_bipartitions(n, x)
+            assert count_bipartitions(n, x) == len(bps), (n, x)
+            assert n_invariant_set(n, x) == {n_invariant(bp, n) for bp in bps}, (n, x)
+
+
+def test_counts_past_the_enumeration():
+    # the partition numbers, and the CLI's refusals of Sp_120 and GL_80
+    assert [count_bipartitions(n, (0, 0)) for n in range(11)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert count_bipartitions(100, (0, 0)) == 190569292
+    assert count_bipartitions(60, (2, 2)) == 239872923
+    assert count_bipartitions(80, (0, 0)) == 15796476
+
+
+@pytest.mark.parametrize("call", [count_bipartitions, n_invariant_set])
+def test_dp_refusals(call):
+    with pytest.raises(DomainError) as err:
+        call(-1, (2, 2))
+    assert err.value.code == "bad_weight"
+    with pytest.raises(DomainError) as err:
+        call(3, (1, -1))
+    assert err.value.code == "bad_excess"
 
 
 def test_enumerate_bipartitions_membership_postconditions():
