@@ -197,10 +197,21 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
     return payload, diagnostics
 
 
+# enumerate lists at most this many strata, and refuses a larger group with too_large
+MAX_STRATA = 50_000
+
+
 def _cmd_enumerate(args) -> tuple[dict, list[str]]:
-    from .classical import GroupDescriptor, enumerate_strata
+    from .classical import GroupDescriptor, enumerate_strata, stratum_excess
+    from .partitions import count_bipartitions
 
     group = GroupDescriptor(_series_for_cli(args.series, args.dimension), args.dimension, args.char)
+    # the counts grow with the weight (add 1 to the first entry), so the first
+    # weight past the bound decides, and a larger one is never counted
+    for weight in range(group.rank_half + 1):
+        if count_bipartitions(weight, stratum_excess(group.series)) > MAX_STRATA:
+            raise DomainError(f"{group.series.value}_{group.dimension} has more than {MAX_STRATA} strata, "
+                              "the most enumerate lists", code="too_large")
     rows = []
     for result in enumerate_strata(group):
         row = _stratum_payload(result)

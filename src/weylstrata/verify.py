@@ -247,8 +247,19 @@ def _check_sp4_strata() -> str:
 
 @_check("dimension-sets", budget=5.0)
 def _check_dimension_sets() -> str:
-    """Odd orthogonal and symplectic dimension sets agree, any characteristic."""
-    for n in range(1, 7):
+    """Dimension sets from the DP are the listed strata's; SO_odd and Sp agree.
+
+    For rank n <= 16, each series' dimension set, which lists no stratum,
+    equals the class dimensions of its enumerated strata.  For n <= 60 the
+    odd orthogonal and symplectic sets agree in characteristics 0 and 2, and
+    for n <= 6 the characteristic-2 unipotent classes realize every value.
+    """
+    for n in range(0, 17):
+        # GL_n, Sp_2n, SO_2n+1 and SO_2n, in the order of Series
+        for group in map(GroupDescriptor, Series, (n, 2 * n, 2 * n + 1, 2 * n)):
+            dims = {s.class_dim for s in enumerate_strata(group)}
+            _ensure(dimension_set(group) == dims, f"{group.series.value}_{group.dimension}: DP and strata differ")
+    for n in range(1, 61):
         sp2 = GroupDescriptor(Series.SP, 2 * n, 2)
         base = dimension_set(GroupDescriptor(Series.SO_ODD, 2 * n + 1))
         variants = {
@@ -257,26 +268,28 @@ def _check_dimension_sets() -> str:
         }
         for label, got in variants.items():
             _ensure(got == base, f"n={n}: {label} dimension set differs")
-        # unipotent classes in characteristic 2 already realize every value
-        from_unipotents = {
-            _stratum(sp2, _rewrite(JordanFamily.SYMPLECTIC_CHAR2, 2 * n, runs)).class_dim
-            for runs in _member_runs(JordanFamily.SYMPLECTIC_CHAR2, 2 * n)
-        }
-        _ensure(from_unipotents == base, f"n={n}: char-2 unipotent dims differ")
-    return "SO_odd, Sp, and char-2 unipotent dimension sets agree for n <= 6"
+        if n <= 6:
+            # unipotent classes in characteristic 2 already realize every value
+            from_unipotents = {
+                _stratum(sp2, _rewrite(JordanFamily.SYMPLECTIC_CHAR2, 2 * n, runs)).class_dim
+                for runs in _member_runs(JordanFamily.SYMPLECTIC_CHAR2, 2 * n)
+            }
+            _ensure(from_unipotents == base, f"n={n}: char-2 unipotent dims differ")
+    return ("dimension sets equal the strata's for n <= 16; SO_odd and Sp agree for n <= 60, "
+            "char-2 unipotent dims for n <= 6")
 
 
-@_check("minimal-dimension")
+@_check("minimal-dimension", budget=2.0)
 def _check_minimal_dimension() -> str:
     """The smallest nonzero class dimension of a rank-n stratum is 2n."""
-    for n in range(3, 7):
+    for n in range(3, 61):
         for group in (GroupDescriptor(Series.SP, 2 * n), GroupDescriptor(Series.SO_ODD, 2 * n + 1)):
             nonzero = sorted(d for d in dimension_set(group) if d)
             _ensure(
                 nonzero and nonzero[0] == 2 * n,
                 f"{group.series.name} rank {n}: minimal nonzero dim {nonzero[:1]} != {2 * n}",
             )
-    return "minimal nonzero stratum dimension is 2n for ranks 3 through 6"
+    return "minimal nonzero stratum dimension is 2n for ranks 3 through 60"
 
 
 @_check("e8-counts")

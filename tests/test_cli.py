@@ -10,10 +10,10 @@ import jsonschema
 import pytest
 
 from weylstrata.atlas import ATLAS_ENV_VAR, load_atlas
-from weylstrata.cli import main
+from weylstrata.cli import MAX_STRATA, main
 from weylstrata.errors import DomainError
 from weylstrata.jordan import FAMILY_ALIASES, JordanFamily, enumerate_jordan, invert_bijection
-from weylstrata.partitions import Bipartition
+from weylstrata.partitions import Bipartition, count_bipartitions
 
 SCHEMA_FILE = resources.files("weylstrata").joinpath("data").joinpath("envelope.schema.json")
 ENVELOPE = jsonschema.Draft7Validator(json.loads(SCHEMA_FILE.read_text(encoding="utf-8")))
@@ -289,6 +289,7 @@ def test_phi_a_series_identity(capsys):
         (("invert", "--family", "Qx", "--N", "4", "--target", "2"), "bad_family"),
         (("enumerate", "--series", "Sp", "--dimension", "5"), "bad_dimension"),
         (("enumerate", "--series", "Sp", "--dimension", "4", "--char", "6"), "bad_characteristic"),
+        (("enumerate", "--series", "SO", "--dimension", "1000001"), "too_large"),
         (("phi", "--group", "D", "--rank", "4", "--class", "2;2"), "bad_class"),
         (("phi", "--group", "B", "--rank", "3", "--class", "1;1"), "bad_class"),
         (("phi", "--group", "B", "--rank", "-1", "--class", ";"), "bad_rank"),
@@ -494,6 +495,37 @@ def test_enumerate_bare_so_resolves_by_parity(capsys):
     status, env = run_json(capsys, "enumerate", "--series", "SO", "--dimension", "8")
     assert status == 0
     assert env["payload"]["group"]["series"] == "SO_even"
+
+
+@pytest.mark.parametrize("series,dimension", [("Sp", "120"), ("GL", "80")])
+def test_enumerate_refuses_too_many_strata_at_once(capsys, series, dimension):
+    # 239,872,923 and 15,796,476 strata, which were listed until killed
+    start = time.perf_counter()
+    status, env = run_json(capsys, "enumerate", "--series", series, "--dimension", dimension)
+    assert time.perf_counter() - start < 1.0
+    assert status == 1
+    assert env["payload"]["code"] == "too_large"
+    assert f"more than {MAX_STRATA} strata" in env["payload"]["message"]
+
+
+# per series, the largest dimension whose strata enumerate lists, and the next
+_LARGEST_ALLOWED = {"GL": (41, 42), "Sp": (48, 50), "SO_odd": (49, 51), "SO_even": (52, 54)}
+
+
+@pytest.mark.parametrize("series", sorted(_LARGEST_ALLOWED))
+def test_enumerate_bound_is_between_the_largest_allowed_and_the_next(capsys, series):
+    allowed, refused = _LARGEST_ALLOWED[series]
+    excess = {"GL": (0, 0), "SO_even": (0, 4)}.get(series, (2, 2))
+    half = allowed if series == "GL" else allowed // 2
+    assert count_bipartitions(half, excess) <= MAX_STRATA < count_bipartitions(half + 1, excess)
+    status, env = run_json(capsys, "enumerate", "--series", series, "--dimension", str(refused))
+    assert (status, env["payload"]["code"]) == (1, "too_large")
+
+
+def test_enumerate_lists_the_largest_allowed_group(capsys):
+    status, env = run_json(capsys, "enumerate", "--series", "Sp", "--dimension", "48")
+    assert status == 0
+    assert env["payload"]["count"] == len(env["payload"]["strata"]) == 47313
 
 
 def test_so_even_payload_carries_degeneracy(capsys):
