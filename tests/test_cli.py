@@ -289,7 +289,6 @@ def test_phi_a_series_identity(capsys):
         (("invert", "--family", "Qx", "--N", "4", "--target", "2"), "bad_family"),
         (("enumerate", "--series", "Sp", "--dimension", "5"), "bad_dimension"),
         (("enumerate", "--series", "Sp", "--dimension", "4", "--char", "6"), "bad_characteristic"),
-        (("enumerate", "--series", "SO", "--dimension", "1000001"), "too_large"),
         (("phi", "--group", "D", "--rank", "4", "--class", "2;2"), "bad_class"),
         (("phi", "--group", "B", "--rank", "3", "--class", "1;1"), "bad_class"),
         (("phi", "--group", "B", "--rank", "-1", "--class", ";"), "bad_rank"),
@@ -309,6 +308,7 @@ def test_phi_a_series_identity(capsys):
         (("phi", "--group", "A", "--rank", "2", "--class", "\u0663"), "parse_error"),
         (("phi", "--group", "B", "--rank", "3", "--class", "\uff13;"), "parse_error"),
         (("invert", "--family", "Z2", "--N", "20", "--target", "1_0"), "parse_error"),
+        (("enumerate", "--series", "SO", "--dimension", "1000001"), "too_large"),
     ],
 )
 def test_domain_errors_exit_1(capsys, argv, code):
