@@ -39,19 +39,20 @@ _PACKAGED_PATH = os.path.join(os.path.dirname(__file__), "data", "exceptional_at
 ATLAS_FORMAT_VERSION = 1
 
 
+def _group_from_name(name: str, groups: tuple[str, ...], kind: str) -> str:
+    canon = str(name).strip().upper().replace("_", "")
+    if canon in groups:
+        return canon
+    raise DomainError(f"unknown {kind} {name!r}", code="bad_group")
+
+
 def exc_group_from_name(name: str) -> str:
     """Canonical exceptional group name: accepts "E8", "e8", "E_8"."""
-    canon = str(name).strip().upper().replace("_", "")
-    if canon in EXC_GROUPS:
-        return canon
-    raise DomainError(f"unknown exceptional group {name!r}", code="bad_group")
+    return _group_from_name(name, EXC_GROUPS, "exceptional group")
 
 
 def _iso_group_from_name(name: str) -> str:
-    canon = str(name).strip().upper().replace("_", "")
-    if canon in CLASSICAL_SERIES or canon in EXC_GROUPS:
-        return canon
-    raise DomainError(f"unknown group or series {name!r}", code="bad_group")
+    return _group_from_name(name, CLASSICAL_SERIES + EXC_GROUPS, "group or series")
 
 
 class RepLabel(Record):
@@ -77,18 +78,23 @@ class RepLabel(Record):
             raise DomainError("synthetic id must be nonnegative", code="bad_rep")
 
     def __str__(self) -> str:
+        return self._text(self.synthetic_id > 0)
+
+    def _text(self, with_id: bool) -> str:
+        # "d_n", then "*star" if starred and "#id" if asked; Atlas.format_rep asks when rows need it
         text = f"{self.d}_{self.n}"
         if self.star:
             text += f"*{self.star}"
-        if self.synthetic_id:
+        if with_id:
             text += f"#{self.synthetic_id}"
         return text
 
 
 _SIMPLE_TOKEN = re.compile(
-    r"^(~?)([A-G])('{0,2})_(\d+)('{0,2})(\(a_\d+\))?('{0,2})$"
+    r"^(~?)([A-G])('{0,2})_([0-9]+)('{0,2})(\(a_[0-9]+\))?('{0,2})$"
 )
-_REP_TEXT = re.compile(r"^(\d+)_(\d+)(?:\*(\d+))?(?:#(\d+))?$")
+_REP_TEXT = re.compile(r"^([0-9]+)_([0-9]+)(?:\*([0-9]+))?(?:#([0-9]+))?$")
+_NUMBER = re.compile(r"[0-9]+")
 
 
 class CarterLabel(Record):
@@ -108,8 +114,8 @@ def _malformed(raw: str, why: str) -> DomainError:
     return DomainError(f"malformed class label {raw!r}: {why}", code="bad_carter_label")
 
 
-def _split_plus(text: str, raw: str) -> list[str]:
-    # split on '+' at paren depth 0
+def _parse_sum(text: str, raw: str) -> tuple[str, int]:
+    # the canonical text and rank of the '+'-separated summands at paren depth 0
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
@@ -126,12 +132,13 @@ def _split_plus(text: str, raw: str) -> list[str]:
     parts.append(text[start:])
     if any(not p for p in parts):
         raise _malformed(raw, "empty summand")
-    return parts
+    canons, ranks = zip(*[_parse_term(part, raw) for part in parts])
+    return "+".join(canons), sum(ranks)
 
 
 def _parse_term(term: str, raw: str) -> tuple[str, int]:
     mult = 1
-    m = re.match(r"^(\d+)(?=[~A-G(])", term)
+    m = re.match(r"^([0-9]+)(?=[~A-G(])", term)
     if m:
         mult = int(m.group(1))
         if mult < 2:
@@ -144,15 +151,10 @@ def _parse_term(term: str, raw: str) -> tuple[str, int]:
             depth -= ch == ")"
             if depth == 0:
                 break
-        inner, tail = term[1:i], term[i + 1 :]
+        tail = term[i + 1 :]
         if not re.fullmatch(r"'{1,2}", tail):
             raise _malformed(raw, "a parenthesized sum must end in primes")
-        inner_canon, inner_rank = [], 0
-        for part in _split_plus(inner, raw):
-            canon, rank = _parse_term(part, raw)
-            inner_canon.append(canon)
-            inner_rank += rank
-        joined = "+".join(inner_canon)
+        joined, inner_rank = _parse_sum(term[1:i], raw)
         return f"{mult if mult > 1 else ''}({joined}){tail}", mult * inner_rank
     m = _SIMPLE_TOKEN.match(term)
     if m is None:
@@ -179,12 +181,12 @@ def parse_carter(raw: str) -> CarterLabel:
     text = re.sub(r"\s+", "", raw).replace("Ã", "~A")
     if not text:
         raise _malformed(raw, "empty")
-    canon_terms, rank = [], 0
-    for term in _split_plus(text, raw):
-        canon, r = _parse_term(term, raw)
-        canon_terms.append(canon)
-        rank += r
-    return CarterLabel("+".join(canon_terms), rank)
+    try:
+        return CarterLabel(*_parse_sum(text, raw))
+    except DomainError:  # a ValueError too, already specific
+        raise
+    except (ValueError, RecursionError):  # too many digits for int(), or a stack too deep
+        raise _malformed(raw, "a number has too many digits or the parentheses nest too deeply") from None
 
 
 def m_of_class(group: str, label: Union[str, CarterLabel]) -> int:
@@ -222,8 +224,8 @@ class IsolatedSubgroup(Record):
 
     __slots__ = ("group", "flavor", "subtype", "constraint")
 
-    def __init__(self, group: str, flavor: IsoFlavor, subtype: str, constraint: str = ""):
-        self._set(group, flavor, subtype, constraint)
+    def __init__(self, group: str, flavor: Union[IsoFlavor, str], subtype: str, constraint: str = ""):
+        self._set(_iso_group_from_name(group), _flavor_from_name(flavor), subtype, constraint)
 
 
 class AtlasRow(Record):
@@ -243,14 +245,11 @@ class Atlas:
         self.source = source
         self._rows: dict[str, list[AtlasRow]] = {g: [] for g in EXC_GROUPS}
         self._by_class: dict[tuple[str, str], list[AtlasRow]] = {}
-        self._by_rep: dict[RepLabel, AtlasRow] = {}
-        self._dns_count: dict[tuple[str, int, int, int], int] = {}
+        # the rows of each (group, d, n), in synthetic-id order: every lookup by representation
+        self._by_dn: dict[tuple[str, int, int], list[AtlasRow]] = {}
         for row in rows:
-            r = row.rep
             self._rows[row.group].append(row)
-            self._by_rep[r] = row
-            key = (row.group, r.d, r.n, r.star)
-            self._dns_count[key] = self._dns_count.get(key, 0) + 1
+            self._by_dn.setdefault((row.group, row.rep.d, row.rep.n), []).append(row)
             for c in row.classes:
                 self._by_class.setdefault((row.group, c.raw), []).append(row)
         self._iso: dict[tuple[str, IsoFlavor], list[IsolatedSubgroup]] = {}
@@ -272,12 +271,8 @@ class Atlas:
         The synthetic id is shown only when several rows share the same
         (d, n, star), as for the two unstarred 8_3 rows of F4.
         """
-        text = f"{rep.d}_{rep.n}"
-        if rep.star:
-            text += f"*{rep.star}"
-        if self._dns_count.get((rep.group, rep.d, rep.n, rep.star), 0) > 1:
-            text += f"#{rep.synthetic_id}"
-        return text
+        rows = self._by_dn.get((rep.group, rep.d, rep.n), ())
+        return rep._text(sum(row.rep.star == rep.star for row in rows) > 1)
 
     def rep_from_string(self, group: str, text: str) -> RepLabel:
         """Resolve "d_n", "d_n*r", "d_n#i", or "d_n*r#i" to a table row's rep.
@@ -287,17 +282,16 @@ class Atlas:
         """
         group = exc_group_from_name(group)
         m = _REP_TEXT.match(str(text).strip())
-        if m is None:
-            raise DomainError(f"malformed representation label {text!r}", code="bad_rep")
-        d, n = int(m.group(1)), int(m.group(2))
-        star = int(m.group(3)) if m.group(3) else None
-        sid = int(m.group(4)) if m.group(4) else None
+        try:
+            if m is None:
+                raise ValueError
+            d, n, star, sid = (None if g is None else int(g) for g in m.groups())
+        except ValueError:  # malformed, or more digits than int() converts
+            raise DomainError(f"malformed representation label {text!r}", code="bad_rep") from None
         cands = [
             row
-            for row in self._rows[group]
-            if row.rep.d == d
-            and row.rep.n == n
-            and (star is None or row.rep.star == star)
+            for row in self._by_dn.get((group, d, n), ())
+            if (star is None or row.rep.star == star)
             and (sid is None or row.rep.synthetic_id == sid)
         ]
         if star is None and len(cands) > 1:
@@ -322,10 +316,10 @@ class Atlas:
             raise DomainError(
                 f"representation {rep} belongs to {rep.group}, not {group}", code="unknown_rep"
             )
-        row = self._by_rep.get(rep)
-        if row is None:
-            raise DomainError(f"no representation {rep} in {group}", code="unknown_rep")
-        return row
+        for row in self._by_dn.get((group, rep.d, rep.n), ()):
+            if row.rep == rep:
+                return row
+        raise DomainError(f"no representation {rep} in {group}", code="unknown_rep")
 
     def rep_of_class(
         self,
@@ -335,26 +329,26 @@ class Atlas:
     ) -> RepLabel:
         """The representation indexing the stratum of the given class.
 
-        The E7 label "A_3+A_2" names classes in two different rows; such
-        lookups need rep_hint (one of the candidate representations) to
-        choose, and raise with code "ambiguous_class" otherwise.
+        A rep_hint must name a row that holds the class, else the lookup
+        raises with code "unknown_class".  The E7 label "A_3+A_2" names
+        classes in two different rows; such lookups need the hint to
+        choose, and raise with code "ambiguous_class" without it.
         """
         group = exc_group_from_name(group)
         canon = label.raw if isinstance(label, CarterLabel) else parse_carter(label).raw
         rows = self._by_class.get((group, canon), [])
         if not rows:
             raise DomainError(f"no class {canon!r} in the {group} table", code="unknown_class")
+        if rep_hint is not None:
+            want = self._resolve_rep(group, rep_hint)
+            if want not in rows:
+                raise DomainError(
+                    f"class {canon!r} does not occur under {self.format_rep(want.rep)}",
+                    code="unknown_class",
+                )
+            return want.rep
         if len(rows) == 1:
             return rows[0].rep
-        if rep_hint is not None:
-            want = self._resolve_rep(group, rep_hint).rep
-            for row in rows:
-                if row.rep == want:
-                    return row.rep
-            raise DomainError(
-                f"class {canon!r} does not occur under {self.format_rep(want)}",
-                code="unknown_class",
-            )
         shown = ", ".join(self.format_rep(r.rep) for r in rows)
         raise DomainError(
             f"class {canon!r} occurs in several {group} rows ({shown}); "
@@ -411,7 +405,7 @@ def _parse_error(source: str, lineno: int, why: str) -> DomainError:
 
 
 def _parse_atlas(text: str, source: str) -> Atlas:
-    version: Optional[int] = None
+    version: Optional[str] = None
     rows: list[AtlasRow] = []
     iso: list[IsolatedSubgroup] = []
     # line numbers of the rows read so far, per (group, d, n) in synthetic-id order
@@ -425,10 +419,11 @@ def _parse_atlas(text: str, source: str) -> Atlas:
         if kind == "version":
             if version is not None or rows or iso:
                 raise _parse_error(source, lineno, "version must be the first record")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not _NUMBER.fullmatch(fields[1]):
                 raise _parse_error(source, lineno, "bad version record")
-            version = int(fields[1])
-            if version != ATLAS_FORMAT_VERSION:
+            # compared as text, so no number is too long to read
+            version = fields[1].lstrip("0") or "0"
+            if version != str(ATLAS_FORMAT_VERSION):
                 raise DomainError(
                     f"{source}: unsupported atlas format version {version}",
                     code="atlas_version",
@@ -438,13 +433,14 @@ def _parse_atlas(text: str, source: str) -> Atlas:
         elif kind == "row":
             if len(fields) != 8:
                 raise _parse_error(source, lineno, f"row needs 8 fields, got {len(fields)}")
-            _, group, d, n, star, sid, classes, note = fields
+            _, group, *numbers, classes, note = fields
             try:
-                group = exc_group_from_name(group)
-                rep = RepLabel(group, int(d), int(n), int(star), int(sid))
+                if not all(map(_NUMBER.fullmatch, numbers)):
+                    raise ValueError("degree, n, star and id must be ASCII digits")
+                rep = RepLabel(group, *map(int, numbers))
             except (ValueError, DomainError) as exc:
                 raise _parse_error(source, lineno, f"bad row: {exc}") from None
-            earlier = dn_lines.setdefault((group, rep.d, rep.n), [])
+            earlier = dn_lines.setdefault((rep.group, rep.d, rep.n), [])
             if rep.synthetic_id < len(earlier):
                 raise _parse_error(
                     source, lineno, f"row {rep} repeats line {earlier[rep.synthetic_id]}"
@@ -454,28 +450,22 @@ def _parse_atlas(text: str, source: str) -> Atlas:
                     source, lineno, f"synthetic id should be {len(earlier)}, got {rep.synthetic_id}"
                 )
             earlier.append(lineno)
-            if not classes:
-                raise _parse_error(source, lineno, "row has no classes")
+            # parse_carter refuses an empty label, and m_of_class one beyond the group
             try:
                 parsed = tuple(parse_carter(c) for c in classes.split(","))
+                for c in parsed:
+                    m_of_class(rep.group, c)
             except DomainError as exc:
                 raise _parse_error(source, lineno, str(exc)) from None
             if len({c.raw for c in parsed}) != len(parsed):
                 raise _parse_error(source, lineno, "repeated class within a row")
-            for c in parsed:
-                if c.parsed_rank > EXC_RANK[group]:
-                    raise _parse_error(
-                        source, lineno, f"class {c.raw!r} has rank beyond {group}"
-                    )
-            rows.append(AtlasRow(group, parsed, rep, note))
+            rows.append(AtlasRow(rep.group, parsed, rep, note))
         elif kind == "iso":
             if len(fields) != 5:
                 raise _parse_error(source, lineno, f"iso needs 5 fields, got {len(fields)}")
             _, group, flavor, subtype, constraint = fields
             try:
-                entry = IsolatedSubgroup(
-                    _iso_group_from_name(group), _flavor_from_name(flavor), subtype, constraint
-                )
+                entry = IsolatedSubgroup(group, flavor, subtype, constraint)
             except DomainError as exc:
                 raise _parse_error(source, lineno, str(exc)) from None
             if not subtype:

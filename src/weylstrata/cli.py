@@ -49,6 +49,8 @@ def _read_document(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise DomainError(f"input is not valid JSON: {err}", code="bad_document")
+    except ValueError:  # int() refuses numbers of more digits than sys.get_int_max_str_digits()
+        raise DomainError("input JSON has a number of too many digits", code="bad_document")
     except RecursionError:
         raise DomainError("input JSON is nested too deeply", code="bad_document")
     if not isinstance(doc, dict):
@@ -185,12 +187,13 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
         raise DomainError("--rank applies only to classical series", code="bad_rank")
     atlas = load_atlas(args.data_file)
     hint = atlas.rep_from_string(group, args.rep) if args.rep is not None else None
+    # one parse of the label serves the lookup, the payload and the fixed-space dimension
     label = parse_carter(args.class_label)
-    rep = atlas.rep_of_class(group, args.class_label, rep_hint=hint)
+    rep = atlas.rep_of_class(group, label, rep_hint=hint)
     payload = {
         "group": group,
         "class": label.raw,
-        "fixed_space_dim": m_of_class(group, args.class_label),
+        "fixed_space_dim": m_of_class(group, label),
         **_rep_payload(atlas, group, rep),
         "fiber": [c.raw for c in atlas.fiber(group, rep)],
     }

@@ -67,9 +67,12 @@ def _parse_entries(text: str) -> list[int]:
     if not text.strip():
         return []
     pieces = text.split(",")
-    if not all(map(_ENTRY.fullmatch, pieces)):
-        raise DomainError(f"expected comma-separated integers, got {text!r}", code="parse_error")
-    return [int(piece) for piece in pieces]
+    try:
+        if not all(map(_ENTRY.fullmatch, pieces)):
+            raise ValueError
+        return [int(piece) for piece in pieces]
+    except ValueError:  # malformed, or more digits than int() converts
+        raise DomainError(f"expected comma-separated integers, got {text!r}", code="parse_error") from None
 
 
 class Bipartition(tuple):

@@ -128,6 +128,25 @@ def test_ambiguous_class_resolved_by_hint():
     assert err.value.code == "unknown_class"
 
 
+def test_a_hint_must_name_a_row_holding_the_class():
+    # one rule for every class, in one row or in several
+    with pytest.raises(DomainError) as err:
+        rep_of_class("E8", "A_0", rep_hint="1_0")
+    assert err.value.code == "unknown_class"
+    atlas = load_atlas()
+    for group in EXC_GROUPS:
+        rows = atlas.rows(group)
+        for label in {c for row in rows for c in row.classes}:
+            for row in rows:
+                if label in row.classes:
+                    assert atlas.rep_of_class(group, label, rep_hint=row.rep) == row.rep
+                    assert atlas.rep_of_class(group, label.raw, atlas.format_rep(row.rep)) == row.rep
+                    continue
+                with pytest.raises(DomainError) as err:
+                    atlas.rep_of_class(group, label, rep_hint=row.rep)
+                assert err.value.code == "unknown_class"
+
+
 def test_fiber_examples():
     assert [str(c) for c in fiber_of_rep("E7", "15_28")] == ["7A_1", "6A_1", "5A_1", "(4A_1)'"]
     assert [str(c) for c in fiber_of_rep("G2", "1_0")] == ["G_2"]
@@ -247,7 +266,14 @@ def test_parse_carter_examples():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "A", "A_", "_3", "A_3)", "(A_3", "(A_3)", "1A_3", "A'''_2", "A''_5''", "X_2", "A_3++A_1", "a_3"],
+    [
+        "", "A", "A_", "_3", "A_3)", "(A_3", "(A_3)", "1A_3", "A'''_2", "A''_5''", "X_2", "A_3++A_1", "a_3",
+        # class labels take ASCII digits only
+        "A_٣", "٢A_1", "A_1(a_١)",
+        pytest.param("A_" + "9" * 5000, id="subscript-of-5000-digits"),
+        pytest.param("9" * 5000 + "A_1", id="multiplicity-of-5000-digits"),
+        pytest.param("(" * 1200 + "A_1" + ")''" * 1200, id="1200-nested-parentheses"),
+    ],
 )
 def test_parse_carter_rejects(bad):
     with pytest.raises(DomainError) as err:
@@ -279,9 +305,11 @@ def test_rep_from_string_resolution():
     with pytest.raises(DomainError) as err:
         atlas.rep_from_string("F4", "999_9")
     assert err.value.code == "unknown_rep"
-    with pytest.raises(DomainError) as err:
-        atlas.rep_from_string("F4", "felix")
-    assert err.value.code == "bad_rep"
+    # ASCII digits only, and any number of them
+    for bad in ("felix", "١_١٢٠", "1_" + "9" * 5000):
+        with pytest.raises(DomainError) as err:
+            atlas.rep_from_string("F4", bad)
+        assert err.value.code == "bad_rep"
 
 
 def test_format_rep_round_trips():
@@ -389,6 +417,10 @@ _REPEAT_E8_ROW = lambda t: t + next(l for l in t.splitlines() if l.startswith("r
         (lambda t: t.replace("iso|A|pseudo_levi|A_n|n>=0", "iso|A|levi|A_n|n>=0"), "atlas_parse_error"),
         (lambda t: t + "wat|1|2\n", "atlas_parse_error"),
         (_REPEAT_E8_ROW, "atlas_parse_error"),
+        (lambda t: t.replace("version|1", "version|²"), "atlas_parse_error"),
+        (lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|١|0|0|A_2|"), "atlas_parse_error"),
+        (lambda t: t.replace("version|1", "version|" + "9" * 5000), "atlas_version"),
+        (lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|1|0|0||"), "atlas_parse_error"),
     ],
 )
 def test_load_atlas_rejects_malformed(tmp_path, mangle, code):

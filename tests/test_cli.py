@@ -276,6 +276,10 @@ def test_phi_a_series_identity(capsys):
     assert run_json(capsys, "phi", "--group", "A", "--rank", "2", "--class", "1,2") == (status, env)
 
 
+# more digits than int() converts at its default limit of 4300
+_LONG = "9" * 5000
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
@@ -309,9 +313,24 @@ def test_phi_a_series_identity(capsys):
         (("phi", "--group", "B", "--rank", "3", "--class", "\uff13;"), "parse_error"),
         (("invert", "--family", "Z2", "--N", "20", "--target", "1_0"), "parse_error"),
         (("enumerate", "--series", "SO", "--dimension", "1000001"), "too_large"),
+        # a hint must name a row that holds the class; labels and reps take ASCII digits only
+        (("phi", "--group", "E8", "--class", "A_0", "--rep", "1_0"), "unknown_class"),
+        (("phi", "--group", "E8", "--class", "A_0", "--rep", "\u0661_\u0661\u0662\u0660"), "bad_rep"),
+        (("phi", "--group", "E8", "--class", "A_\u0663"), "bad_carter_label"),
+        (("tables", "--group", "F4", "--rep", "\u0661_\u0661\u0662\u0660"), "bad_rep"),
+        # numbers of more digits than int() converts, one row per reader
+        (("phi", "--group", "A", "--rank", "2", "--class", _LONG), "parse_error"),
+        (("invert", "--family", "Z2", "--N", "6", "--target", _LONG), "parse_error"),
+        (("phi", "--group", "E8", "--class", "A_" + _LONG), "bad_carter_label"),
+        (("phi", "--group", "E8", "--class", _LONG + "A_1"), "bad_carter_label"),
+        (("phi", "--group", "E8", "--class", "A_0", "--rep", "1_" + _LONG), "bad_rep"),
+        (("tables", "--group", "E8", "--rep", "1_" + _LONG), "bad_rep"),
+        (("classify", "-"), "bad_document"),
     ],
 )
-def test_domain_errors_exit_1(capsys, argv, code):
+def test_domain_errors_exit_1(capsys, monkeypatch, argv, code):
+    # the one row that reads stdin gets a group whose N has 5000 digits
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"group": {"series": "Sp", "N": %s}, "orbits": []}' % _LONG))
     status, env = run_json(capsys, *argv)
     assert status == 1
     assert env["status"] == "error"

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import random
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -360,6 +362,24 @@ def test_counts_and_n_invariant_sets_match_the_enumeration():
             bps = enumerate_bipartitions(n, x)
             assert count_bipartitions(n, x) == len(bps), (n, x)
             assert n_invariant_set(n, x) == {n_invariant(bp, n) for bp in bps}, (n, x)
+
+
+def _benchmark_sampler():
+    # perfbench/sampler.py has its own counting DPs, written apart from the library;
+    # it is read from its file, since perfbench is not a package of the library
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "sampler.py"
+    spec = importlib.util.spec_from_file_location("perfbench_sampler", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_counts_and_n_invariant_sets_match_the_samplers_dp_past_the_enumeration():
+    sampler = _benchmark_sampler()
+    for n in [*range(17, 25), 32]:
+        for x in _DP_EXCESSES:
+            assert count_bipartitions(n, x) == sampler.bp_count(n, x), (n, x)
+            assert n_invariant_set(n, x) == sampler.n_invariant_set(n, x), (n, x)
 
 
 def test_counts_past_the_enumeration():
