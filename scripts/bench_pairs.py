@@ -14,9 +14,16 @@ pair to pair, so that slow phases of the host fall on both sides alike.  The las
 result JSON.  The file written at the root of this checkout, named after
 its HEAD, holds per workload and end-to-end metric the median, quartiles,
 minimum and maximum of each side, the ratio of the medians, the share of
-pairs in which the change is better, and every run's value; besides the
-attempted and failed counts of every run and whether the first-cycle
-digests of the two sides agree.
+pairs in which the change is better, every run's value and a verdict;
+besides the attempted and failed counts of every run and whether the
+first-cycle digests of the two sides agree.  The verdict, with the
+metric's relative bound from BENCHMARK.json, is the first that holds of
+
+    worse       the change's median is worse than the parent's by more than the bound
+    better      the change is better in at least 9 of 10 pairs, and its median
+                beats the parent's by more than the parent's interquartile range
+    unresolved  either side's interquartile range exceeds the bound times its median
+    unchanged   otherwise
 """
 
 from __future__ import annotations
@@ -60,21 +67,36 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values), "runs": values}
 
 
-def summarise(runs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+def verdict(parent: dict, change: dict, lower: bool, bound: float, wins: int, pairs: int) -> str:
+    # the first of worse, better, unresolved that holds, else unchanged (module docstring)
+    gain = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
+    if -gain > bound * parent["median"]:
+        return "worse"
+    if 10 * wins >= 9 * pairs and gain > parent["q3"] - parent["q1"]:
+        return "better"
+    if any(side["q3"] - side["q1"] > bound * side["median"] for side in (parent, change)):
+        return "unresolved"
+    return "unchanged"
+
+
+def summarise(runs: list[tuple[dict, dict]], rules: dict[str, dict]) -> dict:
     parent, change = [p for p, _ in runs], [c for _, c in runs]
     metrics = {}
     for name, unit in parent[0]["units"].items():
         before = [r["metrics"][name] for r in parent]
         after = [r["metrics"][name] for r in change]
-        lower = better.get(name) == "lower"
+        lower = rules[name]["better"] == "lower"
         wins = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
+        sides = spread(before), spread(after)
         metrics[name] = {
             "unit": unit,
-            "better": better.get(name),
-            "parent": spread(before),
-            "change": spread(after),
+            "better": rules[name]["better"],
+            "bound": rules[name]["bound"],
+            "parent": sides[0],
+            "change": sides[1],
             "ratio_of_medians": statistics.median(after) / statistics.median(before),
             "change_better_in_pairs": f"{wins}/{len(runs)}",
+            "verdict": verdict(*sides, lower, rules[name]["bound"], wins, len(runs)),
         }
     return {
         "metrics": metrics,
@@ -94,7 +116,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
     seconds = benchmark["run_seconds"]
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    rules = {m["name"]: m for m in benchmark["end_to_end"]}
     sha = short_sha(ROOT)
     report = {
         "parent": short_sha(args.parent),
@@ -117,7 +139,7 @@ def main(argv=None) -> int:
                 change = run_once(ROOT, workload, args.seed, seconds)
             runs.append((parent, change))
             print(f"{workload}: pair {i + 1} of {args.pairs} done", file=sys.stderr)
-        report["workloads"][workload] = summarise(runs, better)
+        report["workloads"][workload] = summarise(runs, rules)
     path = os.path.join(ROOT, f"BENCH_{sha}.json")
     with open(path, "w") as f:
         json.dump(report, f, indent=1, sort_keys=True)

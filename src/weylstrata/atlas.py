@@ -321,6 +321,15 @@ class Atlas:
                 return row
         raise DomainError(f"no representation {rep} in {group}", code="unknown_rep")
 
+    def rows_of_class(self, group: str, label: Union[str, CarterLabel]) -> tuple[AtlasRow, ...]:
+        """The rows that hold a class, in table order; a class in none raises with code "unknown_class"."""
+        group = exc_group_from_name(group)
+        canon = label.raw if isinstance(label, CarterLabel) else parse_carter(label).raw
+        rows = self._by_class.get((group, canon))
+        if not rows:
+            raise DomainError(f"no class {canon!r} in the {group} table", code="unknown_class")
+        return tuple(rows)
+
     def rep_of_class(
         self,
         group: str,
@@ -335,10 +344,8 @@ class Atlas:
         choose, and raise with code "ambiguous_class" without it.
         """
         group = exc_group_from_name(group)
-        canon = label.raw if isinstance(label, CarterLabel) else parse_carter(label).raw
-        rows = self._by_class.get((group, canon), [])
-        if not rows:
-            raise DomainError(f"no class {canon!r} in the {group} table", code="unknown_class")
+        label = label if isinstance(label, CarterLabel) else parse_carter(label)
+        rows, canon = self.rows_of_class(group, label), label.raw
         if rep_hint is not None:
             want = self._resolve_rep(group, rep_hint)
             if want not in rows:

@@ -225,7 +225,7 @@ def _cmd_enumerate(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_tables(args) -> tuple[dict | str, list[str]]:
-    from .atlas import exc_group_from_name, load_atlas, parse_carter
+    from .atlas import exc_group_from_name, load_atlas
 
     atlas = load_atlas(args.data_file)
     if args.raw:
@@ -239,8 +239,8 @@ def _cmd_tables(args) -> tuple[dict | str, list[str]]:
         wanted = atlas.rep_from_string(group, args.rep)
         rows = tuple(row for row in rows if row.rep == wanted)
     if args.class_label is not None:
-        canon = parse_carter(args.class_label).raw
-        rows = tuple(row for row in rows if canon in {c.raw for c in row.classes})
+        held = atlas.rows_of_class(group, args.class_label)
+        rows = tuple(row for row in rows if row in held)
     payload = {
         "group": group,
         "checksum": atlas.checksum(),

@@ -213,8 +213,9 @@ def _runs(
     # The runs of the family member with these (value, multiplicity) pairs,
     # values descending, whose eligible values in `ones` carry label 1 and
     # whose other eligible values carry label 0.
+    labeled = family.labeled
     return [
-        (v, m, (1 if v in ones else 0) if family.labeled and _is_eligible(v, m) else None)
+        (v, m, (1 if v in ones else 0) if labeled and _is_eligible(v, m) else None)
         for v, m in multiplicities
     ]
 
@@ -350,7 +351,7 @@ def _member_runs(family: JordanFamily, N: int) -> list[tuple[Run, ...]]:
     # rule is never placed, and a run of 1s must use up the remaining weight,
     # so only the family's even part count is checked at the end.
     _rule(family, N)
-    paired, even_count = family.paired, family.even_count
+    paired, even_count, labeled = family.paired, family.even_count, family.labeled
     out: list[tuple[Run, ...]] = []
     choices: list[tuple[Run, ...]] = []  # per placed run, its labelings
 
@@ -363,7 +364,7 @@ def _member_runs(family: JordanFamily, N: int) -> list[tuple[Run, ...]]:
             step = 2 if v % 2 == paired else 1
             top = rem // v - (rem // v) % step
             for length in range(top, rem - 1 if v == 1 else 0, -step):
-                if family.labeled and _is_eligible(v, length):
+                if labeled and _is_eligible(v, length):
                     choices.append(((v, length, 1), (v, length, 0)))
                 else:
                     choices.append(((v, length, None),))
@@ -407,7 +408,7 @@ def count_jordan(family: JordanFamily, N: int) -> int:
     even v, positive even m), and by 1 otherwise.
     """
     _rule(family, N)
-    paired = family.paired
+    paired, labeled = family.paired, family.labeled
     ways = [[1, 0]] + [[0, 0] for _ in range(N)]
     for v in range(1, N + 1):
         new = [[0, 0] for _ in range(N + 1)]
@@ -417,7 +418,7 @@ def count_jordan(family: JordanFamily, N: int) -> int:
             for m in range((N - w) // v + 1):
                 if m % 2 and v % 2 == paired:
                     continue
-                factor = 2 if family.labeled and _is_eligible(v, m) else 1
+                factor = 2 if labeled and _is_eligible(v, m) else 1
                 row = new[w + m * v]
                 row[m % 2] += factor * even
                 row[1 - m % 2] += factor * odd
@@ -437,7 +438,7 @@ def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[tuple
         [(parity, label0, d1, d2) for (parity, label0, o), (d1, d2) in offsets.items() if o == origin]
         for origin in (0, 1)
     ]
-    paired, even_count = family.paired, family.even_count
+    paired, even_count, labeled = family.paired, family.even_count, family.labeled
 
     def entry(i: int) -> int:
         return t[i] if i < len(t) else 0
@@ -461,7 +462,7 @@ def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[tuple
                     length += 1
                     if length % 2 and parity == paired:
                         continue  # this value parity needs an even run length
-                    eligible = family.labeled and _is_eligible(v, length)
+                    eligible = labeled and _is_eligible(v, length)
                     if label0 and not eligible:
                         continue
                     label = (0 if label0 else 1) if eligible else None

@@ -19,7 +19,6 @@ series and (0, 4) for the even orthogonal series.
 
 from __future__ import annotations
 
-import functools
 import re
 from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple
@@ -216,83 +215,104 @@ def n_invariant(bp: Bipartition, half: int) -> int:
     return len(bp) * half - sum(accumulate(bp))
 
 
-def _checked(n: int, x) -> Excess:
-    # the excess of a weight-n enumeration or count, after checking both
+def _start(n: int, x) -> tuple:
+    # the first state of a weight-n listing or count of excess x, after
+    # checking both: the first entry is capped by n alone, and the climb from
+    # it to the second entry uses e
     ex = _as_excess(x)
     if n < 0:
         raise DomainError(f"weight must be nonnegative, got {n}", code="bad_weight")
-    return ex
+    return n, n, n, ex.e_prime, ex.e
+
+
+# a state with at most this much weight left, or with its entry capped at 2
+# (the long runs of 2s and 1s in a partition), has its completions listed
+# once per call and shared by every prefix that reaches it
+_SHARED_WEIGHT = 10
+
+
+def _children(remaining: int, top: int, prev: int, slack: int, next_slack: int) -> list[tuple]:
+    """The states after each entry a state allows, largest entry first.
+
+    A state is the weight left, the largest entry allowed, the previous entry
+    and the two slacks in the order they come; an entry is the weight left
+    less the weight its child state has left.  An entry v leaves rest; the
+    next entry is capped by the value two positions back (its track), by v
+    plus the next slack and by rest, since capping at the weight left changes
+    no completion and keeps the states few.  A zero is allowed only when the
+    entry after it may be positive (its slack and the entry two back from it
+    are both positive): two adjacent zeros end both tracks with weight still
+    to place, so this prunes exactly the dead branches and bounds the length
+    by 2n.
+    """
+    out = []
+    for v in range(top, -1 if next_slack and prev else 0, -1):
+        rest = remaining - v
+        out.append((rest, min(rest, prev, v + next_slack), min(v, rest), next_slack, slack))
+    return out
+
+
+def _tails(state: tuple, memo: dict) -> list:
+    # every completion of a state, lexicographically descending
+    remaining = state[0]
+    if not remaining:
+        return [()]
+    got = memo.get(state)
+    if got is None:
+        got = memo[state] = [
+            (remaining - child[0],) + tail for child in _children(*state) for tail in _tails(child, memo)
+        ]
+    return got
 
 
 def _enumerate(n: int, x, cls: type) -> tuple:
     """All weight-n sequences of excess x as `cls`, lexicographically descending.
 
-    Generation is entry by entry; each candidate entry is capped by the value
-    two positions back (its track) and by the previous entry plus the
-    applicable slack.  A zero is tried only when the entry after it may be
-    positive (its slack and the entry two back from it are both positive):
-    two adjacent zeros end both tracks with weight still to place, so this
-    prunes exactly the dead branches and bounds the length by 2n.
-
-    An entry that may take all the weight left ends a sequence, which is
-    emitted without another call; with no slack at all, an entry capped at 1
-    forces ones to the end, emitted in one step.
+    The walk takes the states of `_children` depth first, each with the
+    prefix placed before it.  It stops at a small state, one with at most
+    `_SHARED_WEIGHT` left or its entry capped at 2, and builds each sequence
+    once as prefix + completion.  The completions of every small state, and
+    of the states below it, are listed once in a dict local to this call;
+    nothing refers back to the dict, so it is freed on return and nothing
+    outlives the call.
     """
-    ex = _checked(n, x)
-    if n == 0:
-        return (tuple.__new__(cls),)
-    out, prefix = [], []
-    push, pop, emit, make = prefix.append, prefix.pop, out.append, tuple.__new__
-    ones = [1] * n if ex == (0, 0) else None
-
-    def extend(remaining: int, track_cap: int, prev: int, slack: int, next_slack: int) -> None:
-        top = prev + slack
-        if track_cap < top:
-            top = track_cap
-        if top >= remaining:
-            push(remaining)
-            emit(make(cls, prefix))  # valid by construction
-            pop()
-            top = remaining - 1
-        elif top == 1 and ones:
-            emit(make(cls, prefix + ones[:remaining]))
-            return
-        for v in range(top, -1 if next_slack and prev else 0, -1):
-            push(v)
-            extend(remaining - v, prev, v, next_slack, slack)
-            pop()
-
-    # the first entry is capped by n alone; the climb from it to the second
-    # entry uses e
-    extend(n, n, n, ex.e_prime, ex.e)
+    out, memo, make = [], {}, tuple.__new__
+    stack = [((), _start(n, x))]
+    while stack:
+        prefix, state = stack.pop()
+        if state[0] <= _SHARED_WEIGHT or state[1] <= 2:
+            out += [make(cls, prefix + tail) for tail in _tails(state, memo)]  # valid by construction
+        else:
+            stack += [(prefix + (state[0] - child[0],), child) for child in reversed(_children(*state))]
     return tuple(out)
+
+
+def _tally(state: tuple, memo: dict) -> tuple[int, int]:
+    # (count, n-invariant mask) of a state's completions
+    if not state[0]:
+        return 1, 1
+    count = mask = 0
+    for child in _children(*state):
+        got = memo.get(child)
+        if got is None:
+            got = _tally(child, memo)
+        count += got[0]
+        mask |= got[1] << child[0]
+    memo[state] = count, mask
+    return count, mask
 
 
 def _dp(n: int, x) -> tuple[int, int]:
     """(count, n-invariant mask) of the weight-n sequences that `_enumerate` lists.
 
-    A state is the weight left, the largest entry allowed, the previous entry
-    and the two slacks in the order they come; capping the entries at the
-    weight left changes no completion and keeps the states few.  Bit k of a
-    state's mask is set when some completion adds k to the n-invariant: an
-    entry that leaves `rest` to place adds rest, so the next state's mask is
-    shifted by it.  The memo lives for one call.
+    It reads the states of `_children`.  Bit k of a state's mask is set when
+    some completion adds k to the n-invariant: an entry that leaves `rest` to
+    place adds rest, so the next state's mask is shifted by it.  The pair of
+    every state reached is memoized in a dict local to this call; nothing
+    refers back to the dict, so it is freed on return and nothing outlives
+    the call.
     """
-    ex = _checked(n, x)
-
-    @functools.cache
-    def tally(remaining: int, top: int, prev: int, slack: int, next_slack: int) -> tuple[int, int]:
-        if not remaining:
-            return 1, 1
-        count = mask = 0
-        for v in range(top, -1 if next_slack and prev else 0, -1):
-            rest = remaining - v
-            more, sub = tally(rest, min(rest, prev, v + next_slack), min(v, rest), next_slack, slack)
-            count += more
-            mask |= sub << rest
-        return count, mask
-
-    return tally(n, n, n, ex.e_prime, ex.e)
+    return _tally(_start(n, x), {})
 
 
 def count_bipartitions(n: int, x) -> int:

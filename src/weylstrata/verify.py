@@ -249,12 +249,12 @@ def _check_sp4_strata() -> str:
 def _check_dimension_sets() -> str:
     """Dimension sets from the DP are the listed strata's; SO_odd and Sp agree.
 
-    For rank n <= 16, each series' dimension set, which lists no stratum,
+    For rank n <= 20, each series' dimension set, which lists no stratum,
     equals the class dimensions of its enumerated strata.  For n <= 60 the
     odd orthogonal and symplectic sets agree in characteristics 0 and 2, and
     for n <= 6 the characteristic-2 unipotent classes realize every value.
     """
-    for n in range(0, 17):
+    for n in range(0, 21):
         # GL_n, Sp_2n, SO_2n+1 and SO_2n, in the order of Series
         for group in map(GroupDescriptor, Series, (n, 2 * n, 2 * n + 1, 2 * n)):
             dims = {s.class_dim for s in enumerate_strata(group)}
@@ -275,7 +275,7 @@ def _check_dimension_sets() -> str:
                 for runs in _member_runs(JordanFamily.SYMPLECTIC_CHAR2, 2 * n)
             }
             _ensure(from_unipotents == base, f"n={n}: char-2 unipotent dims differ")
-    return ("dimension sets equal the strata's for n <= 16; SO_odd and Sp agree for n <= 60, "
+    return ("dimension sets equal the strata's for n <= 20; SO_odd and Sp agree for n <= 60, "
             "char-2 unipotent dims for n <= 6")
 
 

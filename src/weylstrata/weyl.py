@@ -129,11 +129,11 @@ def enumerate_classes(w: WeylType) -> tuple[WeylClass, ...]:
         return enumerate_partitions(w.rank + 1)
     out: list[SignedCycleType] = []
     for a in range(w.rank, -1, -1):
+        negatives = enumerate_partitions(w.rank - a)
+        if w.series is WeylSeries.D:
+            negatives = [neg for neg in negatives if len(neg) % 2 == 0]
         for pos in enumerate_partitions(a):
-            for neg in enumerate_partitions(w.rank - a):
-                if w.series is WeylSeries.D and len(neg) % 2 == 1:
-                    continue
-                out.append(SignedCycleType(pos, neg))
+            out += [SignedCycleType(pos, neg) for neg in negatives]
     return tuple(out)
 
 

@@ -326,6 +326,8 @@ _LONG = "9" * 5000
         (("phi", "--group", "E8", "--class", "A_0", "--rep", "1_" + _LONG), "bad_rep"),
         (("tables", "--group", "E8", "--rep", "1_" + _LONG), "bad_rep"),
         (("classify", "-"), "bad_document"),
+        # tables --class reads the class → rows map that phi reads
+        (("tables", "--group", "E8", "--class", "A_9"), "unknown_class"),
     ],
 )
 def test_domain_errors_exit_1(capsys, monkeypatch, argv, code):

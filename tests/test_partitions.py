@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import random
@@ -13,6 +14,7 @@ from weylstrata.partitions import (
     Bipartition,
     Excess,
     Partition,
+    _SHARED_WEIGHT,
     _enumerate,
     _parse_entries,
     bp_sum,
@@ -343,13 +345,29 @@ def _reference_enumerate(n, x, cls):
 
 
 def test_enumeration_matches_the_one_call_per_entry_reference():
-    excesses = [(0, 0), (2, 2), (0, 4), (1, 3), (3, 0), (1, 0), (0, 1)]
-    for n in range(15):
-        for x in excesses:
+    # past _SHARED_WEIGHT for the three excesses of the strata, so that labels
+    # are built from a prefix and a shared completion
+    assert _SHARED_WEIGHT < 22
+    for x, top in [((0, 0), 23), ((2, 2), 23), ((0, 4), 23), ((1, 3), 15), ((3, 0), 15), ((1, 0), 15), ((0, 1), 15)]:
+        for n in range(top):
             for cls in (Bipartition, Partition) if x == (0, 0) else (Bipartition,):
                 got = _enumerate(n, x, cls)
                 assert got == _reference_enumerate(n, x, cls), (n, x)
                 assert {type(bp) for bp in got} == {cls}
+
+
+def test_listing_and_counting_leave_no_cycles():
+    # each call's memos are freed on return, not left to the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_bipartitions(20, (2, 2))
+        enumerate_partitions(24)
+        count_bipartitions(40, (2, 2))
+        n_invariant_set(40, (0, 4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 _DP_EXCESSES = [(0, 0), (2, 2), (0, 4), (1, 3), (3, 0)]
