@@ -49,7 +49,11 @@ def short_sha(checkout: str) -> str:
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(
+            f"{' '.join(argv[1:])} exited with {done.returncode} in {checkout}; its stderr:\n{done.stderr}"
+        )
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     digests = [m.groups()[1:] for m in map(DIGEST.match, lines) if m]

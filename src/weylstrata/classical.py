@@ -32,7 +32,7 @@ from itertools import accumulate
 from typing import Iterable, Optional
 
 from .errors import DomainError, Record, check_characteristic
-from .jordan import JordanDatum, JordanFamily, _rewrite, _runs_if_member
+from .jordan import JordanDatum, JordanFamily, _rewrite, _rule, _runs_if_member
 from .partitions import (
     Bipartition,
     Excess,
@@ -277,7 +277,7 @@ def classify(datum: SpectralDatum) -> StratumResult:
     # weight, so the datum's weight picks the orthogonal map's variant
     family = _involutive_family(g.series, g.characteristic)
     contributions = (
-        o.jordan if runs is None else _rewrite(family, o.weight, runs)
+        o.jordan if runs is None else _rewrite(_rule(family, o.weight), runs)
         for o, runs in zip(datum.orbits, datum._orbit_runs)
     )
     return _stratum(g, reduce(bp_sum, contributions, Bipartition()))
@@ -300,15 +300,20 @@ def enumerate_strata(group: GroupDescriptor) -> tuple[StratumResult, ...]:
     GL_n, by weight-N/2 bipartitions of excess (2, 2) for Sp_N and SO_{N+1},
     and of excess (0, 4) for SO_N with N even.
     """
-    # each label's _stratum, without checking the enumerated label again
+    # each label's _stratum, without checking the enumerated label again, in
+    # a record filled through its slot setters
     half = group.rank_half
     two_roots = 2 * positive_roots(group)
     so_even = group.series is Series.SO_EVEN
+    new, (set_bp, set_n, set_dim, set_degenerate) = object.__new__, StratumResult._setters
     out = []
     for bp in enumerate_bipartitions(half, stratum_excess(group.series)):
         n_e = len(bp) * half - sum(accumulate(bp))
-        degenerate = len(bp) % 2 == 0 and bp[0::2] == bp[1::2] if so_even else None
-        out.append(StratumResult(bp, n_e, two_roots - 2 * n_e, degenerate))
+        out.append(result := new(StratumResult))
+        set_bp(result, bp)
+        set_n(result, n_e)
+        set_dim(result, two_roots - 2 * n_e)
+        set_degenerate(result, len(bp) % 2 == 0 and bp[0::2] == bp[1::2] if so_even else None)
     return tuple(out)
 
 

@@ -157,7 +157,7 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
     if name.upper() in _CLASSICAL_LETTERS:
         from .classical import _stratum
         from .weyl import WeylSeries, WeylType, _fixed_space_dim, parse_class, weyl_series_from_name
-        from .weyl import _stratum as _class_stratum
+        from .weyl import _stratum as _class_stratum, _stratum_rule
 
         if args.rank is None:
             raise DomainError("classical series need --rank", code="bad_rank")
@@ -171,7 +171,7 @@ def _cmd_phi(args) -> tuple[dict, list[str]]:
         cls = parse_class(wt, args.class_label)
         # dimensions of strata come from the algebraic group with this Weyl group
         group = wt.group
-        result = _stratum(group, _class_stratum(wt, cls))
+        result = _stratum(group, _class_stratum(_stratum_rule(wt), cls))
         payload = {
             "weyl": {"series": series.value, "rank": args.rank},
             "class": str(cls) if series is not WeylSeries.A else ",".join(map(str, cls)),

@@ -66,9 +66,11 @@ class Record:
     The fields are ``_fields``, by default the ``__slots__``: a slot left out
     of ``_fields`` is seen by no comparison, hash or repr.  Records are equal
     only to records of their own class with equal fields, and hash as the
-    tuple of their fields.  ``__init__`` fills the slots through ``_set`` or,
-    on hot paths, one ``object.__setattr__`` each; afterwards assignment and
-    deletion raise AttributeError.
+    tuple of their fields.  ``_setters`` holds the slots' own setters, in
+    slot order, which write past the frozen ``__setattr__``: ``__init__``
+    fills the slots through ``_set``, and hot paths build a record with
+    ``object.__new__`` and call the setters themselves.  Afterwards
+    assignment and deletion raise AttributeError.
     """
 
     __slots__ = ()
@@ -77,11 +79,12 @@ class Record:
         cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         # every record has at least two fields, so this returns a tuple
         cls._values = attrgetter(*cls._fields)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def _set(self, *values):
         # the slots in order
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -39,8 +39,9 @@ label 0, and the origin's parity; the table ``_REPLACEMENTS`` holds them all:
   family's parity constraints (even part count, labels only on even-length
   runs) rule out every configuration that would emit a negative entry.
 
-Inside the module each family's rules sit on ``JordanFamily``: ``paired``
-is the parity of the values whose strings must have even length,
+Inside the module each family's rules are plain attributes of its
+``JordanFamily`` member, set once from one table next to the class:
+``paired`` is the parity of the values whose strings must have even length,
 ``even_count`` whether members need an even number of parts, and ``labeled``
 whether eligible strings carry a label.  A partition is read as its strings,
 one (value, multiplicity) pair each, and ``_is_member`` is the one
@@ -51,10 +52,11 @@ string, values descending, the label None unless the family is labeled and
 the value eligible.  ``enumerate_jordan`` generates the runs of every member
 directly, one run at a time, and ``count_jordan`` counts them by a dynamic
 programme without listing them; both read the family's rules once per call.
-One rewrite, ``_rewrite``, maps runs to their image: ``apply_bijection``
-decomposes its datum once, ``classical.classify`` rewrites the runs its
-validation found, and generated data and the Jordan types of Weyl classes
-(``weyl``) reach it with runs known by construction.
+One rewrite, ``_rewrite``, maps runs to their image under a rule that
+``_rule`` reads from ``_REPLACEMENTS`` once per call, not once per image:
+``apply_bijection`` decomposes its datum once, ``classical.classify``
+rewrites the runs its validation found, and generated data and the Jordan
+types of Weyl classes (``weyl``) reach it with runs known by construction.
 
 The inverse, ``invert_bijection``, reads the same table backwards, parsing a
 bipartition left to right into the strings of its preimage.
@@ -62,8 +64,8 @@ bipartition left to right into the strings of its preimage.
 Weight always halves: each map sends weight-N Jordan data to weight-N//2
 bipartitions of the family's excess ((N-1)/2 for odd-weight orthogonal data).
 Only ORTHOGONAL has odd weights.  That each image is a bipartition of the
-stated weight and excess is checked at run time, and a violation is reported
-as a consistency failure.
+stated weight and excess is checked at run time, in one pass over its
+entries, and a violation is reported as a consistency failure.
 """
 
 from __future__ import annotations
@@ -77,27 +79,30 @@ from .partitions import Bipartition, Excess, Partition, has_excess
 
 
 class JordanFamily(enum.Enum):
-    """The four Jordan-data families, named for the form they classify."""
+    """The four Jordan-data families, named for the form they classify.
+
+    Each member carries its family's rules as plain attributes, set once from
+    the table below the class: ``paired``, the parity of the values whose
+    strings must have even length; ``even_count``, whether members need an
+    even number of parts; and ``labeled``, whether eligible strings carry a
+    0/1 label.
+    """
 
     SYMPLECTIC = "symplectic"
     SYMPLECTIC_CHAR2 = "symplectic_char2"
     ORTHOGONAL = "orthogonal"
     ORTHOGONAL_CHAR2 = "orthogonal_char2"
 
-    @property
-    def labeled(self) -> bool:
-        """Whether eligible strings carry a 0/1 label."""
-        return self in (JordanFamily.SYMPLECTIC_CHAR2, JordanFamily.ORTHOGONAL_CHAR2)
 
-    @property
-    def paired(self) -> int:
-        """The parity of the values whose strings must have even length."""
-        return 0 if self is JordanFamily.ORTHOGONAL else 1
-
-    @property
-    def even_count(self) -> bool:
-        """Whether members need an even number of parts."""
-        return self is JordanFamily.ORTHOGONAL_CHAR2
+# family: (paired, even_count, labeled)
+for _family, _rules in {
+    JordanFamily.SYMPLECTIC: (1, False, False),
+    JordanFamily.SYMPLECTIC_CHAR2: (1, False, True),
+    JordanFamily.ORTHOGONAL: (0, False, False),
+    JordanFamily.ORTHOGONAL_CHAR2: (1, True, True),
+}.items():
+    _family.paired, _family.even_count, _family.labeled = _rules
+del _family, _rules
 
 
 # Terse aliases used in the literature and accepted by the command line.
@@ -175,8 +180,9 @@ class LabeledPartition(Record):
         # For data valid by construction: labels keyed by the eligible values
         # of parts, descending.
         self = object.__new__(cls)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "labels", labels)
+        set_parts, set_labels = cls._setters
+        set_parts(self, parts)
+        set_labels(self, labels)
         return self
 
     @property
@@ -258,8 +264,29 @@ def _is_member(family: JordanFamily, multiplicities: Iterable[tuple[int, int]], 
 
 def _finish(entries: list[int], family: JordanFamily, excess: Excess, half: int) -> Bipartition:
     # The emitted entries are claimed to form a bipartition of the stated
-    # excess; on validated input a failure here falsifies the construction
-    # itself, so it surfaces as a consistency error rather than a bad-input one.
+    # weight and excess; on validated input a failure here falsifies the
+    # construction itself, so it surfaces as a consistency error rather than a
+    # bad-input one.  One pass checks each entry against 0, against the entry
+    # two back (its track) and against the previous entry plus the slack
+    # between them; then the weight is summed.  Trailing zeros pass every
+    # check and are trimmed from entries, the caller's scratch list,
+    # afterwards.  Only an image rejected here reaches _checked, whose checks
+    # word the error.
+    two_back = last = half
+    slack, next_slack = excess[1], excess[0]
+    for x in entries:
+        if x < 0 or x > two_back or x > last + slack:
+            return _checked(entries, family, excess, half)
+        two_back, last, slack, next_slack = last, x, next_slack, slack
+    if sum(entries) != half:
+        return _checked(entries, family, excess, half)
+    while entries and not entries[-1]:
+        entries.pop()
+    return tuple.__new__(Bipartition, entries)  # valid: checked above
+
+
+def _checked(entries: list[int], family: JordanFamily, excess: Excess, half: int) -> Bipartition:
+    # _finish's image check spelled out, in the order that picks its error
     if any(c < 0 for c in entries):
         raise ConsistencyError(f"the {family.value} map emitted a negative entry: {entries}")
     try:
@@ -304,7 +331,9 @@ _REPLACEMENTS = {
 }
 
 
-def _rule(family: JordanFamily, N: int):
+def _rule(family: JordanFamily, N: int) -> tuple:
+    # What _rewrite reads of a weight-N family map, read once per call:
+    # (family, codomain excess, N // 2, offsets).
     if N < 0:
         raise DomainError(f"weight must be nonnegative, got {N}", code="bad_weight")
     rule = _REPLACEMENTS.get((family, N % 2))
@@ -313,13 +342,14 @@ def _rule(family: JordanFamily, N: int):
             f"the {family.value} family is defined for even weights, got {N}",
             code="bad_parity",
         )
-    return rule
+    return family, rule[0], N // 2, rule[1]
 
 
-def _rewrite(family: JordanFamily, N: int, runs: Iterable[Run]) -> Bipartition:
-    # The one rewrite loop: the image of a weight-N family member given by its
-    # runs, values descending.  Membership is the caller's to establish.
-    excess, offsets = _rule(family, N)
+def _rewrite(rule: tuple, runs: Iterable[Run]) -> Bipartition:
+    # The one rewrite loop: the image of a family member given by its runs,
+    # values descending, under a _rule of its family and weight.  Membership
+    # is the caller's to establish.
+    family, excess, half, offsets = rule
     out: list[int] = []
     for value, length, label in runs:
         a = value // 2
@@ -327,7 +357,7 @@ def _rewrite(family: JordanFamily, N: int, runs: Iterable[Run]) -> Bipartition:
         out += [a + d1, a + d2] * (length // 2)
         if length % 2:
             out.append(a + d1)
-    return _finish(out, family, excess, N // 2)
+    return _finish(out, family, excess, half)
 
 
 def apply_bijection(family: JordanFamily, nu: JordanDatum) -> Bipartition:
@@ -335,12 +365,12 @@ def apply_bijection(family: JordanFamily, nu: JordanDatum) -> Bipartition:
     runs = _runs_if_member(family, nu)
     if runs is None:
         raise DomainError(f"{nu} is not in the {family.value} family", code="not_in_family")
-    return _rewrite(family, nu.weight, runs)
+    return _rewrite(_rule(family, nu.weight), runs)
 
 
 def codomain(family: JordanFamily, N: int) -> tuple[Excess, int]:
     """Excess and weight of the image set for weight-N data of a family."""
-    return _rule(family, N)[0], N // 2
+    return _rule(family, N)[1:3]
 
 
 def _member_runs(family: JordanFamily, N: int) -> list[tuple[Run, ...]]:
@@ -433,7 +463,7 @@ def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[tuple
     # at most two partial parses, each a linked list of runs, newest first.
     # Every run advances the position, so states settle position by position.
     # Entries past the end of t are implicit zeros.
-    offsets = _rule(family, N)[1]
+    offsets = _rule(family, N)[3]
     rows = [
         [(parity, label0, d1, d2) for (parity, label0, o), (d1, d2) in offsets.items() if o == origin]
         for origin in (0, 1)

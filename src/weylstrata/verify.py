@@ -38,6 +38,7 @@ from .jordan import (
     _datum,
     _member_runs,
     _rewrite,
+    _rule,
     codomain,
     count_jordan,
 )
@@ -150,8 +151,9 @@ GOLDEN_SO2_WEIGHT8 = (
 
 def _golden(family: JordanFamily, weight: int, table) -> str:
     # The enumerated data are valid by construction, so each is compared with
-    # its table row and mapped from the runs it was generated from.
-    listed = _member_runs(family, weight)
+    # its table row and mapped from the runs it was generated from, under the
+    # one rule read for the table.
+    listed, rule = _member_runs(family, weight), _rule(family, weight)
     _ensure(
         len(listed) == len(table),
         f"expected {len(table)} weight-{weight} data, enumerated {len(listed)}",
@@ -161,7 +163,7 @@ def _golden(family: JordanFamily, weight: int, table) -> str:
         row = (nu.parts, dict(nu.labels)) if family.labeled else (nu, {})
         if row != (parts, labels):
             raise ConsistencyError(f"enumeration order differs at {nu}")
-        got = _rewrite(family, weight, runs)
+        got = _rewrite(rule, runs)
         if tuple(got) != want:
             raise ConsistencyError(f"{family.name} sends {nu} to {tuple(got)}, table says {want}")
     return f"all {len(table)} rows exact, in enumeration order"
@@ -200,7 +202,8 @@ def _check_bijectivity() -> str:
                 len(members) == count,
                 f"{family.name} weight {weight}: enumerated {len(members)} members, counted {count}",
             )
-            images = [_rewrite(family, weight, runs) for runs in members]
+            rule = _rule(family, weight)
+            images = [_rewrite(rule, runs) for runs in members]
             _ensure(
                 len(set(images)) == len(images),
                 f"{family.name} weight {weight}: map is not injective",
@@ -247,48 +250,42 @@ def _check_sp4_strata() -> str:
 
 @_check("dimension-sets", budget=5.0)
 def _check_dimension_sets() -> str:
-    """Dimension sets from the DP are the listed strata's; SO_odd and Sp agree.
+    """Dimension sets from the DP are the listed strata's and the unipotents'.
 
     For rank n <= 20, each series' dimension set, which lists no stratum,
-    equals the class dimensions of its enumerated strata.  For n <= 60 the
-    odd orthogonal and symplectic sets agree in characteristics 0 and 2, and
-    for n <= 6 the characteristic-2 unipotent classes realize every value.
+    equals the class dimensions of its enumerated strata; for n <= 6 the
+    characteristic-2 unipotent classes of Sp_2n realize every value.  SO_2n+1
+    and Sp_2n in either characteristic need no comparison of their own: the
+    DP reads only the weight n, the excess, (2, 2) for both series, and the
+    positive-root count, n * n for both, so their sets are one DP.
     """
     for n in range(0, 21):
         # GL_n, Sp_2n, SO_2n+1 and SO_2n, in the order of Series
         for group in map(GroupDescriptor, Series, (n, 2 * n, 2 * n + 1, 2 * n)):
             dims = {s.class_dim for s in enumerate_strata(group)}
             _ensure(dimension_set(group) == dims, f"{group.series.value}_{group.dimension}: DP and strata differ")
-    for n in range(1, 61):
-        sp2 = GroupDescriptor(Series.SP, 2 * n, 2)
-        base = dimension_set(GroupDescriptor(Series.SO_ODD, 2 * n + 1))
-        variants = {
-            "Sp char 0": dimension_set(GroupDescriptor(Series.SP, 2 * n)),
-            "Sp char 2": dimension_set(sp2),
-        }
-        for label, got in variants.items():
-            _ensure(got == base, f"n={n}: {label} dimension set differs")
-        if n <= 6:
-            # unipotent classes in characteristic 2 already realize every value
-            from_unipotents = {
-                _stratum(sp2, _rewrite(JordanFamily.SYMPLECTIC_CHAR2, 2 * n, runs)).class_dim
-                for runs in _member_runs(JordanFamily.SYMPLECTIC_CHAR2, 2 * n)
-            }
-            _ensure(from_unipotents == base, f"n={n}: char-2 unipotent dims differ")
-    return ("dimension sets equal the strata's for n <= 20; SO_odd and Sp agree for n <= 60, "
-            "char-2 unipotent dims for n <= 6")
+    family = JordanFamily.SYMPLECTIC_CHAR2
+    for n in range(1, 7):
+        sp2, rule = GroupDescriptor(Series.SP, 2 * n, 2), _rule(family, 2 * n)
+        # unipotent classes in characteristic 2 already realize every value
+        from_unipotents = {_stratum(sp2, _rewrite(rule, runs)).class_dim for runs in _member_runs(family, 2 * n)}
+        _ensure(from_unipotents == dimension_set(sp2), f"n={n}: char-2 unipotent dims differ")
+    return "dimension sets equal the strata's for n <= 20 and Sp_2n's char-2 unipotent dims for n <= 6"
 
 
 @_check("minimal-dimension", budget=2.0)
 def _check_minimal_dimension() -> str:
-    """The smallest nonzero class dimension of a rank-n stratum is 2n."""
+    """The smallest nonzero class dimension of a rank-n stratum is 2n.
+
+    One DP per rank serves Sp_2n and SO_2n+1: both series have excess (2, 2)
+    and n * n positive roots, the only inputs of ``dimension_set``.
+    """
     for n in range(3, 61):
-        for group in (GroupDescriptor(Series.SP, 2 * n), GroupDescriptor(Series.SO_ODD, 2 * n + 1)):
-            nonzero = sorted(d for d in dimension_set(group) if d)
-            _ensure(
-                nonzero and nonzero[0] == 2 * n,
-                f"{group.series.name} rank {n}: minimal nonzero dim {nonzero[:1]} != {2 * n}",
-            )
+        nonzero = sorted(d for d in dimension_set(GroupDescriptor(Series.SP, 2 * n)) if d)
+        _ensure(
+            nonzero and nonzero[0] == 2 * n,
+            f"Sp_{2 * n} and SO_{2 * n + 1} rank {n}: minimal nonzero dim {nonzero[:1]} != {2 * n}",
+        )
     return "minimal nonzero stratum dimension is 2n for ranks 3 through 60"
 
 

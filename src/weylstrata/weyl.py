@@ -43,7 +43,7 @@ from typing import NamedTuple, Union
 
 from .classical import GroupDescriptor, Series, _involutive_family
 from .errors import DomainError, Record, unique_minimizer
-from .jordan import JordanFamily, LabeledPartition, _datum, _rewrite, _runs
+from .jordan import JordanFamily, LabeledPartition, _datum, _rewrite, _rule, _runs
 from .partitions import Bipartition, Partition, _parse_entries, enumerate_partitions
 
 
@@ -127,13 +127,18 @@ def enumerate_classes(w: WeylType) -> tuple[WeylClass, ...]:
     """
     if w.series is WeylSeries.A:
         return enumerate_partitions(w.rank + 1)
+    # records of partitions, filled through their slot setters
+    new, (set_positive, set_negative) = object.__new__, SignedCycleType._setters
     out: list[SignedCycleType] = []
     for a in range(w.rank, -1, -1):
         negatives = enumerate_partitions(w.rank - a)
         if w.series is WeylSeries.D:
             negatives = [neg for neg in negatives if len(neg) % 2 == 0]
         for pos in enumerate_partitions(a):
-            out += [SignedCycleType(pos, neg) for neg in negatives]
+            for neg in negatives:
+                out.append(c := new(SignedCycleType))
+                set_positive(c, pos)
+                set_negative(c, neg)
     return tuple(out)
 
 
@@ -199,12 +204,15 @@ def jordan_of_class(c: SignedCycleType) -> LabeledPartition:
     return _datum(JordanFamily.SYMPLECTIC_CHAR2, _class_runs(JordanFamily.SYMPLECTIC_CHAR2, c))
 
 
-def _stratum(w: WeylType, c: WeylClass) -> Bipartition:
-    # c is a class of w
-    if w.series is WeylSeries.A:
-        return c
-    family = _involutive_family(_GROUP_SERIES[w.series], 2)
-    return _rewrite(family, 2 * w.rank, _class_runs(family, c))
+def _stratum_rule(w: WeylType):
+    # The _rule of w's stratum map, read once per call; None in type A, whose
+    # classes are their own labels.
+    return None if w.series is WeylSeries.A else _rule(_involutive_family(_GROUP_SERIES[w.series], 2), 2 * w.rank)
+
+
+def _stratum(rule, c: WeylClass) -> Bipartition:
+    # c is a class of the Weyl type whose _stratum_rule is rule; rule[0] is its family
+    return c if rule is None else _rewrite(rule, _class_runs(rule[0], c))
 
 
 def stratum_of_class(w: WeylType, c: WeylClass) -> Bipartition:
@@ -216,7 +224,7 @@ def stratum_of_class(w: WeylType, c: WeylClass) -> Bipartition:
     bijection (excess (0, 4)).  The Jordan type is rewritten from the runs
     read off the cycle type, without being built.
     """
-    return _stratum(w, _check_class(w, c))
+    return _stratum(_stratum_rule(w), _check_class(w, c))
 
 
 def _fixed_space_dim(w: WeylType, c: WeylClass) -> int:
@@ -244,9 +252,10 @@ def strata_fibers(w: WeylType) -> dict[Bipartition, ClassFiber]:
     falsify the cross-section property and raises a ConsistencyError with
     the code cross_section_tie.
     """
+    rule = _stratum_rule(w)
     grouped: dict[Bipartition, list[WeylClass]] = {}
     for c in enumerate_classes(w):
-        grouped.setdefault(_stratum(w, c), []).append(c)
+        grouped.setdefault(_stratum(rule, c), []).append(c)
     out: dict[Bipartition, ClassFiber] = {}
     for bp in sorted(grouped, reverse=True):
         classes = grouped[bp]

@@ -495,6 +495,16 @@ def test_so_even_unipotent_dimensions_cover_strata():
         assert unip == dimension_set(grp)
 
 
+def test_sp_and_so_odd_share_the_dimension_set_inputs():
+    # dimension_set reads only the weight, the excess and the positive-root
+    # count, so verify compares no dimension sets of these two series
+    for n in range(0, 61):
+        groups = (sp(2 * n), sp(2 * n, 2), so_odd(2 * n + 1), so_odd(2 * n + 1, 2))
+        assert {(g.rank_half, stratum_excess(g.series), positive_roots(g)) for g in groups} == {
+            (n, (2, 2), n * n)
+        }
+
+
 def test_minimal_nonzero_dimension_is_2n():
     for n in range(1, 7):
         dims = dimension_set(sp(2 * n))

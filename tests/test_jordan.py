@@ -589,3 +589,98 @@ def test_forward_map_inverts_the_inverse(family, data):
     N, bp = data.draw(codomain_members(family))
     assert has_excess(bp, codomain(family, N)[0]) and bp.weight == N // 2
     assert apply_bijection(family, invert_bijection(family, N, bp)) == bp
+
+
+# ---------------------------------------------------------------------------
+# the image check: one pass, with the spelled-out checks wording each refusal
+
+
+@pytest.mark.parametrize(
+    "entries,half,message",
+    [
+        ([1, -1, 0], 0, "the symplectic_char2 map emitted a negative entry: [1, -1, 0]"),
+        (
+            [1, 0, 2, 0],
+            3,
+            "the symplectic_char2 map emitted a non-bipartition: entries at positions 1 "
+            "and 3 must weakly decrease, got [1, 0, 2]",
+        ),
+        ([2, 1], 4, "the symplectic_char2 map emitted (2, 1), outside the stated codomain"),
+        ([0, 3], 3, "the symplectic_char2 map emitted (0, 3), outside the stated codomain"),
+        # with several faults, the first check in this order words the error
+        ([-1, 0, 2, 0], 1, "the symplectic_char2 map emitted a negative entry: [-1, 0, 2, 0]"),
+        (
+            [0, 0, 1, 4],
+            9,
+            "the symplectic_char2 map emitted a non-bipartition: entries at positions 1 "
+            "and 3 must weakly decrease, got [0, 0, 1, 4]",
+        ),
+    ],
+    ids=["negative", "non-bipartition", "weight", "excess", "negative-first", "tracks-before-weight"],
+)
+def test_finish_words_each_refusal(entries, half, message):
+    with pytest.raises(ConsistencyError) as failure:
+        jordan._finish(entries, SP2, codomain(SP2, 0)[0], half)
+    assert str(failure.value) == message
+
+
+def test_finish_trims_trailing_zeros():
+    bp = jordan._finish([2, 1, 0, 0], SP2, codomain(SP2, 0)[0], 3)
+    assert type(bp) is Bipartition and bp == (2, 1)
+    assert jordan._finish([0, 0], SP2, codomain(SP2, 0)[0], 0) == ()
+
+
+def _old_image_check(entries, excess, half):
+    # the checks _finish made before its one pass: the image, or None
+    if any(c < 0 for c in entries):
+        return None
+    try:
+        bp = Bipartition(entries)
+    except DomainError:
+        return None
+    return bp if bp.weight == half and has_excess(bp, excess) else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_finish_accepts_what_the_old_checks_accept(data):
+    # raw entries, or a listed bipartition of the excess with trailing zeros
+    excess = data.draw(st.sampled_from([(1, 1), (2, 2), (2, 0), (0, 2), (0, 4), (0, 0)]))
+    raw = st.lists(st.integers(-2, 6), max_size=9)
+    listed = st.integers(0, 7).flatmap(lambda n: st.sampled_from(enumerate_bipartitions(n, excess)))
+    entries = list(data.draw(st.one_of(raw, listed))) + [0] * data.draw(st.integers(0, 2))
+    half = sum(entries) + data.draw(st.sampled_from([0, 0, 0, 1, -1]))
+    want = _old_image_check(entries, excess, half)
+    if want is None:
+        with pytest.raises(ConsistencyError):
+            jordan._finish(list(entries), SP2, excess, half)
+    else:
+        got = jordan._finish(list(entries), SP2, excess, half)
+        assert type(got) is Bipartition and got == want
+
+
+# ---------------------------------------------------------------------------
+# family rules and records built without validation
+
+
+def test_family_rules_are_member_attributes():
+    rules = {family: (family.paired, family.even_count, family.labeled) for family in JordanFamily}
+    assert rules == {
+        SP: (1, False, False),
+        SP2: (1, False, True),
+        SO: (0, False, False),
+        SO2: (1, True, True),
+    }
+    assert all("labeled" in vars(family) for family in JordanFamily)
+
+
+@pytest.mark.parametrize("family", list(JordanFamily))
+def test_enumerate_jordan_equals_the_validating_constructors(family):
+    for N in _weights(family, 16):
+        for nu in enumerate_jordan(family, N):
+            if family.labeled:
+                built = LabeledPartition(list(nu.parts), dict(nu.labels))
+                assert type(nu.parts) is Partition
+            else:
+                built = Partition(list(nu))
+            assert type(built) is type(nu) and built == nu and repr(built) == repr(nu)

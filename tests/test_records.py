@@ -3,7 +3,9 @@
 Each of the twelve record classes has a repr naming every field, equality
 only between instances of its own class (a record never equals the tuple of
 its field values), the hash of that tuple, no attribute assignment or
-deletion, and copies and pickles equal to the original.
+deletion, and copies and pickles equal to the original.  Records that the
+listings fill through their slot setters, bypassing ``__init__``, keep the
+same contract.
 """
 
 import copy
@@ -19,11 +21,12 @@ from weylstrata.classical import (
     Series,
     SpectralDatum,
     StratumResult,
+    enumerate_strata,
 )
-from weylstrata.jordan import LabeledPartition
+from weylstrata.jordan import JordanFamily, LabeledPartition, enumerate_jordan
 from weylstrata.partitions import Bipartition, Partition
 from weylstrata.verify import CheckResult
-from weylstrata.weyl import SignedCycleType, WeylSeries, WeylType
+from weylstrata.weyl import SignedCycleType, WeylSeries, WeylType, enumerate_classes
 
 
 def _rep():
@@ -38,7 +41,14 @@ def _orbit():
     return EigenOrbit("1", OrbitKind.INVOLUTIVE, Partition([2, 1, 1]))
 
 
-# (build, field values, repr); build is called twice, for two equal instances
+def _listed(items, key):
+    # the one listed record whose first field is key
+    (record,) = [item for item in items if item._values(item)[0] == key]
+    return record
+
+
+# (build, field values, repr); build is called twice, for two equal instances.
+# A name "Class/listing" is a record of Class filled through its slot setters.
 RECORDS = {
     "RepLabel": (
         _rep,
@@ -100,6 +110,31 @@ RECORDS = {
         ("x", True, "ok", 0.5, 1.0),
         "CheckResult(name='x', passed=True, detail='ok', seconds=0.5, budget=1.0)",
     ),
+    "StratumResult/enumerate_strata": (
+        lambda: _listed(enumerate_strata(GroupDescriptor(Series.SP, 6)), (2, 1)),
+        (Bipartition([2, 1]), 1, 16, None),
+        "StratumResult(bp=(2, 1), n_invariant=1, class_dim=16, pair_degenerate=None)",
+    ),
+    "StratumResult/enumerate_strata SO_even": (
+        lambda: _listed(enumerate_strata(GroupDescriptor(Series.SO_EVEN, 8)), (1, 1, 1, 1)),
+        (Bipartition([1, 1, 1, 1]), 6, 12, True),
+        "StratumResult(bp=(1, 1, 1, 1), n_invariant=6, class_dim=12, pair_degenerate=True)",
+    ),
+    "SignedCycleType/enumerate_classes": (
+        lambda: _listed(
+            [c for c in enumerate_classes(WeylType(WeylSeries.B, 4)) if c.negative == (1,)], (2, 1)
+        ),
+        (Partition([2, 1]), Partition([1])),
+        "SignedCycleType(positive=(2, 1), negative=(1,))",
+    ),
+    "LabeledPartition/enumerate_jordan": (
+        lambda: _listed(
+            [nu for nu in enumerate_jordan(JordanFamily.SYMPLECTIC_CHAR2, 6) if nu.labels == ((2, 1),)],
+            (2, 2, 1, 1),
+        ),
+        (Partition([2, 2, 1, 1]), ((2, 1),)),
+        "LabeledPartition(parts=(2, 2, 1, 1), labels=((2, 1),))",
+    ),
 }
 
 
@@ -107,7 +142,7 @@ RECORDS = {
 def test_record_repr_equality_and_hash(name):
     build, values, text = RECORDS[name]
     record = build()
-    assert type(record).__name__ == name
+    assert type(record).__name__ == name.split("/")[0]
     assert repr(record) == text
     assert record == build() and not record != build()
     assert hash(record) == hash(build()) == hash(values)
@@ -150,3 +185,17 @@ def test_records_of_different_classes_are_unequal():
 def test_spectral_datum_copy_keeps_the_orbit_runs():
     datum = RECORDS["SpectralDatum"][0]()
     assert copy.copy(datum)._orbit_runs == datum._orbit_runs
+
+
+def _validated(record):
+    # the same record, built by its class's validating constructor
+    if type(record) is LabeledPartition:
+        return LabeledPartition(record.parts, record.label_map())
+    return type(record)(*record._values(record))
+
+
+@pytest.mark.parametrize("name", [name for name in RECORDS if "/" in name])
+def test_setter_filled_record_equals_its_validated_twin(name):
+    record = RECORDS[name][0]()
+    twin = _validated(record)
+    assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)

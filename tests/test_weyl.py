@@ -225,6 +225,15 @@ def test_enumerate_classes_type_d_counts():
         assert len(c.negative) % 2 == 0
 
 
+def test_enumerate_classes_equals_the_validating_constructor():
+    # the listing fills its records through their slot setters
+    for w in [wb(n) for n in range(0, 9)] + [wd(n) for n in range(0, 9)]:
+        for c in enumerate_classes(w):
+            assert type(c.positive) is Partition and type(c.negative) is Partition
+            built = SignedCycleType(list(c.positive), list(c.negative))
+            assert built == c and hash(built) == hash(c) and repr(built) == repr(c)
+
+
 def test_enumerate_classes_ranks():
     for w in [wb(5), wd(6)]:
         for c in enumerate_classes(w):
