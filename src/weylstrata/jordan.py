@@ -272,7 +272,7 @@ def _finish(entries: list[int], family: JordanFamily, excess: Excess, half: int)
     # check and are trimmed from entries, the caller's scratch list,
     # afterwards.  Only an image rejected here reaches _checked, whose checks
     # word the error.
-    two_back = last = half
+    two_back = last = half  # no entry of a weight-half image exceeds half
     slack, next_slack = excess[1], excess[0]
     for x in entries:
         if x < 0 or x > two_back or x > last + slack:
