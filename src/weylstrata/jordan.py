@@ -59,7 +59,11 @@ rewrites the runs its validation found, and generated data and the Jordan
 types of Weyl classes (``weyl``) reach it with runs known by construction.
 
 The inverse, ``invert_bijection``, reads the same table backwards, parsing a
-bipartition left to right into the strings of its preimage.
+bipartition left to right into the strings of its preimage.  Its parse rows,
+``_PARSE_ROWS``, are the table's offsets regrouped by origin parity, built
+once at import.  It reads ``_rule`` once per call and builds the preimage
+from the parse's runs, then checks it as a weight-N member whose runs are
+the parse's and whose rewrite is the target.
 
 Weight always halves: each map sends weight-N Jordan data to weight-N//2
 bipartitions of the family's excess ((N-1)/2 for odd-weight orthogonal data).
@@ -330,6 +334,13 @@ _REPLACEMENTS = {
     )
 }
 
+# (family, N % 2) -> the rows _parse_runs reads, indexed by origin % 2: one
+# (value % 2, string carries label 0, d1, d2) per offset of that origin.
+_PARSE_ROWS = {
+    key: [[(p, label0, *pair) for (p, label0, o), pair in offsets.items() if o == origin] for origin in (0, 1)]
+    for key, (_, offsets) in _REPLACEMENTS.items()
+}
+
 
 def _rule(family: JordanFamily, N: int) -> tuple:
     # What _rewrite reads of a weight-N family map, read once per call:
@@ -457,38 +468,33 @@ def count_jordan(family: JordanFamily, N: int) -> int:
     return even if family.even_count else even + odd
 
 
-def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[tuple]]:
-    # Up to two run lists (value, length, label or None) whose rewrites give t.
-    # A parse state is (position, previous value, remaining weight); it keeps
-    # at most two partial parses, each a linked list of runs, newest first.
-    # Every run advances the position, so states settle position by position.
-    # Entries past the end of t are implicit zeros.
-    offsets = _rule(family, N)[3]
-    rows = [
-        [(parity, label0, d1, d2) for (parity, label0, o), (d1, d2) in offsets.items() if o == origin]
-        for origin in (0, 1)
-    ]
+def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[Run]]:
+    # Up to two run lists (value, length, label or None) whose rewrites give t,
+    # for a weight N that _rule accepts.  A parse state is (position, previous
+    # value, remaining weight); it keeps at most two partial parses, each a
+    # linked list of runs, newest first.  Every run advances the position, so
+    # states settle position by position.  Entries past the end of t are
+    # implicit zeros.
+    rows = _PARSE_ROWS[family, N % 2]
     paired, even_count, labeled = family.paired, family.even_count, family.labeled
-
-    def entry(i: int) -> int:
-        return t[i] if i < len(t) else 0
-
+    n = len(t)
     layers: dict[int, dict[tuple[int, int], list]] = {0: {(N + 1, N): [None]}}
     found: list = []
     i = 0
     while layers and len(found) < 2:
+        x, origin_rows = (t[i] if i < n else 0), rows[(i + 1) % 2]
         for (prev, rem), parses in layers.pop(i, {}).items():
             if rem == 0:
-                if i >= len(t) and not (even_count and i % 2):
+                if i >= n and not (even_count and i % 2):
                     found.extend(parses[: 2 - len(found)])
                 continue
-            for parity, label0, d1, d2 in rows[(i + 1) % 2]:
-                a = entry(i) - d1
+            for parity, label0, d1, d2 in origin_rows:
+                a = x - d1
                 v = 2 * a + parity
                 if not 0 < v < prev or v > rem:
                     continue
-                length = 0
-                while (length + 1) * v <= rem and entry(i + length) == a + (d2 if length % 2 else d1):
+                most, e2, length = rem // v, a + d2, 0
+                while length < most and (t[i + length] if i + length < n else 0) == (e2 if length % 2 else x):
                     length += 1
                     if length % 2 and parity == paired:
                         continue  # this value parity needs an even run length
@@ -497,7 +503,8 @@ def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[tuple
                         continue
                     label = (0 if label0 else 1) if eligible else None
                     state = layers.setdefault(i + length, {}).setdefault((v, rem - length * v), [])
-                    state.extend((v, length, label, p) for p in parses[: 2 - len(state)])
+                    for p in parses[: 2 - len(state)]:
+                        state.append((v, length, label, p))
         i += 1
     runs = []
     for parse in found:
@@ -513,15 +520,20 @@ def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> Jorda
     """The unique weight-N preimage of a bipartition under the family's map.
 
     The target is parsed left to right one run at a time by reading
-    ``_REPLACEMENTS`` backwards; parses that reach the same position,
-    previous value and remaining weight are merged, so the cost grows with
-    the target's length and the table, not with the number of partitions
-    of N.  A target outside the codomain raises a DomainError with the code
-    no_preimage.  Inside it, no parse would falsify surjectivity and two
-    parses injectivity; either raises a ConsistencyError.
+    ``_REPLACEMENTS`` backwards, through parse rows built from it once at
+    import; parses that reach the same position, previous value and
+    remaining weight are merged, so the cost grows with the target's length
+    and the table, not with the number of partitions of N.  A target outside
+    the codomain raises a DomainError with the code no_preimage.  Inside it,
+    no parse would falsify surjectivity and two parses injectivity; either
+    raises a ConsistencyError.  The one parse is checked as it stands: its
+    values must strictly descend, the datum built from it must be a weight-N
+    member whose runs are the parse's, and its rewrite must be the target;
+    a failure raises a ConsistencyError too.
     """
     bp = target if isinstance(target, Bipartition) else Bipartition(target)
-    excess, half = codomain(family, N)
+    rule = _rule(family, N)
+    excess, half = rule[1:3]
     if bp.weight != half or not has_excess(bp, excess):
         raise DomainError(
             f"{tuple(bp)} lies outside the image of weight-{N} {family.value} data "
@@ -533,19 +545,22 @@ def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> Jorda
         raise ConsistencyError(
             f"surjectivity failed: no weight-{N} {family.value} datum maps to {tuple(bp)}"
         )
-    matches = []
-    for runs in parses:
-        parts = Partition([v for v, length, _ in runs for _ in range(length)])
-        labels = {v: label for v, _, label in runs if label is not None}
-        matches.append(LabeledPartition(parts, labels) if family.labeled else parts)
-    if len(matches) > 1:
+    if len(parses) > 1:
         raise ConsistencyError(
-            f"injectivity failed: {len(matches)} weight-{N} {family.value} data map "
-            f"to {tuple(bp)}: {[str(m) for m in matches]}"
+            f"injectivity failed: {len(parses)} weight-{N} {family.value} data map "
+            f"to {tuple(bp)}: {[str(_datum(family, runs)) for runs in parses]}"
         )
-    if apply_bijection(family, matches[0]) != bp:
+    runs = parses[0]
+    nu = _datum(family, runs)
+    values = [v for v, _, _ in runs] + [0]
+    descending = all(v > w for v, w in zip(values, values[1:]))
+    if not descending or _runs_if_member(family, nu) != runs or nu.weight != N:
         raise ConsistencyError(
-            f"the {family.value} inverse parsed {tuple(bp)} as {matches[0]}, "
+            f"the {family.value} inverse parsed {tuple(bp)} as {nu}, which is not a weight-{N} member"
+        )
+    if _rewrite(rule, runs) != bp:
+        raise ConsistencyError(
+            f"the {family.value} inverse parsed {tuple(bp)} as {nu}, "
             "which does not map back to it"
         )
-    return matches[0]
+    return nu

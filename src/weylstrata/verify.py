@@ -41,6 +41,7 @@ from .jordan import (
     _rule,
     codomain,
     count_jordan,
+    invert_bijection,
 )
 from .partitions import (
     Partition,
@@ -186,9 +187,10 @@ def _check_bijectivity() -> str:
     """Each family map is a bijection onto its enumerated codomain.
 
     The enumerated domain must also have as many members as the counting
-    programme finds without listing them.
+    programme finds without listing them, and ``invert_bijection`` must send
+    each codomain element back to the member whose image it is.
     """
-    cases = 0
+    cases = inverted = 0
     for family in JordanFamily:
         if family is JordanFamily.ORTHOGONAL:
             weights = range(0, 26)
@@ -208,14 +210,22 @@ def _check_bijectivity() -> str:
                 len(set(images)) == len(images),
                 f"{family.name} weight {weight}: map is not injective",
             )
-            want = set(enumerate_bipartitions(half, excess))
+            want = enumerate_bipartitions(half, excess)
             _ensure(
-                set(images) == want,
+                set(images) == set(want),
                 f"{family.name} weight {weight}: image has {len(set(images))} of "
                 f"{len(want)} codomain elements",
             )
-            cases += 1
-    return f"{cases} family/weight pairs are bijections onto their codomains"
+            preimages = dict(zip(images, members))
+            for bp in want:
+                nu = invert_bijection(family, weight, bp)
+                if nu != _datum(family, preimages[bp]):
+                    raise ConsistencyError(f"{family.name} weight {weight}: {tuple(bp)} inverts to {nu}")
+            cases, inverted = cases + 1, inverted + len(want)
+    return (
+        f"{cases} family/weight pairs are bijections onto their codomains; "
+        f"all {inverted} codomain elements invert to their preimages"
+    )
 
 
 @_check("sp4-strata")

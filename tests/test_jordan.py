@@ -366,6 +366,16 @@ def test_bijectivity_check_asserts_the_count(monkeypatch):
     assert not result.passed and "counted -1" in result.detail
 
 
+def test_bijectivity_check_inverts_the_codomain(monkeypatch):
+    result = run_check("bijectivity")
+    assert result.passed and "all 7193 codomain elements invert to their preimages" in result.detail
+    # an inverse that answers the empty partition is caught at the first
+    # codomain element whose preimage is not empty
+    monkeypatch.setattr("weylstrata.verify.invert_bijection", lambda family, N, bp: Partition())
+    result = run_check("bijectivity")
+    assert not result.passed and result.detail == "SYMPLECTIC weight 2: (1,) inverts to ()"
+
+
 def test_count_jordan_examples():
     assert count_jordan(SP2, 6) == 9
     assert count_jordan(SO2, 8) == 10
@@ -514,19 +524,71 @@ def test_invert_matches_exhaustive_oracle(family):
 
 
 @pytest.mark.parametrize(
-    "runs,message",
+    "family,N,target,runs,message",
     [
-        ([[(2, 1, None), (1, 2, None)], [(4, 1, None)]], "injectivity failed"),
-        ([[(2, 1, None), (1, 2, None)]], "does not map back"),
-        ([], "surjectivity failed"),
+        pytest.param(
+            SP, 4, [2], [[(2, 1, None), (1, 2, None)], [(4, 1, None)]], "injectivity failed",
+            id="runs0-injectivity failed",
+        ),
+        pytest.param(SP, 4, [2], [[(2, 1, None), (1, 2, None)]], "does not map back", id="runs1-does not map back"),
+        pytest.param(SP, 4, [2], [], "surjectivity failed", id="runs2-surjectivity failed"),
+        # the weight-2 member (1, 1) maps to (1,) under the weight-2 rule, so
+        # only the weight check tells it from a weight-3 preimage
+        pytest.param(SO, 3, [1], [[(1, 2, None)]], "not a weight-3 member", id="wrong-weight member"),
+        # the odd value 3 once: not in the family
+        pytest.param(SP, 4, [2], [[(3, 1, None), (1, 1, None)]], "not a weight-4 member", id="non-member"),
+        # the runs of a member of weight 4, values ascending
+        pytest.param(SP, 4, [2], [[(1, 2, None), (2, 1, None)]], "not a weight-4 member", id="values ascend"),
     ],
 )
-def test_invert_checks_what_the_parse_returns(monkeypatch, runs, message):
-    # no parse, a second parse, or one that maps elsewhere can only come from
-    # a broken table; fake the parse to reach each check
+def test_invert_checks_what_the_parse_returns(monkeypatch, family, N, target, runs, message):
+    # no parse, a second parse, or one that is not the target's preimage can
+    # only come from a broken table; fake the parse to reach each check
     monkeypatch.setattr("weylstrata.jordan._parse_runs", lambda *args: runs)
     with pytest.raises(ConsistencyError, match=message):
-        invert_bijection(SP, 4, Bipartition([2]))
+        invert_bijection(family, N, Bipartition(target))
+
+
+def test_parse_rows_regroup_the_replacement_offsets():
+    # the replacement table is the one source of the parse: each key's rows
+    # are its offsets regrouped by origin parity, none lost and none added
+    assert set(jordan._PARSE_ROWS) == set(jordan._REPLACEMENTS)
+    for key, (_, offsets) in jordan._REPLACEMENTS.items():
+        rows = jordan._PARSE_ROWS[key]
+        assert len(rows) == 2, key
+        regrouped = [(p, label0, origin, (d1, d2)) for origin in (0, 1) for p, label0, d1, d2 in rows[origin]]
+        assert sorted(regrouped) == sorted(k + (pair,) for k, pair in offsets.items()), key
+
+
+BILLION = 10**9
+
+
+@pytest.mark.parametrize(
+    "family,N,target,parts,labels",
+    [
+        (SP, BILLION, (BILLION // 2,), (BILLION,), None),
+        (SP, BILLION, (3 * BILLION // 10, BILLION // 5), (3 * BILLION // 5, 2 * BILLION // 5), None),
+        (SP2, BILLION, (BILLION // 2,), (BILLION,), ()),
+        (SP2, BILLION, (BILLION // 4, BILLION // 4), (BILLION // 2,) * 2, ((BILLION // 2, 1),)),
+        (SP2, BILLION, (BILLION // 4 - 1, BILLION // 4 + 1), (BILLION // 2,) * 2, ((BILLION // 2, 0),)),
+        (SO, BILLION + 1, (BILLION // 2,), (BILLION + 1,), None),
+        (SO, BILLION + 1, (BILLION // 4, BILLION // 4), (BILLION // 2 + 1, BILLION // 2 - 1, 1), None),
+        (SO2, BILLION, (BILLION // 2,), (BILLION - 2, 2), ()),
+        (SO2, BILLION, (BILLION // 4, BILLION // 4), (BILLION // 2,) * 2, ((BILLION // 2, 0),)),
+        # all-ones targets of 3,200 entries
+        (SP, 6400, (1,) * 3200, (2,) * 3200, None),
+        (SP2, 6400, (1,) * 3200, (2,) * 3200, ((2, 1),)),
+        (SO, 6400, (1,) * 3200, (2,) * 3200, None),
+        (SO, 6401, (1,) * 3200, (3,) + (2,) * 3198 + (1, 1), None),
+        (SO2, 6400, (1,) * 3200, (2,) * 3200, ((2, 0),)),
+    ],
+)
+def test_invert_large_weights_and_long_targets(family, N, target, parts, labels):
+    # the parse's cost follows the target's length, not N
+    nu = invert_bijection(family, N, Bipartition(target))
+    got = (nu.parts, nu.labels) if family.labeled else (nu, None)
+    assert got == (parts, labels)
+    assert nu.weight == N and apply_bijection(family, nu) == target
 
 
 WEIGHT_CAP = 60
