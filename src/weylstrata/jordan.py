@@ -46,7 +46,7 @@ Inside the module each family's rules are plain attributes of its
 whether eligible strings carry a label.  A partition is read as its strings,
 one (value, multiplicity) pair each, and ``_is_member`` is the one
 membership test on them.  ``_runs_if_member`` applies it to a datum and
-serves ``in_family`` and ``apply_bijection``.
+serves ``in_family``, ``apply_bijection`` and the check of each inverse.
 A member travels as its *runs*: one (value, length, label) triple per
 string, values descending, the label None unless the family is labeled and
 the value eligible.  ``enumerate_jordan`` generates the runs of every member
@@ -493,6 +493,7 @@ def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[Run]]
                 v = 2 * a + parity
                 if not 0 < v < prev or v > rem:
                     continue
+                # the run's entries alternate a + d1, which is x, and a + d2
                 most, e2, length = rem // v, a + d2, 0
                 while length < most and (t[i + length] if i + length < n else 0) == (e2 if length % 2 else x):
                     length += 1
