@@ -67,14 +67,19 @@ class RepLabel(Record):
     __slots__ = ("group", "d", "n", "star", "synthetic_id")
 
     def __init__(self, group: str, d: int, n: int, star: int = 0, synthetic_id: int = 0):
-        self._set(exc_group_from_name(group), d, n, star, synthetic_id)
-        if self.d < 1:
-            raise DomainError(f"degree must be positive, got {self.d}", code="bad_rep")
-        if self.n < 0:
-            raise DomainError(f"n-invariant must be nonnegative, got {self.n}", code="bad_rep")
-        if self.star not in (0, 2, 3):
-            raise DomainError(f"star must be 0, 2, or 3, got {self.star}", code="bad_rep")
-        if self.synthetic_id < 0:
+        set_group, set_d, set_n, set_star, set_synthetic_id = self._setters
+        set_group(self, exc_group_from_name(group))
+        set_d(self, d)
+        set_n(self, n)
+        set_star(self, star)
+        set_synthetic_id(self, synthetic_id)
+        if d < 1:
+            raise DomainError(f"degree must be positive, got {d}", code="bad_rep")
+        if n < 0:
+            raise DomainError(f"n-invariant must be nonnegative, got {n}", code="bad_rep")
+        if star not in (0, 2, 3):
+            raise DomainError(f"star must be 0, 2, or 3, got {star}", code="bad_rep")
+        if synthetic_id < 0:
             raise DomainError("synthetic id must be nonnegative", code="bad_rep")
 
     def __str__(self) -> str:
@@ -103,8 +108,9 @@ class CarterLabel(Record):
     __slots__ = ("raw", "parsed_rank")
 
     def __init__(self, raw: str, parsed_rank: int):
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "parsed_rank", parsed_rank)
+        set_raw, set_parsed_rank = self._setters
+        set_raw(self, raw)
+        set_parsed_rank(self, parsed_rank)
 
     def __str__(self) -> str:
         return self.raw
@@ -225,7 +231,11 @@ class IsolatedSubgroup(Record):
     __slots__ = ("group", "flavor", "subtype", "constraint")
 
     def __init__(self, group: str, flavor: Union[IsoFlavor, str], subtype: str, constraint: str = ""):
-        self._set(_iso_group_from_name(group), _flavor_from_name(flavor), subtype, constraint)
+        set_group, set_flavor, set_subtype, set_constraint = self._setters
+        set_group(self, _iso_group_from_name(group))
+        set_flavor(self, _flavor_from_name(flavor))
+        set_subtype(self, subtype)
+        set_constraint(self, constraint)
 
 
 class AtlasRow(Record):
@@ -234,7 +244,11 @@ class AtlasRow(Record):
     __slots__ = ("group", "classes", "rep", "note")
 
     def __init__(self, group: str, classes: tuple[CarterLabel, ...], rep: RepLabel, note: str = ""):
-        self._set(group, classes, rep, note)
+        set_group, set_classes, set_rep, set_note = self._setters
+        set_group(self, group)
+        set_classes(self, classes)
+        set_rep(self, rep)
+        set_note(self, note)
 
 
 class Atlas:

@@ -13,7 +13,10 @@ The classification map sends spectral data to the stratum label: a weight
 N/2 bipartition (weight n for GL_n, weight (N-1)/2 for odd orthogonal
 groups).  Generic orbits contribute their Jordan type unchanged; involutive
 orbits contribute through the unipotent bijections; contributions add
-entrywise.  The class dimension is 2 * (number of positive roots) minus
+entrywise.  Validating the data keeps, for each involutive orbit, its runs
+and the rule of its family map at its weight, so ``classify`` only
+rewrites them, sums the contributions in one pass and checks the sum once.
+The class dimension is 2 * (number of positive roots) minus
 twice the n-invariant of the label, and is constant on each stratum.
 
 Only whether the characteristic is 2 or not ever matters; odd primes are
@@ -27,17 +30,16 @@ which the exceptional atlas shares.
 from __future__ import annotations
 
 import enum
-from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, zip_longest
+from operator import lt
 from typing import Iterable, Optional
 
-from .errors import DomainError, Record, check_characteristic
+from .errors import ConsistencyError, DomainError, Record, check_characteristic
 from .jordan import JordanDatum, JordanFamily, _rewrite, _rule, _runs_if_member
 from .partitions import (
     Bipartition,
     Excess,
     Partition,
-    bp_sum,
     enumerate_bipartitions,
     n_invariant,
     n_invariant_set,
@@ -84,17 +86,17 @@ class GroupDescriptor(Record):
     def __init__(self, series: Series, dimension: int, characteristic: int = 0):
         if not isinstance(series, Series):
             series = series_from_name(str(series))
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "characteristic", characteristic)
-        check_characteristic(self.characteristic)
-        d = self.dimension
-        if d < 0:
-            raise DomainError(f"dimension must be nonnegative, got {d}", code="bad_dimension")
-        odd = self.series is Series.SO_ODD
-        if self.series is not Series.GL and d % 2 != odd:
+        set_series, set_dimension, set_characteristic = self._setters
+        set_series(self, series)
+        set_dimension(self, dimension)
+        set_characteristic(self, characteristic)
+        check_characteristic(characteristic)
+        if dimension < 0:
+            raise DomainError(f"dimension must be nonnegative, got {dimension}", code="bad_dimension")
+        odd = series is Series.SO_ODD
+        if series is not Series.GL and dimension % 2 != odd:
             raise DomainError(
-                f"{self.series.value} needs {'odd' if odd else 'even'} dimension, got {d}",
+                f"{series.value} needs {'odd' if odd else 'even'} dimension, got {dimension}",
                 code="bad_dimension",
             )
 
@@ -135,21 +137,22 @@ class EigenOrbit(Record):
     __slots__ = ("ident", "kind", "jordan")
 
     def __init__(self, ident: str, kind: OrbitKind, jordan: JordanDatum):
-        object.__setattr__(self, "ident", ident)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "jordan", jordan)
-        if not isinstance(self.ident, str) or not self.ident:
-            raise _bad_orbit(f"orbit id must be a nonempty string, got {self.ident!r}")
-        if self.kind is OrbitKind.INVOLUTIVE:
-            if self.ident not in ("1", "-1"):
-                raise _bad_orbit(f"involutive orbit ids must be '1' or '-1', got {self.ident!r}")
+        set_ident, set_kind, set_jordan = self._setters
+        set_ident(self, ident)
+        set_kind(self, kind)
+        set_jordan(self, jordan)
+        if not isinstance(ident, str) or not ident:
+            raise _bad_orbit(f"orbit id must be a nonempty string, got {ident!r}")
+        if kind is OrbitKind.INVOLUTIVE:
+            if ident not in ("1", "-1"):
+                raise _bad_orbit(f"involutive orbit ids must be '1' or '-1', got {ident!r}")
         else:
-            if self.ident in ("1", "-1"):
-                raise _bad_orbit(f"generic orbits may not use the involutive id {self.ident!r}")
-            if not isinstance(self.jordan, Partition):
+            if ident in ("1", "-1"):
+                raise _bad_orbit(f"generic orbits may not use the involutive id {ident!r}")
+            if not isinstance(jordan, Partition):
                 raise _bad_orbit("generic orbits carry a plain partition Jordan type")
-        if self.weight == 0:
-            raise _bad_orbit(f"orbit {self.ident!r} has empty Jordan type")
+        if jordan.weight == 0:
+            raise _bad_orbit(f"orbit {ident!r} has empty Jordan type")
 
     @property
     def weight(self) -> int:
@@ -182,8 +185,10 @@ class SpectralDatum(Record):
     the absence of the eigenvalue -1 in characteristic 2, membership of each
     involutive Jordan type in the family dictated by the series and
     characteristic, and its weight parity: odd exactly for the eigenvalue 1
-    of an odd orthogonal group.  Validation keeps each involutive orbit's
-    runs, and ``classify`` rewrites them without testing membership again.
+    of an odd orthogonal group.  Validation reads each orbit's weight once
+    and keeps each involutive orbit's family rule with its runs, so
+    ``classify`` rewrites them without testing membership or reading the
+    rule again.
     """
 
     __slots__ = ("group", "orbits", "_orbit_runs")
@@ -191,12 +196,13 @@ class SpectralDatum(Record):
     _fields = ("group", "orbits")
 
     def __init__(self, group: GroupDescriptor, orbits: Iterable[EigenOrbit]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "orbits", tuple(orbits))
-        object.__setattr__(self, "_orbit_runs", self._validate())
+        set_group, set_orbits, set_orbit_runs = self._setters
+        set_group(self, group)
+        set_orbits(self, tuple(orbits))
+        set_orbit_runs(self, self._validate())
 
     def _validate(self) -> tuple:
-        # one entry per orbit: the runs of an involutive one, else None
+        # one entry per orbit: (its _rule, its runs) for an involutive one, else None
         g = _classifying_group(self.group)
         ids = [o.ident for o in self.orbits]
         if len(set(ids)) != len(ids):
@@ -207,17 +213,18 @@ class SpectralDatum(Record):
         total = 0
         orbit_runs = []
         for o in self.orbits:
+            weight = o.jordan.weight
             if o.kind is OrbitKind.GENERIC:
                 # a pair {x, 1/x}, except in GL where eigenvalues are not paired
-                total += o.weight if gl else 2 * o.weight
+                total += weight if gl else 2 * weight
                 orbit_runs.append(None)
                 continue
             if gl:
                 raise _bad_orbit("GL spectral data uses only generic orbits")
             if o.ident == "-1" and char == 2:
                 raise _bad_orbit("the eigenvalue -1 does not exist in characteristic 2")
-            orbit_runs.append(_runs_if_member(fam, o.jordan))
-            if orbit_runs[-1] is None:
+            runs = _runs_if_member(fam, o.jordan)
+            if runs is None:
                 raise DomainError(
                     f"involutive orbit {o.ident!r}: Jordan type {o.jordan} is not in "
                     f"the {fam.value} family",
@@ -225,13 +232,16 @@ class SpectralDatum(Record):
                 )
             # the symplectic families already force even weight
             want_odd = g.series is Series.SO_ODD and o.ident == "1"
-            if o.weight % 2 != want_odd:
+            if weight % 2 != want_odd:
                 raise DomainError(
                     f"involutive orbit {o.ident!r} of {g.series.value} must have "
-                    f"{'odd' if want_odd else 'even'} weight, got {o.weight}",
+                    f"{'odd' if want_odd else 'even'} weight, got {weight}",
                     code="bad_parity",
                 )
-            total += o.weight
+            # the weight picks the variant of the orthogonal map: SO_odd's
+            # eigenvalue 1 has odd weight and -1 even weight
+            orbit_runs.append((_rule(fam, weight), runs))
+            total += weight
         if total != g.dimension:
             raise DomainError(
                 f"orbit weights account for dimension {total}, expected {g.dimension}",
@@ -253,10 +263,11 @@ class StratumResult(Record):
     __slots__ = ("bp", "n_invariant", "class_dim", "pair_degenerate")
 
     def __init__(self, bp: Bipartition, n_invariant: int, class_dim: int, pair_degenerate: Optional[bool] = None):
-        object.__setattr__(self, "bp", bp)
-        object.__setattr__(self, "n_invariant", n_invariant)
-        object.__setattr__(self, "class_dim", class_dim)
-        object.__setattr__(self, "pair_degenerate", pair_degenerate)
+        set_bp, set_n_invariant, set_class_dim, set_pair_degenerate = self._setters
+        set_bp(self, bp)
+        set_n_invariant(self, n_invariant)
+        set_class_dim(self, class_dim)
+        set_pair_degenerate(self, pair_degenerate)
 
     @property
     def springer_dim(self) -> int:
@@ -271,16 +282,19 @@ def _stratum(group: GroupDescriptor, bp: Bipartition) -> StratumResult:
 
 
 def classify(datum: SpectralDatum) -> StratumResult:
-    """The stratum containing the conjugacy class with the given spectral data."""
-    g = _classifying_group(datum.group)
-    # SpectralDatum gives the SO_odd eigenvalue 1 odd weight and -1 even
-    # weight, so the datum's weight picks the orthogonal map's variant
-    family = _involutive_family(g.series, g.characteristic)
-    contributions = (
-        o.jordan if runs is None else _rewrite(_rule(family, o.weight), runs)
-        for o, runs in zip(datum.orbits, datum._orbit_runs)
-    )
-    return _stratum(g, reduce(bp_sum, contributions, Bipartition()))
+    """The stratum containing the conjugacy class with the given spectral data.
+
+    The orbits' contributions are added entrywise in one pass, and the sum
+    is checked once: both of its tracks must weakly decrease.  The sum of
+    bipartitions is always a bipartition, so a failure is a ConsistencyError.
+    """
+    contributions = [
+        o.jordan if kept is None else _rewrite(*kept) for o, kept in zip(datum.orbits, datum._orbit_runs)
+    ]
+    entries = list(map(sum, zip_longest(*contributions, fillvalue=0)))
+    if any(map(lt, entries, entries[2:])):
+        raise ConsistencyError(f"the orbit contributions add up to {tuple(entries)}, not a bipartition")
+    return _stratum(_classifying_group(datum.group), tuple.__new__(Bipartition, entries))  # checked above
 
 
 def stratum_excess(series: Series) -> Excess:

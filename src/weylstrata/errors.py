@@ -67,9 +67,9 @@ class Record:
     of ``_fields`` is seen by no comparison, hash or repr.  Records are equal
     only to records of their own class with equal fields, and hash as the
     tuple of their fields.  ``_setters`` holds the slots' own setters, in
-    slot order, which write past the frozen ``__setattr__``: ``__init__``
-    fills the slots through ``_set``, and hot paths build a record with
-    ``object.__new__`` and call the setters themselves.  Afterwards
+    slot order, which write past the frozen ``__setattr__``: every
+    ``__init__`` unpacks them and calls them, and hot paths build a record
+    with ``object.__new__`` and call them the same way.  Afterwards
     assignment and deletion raise AttributeError.
     """
 
@@ -80,11 +80,6 @@ class Record:
         # every record has at least two fields, so this returns a tuple
         cls._values = attrgetter(*cls._fields)
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-
-    def _set(self, *values):
-        # the slots in order
-        for setter, value in zip(self._setters, values):
-            setter(self, value)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -55,15 +55,18 @@ programme without listing them; both read the family's rules once per call.
 One rewrite, ``_rewrite``, maps runs to their image under a rule that
 ``_rule`` reads from ``_REPLACEMENTS`` once per call, not once per image:
 ``apply_bijection`` decomposes its datum once, ``classical.classify``
-rewrites the runs its validation found, and generated data and the Jordan
-types of Weyl classes (``weyl``) reach it with runs known by construction.
+rewrites the runs and rule its validation kept, and generated data and the
+Jordan types of Weyl classes (``weyl``) reach it with runs known by
+construction.
 
 The inverse, ``invert_bijection``, reads the same table backwards, parsing a
 bipartition left to right into the strings of its preimage.  Its parse rows,
 ``_PARSE_ROWS``, are the table's offsets regrouped by origin parity, built
 once at import.  It reads ``_rule`` once per call and builds the preimage
 from the parse's runs, then checks it as a weight-N member whose runs are
-the parse's and whose rewrite is the target.
+the parse's and whose rewrite is the target.  The target's excess is
+checked by the bound check behind ``partitions.has_excess``, on the rule's
+trusted excess.
 
 Weight always halves: each map sends weight-N Jordan data to weight-N//2
 bipartitions of the family's excess ((N-1)/2 for odd-weight orthogonal data).
@@ -79,7 +82,7 @@ from itertools import groupby, product
 from typing import Container, Iterable, Mapping, Optional, Union
 
 from .errors import ConsistencyError, DomainError, Record
-from .partitions import Bipartition, Excess, Partition, has_excess
+from .partitions import Bipartition, Excess, Partition, _within_excess
 
 
 class JordanFamily(enum.Enum):
@@ -176,8 +179,9 @@ class LabeledPartition(Record):
         for v, bit in given.items():
             if bit not in (0, 1):
                 raise DomainError(f"label for value {v} must be 0 or 1, got {bit!r}", code="bad_labels")
-        object.__setattr__(self, "parts", base)
-        object.__setattr__(self, "labels", tuple((v, given[v]) for v in eligible))
+        set_parts, set_labels = self._setters
+        set_parts(self, base)
+        set_labels(self, tuple((v, given[v]) for v in eligible))
 
     @classmethod
     def _trusted(cls, parts: Partition, labels: tuple[tuple[int, int], ...]):
@@ -297,7 +301,7 @@ def _checked(entries: list[int], family: JordanFamily, excess: Excess, half: int
         bp = Bipartition(entries)
     except DomainError as exc:
         raise ConsistencyError(f"the {family.value} map emitted a non-bipartition: {exc}") from exc
-    if bp.weight != half or not has_excess(bp, excess):
+    if bp.weight != half or not _within_excess(bp, excess):
         raise ConsistencyError(
             f"the {family.value} map emitted {tuple(bp)}, outside the stated codomain"
         )
@@ -535,7 +539,7 @@ def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> Jorda
     bp = target if isinstance(target, Bipartition) else Bipartition(target)
     rule = _rule(family, N)
     excess, half = rule[1:3]
-    if bp.weight != half or not has_excess(bp, excess):
+    if bp.weight != half or not _within_excess(bp, excess):
         raise DomainError(
             f"{tuple(bp)} lies outside the image of weight-{N} {family.value} data "
             f"(expected weight {half}, excess {tuple(excess)})",

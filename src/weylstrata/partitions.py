@@ -181,10 +181,17 @@ def has_excess(bp: Bipartition, x) -> bool:
     ex = _as_excess(x)
     if not isinstance(bp, Bipartition):
         bp = Bipartition(bp)
-    for i in range(len(bp) - 1):
-        slack = ex.e if i % 2 == 0 else ex.e_prime
-        if bp[i] + slack < bp[i + 1]:
+    return _within_excess(bp, ex)
+
+
+def _within_excess(bp: Bipartition, ex: Excess) -> bool:
+    # has_excess's bound check, for a bipartition and an Excess already
+    # checked: each entry against the one before it plus the slack between them
+    slack, next_slack = ex
+    for last, x in zip(bp, bp[1:]):
+        if x > last + slack:
             return False
+        slack, next_slack = next_slack, slack
     return True
 
 

@@ -82,12 +82,13 @@ class WeylType(Record):
     def __init__(self, series: WeylSeries, rank: int):
         if not isinstance(series, WeylSeries):
             series = weyl_series_from_name(str(series))
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "rank", rank)
-        lo = 1 if self.series is WeylSeries.A else 0
-        if self.rank < lo:
+        set_series, set_rank = self._setters
+        set_series(self, series)
+        set_rank(self, rank)
+        lo = 1 if series is WeylSeries.A else 0
+        if rank < lo:
             raise DomainError(
-                f"rank must be at least {lo} for type {self.series.value}", code="bad_rank"
+                f"rank must be at least {lo} for type {series.value}", code="bad_rank"
             )
 
     @property
@@ -103,8 +104,9 @@ class SignedCycleType(Record):
     __slots__ = ("positive", "negative")
 
     def __init__(self, positive, negative):
-        object.__setattr__(self, "positive", positive if isinstance(positive, Partition) else Partition(positive))
-        object.__setattr__(self, "negative", negative if isinstance(negative, Partition) else Partition(negative))
+        set_positive, set_negative = self._setters
+        set_positive(self, positive if isinstance(positive, Partition) else Partition(positive))
+        set_negative(self, negative if isinstance(negative, Partition) else Partition(negative))
 
     @property
     def rank(self) -> int:

@@ -1,5 +1,6 @@
 import random
 import time
+from functools import reduce
 from math import comb
 
 import pytest
@@ -19,7 +20,8 @@ from weylstrata.classical import (
     series_from_name,
     stratum_excess,
 )
-from weylstrata.errors import DomainError
+from weylstrata import classical
+from weylstrata.errors import ConsistencyError, DomainError
 from weylstrata.jordan import (
     JordanFamily,
     LabeledPartition,
@@ -29,6 +31,7 @@ from weylstrata.jordan import (
 from weylstrata.partitions import (
     Bipartition,
     Partition,
+    bp_sum,
     enumerate_bipartitions,
     enumerate_partitions,
     n_invariant,
@@ -315,19 +318,32 @@ def test_classify_mixed_generic_and_involutive():
 
 
 def test_classify_tests_membership_once(monkeypatch):
-    # validation tests each involutive orbit; classify rewrites the runs it kept
+    # validation tests each involutive orbit and reads its rule; classify
+    # rewrites the runs it kept under the rule it kept
     from weylstrata import jordan
 
-    calls = []
-    member = jordan._is_member
+    calls, rules = [], []
+    member, rule = jordan._is_member, classical._rule
     monkeypatch.setattr(jordan, "_is_member", lambda *args: calls.append(args) or member(*args))
+    monkeypatch.setattr(classical, "_rule", lambda *args: rules.append(args) or rule(*args))
     datum = SpectralDatum(
         sp(8),
         [EigenOrbit("1", INV, Partition([2, 1, 1])), EigenOrbit("-1", INV, Partition([2, 2]))],
     )
     assert len(calls) == 2
+    assert rules == [(JordanFamily.SYMPLECTIC, 4), (JordanFamily.SYMPLECTIC, 4)]
     assert classify(datum).bp == (2, 1, 1)
-    assert len(calls) == 2
+    assert len(calls) == 2 and len(rules) == 2
+
+
+def test_classify_refuses_a_sum_that_is_no_bipartition(monkeypatch):
+    # the sum of bipartitions is one; a rewrite that broke that claim
+    # surfaces as a ConsistencyError, not as a label
+    monkeypatch.setattr(classical, "_rewrite", lambda rule, runs: tuple.__new__(Bipartition, (1, 0, 3)))
+    datum = SpectralDatum(sp(8), [EigenOrbit("1", INV, Partition([2, 2])), EigenOrbit("x0", GEN, Partition([1, 1]))])
+    with pytest.raises(ConsistencyError, match=r"add up to \(2, 1, 3\), not a bipartition") as err:
+        classify(datum)
+    assert err.value.code == "consistency_error"
 
 
 def test_classify_sp_char2_identity():
@@ -584,6 +600,18 @@ def _random_datum(rng, series, char):
     return SpectralDatum(so_even(N, 0), orbits)
 
 
+# the family whose map sends an involutive orbit of the classifying group to
+# its contribution; SO_odd in characteristic 2 is classified through Sp
+_ORACLE_FAMILY = {
+    (Series.SP, False): JordanFamily.SYMPLECTIC,
+    (Series.SP, True): JordanFamily.SYMPLECTIC_CHAR2,
+    (Series.SO_ODD, False): JordanFamily.ORTHOGONAL,
+    (Series.SO_ODD, True): JordanFamily.SYMPLECTIC_CHAR2,
+    (Series.SO_EVEN, False): JordanFamily.ORTHOGONAL,
+    (Series.SO_EVEN, True): JordanFamily.ORTHOGONAL_CHAR2,
+}
+
+
 @pytest.mark.parametrize(
     "series,char",
     [
@@ -598,11 +626,16 @@ def _random_datum(rng, series, char):
     ],
 )
 def test_classification_lands_in_enumerated_strata(series, char):
+    # the label is also checked against the bp_sum, one pair at a time, of
+    # each involutive orbit's image and each generic orbit's partition
     rng = random.Random(f"{series}-{char}")
+    family = _ORACLE_FAMILY.get((series, char == 2))
     strata_cache = {}
     for _ in range(500):
         datum = _random_datum(rng, series, char)
         res = classify(datum)
+        images = [o.jordan if o.kind is GEN else apply_bijection(family, o.jordan) for o in datum.orbits]
+        assert res.bp == reduce(bp_sum, images, Bipartition()), datum
         key = (datum.group.series, datum.group.dimension)
         if key not in strata_cache:
             grp = GroupDescriptor(datum.group.series, datum.group.dimension, char)

@@ -8,6 +8,10 @@ carries its machine-readable code rather than the generic domain_error.
 
 No module imports ``dataclasses``: records build on ``errors.Record``, and
 ``dataclasses`` would bring ``inspect`` into every command's start-up.
+
+Records fill their slots one way, through the slot setters in
+``Record._setters``: no module calls ``object.__setattr__`` except
+``Record.__setstate__``, and no ``_set`` helper is defined or called.
 """
 
 import ast
@@ -52,6 +56,30 @@ def _uncoded_domain_errors(source: str) -> list[int]:
         and node.func.id == "DomainError"
         and not any(keyword.arg == "code" for keyword in node.keywords)
     ]
+
+
+def _slot_writes_past_the_setters(source: str) -> list[int]:
+    # lines calling object.__setattr__ outside Record.__setstate__, or
+    # defining or calling a _set
+    tree = ast.parse(source)
+    allowed = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "Record":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__setstate__":
+                    allowed = {id(node) for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Attribute) and (
+            node.attr == "_set"
+            or (node.attr == "__setattr__" and isinstance(node.value, ast.Name) and node.value.id == "object")
+        ):
+            found.append(node.lineno)
+        elif isinstance(node, ast.FunctionDef) and node.name == "_set":
+            found.append(node.lineno)
+    return sorted(found)
 
 
 def _top_level_names(source: str) -> set[str]:
@@ -114,3 +142,25 @@ def test_an_uncoded_domain_error_is_caught():
         "    return DomainError(why)\n"
     )
     assert _uncoded_domain_errors(source) == [4, 6]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_records_fill_slots_through_their_setters(path):
+    assert _slot_writes_past_the_setters(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_slot_write_past_the_setters_is_caught():
+    source = (
+        "class Record:\n"
+        "    def _set(self, *values):\n"
+        "        pass\n"
+        "    def __setstate__(self, state):\n"
+        "        object.__setattr__(self, 'x', state)\n"
+        "class Point(Record):\n"
+        "    def __init__(self, x):\n"
+        "        object.__setattr__(self, 'x', x)\n"
+        "        self._set(x)\n"
+        "    def __setstate__(self, state):\n"
+        "        object.__setattr__(self, 'x', state)\n"
+    )
+    assert _slot_writes_past_the_setters(source) == [2, 8, 9, 11]

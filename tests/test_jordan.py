@@ -401,6 +401,18 @@ def test_apply_bijection_refuses_non_members(family, nu):
     assert err.value.code == "not_in_family"
 
 
+@pytest.mark.parametrize("family", [SP, SO])
+def test_a_bipartition_that_is_no_partition_is_refused(family):
+    # (2, 1, 2, 1) holds each value twice, but in four strings of one part
+    # each: membership reads the strings in order, so the sequence is refused
+    # rather than counted into the member (2, 2, 1, 1)
+    nu = Bipartition((2, 1, 2, 1))
+    assert not in_family(family, nu)
+    with pytest.raises(DomainError, match="is not in the") as err:
+        apply_bijection(family, nu)
+    assert err.value.code == "not_in_family"
+
+
 @pytest.mark.parametrize(
     "change,message",
     [
@@ -495,6 +507,22 @@ def test_invert_no_preimage():
         invert_bijection(SP2, 6, Bipartition([0, 3]))  # outside excess (2, 2)
     with pytest.raises(DomainError):
         invert_bijection(SP, 5, Bipartition([2]))  # odd weight for an even family
+
+
+@pytest.mark.parametrize(
+    "family,N,target,message",
+    [
+        (SP2, 6, [2, 2], "(2, 2) lies outside the image of weight-6 symplectic_char2 data (expected weight 3, excess (2, 2))"),
+        (SP2, 6, [0, 3], "(0, 3) lies outside the image of weight-6 symplectic_char2 data (expected weight 3, excess (2, 2))"),
+        (SO2, 8, [1, 3], "(1, 3) lies outside the image of weight-8 orthogonal_char2 data (expected weight 4, excess (0, 4))"),
+        (SO, 7, [0, 3], "(0, 3) lies outside the image of weight-7 orthogonal data (expected weight 3, excess (2, 0))"),
+    ],
+    ids=["weight", "excess", "Z2P excess", "Z1P odd excess"],
+)
+def test_invert_words_the_no_preimage_refusal(family, N, target, message):
+    with pytest.raises(DomainError) as err:
+        invert_bijection(family, N, Bipartition(target))
+    assert str(err.value) == message and err.value.code == "no_preimage"
 
 
 def test_invert_rejects_malformed_target():
