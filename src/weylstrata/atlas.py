@@ -95,9 +95,6 @@ class RepLabel(Record):
         return text
 
 
-_SIMPLE_TOKEN = re.compile(
-    r"^(~?)([A-G])('{0,2})_([0-9]+)('{0,2})(\(a_[0-9]+\))?('{0,2})$"
-)
 _REP_TEXT = re.compile(r"^([0-9]+)_([0-9]+)(?:\*([0-9]+))?(?:#([0-9]+))?$")
 _NUMBER = re.compile(r"[0-9]+")
 
@@ -120,58 +117,52 @@ def _malformed(raw: str, why: str) -> DomainError:
     return DomainError(f"malformed class label {raw!r}: {why}", code="bad_carter_label")
 
 
-def _parse_sum(text: str, raw: str) -> tuple[str, int]:
-    # the canonical text and rank of the '+'-separated summands at paren depth 0
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise _malformed(raw, "unbalanced parentheses")
-        elif ch == "+" and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    if depth != 0:
-        raise _malformed(raw, "unbalanced parentheses")
-    parts.append(text[start:])
-    if any(not p for p in parts):
-        raise _malformed(raw, "empty summand")
-    canons, ranks = zip(*[_parse_term(part, raw) for part in parts])
-    return "+".join(canons), sum(ranks)
+# how deep parenthesized sums may nest; the tables nest one level deep
+MAX_NESTING = 32
+
+# one summand: an optional multiplicity, then "(" opening a sum or a simple
+# label, whose primes may stand in one of three places
+_SUMMAND = re.compile(r"([0-9]+(?=[~A-G(]))?(?:(\()|(~?[A-G])('{0,2})_([0-9]+)('{0,2})(\(a_[0-9]+\))?('{0,2}))")
+_CLOSE = re.compile(r"\)('{1,2})(?!')")
 
 
-def _parse_term(term: str, raw: str) -> tuple[str, int]:
-    mult = 1
-    m = re.match(r"^([0-9]+)(?=[~A-G(])", term)
-    if m:
-        mult = int(m.group(1))
-        if mult < 2:
+def _read_label(text: str, raw: str) -> tuple[str, int]:
+    # the canonical text and rank, in one pass from the left; text ends in a
+    # "+" that closes its last summand, and the stack holds the multiplicity
+    # of each open parenthesis with the summands and rank of the sum outside it
+    summands, rank, pos, stack = [], 0, 0, []
+    while pos < len(text):
+        m = _SUMMAND.match(text, pos)
+        if m is None:
+            raise _malformed(raw, "empty summand" if text[pos] in "+)" else f"bad token {text[pos:-1]!r}")
+        digits, opening, head, p1, sub, p2, annot, p3 = m.groups("")
+        mult, pos, primes = int(digits or 1), m.end(), p1 + p2 + p3
+        if digits and mult < 2:
             raise _malformed(raw, "multiplicity must be at least 2")
-        term = term[m.end():]
-    if term.startswith("("):
-        depth = 0
-        for i, ch in enumerate(term):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0:
-                break
-        tail = term[i + 1 :]
-        if not re.fullmatch(r"'{1,2}", tail):
-            raise _malformed(raw, "a parenthesized sum must end in primes")
-        joined, inner_rank = _parse_sum(term[1:i], raw)
-        return f"{mult if mult > 1 else ''}({joined}){tail}", mult * inner_rank
-    m = _SIMPLE_TOKEN.match(term)
-    if m is None:
-        raise _malformed(raw, f"bad token {term!r}")
-    tilde, letter, p1, sub, p2, annot, p3 = m.groups()
-    primes = [p for p in (p1, p2, p3) if p]
-    if len(primes) > 1:
-        raise _malformed(raw, "primes in more than one position")
-    prime = primes[0] if primes else ""
-    canon = f"{tilde}{letter}_{sub}{annot or ''}{prime}"
-    return f"{mult if mult > 1 else ''}{canon}", mult * int(sub)
+        if opening:
+            if len(stack) == MAX_NESTING:
+                raise _malformed(raw, f"parentheses nest deeper than {MAX_NESTING} levels")
+            stack.append((mult, summands, rank))
+            summands, rank = [], 0
+            continue
+        if primes not in (p1, p2, p3):  # two of them nonempty
+            raise _malformed(raw, "primes in more than one position")
+        summands.append(f"{mult if digits else ''}{head}_{sub}{annot}{primes}")
+        rank += mult * int(sub)
+        while text[pos] == ")":
+            close = _CLOSE.match(text, pos)
+            if close is None or not stack:
+                why = "a parenthesized sum must end in primes" if stack else "unbalanced parentheses"
+                raise _malformed(raw, why)
+            inner, (mult, summands, outer_rank) = "+".join(summands), stack.pop()
+            summands.append(f"{mult if mult > 1 else ''}({inner}){close.group(1)}")
+            rank, pos = outer_rank + mult * rank, close.end()
+        if text[pos] != "+":
+            raise _malformed(raw, f"bad token {text[m.start() : -1]!r}")  # from the last summand on
+        pos += 1
+    if stack:
+        raise _malformed(raw, "unbalanced parentheses")
+    return "+".join(summands), rank
 
 
 def parse_carter(raw: str) -> CarterLabel:
@@ -181,6 +172,8 @@ def parse_carter(raw: str) -> CarterLabel:
     '+'-separated summands; tildes, primes, and "(a_i)" annotations do
     not contribute.  Accepted spellings are whitespace-insensitive and
     tolerate "Ã" for "~A" and primes before the subscript ("A''_5").
+    Parenthesized sums nest at most MAX_NESTING (32) deep; a deeper
+    label is refused with the code bad_carter_label.
     """
     if not isinstance(raw, str):
         raise DomainError("class label must be a string", code="bad_carter_label")
@@ -188,11 +181,11 @@ def parse_carter(raw: str) -> CarterLabel:
     if not text:
         raise _malformed(raw, "empty")
     try:
-        return CarterLabel(*_parse_sum(text, raw))
+        return CarterLabel(*_read_label(text + "+", raw))
     except DomainError:  # a ValueError too, already specific
         raise
-    except (ValueError, RecursionError):  # too many digits for int(), or a stack too deep
-        raise _malformed(raw, "a number has too many digits or the parentheses nest too deeply") from None
+    except ValueError:  # more digits than int() converts
+        raise _malformed(raw, "a number has too many digits") from None
 
 
 def m_of_class(group: str, label: Union[str, CarterLabel]) -> int:

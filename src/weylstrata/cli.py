@@ -74,7 +74,7 @@ def _group_from_doc(doc: dict):
 def _orbit_from_doc(doc: dict):
     from .classical import EigenOrbit, OrbitKind
     from .jordan import LabeledPartition
-    from .partitions import Partition
+    from .partitions import _ENTRY, Partition
 
     if not isinstance(doc, dict):
         raise DomainError("each orbit must be a JSON object", code="bad_document")
@@ -94,6 +94,8 @@ def _orbit_from_doc(doc: dict):
         if not isinstance(raw_labels, dict):
             raise DomainError("orbit labels must be an object", code="bad_document")
         try:
+            if not all(map(_ENTRY.fullmatch, raw_labels)):  # the rule of class text and --target
+                raise ValueError
             labels = {int(k): v for k, v in raw_labels.items()}
             if not all(type(v) is int for v in labels.values()):  # no floats, no bools
                 raise ValueError

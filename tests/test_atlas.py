@@ -6,12 +6,19 @@ checksum of the shipped data file, and spot rows. Structural claims
 checked exhaustively over all five groups.
 """
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylstrata.atlas import (
+    _PACKAGED_PATH,
     ATLAS_ENV_VAR,
     EXC_GROUPS,
     EXC_POSITIVE_ROOTS,
+    MAX_NESTING,
+    CarterLabel,
     IsoFlavor,
     RepLabel,
     _parse_atlas,
@@ -279,6 +286,158 @@ def test_parse_carter_rejects(bad):
     with pytest.raises(DomainError) as err:
         parse_carter(bad)
     assert err.value.code == "bad_carter_label"
+
+
+def test_parse_carter_nesting_bound():
+    deepest = "(" * MAX_NESTING + "A_1" + ")'" * MAX_NESTING
+    assert parse_carter(deepest) == CarterLabel(deepest, 1)
+    with pytest.raises(DomainError) as err:
+        parse_carter("(" + deepest + ")'")
+    assert err.value.code == "bad_carter_label"
+    assert str(MAX_NESTING) in str(err.value)
+
+
+# The recursive reader that parse_carter replaced, kept as the reference: it
+# splits a sum at its top-level '+' signs and recurses into each parenthesis.
+_REF_SIMPLE_TOKEN = re.compile(r"^(~?)([A-G])('{0,2})_([0-9]+)('{0,2})(\(a_[0-9]+\))?('{0,2})$")
+
+
+def _ref_malformed(raw, why):
+    return DomainError(f"malformed class label {raw!r}: {why}", code="bad_carter_label")
+
+
+def _ref_parse_sum(text, raw):
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise _ref_malformed(raw, "unbalanced parentheses")
+        elif ch == "+" and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    if depth != 0:
+        raise _ref_malformed(raw, "unbalanced parentheses")
+    parts.append(text[start:])
+    if any(not p for p in parts):
+        raise _ref_malformed(raw, "empty summand")
+    canons, ranks = zip(*[_ref_parse_term(part, raw) for part in parts])
+    return "+".join(canons), sum(ranks)
+
+
+def _ref_parse_term(term, raw):
+    mult = 1
+    m = re.match(r"^([0-9]+)(?=[~A-G(])", term)
+    if m:
+        mult = int(m.group(1))
+        if mult < 2:
+            raise _ref_malformed(raw, "multiplicity must be at least 2")
+        term = term[m.end():]
+    if term.startswith("("):
+        depth = 0
+        for i, ch in enumerate(term):
+            depth += ch == "("
+            depth -= ch == ")"
+            if depth == 0:
+                break
+        tail = term[i + 1 :]
+        if not re.fullmatch(r"'{1,2}", tail):
+            raise _ref_malformed(raw, "a parenthesized sum must end in primes")
+        joined, inner_rank = _ref_parse_sum(term[1:i], raw)
+        return f"{mult if mult > 1 else ''}({joined}){tail}", mult * inner_rank
+    m = _REF_SIMPLE_TOKEN.match(term)
+    if m is None:
+        raise _ref_malformed(raw, f"bad token {term!r}")
+    tilde, letter, p1, sub, p2, annot, p3 = m.groups()
+    primes = [p for p in (p1, p2, p3) if p]
+    if len(primes) > 1:
+        raise _ref_malformed(raw, "primes in more than one position")
+    prime = primes[0] if primes else ""
+    canon = f"{tilde}{letter}_{sub}{annot or ''}{prime}"
+    return f"{mult if mult > 1 else ''}{canon}", mult * int(sub)
+
+
+def _ref_parse_carter(raw):
+    text = re.sub(r"\s+", "", raw).replace("Ã", "~A")
+    if not text:
+        raise _ref_malformed(raw, "empty")
+    try:
+        return CarterLabel(*_ref_parse_sum(text, raw))
+    except DomainError:
+        raise
+    except (ValueError, RecursionError):
+        raise _ref_malformed(raw, "a number has too many digits or the parentheses nest too deeply") from None
+
+
+def _outcome(parse, text):
+    # (canonical text, rank) of an accepted label, the code of a refused one
+    try:
+        label = parse(text)
+    except DomainError as exc:
+        return exc.code
+    return label.raw, label.parsed_rank
+
+
+def _carter_labels(faults: bool):
+    # labels nested up to MAX_NESTING deep: the first summand of each sum
+    # carries the nesting, the others nest at most one level; with faults,
+    # pieces the grammar refuses are drawn too
+    mults = st.sampled_from(["", "", "2", "3", "02"] + (["0", "1"] if faults else []))
+    primes = ["'", "''"] + (["'''"] if faults else [])
+    marks = [("", "", "")] + [m for p in primes for m in ((p, "", ""), ("", p, ""), ("", "", p))]
+    if faults:
+        marks += [("'", "'", ""), ("", "'", "''"), ("''", "", "'")]
+    simple = st.sampled_from([
+        f"{tilde}{letter}{p1}_{sub}{p2}{annot}{p3}"
+        for tilde in ("", "~") for letter in "ABCDEFG" for sub in ("0", "1", "2", "07", "13")
+        for annot in ("", "(a_1)", "(a_02)") for p1, p2, p3 in marks
+    ])
+    closes = st.sampled_from(["'", "''"] + (["", "'''", "'+", "''x"] if faults else []))
+
+    def term(draw, depth):
+        if depth == 0:
+            return draw(mults) + draw(simple)
+        return f"{draw(mults)}({summands(draw, depth - 1)}){draw(closes)}"
+
+    def summands(draw, depth):
+        rest = [term(draw, draw(st.integers(0, min(depth, 1)))) for _ in range(draw(st.integers(0, 2)))]
+        return "+".join([term(draw, depth)] + rest)
+
+    @st.composite
+    def labels(draw):
+        return summands(draw, draw(st.integers(0, MAX_NESTING)))
+
+    return labels()
+
+
+_PIECES = ["A", "B", "D", "E", "G", "X", "~", "_", "0", "1", "2", "(", ")", "'", "+", "(a_1)", "a", " ", "Ã", "٢"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_carter_labels(False), _carter_labels(True), st.lists(st.sampled_from(_PIECES), max_size=14).map("".join)))
+def test_parse_carter_agrees_with_the_recursive_reader(text):
+    outcome = _outcome(parse_carter, text)
+    assert outcome == _outcome(_ref_parse_carter, text)
+    if outcome != "bad_carter_label":  # the canonical text reads back as itself
+        assert _outcome(parse_carter, outcome[0]) == outcome
+
+
+@settings(max_examples=100, deadline=None)
+@given(_carter_labels(False))
+def test_parse_carter_accepts_every_well_formed_label(text):
+    assert _outcome(parse_carter, text) == _outcome(_ref_parse_carter, text) != "bad_carter_label"
+
+
+def test_every_atlas_label_parses_as_the_recursive_reader_read_it():
+    with open(_PACKAGED_PATH, encoding="utf-8") as handle:
+        raws = [c for line in handle if line.startswith("row|") for c in line.split("|")[6].split(",")]
+    assert len(raws) == sum(LABEL_COUNTS.values())
+    for raw in raws:
+        label = parse_carter(raw)
+        assert label == _ref_parse_carter(raw)
+        assert parse_carter(label.raw) == label
 
 
 def test_m_of_class():

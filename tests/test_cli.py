@@ -187,6 +187,17 @@ def test_classify_labels_from_json_strings(capsys, monkeypatch):
             '"parts": [3, 1], "labels": {}}]}',
             "bad_parity",
         ),
+        # label keys follow the integer rule of class text: ASCII digits, no underscores
+        (
+            '{"group": {"series": "Sp", "N": 40, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
+            '"parts": [20, 20], "labels": {"2_0": 1}}]}',
+            "bad_document",
+        ),
+        (
+            '{"group": {"series": "Sp", "N": 4, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
+            '"parts": [2, 2], "labels": {"\u0662": 1}}]}',
+            "bad_document",
+        ),
     ],
 )
 def test_classify_rejects_bad_documents(capsys, monkeypatch, text, code):
@@ -209,6 +220,17 @@ def test_classify_rejects_non_utf8_input(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", stdin)
         status, env = run_json(capsys, "classify", "-")
         assert (status, env["payload"]["code"]) == (1, "bad_document")
+
+
+@pytest.mark.parametrize("key", [" 2 ", "+2", "2"])
+def test_classify_reads_signed_and_padded_label_keys(capsys, monkeypatch, key):
+    doc = {
+        "group": {"series": "Sp", "N": 4, "char": 2},
+        "orbits": [{"id": "1", "kind": "involutive", "parts": [2, 2], "labels": {key: 1}}],
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    status, env = run_json(capsys, "classify", "-")
+    assert (status, env["payload"]["n_invariant"]) == (0, 1)
 
 
 @pytest.mark.parametrize("label", [1.7, 1.0, True, "1"])

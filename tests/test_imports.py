@@ -12,6 +12,11 @@ No module imports ``dataclasses``: records build on ``errors.Record``, and
 Records fill their slots one way, through the slot setters in
 ``Record._setters``: no module calls ``object.__setattr__`` except
 ``Record.__setstate__``, and no ``_set`` helper is defined or called.
+
+``atlas`` reads its input without recursion: none of its functions calls
+itself, directly or through other ``atlas`` functions, and none catches
+``RecursionError``, so a bound the module states, not the interpreter's
+stack, limits how deep a class label may nest.
 """
 
 import ast
@@ -80,6 +85,50 @@ def _slot_writes_past_the_setters(source: str) -> list[int]:
         elif isinstance(node, ast.FunctionDef) and node.name == "_set":
             found.append(node.lineno)
     return sorted(found)
+
+
+def _self_calling_functions(source: str) -> list[str]:
+    # functions reaching themselves through calls by name, or through
+    # self.<method> calls within one class
+    calls: dict[str, set[str]] = {}
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callees = calls.setdefault(f"{cls}.{child.name}" if cls else child.name, set())
+                for call in ast.walk(child):
+                    func = getattr(call, "func", None) if isinstance(call, ast.Call) else None
+                    if isinstance(func, ast.Name):
+                        callees.add(func.id)
+                    elif cls and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "self":
+                        callees.add(f"{cls}.{func.attr}")
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    def reached(name):
+        seen, todo = set(), list(calls[name])
+        while todo:
+            callee = todo.pop()
+            if callee in calls and callee not in seen:
+                seen.add(callee)
+                todo.extend(calls[callee])
+        return seen
+
+    visit(ast.parse(source), None)
+    return sorted(name for name in calls if name in reached(name))
+
+
+def _recursion_error_handlers(source: str) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and any(getattr(n, "id", None) == "RecursionError" for n in ast.walk(node.type))
+    ]
 
 
 def _top_level_names(source: str) -> set[str]:
@@ -164,3 +213,34 @@ def test_a_slot_write_past_the_setters_is_caught():
         "        object.__setattr__(self, 'x', state)\n"
     )
     assert _slot_writes_past_the_setters(source) == [2, 8, 9, 11]
+
+
+def test_atlas_reads_without_recursion():
+    source = (PACKAGE / "atlas.py").read_text(encoding="utf-8")
+    assert _self_calling_functions(source) == []
+    assert _recursion_error_handlers(source) == []
+
+
+def test_recursion_in_a_module_is_caught():
+    source = (
+        "def parse_sum(text):\n"
+        "    return [parse_term(t) for t in text.split('+')]\n"
+        "def parse_term(term):\n"
+        "    return parse_sum(term[1:-1]) if term.startswith('(') else term\n"
+        "def depth(n):\n"
+        "    return 0 if n == 0 else 1 + depth(n - 1)\n"
+        "def caller(text):\n"
+        "    return parse_sum(text)\n"
+        "class Tree:\n"
+        "    def walk(self, node):\n"
+        "        return [self.walk(c) for c in node]\n"
+        "    def size(self, node):\n"
+        "        return len(node)\n"
+        "def read(text):\n"
+        "    try:\n"
+        "        return parse_sum(text)\n"
+        "    except (ValueError, RecursionError):\n"
+        "        return None\n"
+    )
+    assert _self_calling_functions(source) == ["Tree.walk", "depth", "parse_sum", "parse_term"]
+    assert _recursion_error_handlers(source) == [17]
