@@ -35,7 +35,7 @@ EXC_POSITIVE_ROOTS = {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
 CLASSICAL_SERIES = ("A", "B", "C", "D")
 
 ATLAS_ENV_VAR = "WEYLSTRATA_ATLAS"
-_PACKAGED_PATH = os.path.join(os.path.dirname(__file__), "data", "exceptional_atlas.txt")
+_PACKAGED_PATH = os.path.abspath(os.path.join(os.path.dirname(__file__), "data", "exceptional_atlas.txt"))
 ATLAS_FORMAT_VERSION = 1
 
 
@@ -505,8 +505,9 @@ def _load_from_path(path: str) -> Atlas:
 def load_atlas(path: Optional[str] = None) -> Atlas:
     """The atlas: from a path, the env-var override, or the packaged file."""
     if path is None:
-        path = os.environ.get(ATLAS_ENV_VAR, _PACKAGED_PATH)
-    return _load_from_path(os.path.abspath(path))
+        path = os.environ.get(ATLAS_ENV_VAR)
+    # the packaged path is absolute from import on, so the common call resolves no path
+    return _load_from_path(_PACKAGED_PATH if path is None else os.path.abspath(path))
 
 
 def rep_of_class(group, label, rep_hint=None) -> RepLabel:

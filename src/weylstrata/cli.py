@@ -13,10 +13,11 @@ process pays only for those.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .errors import ConsistencyError, DomainError
 
@@ -384,105 +385,169 @@ def _render_invert(payload: dict) -> str:
     return text
 
 
-class _SuiteChoices:
-    """The choices of verify --suite, read from the verify module when needed."""
+def _one_of(words):
+    """A converter that passes the words that words() returns and refuses any other."""
 
-    def __iter__(self):
-        from .verify import check_names
+    def check(word: str) -> str:
+        if word not in words():
+            raise ValueError(f"invalid choice: {word!r} (choose from {', '.join(map(repr, words()))})")
+        return word
 
-        return iter(("all",) + check_names())
-
-    def __contains__(self, name) -> bool:
-        return name in iter(self)
+    return check
 
 
-# command -> (handler returning (payload, diagnostics), table renderer)
+def _suite_names() -> tuple[str, ...]:
+    from .verify import check_names
+
+    return ("all",) + check_names()
+
+
+def _flag(value) -> bool:
+    """The converter of an option that takes no value."""
+    if value is not None:
+        raise ValueError(f"ignored explicit argument {value!r}")
+    return True
+
+
+# An option is (name, dest, kind, default, help): kind converts the value (int, str,
+# an _one_of check, or _flag), and the default ... marks an option that must be
+# given.  A name without dashes is the command's positional argument.
+_HELP = (("-h", None, _flag, None, ""), ("--help", None, _flag, None, "show this help message and exit"))
+_COMMON = (("--format", "format", _one_of(lambda: ("json", "table")), "json", "json (default) or table"),
+           ("--data-file", "data_file", str, None, "override the packaged strata table file"))
+
+# command -> (handler returning (payload, diagnostics), table renderer, help, options)
 _COMMANDS = {
-    "classify": (_cmd_classify, _render_stratum),
-    "phi": (_cmd_phi, _render_phi),
-    "enumerate": (_cmd_enumerate, _render_enumerate),
-    "tables": (_cmd_tables, _render_tables),
-    "verify": (_cmd_verify, _render_verify),
-    "invert": (_cmd_invert, _render_invert),
+    "classify": (_cmd_classify, _render_stratum, "classify a spectral datum into its stratum", (
+        ("input", "input", str, ..., "path to a JSON spectral datum, or - for stdin"),)),
+    "phi": (_cmd_phi, _render_phi, "map a Weyl conjugacy class to its stratum", (
+        ("--group", "group", str, ..., "A, B, C, D (with --rank) or G2, F4, E6, E7, E8"),
+        ("--rank", "rank", int, None, "rank for classical series"),
+        ("--class", "class_label", str, ..., "cycle lengths '3,1' (A) or '3,1;2' (B/C/D), or a label 'D_7(a_1)'"),
+        ("--rep", "rep", str, None, "representation hint 'd_n[*r][#k]' when the class name is ambiguous"),)),
+    "enumerate": (_cmd_enumerate, _render_enumerate, "enumerate the strata of a classical group", (
+        ("--series", "series", str, ..., "GL, Sp, SO, SO_odd or SO_even"),
+        ("--dimension", "dimension", int, ..., "size N of the group GL_N/Sp_N/SO_N"),
+        ("--char", "char", int, 0, "field characteristic (default 0)"),)),
+    "tables": (_cmd_tables, _render_tables, "dump rows of the exceptional strata table", (
+        ("--group", "group", str, ..., "G2, F4, E6, E7 or E8"),
+        ("--char", "char", int, None, "keep only strata with unipotent classes in this characteristic"),
+        ("--rep", "rep", str, None, "keep only the row for this representation"),
+        ("--class", "class_label", str, None, "keep only rows containing this class"),
+        ("--raw", "raw", _flag, False, "write the table file bytes verbatim and exit"),)),
+    "verify": (_cmd_verify, _render_verify, "run the recorded verification checks", (
+        ("--suite", "suite", _one_of(_suite_names), "all", "which check to run (default all)"),)),
+    "invert": (_cmd_invert, _render_invert, "find the preimage of a stratum under a family bijection", (
+        ("--family", "family", str, ..., "Z1, Z2, Z1P, Z2P or a family name like symplectic_char2"),
+        ("--N", "N", int, ..., "weight of the preimage"),
+        ("--target", "target", str, ..., "bipartition entries, e.g. '2,0,1'"),)),
 }
+# the words before the command: the first value names the command, which reads the rest
+_TOP = (("command", "command", _one_of(lambda: tuple(_COMMANDS)), ..., "one of:"),)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "table"), default="json",
-                        help="output format (default json)")
-    common.add_argument("--data-file", default=None, metavar="PATH",
-                        help="override the packaged strata table file")
+class _UsageError(Exception):
+    """A refused command line, as (command or None, message): main exits 2."""
 
-    parser = argparse.ArgumentParser(
-        prog="weylstrata",
-        description="Stratifications of classical and exceptional groups.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="classify a spectral datum into its stratum")
-    p.add_argument("input", help="path to a JSON spectral datum, or - for stdin")
+def _help(command) -> str:
+    """The help text of a command, or of the tool; its first line is the usage line."""
+    table = _COMMON + _COMMANDS[command][3] if command else _TOP
+    spelled = [o[0] if o[2] is _flag or o[0][0] != "-" else f"{o[0]} {o[1].upper()}" for o in table]
+    usage = " ".join(s if o[3] is ... else f"[{s}]" for s, o in zip(spelled, table))
+    rows = [("-h, --help", _HELP[1][4]), *zip(spelled, (o[4] for o in table))]
+    if command is None:
+        rows += [(f"  {name}", entry[2]) for name, entry in _COMMANDS.items()]
+    about = _COMMANDS[command][2] if command else "Stratifications of classical and exceptional groups."
+    return (f"usage: weylstrata {command + ' ' if command else ''}[-h] {usage}\n\n{about}\n\n"
+            + "".join(f"  {left:<22} {text}\n" for left, text in rows))
 
-    p = sub.add_parser("phi", parents=[common],
-                       help="map a Weyl conjugacy class to its stratum")
-    p.add_argument("--group", required=True,
-                   help="A, B, C, D (with --rank) or G2, F4, E6, E7, E8")
-    p.add_argument("--rank", type=int, default=None, help="rank for classical series")
-    p.add_argument("--class", dest="class_label", required=True,
-                   help="class name: cycle lengths '3,1' (A), positive;negative cycle "
-                        "lengths '3,1;2' (B/C/D), or a class label like 'D_7(a_1)'; cycle "
-                        "lengths are positive integers in any order")
-    p.add_argument("--rep", default=None,
-                   help="representation hint 'd_n[*r][#k]' when the class name is ambiguous")
 
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="enumerate the strata of a classical group")
-    p.add_argument("--series", required=True, help="GL, Sp, SO, SO_odd or SO_even")
-    p.add_argument("--dimension", type=int, required=True, help="size N of the group GL_N/Sp_N/SO_N")
-    p.add_argument("--char", type=int, default=0, help="field characteristic (default 0)")
+def _option(word: str, names, command) -> tuple | None:
+    """How argparse reads a word before a command's '--': None for a value, else
+    (option name, the text after '=' or None), the name None for an unknown option."""
+    if word[:1] != "-" or word in ("-", "--"):
+        return None
+    # -h, the one short option, takes what runs on after it as its value
+    head, eq, value = ("-h", word[2:], word[2:]) if word[:2] == "-h" else word.partition("=")
+    # a long option may be shortened to a prefix of one name
+    found = [head] if head in names else [n for n in names if word[1] == "-" and n.startswith(head)]
+    if len(found) > 1:
+        raise _UsageError(command, f"ambiguous option: {word} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    # a dash and a number, or a word with a space, is a value
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", word) or " " in word else (None, None)
 
-    p = sub.add_parser("tables", parents=[common],
-                       help="dump rows of the exceptional strata table")
-    p.add_argument("--group", required=True, help="G2, F4, E6, E7 or E8")
-    p.add_argument("--char", type=int, default=None,
-                   help="keep only strata with unipotent classes in this characteristic")
-    p.add_argument("--rep", default=None, help="keep only the row for this representation")
-    p.add_argument("--class", dest="class_label", default=None,
-                   help="keep only rows containing this class")
-    p.add_argument("--raw", action="store_true",
-                   help="write the table file bytes verbatim and exit")
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the recorded verification checks")
-    # with a metavar, argparse lists the choices only when it checks a value
-    # or formats help, so other commands never import the verify module
-    p.add_argument("--suite", default="all", choices=_SuiteChoices(), metavar="SUITE",
-                   help="which check to run (default all): %(choices)s")
-
-    p = sub.add_parser("invert", parents=[common],
-                       help="find the preimage of a stratum under a family bijection")
-    p.add_argument("--family", required=True,
-                   help="Z1, Z2, Z1P, Z2P or a family name like symplectic_char2")
-    p.add_argument("--N", type=int, required=True, help="weight of the preimage")
-    p.add_argument("--target", required=True, help="bipartition entries, e.g. '2,0,1'")
-
-    return parser
+def _read(command, words: list[str], extras=()):
+    """The values of a command line as argparse read them, or the help text asked
+    for.  With command None the first value names the command, which reads the
+    words after it; extras are the words already left over."""
+    table = _COMMON + _COMMANDS[command][3] if command else _TOP
+    options = {o[0]: o for o in _HELP + table}
+    values = {o[1]: o[3] for o in table}
+    positional = next((o[0] for o in table if o[0][0] != "-"), None)
+    # after a command's first '--' every word is a value; (None, None) marks the '--' and the end
+    cut = words.index("--") if command and "--" in words else len(words)
+    read = [_option(word, tuple(options), command) for word in words[:cut]]
+    read += [(None, None)] + [None] * (len(words) - cut - 1)
+    extras, taken, i = list(extras), None, 0
+    while i < len(words):
+        how, word, i = read[i], words[i], i + 1
+        # a value is the positional's, if the command has one and it is not yet given
+        name, value = how or (positional, word)
+        if name is None or how is None and values[name] is not ...:
+            extras.append(word)
+            continue
+        if how is None:
+            taken = i - 1
+        elif value is None and options[name][2] is not _flag:
+            if read[i] is not None:
+                raise _UsageError(command, f"argument {name}: expected one argument")
+            value, i = words[i], i + 1
+        try:
+            value = options[name][2](value)
+        except ValueError as err:
+            raise _UsageError(command, f"argument {name}: {err}")
+        if name in ("-h", "--help"):
+            return _help(command)
+        if command is None:
+            return _read(value, words[i:], extras)
+        values[options[name][1]] = value
+    missing = [o[0] for o in table if values[o[1]] is ...]
+    if missing:
+        raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    # a '--' next to the positional's value is read with it
+    if cut < len(words) and taken in (cut - 1, cut + 1):
+        extras.remove("--")
+    if extras:
+        raise _UsageError(command, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler, renderer = _COMMANDS[args.command]
     try:
-        payload, diagnostics = handler(args)
+        args = _read(None, sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as err:
+        command, message = err.args
+        sys.stderr.write(f"{_help(command).splitlines()[0]}\nweylstrata: error: {message}\n")
+        # a usage error is a JSON envelope whatever --format says
+        error = {"code": "usage_error", "message": message}
+        _emit({"status": "error", "payload": error, "diagnostics": []}, "json", None)
+        return 2
+    try:
+        # a help request is its text, written out as tables --raw writes the table file
+        payload, diagnostics = (args, []) if isinstance(args, str) else _COMMANDS[args.command][0](args)
     except (DomainError, ConsistencyError) as err:
         error = {"code": err.code, "message": str(err)}
-        _emit({"status": "error", "payload": error, "diagnostics": []}, args.format, renderer)
+        _emit({"status": "error", "payload": error, "diagnostics": []}, args.format, None)
         return 3 if isinstance(err, ConsistencyError) else 1
     if isinstance(payload, str):
-        # tables --raw: the table file bytes verbatim, not an envelope
+        # tables --raw and help: the table file bytes or the help text, not an envelope
         sys.stdout.write(payload)
         return 0
+    renderer = _COMMANDS[args.command][1]
     _emit({"status": "ok", "payload": payload, "diagnostics": diagnostics}, args.format, renderer)
     # only verify reports "passed"; a falsified check is a consistency failure
     return 3 if payload.get("passed") is False else 0

@@ -6,6 +6,7 @@ checksum of the shipped data file, and spot rows. Structural claims
 checked exhaustively over all five groups.
 """
 
+import os
 import re
 
 import pytest
@@ -557,6 +558,13 @@ def test_load_atlas_env_override(tmp_path, monkeypatch):
     assert load_atlas().source == str(alt)
     monkeypatch.delenv(ATLAS_ENV_VAR)
     assert load_atlas().source.endswith("exceptional_atlas.txt")
+
+
+def test_load_atlas_without_a_path_is_the_cached_packaged_atlas(monkeypatch):
+    # the packaged path is absolute from import on, so both calls read one cache entry
+    monkeypatch.delenv(ATLAS_ENV_VAR, raising=False)
+    assert os.path.isabs(_PACKAGED_PATH)
+    assert load_atlas() is load_atlas(_PACKAGED_PATH)
 
 
 # the first E8 row repeated at the end of the file

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -8,12 +10,17 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from weylstrata import cli
 
 from weylstrata.atlas import ATLAS_ENV_VAR, load_atlas
 from weylstrata.cli import MAX_STRATA, main
 from weylstrata.errors import DomainError
 from weylstrata.jordan import FAMILY_ALIASES, JordanFamily, enumerate_jordan, invert_bijection
 from weylstrata.partitions import Bipartition, count_bipartitions
+from weylstrata.verify import check_names
 
 SCHEMA_FILE = resources.files("weylstrata").joinpath("data").joinpath("envelope.schema.json")
 ENVELOPE = jsonschema.Draft7Validator(json.loads(SCHEMA_FILE.read_text(encoding="utf-8")))
@@ -382,23 +389,225 @@ def test_phi_ambiguity_resolved_by_rep_hint(capsys):
         ("verify", "--suite", "no-such-suite"),
         ("enumerate", "--series", "Sp"),
         ("classify", "-", "--format", "yaml"),
+        ("phi", "--group", "E8", "--class", "-1,4"),
+        ("tables", "--c", "A_1", "--group", "E8"),
+        ("phi", "--group", "E8", "--class", "A_1", "--no-such-option"),
+        ("enumerate", "--series", "Sp", "--dimension", "four"),
+        ("phi", "--group", "E8", "--class", "A_1", "--format", "table", "--rank"),
+        ("no-such-command",),
+        ("--help=x",),
+        ("phi", "--group", "E8", "--class", "A_1", "--"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
-    with pytest.raises(SystemExit) as err:
-        main(list(argv))
-    assert err.value.code == 2
+    # a usage error is a JSON error envelope on stdout, whatever --format says
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    envelope = json.loads(captured.out)
+    ENVELOPE.validate(envelope)
+    assert (envelope["status"], envelope["payload"]["code"]) == ("error", "usage_error")
+    assert envelope["payload"]["message"] in captured.err
+    assert captured.err.startswith("usage: weylstrata") and "weylstrata: error: " in captured.err
 
 
 def test_unknown_suite_lists_the_checks(capsys):
     from weylstrata.verify import check_names
 
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--suite", "no-such-suite"])
-    assert err.value.code == 2
+    assert main(["verify", "--suite", "no-such-suite"]) == 2
     stderr = capsys.readouterr().err
     assert "argument --suite: invalid choice:" in stderr and "no-such-suite" in stderr
     assert all(name in stderr for name in check_names())
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that the option table of weylstrata.cli replaced: the reference reader."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "table"), default="json",
+                        help="output format (default json)")
+    common.add_argument("--data-file", default=None, metavar="PATH",
+                        help="override the packaged strata table file")
+
+    parser = argparse.ArgumentParser(
+        prog="weylstrata",
+        description="Stratifications of classical and exceptional groups.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("classify", parents=[common],
+                       help="classify a spectral datum into its stratum")
+    p.add_argument("input", help="path to a JSON spectral datum, or - for stdin")
+
+    p = sub.add_parser("phi", parents=[common],
+                       help="map a Weyl conjugacy class to its stratum")
+    p.add_argument("--group", required=True,
+                   help="A, B, C, D (with --rank) or G2, F4, E6, E7, E8")
+    p.add_argument("--rank", type=int, default=None, help="rank for classical series")
+    p.add_argument("--class", dest="class_label", required=True,
+                   help="class name: cycle lengths '3,1' (A), positive;negative cycle "
+                        "lengths '3,1;2' (B/C/D), or a class label like 'D_7(a_1)'; cycle "
+                        "lengths are positive integers in any order")
+    p.add_argument("--rep", default=None,
+                   help="representation hint 'd_n[*r][#k]' when the class name is ambiguous")
+
+    p = sub.add_parser("enumerate", parents=[common],
+                       help="enumerate the strata of a classical group")
+    p.add_argument("--series", required=True, help="GL, Sp, SO, SO_odd or SO_even")
+    p.add_argument("--dimension", type=int, required=True, help="size N of the group GL_N/Sp_N/SO_N")
+    p.add_argument("--char", type=int, default=0, help="field characteristic (default 0)")
+
+    p = sub.add_parser("tables", parents=[common],
+                       help="dump rows of the exceptional strata table")
+    p.add_argument("--group", required=True, help="G2, F4, E6, E7 or E8")
+    p.add_argument("--char", type=int, default=None,
+                   help="keep only strata with unipotent classes in this characteristic")
+    p.add_argument("--rep", default=None, help="keep only the row for this representation")
+    p.add_argument("--class", dest="class_label", default=None,
+                   help="keep only rows containing this class")
+    p.add_argument("--raw", action="store_true",
+                   help="write the table file bytes verbatim and exit")
+
+    p = sub.add_parser("verify", parents=[common],
+                       help="run the recorded verification checks")
+    p.add_argument("--suite", default="all", choices=("all",) + check_names(), metavar="SUITE",
+                   help="which check to run (default all): %(choices)s")
+
+    p = sub.add_parser("invert", parents=[common],
+                       help="find the preimage of a stratum under a family bijection")
+    p.add_argument("--family", required=True,
+                   help="Z1, Z2, Z1P, Z2P or a family name like symplectic_char2")
+    p.add_argument("--N", type=int, required=True, help="weight of the preimage")
+    p.add_argument("--target", required=True, help="bipartition entries, e.g. '2,0,1'")
+
+    return parser
+
+
+def reference_reads(argv):
+    """argparse's reading of argv: the namespace's values, or the exit status (2 refused, 0 help)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(list(argv)))
+    except SystemExit as stop:
+        return stop.code
+
+
+def table_reads(argv):
+    """The option table's reading of argv, in the same terms."""
+    try:
+        args = cli._read(None, list(argv))
+    except cli._UsageError:
+        return 2
+    return 0 if isinstance(args, str) else vars(args)
+
+
+_COMMAND_NAMES = ("classify", "phi", "enumerate", "tables", "verify", "invert")
+_OPTIONS_OF = {
+    "classify": (),
+    "phi": ("--group", "--rank", "--class", "--rep"),
+    "enumerate": ("--series", "--dimension", "--char"),
+    "tables": ("--group", "--char", "--rep", "--class", "--raw"), "verify": ("--suite",),
+    "invert": ("--family", "--N", "--target"),
+}
+_OPTION_NAMES = ("--format", "--data-file", "--help", *{name for names in _OPTIONS_OF.values() for name in names})
+# every option name shortened to three characters or more, unique prefix or not, and -h
+_OPTION_WORDS = sorted({name[:k] for name in _OPTION_NAMES for k in range(3, len(name) + 1)} | {"-h"})
+_VALUE_WORDS = (
+    "0", "4", "17", "-3", "-1", "-1,4", "-", "--", "E8", "B", "Sp", "SO", "Z2", "3;", "D_7(a_1)", "json", "table",
+    "yaml", "all", "golden-sp2", "x y", "", " 3", "-2.5",
+)
+# '--opt=--' is left out: argparse drops the '--' and stores an empty list there (a fixed case below)
+_JOINABLE = tuple(value for value in _VALUE_WORDS if value != "--")
+_JOINED = st.builds("{}={}".format, st.sampled_from(_OPTION_WORDS), st.sampled_from(_JOINABLE))
+_PIECE = st.one_of(
+    st.tuples(st.sampled_from(_OPTION_WORDS), st.sampled_from(_VALUE_WORDS)),
+    _JOINED.map(lambda word: (word,)),
+    st.sampled_from(_COMMAND_NAMES + tuple(_OPTION_WORDS) + _VALUE_WORDS).map(lambda word: (word,)),
+)
+
+
+# values each option accepts, and some it refuses
+_GOOD_VALUES = {"--format": ("json", "table", "yaml"), "--suite": ("all", "golden-sp2", "x")}
+_GOOD_VALUES.update(dict.fromkeys(("--rank", "--dimension", "--char", "--N"), ("4", "-3", " 17", "0", "x")))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, most of its own options with values, at most one noise piece, in any order."""
+    command = draw(st.sampled_from(_COMMAND_NAMES))
+    pieces = [(draw(st.sampled_from(("-", "--", "x.json", "-4"))),)] if command == "classify" else []
+    for name in _OPTIONS_OF[command] + ("--format", "--data-file"):
+        if draw(st.integers(0, 9)) < 8:
+            word = name[:draw(st.integers(3, len(name)))] if draw(st.booleans()) else name
+            value = draw(st.sampled_from(_GOOD_VALUES.get(name, ("E8", "-", "D_7(a_1)", "-1", "x y", "", "3;"))))
+            forms = [(word,)] if name == "--raw" else [(word, value), (f"{word}={value}",)]
+            pieces.append(draw(st.sampled_from(forms)))
+    pieces += draw(st.lists(_PIECE, max_size=1))
+    return [command] + [word for piece in draw(st.permutations(pieces)) for word in piece]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    _command_lines(),
+    st.builds(lambda head, pieces: head + [w for piece in pieces for w in piece],
+              st.lists(st.sampled_from(_COMMAND_NAMES), max_size=1), st.lists(_PIECE, max_size=8)),
+))
+def test_option_table_reads_argv_as_argparse_did(argv):
+    expected = reference_reads(argv)
+    event("read" if isinstance(expected, dict) else f"exit {expected}")
+    assert table_reads(argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "--group", "A", "--rank", "2", "--class=-1,4"),
+        ("enumerate", "--series", "Sp", "--dim", "4"),
+        ("phi", "--group", "B", "--rank", "-3", "--class", "3;"),
+        ("phi", "--group", "E8", "--group", "G2", "--class", "A_1", "--rank", "1", "--rank", "2"),
+        ("classify", "-", "--format", "table"),
+        ("classify", "--format", "table", "-"),
+        ("classify", "--", "-"),
+        ("classify", "-", "--"),
+        ("invert", "--family", "Z2", "--N", " 6", "--target", ""),
+        ("tables", "--group", "E8", "--raw", "--char=2"),
+        ("verify", "--su", "golden-sp2"),
+        # refused: a dash-led non-number as a value, an ambiguous prefix, a missing option,
+        # an unknown option, a bad choice, a '--' that no positional reads
+        ("phi", "--group", "E8", "--class", "-1,4"),
+        ("tables", "--c", "x", "--group", "E8"),
+        ("tables", "--char", "2"),
+        ("phi", "--group", "E8", "--class", "A_1", "--bogus"),
+        ("--bogus", "phi", "--group", "E8", "--class", "A_1"),
+        ("verify", "--suite", "no-such-suite"),
+        ("tables", "--group", "E8", "--raw=yes"),
+        ("classify", "-", "--format", "json", "--"),
+        ("--", "phi", "--group", "E8", "--class", "A_1"),
+        # help, at the top and after a command, before any later error
+        ("-h",), ("--help",), ("--he", "phi"), ("--bogus", "-h"),
+        ("phi", "--help"), ("tables", "--group", "E8", "-h"), ("tables", "--group", "E8", "--raw=x", "-h"),
+    ],
+)
+def test_option_table_fixed_cases(argv):
+    assert table_reads(argv) == reference_reads(argv)
+
+
+def test_option_table_reads_a_joined_double_dash_as_the_value():
+    # the one deliberate difference: argparse drops '--' from '--opt=--' and stores [];
+    # the table reads '--' as the value, which int() and the choice checks then refuse
+    argv = ["phi", "--group", "E8", "--class=--"]
+    assert reference_reads(argv)["class_label"] == []
+    assert table_reads(argv)["class_label"] == "--"
+    assert table_reads(["phi", "--group", "B", "--class", "3;", "--rank=--"]) == 2
+    assert table_reads(["classify", "-", "--format=--"]) == 2
+
+
+@pytest.mark.parametrize("command", [None, *_COMMAND_NAMES])
+def test_help_lists_the_options_of_the_table(capsys, command):
+    for flag in ("-h", "--help"):
+        assert main([command, flag] if command else [flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: weylstrata {command or ''}".rstrip())
+        names = _OPTIONS_OF[command] + ("--format", "--data-file") if command else _COMMAND_NAMES
+        assert all(name in out for name in names)
 
 
 def test_verify_single_suite(capsys):

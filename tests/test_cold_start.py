@@ -7,7 +7,9 @@ modules unloaded.  Import sets are read in fresh interpreters, since this
 one has imported everything already.
 
 No command but ``tables`` loads ``hashlib``, which only the atlas checksum
-uses, and no command loads ``dataclasses`` or ``inspect``.
+uses, and no command loads ``dataclasses`` or ``inspect``, nor ``argparse``,
+``gettext`` or ``locale``: the command line is read from the CLI's own option
+table.
 """
 
 import importlib
@@ -38,7 +40,7 @@ _PROBE = _MAIN + """
 print(json.dumps(sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("weylstrata."))))
 """
 # ...then prints which of these standard-library modules are loaded
-_STDLIB = ("dataclasses", "inspect", "hashlib")
+_STDLIB = ("dataclasses", "inspect", "hashlib", "argparse", "gettext", "locale")
 _STDLIB_PROBE = _MAIN + f"""
 print(json.dumps([m for m in {_STDLIB!r} if m in sys.modules]))
 """
@@ -106,6 +108,28 @@ def test_only_verify_loads_verify(argv):
 )
 def test_commands_load_no_dataclasses_inspect_or_hashlib(argv):
     assert _loaded(_STDLIB_PROBE, *argv, stdin=_DATUM) == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "--group", "E8", "--class", "D_7(a_1)"),
+        ("phi", "--group", "B", "--rank", "3", "--class", "1;2"),
+        ("classify", "-"),
+        ("enumerate", "--series", "Sp", "--dimension", "4"),
+        ("invert", "--family", "Z2", "--N", "6", "--target", "3"),
+        ("tables", "--group", "E8"),
+        ("verify", "--suite", "golden-sp2"),
+        ("verify", "--suite", "no-such-suite"),
+        ("phi", "--group", "E8"),
+        ("phi", "--help"),
+    ],
+    ids=["phi-exceptional", "phi-classical", "classify", "enumerate", "invert", "tables", "verify",
+         "verify-usage-error", "usage-error", "help"],
+)
+def test_no_command_loads_argparse_gettext_or_locale(argv):
+    # the command line is read from the option table of weylstrata.cli
+    assert _loaded(_STDLIB_PROBE, *argv, stdin=_DATUM).isdisjoint({"argparse", "gettext", "locale"})
 
 
 def test_tables_loads_hashlib_but_no_dataclasses_or_inspect():
