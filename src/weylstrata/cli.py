@@ -2,10 +2,14 @@
 
 Every invocation runs exactly one subcommand and writes a single result
 envelope to standard output: {"status": "ok"|"error", "payload": ...,
-"diagnostics": [...]}.  The one exception is a successful `tables --raw`,
-which writes the table file's bytes verbatim.  The JSON shape is described in
-data/envelope.schema.json.  Exit codes: 0 success, 1 domain error,
-2 usage error, 3 consistency failure (a recorded claim was falsified).
+"diagnostics": [...]}.  The exceptions are a successful `tables --raw`,
+which writes the table file's bytes verbatim, and -h/--help.  The JSON shape
+is described in data/envelope.schema.json.  Exit codes: 0 success, 1 domain
+error, 2 usage error (a usage_error envelope, in JSON whatever --format says),
+3 consistency failure (a recorded claim was falsified).
+
+The command line is read against one option table, _COMMANDS, by the rules
+argparse applies; tests/test_cli.py keeps an argparse parser as the reference.
 
 Each command imports the package modules it uses when it runs, so a
 process pays only for those.

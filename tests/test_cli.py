@@ -590,14 +590,18 @@ def test_option_table_fixed_cases(argv):
     assert table_reads(argv) == reference_reads(argv)
 
 
-def test_option_table_reads_a_joined_double_dash_as_the_value():
-    # the one deliberate difference: argparse drops '--' from '--opt=--' and stores [];
-    # the table reads '--' as the value, which int() and the choice checks then refuse
+def test_option_table_deliberate_differences():
+    # argparse drops '--' from '--opt=--' and stores []; the table reads '--' as the
+    # value, which int() and the choice checks then refuse
     argv = ["phi", "--group", "E8", "--class=--"]
     assert reference_reads(argv)["class_label"] == []
     assert table_reads(argv)["class_label"] == "--"
     assert table_reads(["phi", "--group", "B", "--class", "3;", "--rank=--"]) == 2
     assert table_reads(["classify", "-", "--format=--"]) == 2
+    # argparse reads -hh and -h=h as chains of -h and prints help; the table reads
+    # what runs on after -h as its value and refuses it
+    for argv in (["-hh"], ["phi", "-h=h"]):
+        assert (reference_reads(argv), table_reads(argv)) == (0, 2)
 
 
 @pytest.mark.parametrize("command", [None, *_COMMAND_NAMES])
