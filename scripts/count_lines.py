@@ -1,22 +1,53 @@
-"""Line counts of the package's modules: total lines and code lines.
+"""Line counts of the package's modules, and the code lines each CLI command compiles.
 
     python3 scripts/count_lines.py
 
 Code lines are the lines that hold a token other than a comment, a line
 break or an indentation change, leaving out the lines of docstrings (the
 string that opens a module, class or function body).  One row per module
-of src/weylstrata, then the totals.
+under src/weylstrata, subpackages included, by its path there, then the
+totals.  Then one row per command of CORPUS, the command lines that
+tests/test_cold_start.py runs: the code lines of the weylstrata modules
+that a fresh process running that command loads, and so compiles when no
+bytecode is cached.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import json
 import os
+import subprocess
+import sys
 import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PACKAGE = os.path.join(ROOT, "src", "weylstrata")
+SRC = os.path.join(ROOT, "src")
+PACKAGE = os.path.join(SRC, "weylstrata")
+
+# command -> argv of weylstrata.cli.main; classify reads DATUM from stdin
+CORPUS = {
+    "classify": ("classify", "-"),
+    "phi-classical": ("phi", "--group", "B", "--rank", "3", "--class", "1;2"),
+    "phi-exceptional": ("phi", "--group", "E8", "--class", "D_7(a_1)"),
+    "enumerate": ("enumerate", "--series", "Sp", "--dimension", "4"),
+    "tables": ("tables", "--group", "E8"),
+    "verify": ("verify", "--suite", "golden-sp2"),
+    "invert": ("invert", "--family", "Z2", "--N", "6", "--target", "3"),
+    "help": ("--help",),
+    "usage-error": ("phi", "--group", "E8"),
+}
+DATUM = '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "1", "kind": "involutive", "parts": [2, 1, 1]}]}'
+
+# runs main() on argv, then prints the files of the weylstrata modules loaded
+_PROBE = """
+import contextlib, io, json, sys
+from weylstrata.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    main(sys.argv[1:])
+print(json.dumps([m.__file__ for name, m in sys.modules.items() if name.split(".")[0] == "weylstrata"]))
+"""
 
 _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -47,16 +78,27 @@ def count(text: str) -> tuple[int, int]:
     return len(text.splitlines()), len(code - _docstring_lines(ast.parse(text)))
 
 
+def loaded_files(argv) -> list[str]:
+    """The source files of the weylstrata modules a fresh process running main(argv) loads."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], input=DATUM, capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    return [os.path.realpath(path) for path in json.loads(done.stdout.splitlines()[-1])]
+
+
 def main() -> None:
-    totals = [0, 0]
-    print(f"{'module':<16} {'lines':>6} {'code':>6}")
-    for name in sorted(os.listdir(PACKAGE)):
-        if name.endswith(".py"):
-            with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
-                lines, code = count(handle.read())
-            totals = [totals[0] + lines, totals[1] + code]
-            print(f"{name:<16} {lines:>6} {code:>6}")
-    print(f"{'total':<16} {totals[0]:>6,} {totals[1]:>6,}")
+    totals, code_of = [0, 0], {}
+    print(f"{'module':<20} {'lines':>6} {'code':>6}")
+    paths = (os.path.join(folder, name) for folder, _, names in os.walk(PACKAGE) for name in names)
+    for path in sorted(p for p in paths if p.endswith(".py")):
+        with open(path, encoding="utf-8") as handle:
+            lines, code = count(handle.read())
+        totals, code_of[os.path.realpath(path)] = [totals[0] + lines, totals[1] + code], code
+        print(f"{os.path.relpath(path, PACKAGE):<20} {lines:>6} {code:>6}")
+    print(f"{'total':<20} {totals[0]:>6,} {totals[1]:>6,}")
+    print(f"\n{'command':<20} {'code':>13}")
+    for command, argv in CORPUS.items():
+        print(f"{command:<20} {sum(code_of[path] for path in loaded_files(argv)):>13,}")
 
 
 if __name__ == "__main__":

@@ -1,0 +1,77 @@
+"""phi: the stratum of a Weyl group class, classical or exceptional.
+
+A classical class loads only the classical and Weyl code, an exceptional one
+only the atlas.
+"""
+
+from __future__ import annotations
+
+from ..errors import DomainError
+from ._shared import _STRATUM_FIELDS, _group_payload, _rep_payload, _render_stratum, _stratum_payload
+
+_CLASSICAL_LETTERS = {"A", "B", "C", "D"}
+
+
+def run(args) -> tuple[dict, list[str]]:
+    name = args.group.strip()
+    diagnostics: list[str] = []
+    if name.upper() in _CLASSICAL_LETTERS:
+        from ..classical import _stratum
+        from ..weyl import WeylSeries, WeylType, _fixed_space_dim, parse_class, weyl_series_from_name
+        from ..weyl import _stratum as _class_stratum, _stratum_rule
+
+        if args.rank is None:
+            raise DomainError("classical series need --rank", code="bad_rank")
+        if args.rep is not None:
+            raise DomainError("--rep applies only to exceptional groups", code="bad_rep")
+        series = weyl_series_from_name(name)
+        if name.upper() == "C":
+            diagnostics.append("series C shares its signed cycle classes with series B")
+        wt = WeylType(series, args.rank)
+        # parse_class checks the class once; the private maps below trust it
+        cls = parse_class(wt, args.class_label)
+        # dimensions of strata come from the algebraic group with this Weyl group
+        group = wt.group
+        result = _stratum(group, _class_stratum(_stratum_rule(wt), cls))
+        payload = {
+            "weyl": {"series": series.value, "rank": args.rank},
+            "class": str(cls) if series is not WeylSeries.A else ",".join(map(str, cls)),
+            "group": _group_payload(group),
+            **_stratum_payload(result, _STRATUM_FIELDS[:2]),
+            "fixed_space_dim": _fixed_space_dim(wt, cls),
+        }
+        return payload, diagnostics
+    from ..atlas import exc_group_from_name, load_atlas, m_of_class, parse_carter
+
+    group = exc_group_from_name(name)
+    if args.rank is not None:
+        raise DomainError("--rank applies only to classical series", code="bad_rank")
+    atlas = load_atlas(args.data_file)
+    hint = atlas.rep_from_string(group, args.rep) if args.rep is not None else None
+    # one parse of the label serves the lookup, the payload and the fixed-space dimension
+    label = parse_carter(args.class_label)
+    rep = atlas.rep_of_class(group, label, rep_hint=hint)
+    payload = {
+        "group": group,
+        "class": label.raw,
+        "fixed_space_dim": m_of_class(group, label),
+        **_rep_payload(atlas, group, rep),
+        "fiber": [c.raw for c in atlas.fiber(group, rep)],
+    }
+    return payload, diagnostics
+
+
+def render(payload: dict) -> str:
+    if "d" not in payload:
+        return _render_stratum(payload)
+    lines = [
+        f"class        {payload['class']}",
+        f"rep          {payload['display']}",
+        f"class dim    {payload['class_dim']}",
+        f"fixed space  {payload['fixed_space_dim']}",
+        f"fiber        {', '.join(payload['fiber'])}",
+        f"cross sec    {payload['cross_section']}",
+    ]
+    if payload["note"]:
+        lines.append(f"note         {payload['note']}")
+    return "\n".join(lines) + "\n"

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from weylstrata import cli
 
 from weylstrata.atlas import ATLAS_ENV_VAR, load_atlas
-from weylstrata.cli import MAX_STRATA, main
+from weylstrata.cli import main
+from weylstrata.commands.enumerate import MAX_STRATA
 from weylstrata.errors import DomainError
 from weylstrata.jordan import FAMILY_ALIASES, JordanFamily, enumerate_jordan, invert_bijection
 from weylstrata.partitions import Bipartition, count_bipartitions
