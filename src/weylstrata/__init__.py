@@ -31,15 +31,14 @@ _MODULE_OF = {
             "StratumResult", "classify", "dimension_set", "enumerate_strata", "positive_roots",
             "series_from_name", "stratum_excess",
         )),
-        ("errors", ("ConsistencyError", "DomainError", "StrataError")),
-        ("jordan", (
-            "JordanFamily", "LabeledPartition", "apply_bijection", "codomain", "count_jordan",
-            "enumerate_jordan", "family_from_name", "invert_bijection",
+        ("enumeration", (
+            "count_bipartitions", "enumerate_bipartitions", "enumerate_partitions", "n_invariant_set",
         )),
+        ("errors", ("ConsistencyError", "DomainError", "StrataError")),
+        ("jordan", ("JordanFamily", "LabeledPartition", "apply_bijection", "codomain", "family_from_name")),
+        ("jordan_inverse", ("count_jordan", "enumerate_jordan", "invert_bijection")),
         ("partitions", (
-            "Bipartition", "Excess", "Partition", "bp_sum", "count_bipartitions",
-            "enumerate_bipartitions", "enumerate_partitions", "has_excess", "is_bipartition",
-            "n_invariant", "n_invariant_set",
+            "Bipartition", "Excess", "Partition", "bp_sum", "has_excess", "is_bipartition", "n_invariant",
         )),
         ("verify", ("CheckResult", "check_names", "run_check", "run_suite")),
         ("weyl", (

@@ -36,14 +36,7 @@ from typing import Iterable, Optional
 
 from .errors import ConsistencyError, DomainError, Record, check_characteristic
 from .jordan import JordanDatum, JordanFamily, _rewrite, _rule, _runs_if_member
-from .partitions import (
-    Bipartition,
-    Excess,
-    Partition,
-    enumerate_bipartitions,
-    n_invariant,
-    n_invariant_set,
-)
+from .partitions import Bipartition, Excess, Partition, n_invariant
 
 
 class Series(enum.Enum):
@@ -314,6 +307,8 @@ def enumerate_strata(group: GroupDescriptor) -> tuple[StratumResult, ...]:
     GL_n, by weight-N/2 bipartitions of excess (2, 2) for Sp_N and SO_{N+1},
     and of excess (0, 4) for SO_N with N even.
     """
+    from .enumeration import enumerate_bipartitions
+
     # each label's _stratum, without checking the enumerated label again, in
     # a record filled through its slot setters
     half = group.rank_half
@@ -333,6 +328,8 @@ def enumerate_strata(group: GroupDescriptor) -> tuple[StratumResult, ...]:
 
 def dimension_set(group: GroupDescriptor) -> frozenset[int]:
     """The set of class dimensions over all strata of the group, listing no stratum."""
+    from .enumeration import n_invariant_set
+
     two_roots = 2 * positive_roots(group)
     n_invariants = n_invariant_set(group.rank_half, stratum_excess(group.series))
     return frozenset(two_roots - 2 * n_e for n_e in n_invariants)

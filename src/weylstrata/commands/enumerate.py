@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from ..classical import GroupDescriptor, enumerate_strata, series_from_name, stratum_excess
+from ..enumeration import count_bipartitions
 from ..errors import DomainError
-from ..partitions import count_bipartitions
 from ._shared import _group_payload, _parts_text, _stratum_payload
 
 # enumerate lists at most this many strata, and refuses a larger group with too_large

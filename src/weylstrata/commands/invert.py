@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from ..jordan import LabeledPartition, family_from_name, invert_bijection
+from ..jordan import LabeledPartition, family_from_name
+from ..jordan_inverse import invert_bijection
 from ..partitions import Bipartition, _parse_entries
 from ._shared import _parts_text
 

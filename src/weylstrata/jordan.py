@@ -49,24 +49,14 @@ membership test on them.  ``_runs_if_member`` applies it to a datum and
 serves ``in_family``, ``apply_bijection`` and the check of each inverse.
 A member travels as its *runs*: one (value, length, label) triple per
 string, values descending, the label None unless the family is labeled and
-the value eligible.  ``enumerate_jordan`` generates the runs of every member
-directly, one run at a time, and ``count_jordan`` counts them by a dynamic
-programme without listing them; both read the family's rules once per call.
-One rewrite, ``_rewrite``, maps runs to their image under a rule that
+the value eligible.  ``_datum`` builds the member with given runs.  One
+rewrite, ``_rewrite``, maps runs to their image under a rule that
 ``_rule`` reads from ``_REPLACEMENTS`` once per call, not once per image:
 ``apply_bijection`` decomposes its datum once, ``classical.classify``
 rewrites the runs and rule its validation kept, and generated data and the
 Jordan types of Weyl classes (``weyl``) reach it with runs known by
-construction.
-
-The inverse, ``invert_bijection``, reads the same table backwards, parsing a
-bipartition left to right into the strings of its preimage.  Its parse rows,
-``_PARSE_ROWS``, are the table's offsets regrouped by origin parity, built
-once at import.  It reads ``_rule`` once per call and builds the preimage
-from the parse's runs, then checks it as a weight-N member whose runs are
-the parse's and whose rewrite is the target.  The target's excess is
-checked by the bound check behind ``partitions.has_excess``, on the rule's
-trusted excess.
+construction.  Listing, counting and inverting the weight-N members of a
+family are ``jordan_inverse``'s.
 
 Weight always halves: each map sends weight-N Jordan data to weight-N//2
 bipartitions of the family's excess ((N-1)/2 for odd-weight orthogonal data).
@@ -78,7 +68,7 @@ entries, and a violation is reported as a consistency failure.
 from __future__ import annotations
 
 import enum
-from itertools import groupby, product
+from itertools import groupby
 from typing import Container, Iterable, Mapping, Optional, Union
 
 from .errors import ConsistencyError, DomainError, Record
@@ -338,13 +328,6 @@ _REPLACEMENTS = {
     )
 }
 
-# (family, N % 2) -> the rows _parse_runs reads, indexed by origin % 2: one
-# (value % 2, string carries label 0, d1, d2) per offset of that origin.
-_PARSE_ROWS = {
-    key: [[(p, label0, *pair) for (p, label0, o), pair in offsets.items() if o == origin] for origin in (0, 1)]
-    for key, (_, offsets) in _REPLACEMENTS.items()
-}
-
 
 def _rule(family: JordanFamily, N: int) -> tuple:
     # What _rewrite reads of a weight-N family map, read once per call:
@@ -388,38 +371,6 @@ def codomain(family: JordanFamily, N: int) -> tuple[Excess, int]:
     return _rule(family, N)[1:3]
 
 
-def _member_runs(family: JordanFamily, N: int) -> list[tuple[Run, ...]]:
-    # The runs of every weight-N member, in the canonical order of
-    # enumerate_jordan.  Runs are placed one at a time, each value below the
-    # last and each length from longest to shortest, so base partitions come
-    # out lexicographically descending.  A run whose length breaks the parity
-    # rule is never placed, and a run of 1s must use up the remaining weight,
-    # so only the family's even part count is checked at the end.
-    _rule(family, N)
-    paired, even_count, labeled = family.paired, family.even_count, family.labeled
-    out: list[tuple[Run, ...]] = []
-    choices: list[tuple[Run, ...]] = []  # per placed run, its labelings
-
-    def place(rem: int, cap: int, count: int) -> None:
-        if rem == 0:
-            if not (even_count and count % 2):
-                out.extend(product(*choices))
-            return
-        for v in range(min(cap, rem), 0, -1):
-            step = 2 if v % 2 == paired else 1
-            top = rem // v - (rem // v) % step
-            for length in range(top, rem - 1 if v == 1 else 0, -step):
-                if labeled and _is_eligible(v, length):
-                    choices.append(((v, length, 1), (v, length, 0)))
-                else:
-                    choices.append(((v, length, None),))
-                place(rem - v * length, v - 1, count + length)
-                choices.pop()
-
-    place(N, N, 0)
-    return out
-
-
 def _datum(family: JordanFamily, runs: Iterable[Run]) -> JordanDatum:
     # The family member with these runs, valid by construction.
     parts: list[int] = []
@@ -430,142 +381,3 @@ def _datum(family: JordanFamily, runs: Iterable[Run]) -> JordanDatum:
             labels.append((value, label))
     base = tuple.__new__(Partition, parts)
     return LabeledPartition._trusted(base, tuple(labels)) if family.labeled else base
-
-
-def enumerate_jordan(family: JordanFamily, N: int) -> tuple[JordanDatum, ...]:
-    """All family members of weight N, in canonical order.
-
-    Base partitions run lexicographically descending; for labeled families
-    each base expands into its label assignments, values descending, label 1
-    before label 0.  Members are generated run by run, so no partition
-    outside the family is ever built.
-    """
-    return tuple(_datum(family, runs) for runs in _member_runs(family, N))
-
-
-def count_jordan(family: JordanFamily, N: int) -> int:
-    """The number of weight-N family members, labelings included, without listing them.
-
-    A dynamic programme over part values v = 1, 2, ..., N: ways[w][p] counts
-    the members of weight w built from the values so far whose part count
-    has parity p.  Taking m parts equal to v multiplies by 0 when the parity
-    rule forbids m, by 2 when the m parts form a labeled run (labeled family,
-    even v, positive even m), and by 1 otherwise.
-    """
-    _rule(family, N)
-    paired, labeled = family.paired, family.labeled
-    ways = [[1, 0]] + [[0, 0] for _ in range(N)]
-    for v in range(1, N + 1):
-        new = [[0, 0] for _ in range(N + 1)]
-        for w, (even, odd) in enumerate(ways):
-            if not (even or odd):
-                continue
-            for m in range((N - w) // v + 1):
-                if m % 2 and v % 2 == paired:
-                    continue
-                factor = 2 if labeled and _is_eligible(v, m) else 1
-                row = new[w + m * v]
-                row[m % 2] += factor * even
-                row[1 - m % 2] += factor * odd
-        ways = new
-    even, odd = ways[N]
-    return even if family.even_count else even + odd
-
-
-def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[Run]]:
-    # Up to two run lists (value, length, label or None) whose rewrites give t,
-    # for a weight N that _rule accepts.  A parse state is (position, previous
-    # value, remaining weight); it keeps at most two partial parses, each a
-    # linked list of runs, newest first.  Every run advances the position, so
-    # states settle position by position.  Entries past the end of t are
-    # implicit zeros.
-    rows = _PARSE_ROWS[family, N % 2]
-    paired, even_count, labeled = family.paired, family.even_count, family.labeled
-    n = len(t)
-    layers: dict[int, dict[tuple[int, int], list]] = {0: {(N + 1, N): [None]}}
-    found: list = []
-    i = 0
-    while layers and len(found) < 2:
-        x, origin_rows = (t[i] if i < n else 0), rows[(i + 1) % 2]
-        for (prev, rem), parses in layers.pop(i, {}).items():
-            if rem == 0:
-                if i >= n and not (even_count and i % 2):
-                    found.extend(parses[: 2 - len(found)])
-                continue
-            for parity, label0, d1, d2 in origin_rows:
-                a = x - d1
-                v = 2 * a + parity
-                if not 0 < v < prev or v > rem:
-                    continue
-                # the run's entries alternate a + d1, which is x, and a + d2
-                most, e2, length = rem // v, a + d2, 0
-                while length < most and (t[i + length] if i + length < n else 0) == (e2 if length % 2 else x):
-                    length += 1
-                    if length % 2 and parity == paired:
-                        continue  # this value parity needs an even run length
-                    eligible = labeled and _is_eligible(v, length)
-                    if label0 and not eligible:
-                        continue
-                    label = (0 if label0 else 1) if eligible else None
-                    state = layers.setdefault(i + length, {}).setdefault((v, rem - length * v), [])
-                    for p in parses[: 2 - len(state)]:
-                        state.append((v, length, label, p))
-        i += 1
-    runs = []
-    for parse in found:
-        out = []
-        while parse is not None:
-            v, length, label, parse = parse
-            out.append((v, length, label))
-        runs.append(out[::-1])
-    return runs
-
-
-def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> JordanDatum:
-    """The unique weight-N preimage of a bipartition under the family's map.
-
-    The target is parsed left to right one run at a time by reading
-    ``_REPLACEMENTS`` backwards, through parse rows built from it once at
-    import; parses that reach the same position, previous value and
-    remaining weight are merged, so the cost grows with the target's length
-    and the table, not with the number of partitions of N.  A target outside
-    the codomain raises a DomainError with the code no_preimage.  Inside it,
-    no parse would falsify surjectivity and two parses injectivity; either
-    raises a ConsistencyError.  The one parse is checked as it stands: its
-    values must strictly descend, the datum built from it must be a weight-N
-    member whose runs are the parse's, and its rewrite must be the target;
-    a failure raises a ConsistencyError too.
-    """
-    bp = target if isinstance(target, Bipartition) else Bipartition(target)
-    rule = _rule(family, N)
-    excess, half = rule[1:3]
-    if bp.weight != half or not _within_excess(bp, excess):
-        raise DomainError(
-            f"{tuple(bp)} lies outside the image of weight-{N} {family.value} data "
-            f"(expected weight {half}, excess {tuple(excess)})",
-            code="no_preimage",
-        )
-    parses = _parse_runs(family, N, bp)
-    if not parses:
-        raise ConsistencyError(
-            f"surjectivity failed: no weight-{N} {family.value} datum maps to {tuple(bp)}"
-        )
-    if len(parses) > 1:
-        raise ConsistencyError(
-            f"injectivity failed: {len(parses)} weight-{N} {family.value} data map "
-            f"to {tuple(bp)}: {[str(_datum(family, runs)) for runs in parses]}"
-        )
-    runs = parses[0]
-    nu = _datum(family, runs)
-    values = [v for v, _, _ in runs] + [0]
-    descending = all(v > w for v, w in zip(values, values[1:]))
-    if not descending or _runs_if_member(family, nu) != runs or nu.weight != N:
-        raise ConsistencyError(
-            f"the {family.value} inverse parsed {tuple(bp)} as {nu}, which is not a weight-{N} member"
-        )
-    if _rewrite(rule, runs) != bp:
-        raise ConsistencyError(
-            f"the {family.value} inverse parsed {tuple(bp)} as {nu}, "
-            "which does not map back to it"
-        )
-    return nu

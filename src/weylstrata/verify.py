@@ -32,23 +32,11 @@ from .classical import (
     enumerate_strata,
     stratum_excess,
 )
+from .enumeration import enumerate_bipartitions, enumerate_partitions
 from .errors import ConsistencyError, DomainError, Record
-from .jordan import (
-    JordanFamily,
-    _datum,
-    _member_runs,
-    _rewrite,
-    _rule,
-    codomain,
-    count_jordan,
-    invert_bijection,
-)
-from .partitions import (
-    Partition,
-    enumerate_bipartitions,
-    enumerate_partitions,
-    n_invariant,
-)
+from .jordan import JordanFamily, _datum, _rewrite, _rule, codomain
+from .jordan_inverse import _member_runs, count_jordan, invert_bijection
+from .partitions import Partition, n_invariant
 from .weyl import WeylSeries, WeylType, strata_fibers, stratum_of_class, enumerate_classes
 
 

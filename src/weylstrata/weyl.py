@@ -44,7 +44,7 @@ from typing import NamedTuple, Union
 from .classical import GroupDescriptor, Series, _involutive_family
 from .errors import DomainError, Record, unique_minimizer
 from .jordan import JordanFamily, LabeledPartition, _datum, _rewrite, _rule, _runs
-from .partitions import Bipartition, Partition, _parse_entries, enumerate_partitions
+from .partitions import Bipartition, Partition, _parse_entries
 
 
 class WeylSeries(enum.Enum):
@@ -127,6 +127,8 @@ def enumerate_classes(w: WeylType) -> tuple[WeylClass, ...]:
     lexicographically descending positive part, then negative part; type D
     keeps only the types with an even number of negative cycles.
     """
+    from .enumeration import enumerate_partitions
+
     if w.series is WeylSeries.A:
         return enumerate_partitions(w.rank + 1)
     # records of partitions, filled through their slot setters

@@ -21,21 +21,11 @@ from weylstrata.classical import (
     stratum_excess,
 )
 from weylstrata import classical
+from weylstrata.enumeration import enumerate_bipartitions, enumerate_partitions
 from weylstrata.errors import ConsistencyError, DomainError
-from weylstrata.jordan import (
-    JordanFamily,
-    LabeledPartition,
-    apply_bijection,
-    enumerate_jordan,
-)
-from weylstrata.partitions import (
-    Bipartition,
-    Partition,
-    bp_sum,
-    enumerate_bipartitions,
-    enumerate_partitions,
-    n_invariant,
-)
+from weylstrata.jordan import JordanFamily, LabeledPartition, apply_bijection
+from weylstrata.jordan_inverse import enumerate_jordan
+from weylstrata.partitions import Bipartition, Partition, bp_sum, n_invariant
 
 GEN = OrbitKind.GENERIC
 INV = OrbitKind.INVOLUTIVE

@@ -18,9 +18,11 @@ from weylstrata import cli
 from weylstrata.atlas import ATLAS_ENV_VAR, load_atlas
 from weylstrata.cli import main
 from weylstrata.commands.enumerate import MAX_STRATA
+from weylstrata.enumeration import count_bipartitions
 from weylstrata.errors import DomainError
-from weylstrata.jordan import FAMILY_ALIASES, JordanFamily, enumerate_jordan, invert_bijection
-from weylstrata.partitions import Bipartition, count_bipartitions
+from weylstrata.jordan import FAMILY_ALIASES, JordanFamily
+from weylstrata.jordan_inverse import enumerate_jordan, invert_bijection
+from weylstrata.partitions import Bipartition
 from weylstrata.verify import check_names
 
 SCHEMA_FILE = resources.files("weylstrata").joinpath("data").joinpath("envelope.schema.json")

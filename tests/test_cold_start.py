@@ -6,6 +6,14 @@ its own modules, so a fresh process of one command leaves the others'
 modules unloaded.  Import sets are read in fresh interpreters, since this
 one has imported everything already.
 
+Each command also loads only its own module of ``weylstrata.commands``,
+and a help request or a usage error loads none.  The weight-n listing
+(``enumeration``) and the Jordan set operations (``jordan_inverse``) load
+only for the commands that run them.  Under ``python -m weylstrata.cli``
+the CLI runs as ``__main__``, and no module imports ``weylstrata.cli`` a
+second time.  The commands are the corpus of ``scripts/count_lines.py``,
+which prints the code lines each of them loads.
+
 No command but ``tables`` loads ``hashlib``, which only the atlas checksum
 uses, and no command loads ``dataclasses`` or ``inspect``, nor ``argparse``,
 ``gettext`` or ``locale``: the command line is read from the CLI's own option
@@ -13,6 +21,7 @@ table.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -23,7 +32,14 @@ import pytest
 
 import weylstrata
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# the script is loaded by file path, as it is not part of the package
+_spec = importlib.util.spec_from_file_location("count_lines", ROOT / "scripts" / "count_lines.py")
+count_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(count_lines)
+CORPUS = count_lines.CORPUS
 
 # runs main() on argv
 _MAIN = """
@@ -48,12 +64,17 @@ print(json.dumps([m for m in {_STDLIB!r} if m in sys.modules]))
 _DATUM = '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "1", "kind": "involutive", "parts": [2, 1, 1]}]}'
 
 
-def _loaded(code: str, *argv: str, stdin: str = "") -> set[str]:
+def _run(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code, *argv], input=stdin, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True,
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
+
+
+def _loaded(code: str, *argv: str, stdin: str = "") -> set[str]:
+    done = _run("-c", code, *argv, stdin=stdin)
+    assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
@@ -153,3 +174,26 @@ def test_star_import_and_dir_cover_all():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         weylstrata.no_such_name
+
+
+@pytest.mark.parametrize("command", CORPUS)
+def test_each_command_loads_only_its_own_command_module(command):
+    argv = CORPUS[command]
+    loaded = _loaded(_PROBE, *argv, stdin=count_lines.DATUM)
+    own = set() if command in ("help", "usage-error") else {f"commands.{argv[0]}"}
+    assert {m for m in loaded if m.startswith("commands.")} - {"commands._shared"} == own
+    assert ("commands" in loaded) == bool(own)
+    if command in ("classify", "phi-classical", "phi-exceptional"):
+        assert loaded.isdisjoint({"enumeration", "jordan_inverse"})
+    if command == "invert":
+        assert "enumeration" not in loaded
+
+
+@pytest.mark.parametrize("command", CORPUS)
+def test_no_module_imports_the_cli_run_as_main(command):
+    # under -m the running CLI is __main__; an import of weylstrata.cli
+    # would compile and run cli.py a second time
+    done = _run("-X", "importtime", "-m", "weylstrata.cli", *CORPUS[command], stdin=count_lines.DATUM)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")]
+    assert "weylstrata.errors" in imported  # the log was read
+    assert "weylstrata.cli" not in imported

@@ -1,7 +1,10 @@
 """Every name a weylstrata module imports is used in that module.
 
-``__init__`` is left out: it imports no module at its top level, and its
-table of public names must name for each the module that defines it.
+Every module under the package is checked, subpackages included.
+``__init__`` is left out of the unused-import check: it imports no module
+at its top level, and its table of public names must name for each the
+module that defines it.  It holds the one module ``__getattr__``: no other
+module forwards names it does not define.
 
 Every DomainError the package builds passes a ``code=``, so each refusal
 carries its machine-readable code rather than the generic domain_error.
@@ -25,7 +28,13 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weylstrata"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.rglob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+
+
+def _name(path: Path) -> str:
+    # the module's dotted name under the package: "cli", "commands.phi"
+    return ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -153,10 +162,23 @@ def test_init_table_names_each_defining_module():
 
 
 def test_every_module_is_checked():
-    assert {p.stem for p in MODULES} >= {"atlas", "classical", "cli", "jordan", "partitions", "verify", "weyl"}
+    assert {_name(p) for p in MODULES} >= {
+        "atlas", "classical", "cli", "enumeration", "jordan", "jordan_inverse", "partitions", "verify", "weyl",
+        "commands._shared", "commands.classify", "commands.enumerate", "commands.invert", "commands.phi",
+        "commands.tables", "commands.verify",
+    }
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_the_package_forwards_names():
+    forwarding = [
+        _name(p) for p in ALL_MODULES
+        if any(isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+               for node in ast.parse(p.read_text(encoding="utf-8")).body)
+    ]
+    assert forwarding == ["__init__"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -166,7 +188,7 @@ def test_an_unused_import_is_caught():
     assert _unused_imports(source) == ["NamedTuple (line 1)", "os (line 2)"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", ALL_MODULES, ids=_name)
 def test_no_module_imports_dataclasses(path):
     assert "dataclasses" not in _imported_modules(path.read_text(encoding="utf-8"))
 
@@ -176,7 +198,7 @@ def test_an_imported_module_is_found():
     assert _imported_modules(source) == {"dataclasses", "inspect"}
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", ALL_MODULES, ids=_name)
 def test_every_domain_error_has_a_code(path):
     assert _uncoded_domain_errors(path.read_text(encoding="utf-8")) == []
 
@@ -193,7 +215,7 @@ def test_an_uncoded_domain_error_is_caught():
     assert _uncoded_domain_errors(source) == [4, 6]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", ALL_MODULES, ids=_name)
 def test_records_fill_slots_through_their_setters(path):
     assert _slot_writes_past_the_setters(path.read_text(encoding="utf-8")) == []
 

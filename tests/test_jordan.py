@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weylstrata import jordan
+from weylstrata import jordan, jordan_inverse
+from weylstrata.enumeration import enumerate_bipartitions, enumerate_partitions
 from weylstrata.errors import ConsistencyError, DomainError
 from weylstrata.jordan import (
     FAMILY_ALIASES,
@@ -14,19 +15,11 @@ from weylstrata.jordan import (
     LabeledPartition,
     apply_bijection,
     codomain,
-    count_jordan,
-    enumerate_jordan,
     family_from_name,
     in_family,
-    invert_bijection,
 )
-from weylstrata.partitions import (
-    Bipartition,
-    Partition,
-    enumerate_bipartitions,
-    enumerate_partitions,
-    has_excess,
-)
+from weylstrata.jordan_inverse import count_jordan, enumerate_jordan, invert_bijection
+from weylstrata.partitions import Bipartition, Partition, has_excess
 from weylstrata.verify import run_check
 from weylstrata.weyl import WeylSeries, WeylType, strata_fibers
 
@@ -572,7 +565,7 @@ def test_invert_matches_exhaustive_oracle(family):
 def test_invert_checks_what_the_parse_returns(monkeypatch, family, N, target, runs, message):
     # no parse, a second parse, or one that is not the target's preimage can
     # only come from a broken table; fake the parse to reach each check
-    monkeypatch.setattr("weylstrata.jordan._parse_runs", lambda *args: runs)
+    monkeypatch.setattr("weylstrata.jordan_inverse._parse_runs", lambda *args: runs)
     with pytest.raises(ConsistencyError, match=message):
         invert_bijection(family, N, Bipartition(target))
 
@@ -580,9 +573,9 @@ def test_invert_checks_what_the_parse_returns(monkeypatch, family, N, target, ru
 def test_parse_rows_regroup_the_replacement_offsets():
     # the replacement table is the one source of the parse: each key's rows
     # are its offsets regrouped by origin parity, none lost and none added
-    assert set(jordan._PARSE_ROWS) == set(jordan._REPLACEMENTS)
+    assert set(jordan_inverse._PARSE_ROWS) == set(jordan._REPLACEMENTS)
     for key, (_, offsets) in jordan._REPLACEMENTS.items():
-        rows = jordan._PARSE_ROWS[key]
+        rows = jordan_inverse._PARSE_ROWS[key]
         assert len(rows) == 2, key
         regrouped = [(p, label0, origin, (d1, d2)) for origin in (0, 1) for p, label0, d1, d2 in rows[origin]]
         assert sorted(regrouped) == sorted(k + (pair,) for k, pair in offsets.items()), key

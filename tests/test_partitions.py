@@ -9,22 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylstrata.enumeration import (
+    _SHARED_WEIGHT,
+    _enumerate,
+    count_bipartitions,
+    enumerate_bipartitions,
+    enumerate_partitions,
+    n_invariant_set,
+)
 from weylstrata.errors import DomainError
 from weylstrata.partitions import (
     Bipartition,
     Excess,
     Partition,
-    _SHARED_WEIGHT,
-    _enumerate,
     _parse_entries,
     bp_sum,
-    count_bipartitions,
-    enumerate_bipartitions,
-    enumerate_partitions,
     has_excess,
     is_bipartition,
     n_invariant,
-    n_invariant_set,
 )
 
 

@@ -23,7 +23,8 @@ from weylstrata.classical import (
     StratumResult,
     enumerate_strata,
 )
-from weylstrata.jordan import JordanFamily, LabeledPartition, enumerate_jordan
+from weylstrata.jordan import JordanFamily, LabeledPartition
+from weylstrata.jordan_inverse import enumerate_jordan
 from weylstrata.partitions import Bipartition, Partition
 from weylstrata.verify import CheckResult
 from weylstrata.weyl import SignedCycleType, WeylSeries, WeylType, enumerate_classes

@@ -5,9 +5,10 @@ import pytest
 from weylstrata import weyl
 from weylstrata.classical import GroupDescriptor, Series, _stratum
 from weylstrata.cli import main
+from weylstrata.enumeration import enumerate_bipartitions
 from weylstrata.errors import ConsistencyError, DomainError
 from weylstrata.jordan import JordanFamily, LabeledPartition, apply_bijection, in_family
-from weylstrata.partitions import Bipartition, Partition, enumerate_bipartitions
+from weylstrata.partitions import Bipartition, Partition
 from weylstrata.weyl import (
     SignedCycleType,
     WeylSeries,
