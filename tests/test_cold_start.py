@@ -197,3 +197,12 @@ def test_no_module_imports_the_cli_run_as_main(command):
     imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")]
     assert "weylstrata.errors" in imported  # the log was read
     assert "weylstrata.cli" not in imported
+
+
+def test_count_lines_sums_the_files_a_command_loads():
+    package = SRC / "weylstrata"
+    files = {Path(f).relative_to(package).as_posix() for f in count_lines.loaded_files(CORPUS["phi-exceptional"])}
+    assert files == {
+        "__init__.py", "cli.py", "errors.py", "atlas.py", "commands/__init__.py", "commands/_shared.py",
+        "commands/phi.py",
+    }
