@@ -23,8 +23,7 @@ _MODULE_OF = {
     for module, names in (
         ("atlas", (
             "Atlas", "AtlasRow", "CarterLabel", "IsoFlavor", "IsolatedSubgroup", "RepLabel",
-            "cross_section", "exc_group_from_name", "fiber_of_rep", "isolated_subgroups",
-            "load_atlas", "m_of_class", "parse_carter", "rep_of_class", "strata_for_characteristic",
+            "exc_group_from_name", "load_atlas", "m_of_class", "parse_carter", "rep_of_class",
         )),
         ("classical", (
             "EigenOrbit", "GroupDescriptor", "OrbitKind", "Series", "SpectralDatum",
@@ -38,7 +37,7 @@ _MODULE_OF = {
         ("jordan", ("JordanFamily", "LabeledPartition", "apply_bijection", "codomain", "family_from_name")),
         ("jordan_inverse", ("count_jordan", "enumerate_jordan", "invert_bijection")),
         ("partitions", (
-            "Bipartition", "Excess", "Partition", "bp_sum", "has_excess", "is_bipartition", "n_invariant",
+            "Bipartition", "Excess", "Partition", "bp_sum", "has_excess", "n_invariant",
         )),
         ("verify", ("CheckResult", "check_names", "run_check", "run_suite")),
         ("weyl", (

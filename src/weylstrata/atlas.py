@@ -514,22 +514,3 @@ def rep_of_class(group, label, rep_hint=None) -> RepLabel:
     """rep_of_class on the default atlas; see Atlas.rep_of_class."""
     return load_atlas().rep_of_class(group, label, rep_hint)
 
-
-def fiber_of_rep(group, rep) -> tuple[CarterLabel, ...]:
-    """fiber on the default atlas; see Atlas.fiber."""
-    return load_atlas().fiber(group, rep)
-
-
-def strata_for_characteristic(group, char) -> tuple[RepLabel, ...]:
-    """strata_for_characteristic on the default atlas."""
-    return load_atlas().strata_for_characteristic(group, char)
-
-
-def cross_section(group, rep) -> CarterLabel:
-    """cross_section on the default atlas; see Atlas.cross_section."""
-    return load_atlas().cross_section(group, rep)
-
-
-def isolated_subgroups(group, flavor) -> tuple[IsolatedSubgroup, ...]:
-    """isolated_subgroups on the default atlas."""
-    return load_atlas().isolated_subgroups(group, flavor)

@@ -8,9 +8,9 @@ from ._shared import _rep_payload
 
 def run(args) -> tuple[dict | str, list[str]]:
     atlas = load_atlas(args.data_file)
+    group = exc_group_from_name(args.group)
     if args.raw:
         return atlas.text, []
-    group = exc_group_from_name(args.group)
     rows = atlas.rows(group)
     if args.char is not None:
         keep = set(atlas.strata_for_characteristic(group, args.char))

@@ -72,7 +72,7 @@ from itertools import groupby
 from typing import Container, Iterable, Mapping, Optional, Union
 
 from .errors import ConsistencyError, DomainError, Record
-from .partitions import Bipartition, Excess, Partition, _within_excess
+from .partitions import Bipartition, Excess, Partition
 
 
 class JordanFamily(enum.Enum):
@@ -187,12 +187,6 @@ class LabeledPartition(Record):
     def weight(self) -> int:
         return self.parts.weight
 
-    def label_of(self, value: int) -> int:
-        for v, bit in self.labels:
-            if v == value:
-                return bit
-        raise DomainError(f"value {value} carries no label in {self}", code="bad_labels")
-
     def label_map(self) -> dict[int, int]:
         return dict(self.labels)
 
@@ -268,34 +262,28 @@ def _finish(entries: list[int], family: JordanFamily, excess: Excess, half: int)
     # two back (its track) and against the previous entry plus the slack
     # between them; then the weight is summed.  Trailing zeros pass every
     # check and are trimmed from entries, the caller's scratch list,
-    # afterwards.  Only an image rejected here reaches _checked, whose checks
-    # word the error.
+    # afterwards.  A rejected image is worded by the first fault in this
+    # order: a negative entry anywhere, then a track that climbs (the
+    # Bipartition constructor's message), then the weight or excess, which
+    # is all that is left to reject once both of those hold.
     two_back = last = half  # no entry of a weight-half image exceeds half
     slack, next_slack = excess[1], excess[0]
     for x in entries:
         if x < 0 or x > two_back or x > last + slack:
-            return _checked(entries, family, excess, half)
+            break
         two_back, last, slack, next_slack = last, x, next_slack, slack
-    if sum(entries) != half:
-        return _checked(entries, family, excess, half)
-    while entries and not entries[-1]:
-        entries.pop()
-    return tuple.__new__(Bipartition, entries)  # valid: checked above
-
-
-def _checked(entries: list[int], family: JordanFamily, excess: Excess, half: int) -> Bipartition:
-    # _finish's image check spelled out, in the order that picks its error
+    else:
+        if sum(entries) == half:
+            while entries and not entries[-1]:
+                entries.pop()
+            return tuple.__new__(Bipartition, entries)  # valid: checked above
     if any(c < 0 for c in entries):
         raise ConsistencyError(f"the {family.value} map emitted a negative entry: {entries}")
     try:
         bp = Bipartition(entries)
     except DomainError as exc:
         raise ConsistencyError(f"the {family.value} map emitted a non-bipartition: {exc}") from exc
-    if bp.weight != half or not _within_excess(bp, excess):
-        raise ConsistencyError(
-            f"the {family.value} map emitted {tuple(bp)}, outside the stated codomain"
-        )
-    return bp
+    raise ConsistencyError(f"the {family.value} map emitted {tuple(bp)}, outside the stated codomain")
 
 
 # ---------------------------------------------------------------------------

@@ -107,16 +107,6 @@ class Bipartition(tuple):
     def weight(self) -> int:
         return sum(self)
 
-    def entry(self, i: int) -> int:
-        """1-based entry access with implicit trailing zeros."""
-        if i < 1:
-            raise DomainError(f"positions are 1-based, got {i}", code="bad_position")
-        return self[i - 1] if i <= len(self) else 0
-
-    def tracks(self) -> tuple[Partition, Partition]:
-        """The odd-position and even-position partitions."""
-        return Partition(self[0::2]), Partition(self[1::2])
-
     def pair_swapped(self) -> "Bipartition":
         """Swap entries pairwise: (c2, c1, c4, c3, ...)."""
         padded = self + (0,) * (len(self) % 2)
@@ -154,23 +144,11 @@ class Partition(Bipartition):
                 )
         return tuple.__new__(cls, data)
 
-    def multiplicity(self, value: int) -> int:
-        return sum(1 for x in self if x == value)
-
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""
         if not self:
             return Partition()
         return Partition(sum(1 for x in self if x > i) for i in range(self[0]))
-
-
-def is_bipartition(seq: Iterable[int]) -> bool:
-    """Whether a raw sequence is a valid bipartition (any trailing zeros aside)."""
-    try:
-        Bipartition(seq)
-    except DomainError:
-        return False
-    return True
 
 
 def has_excess(bp: Bipartition, x) -> bool:

@@ -23,15 +23,11 @@ from weylstrata.atlas import (
     IsoFlavor,
     RepLabel,
     _parse_atlas,
-    cross_section,
     exc_group_from_name,
-    fiber_of_rep,
-    isolated_subgroups,
     load_atlas,
     m_of_class,
     parse_carter,
     rep_of_class,
-    strata_for_characteristic,
 )
 from weylstrata.errors import ConsistencyError, DomainError
 
@@ -156,11 +152,12 @@ def test_a_hint_must_name_a_row_holding_the_class():
 
 
 def test_fiber_examples():
-    assert [str(c) for c in fiber_of_rep("E7", "15_28")] == ["7A_1", "6A_1", "5A_1", "(4A_1)'"]
-    assert [str(c) for c in fiber_of_rep("G2", "1_0")] == ["G_2"]
-    assert [str(c) for c in fiber_of_rep("E6", "10_9")] == ["3A_2", "2A_2+A_1"]
+    atlas = load_atlas()
+    assert [str(c) for c in atlas.fiber("E7", "15_28")] == ["7A_1", "6A_1", "5A_1", "(4A_1)'"]
+    assert [str(c) for c in atlas.fiber("G2", "1_0")] == ["G_2"]
+    assert [str(c) for c in atlas.fiber("E6", "10_9")] == ["3A_2", "2A_2+A_1"]
     with pytest.raises(DomainError) as err:
-        fiber_of_rep("G2", "17_5")
+        atlas.fiber("G2", "17_5")
     assert err.value.code == "unknown_rep"
 
 
@@ -181,26 +178,28 @@ def test_fibers_partition_the_label_instances():
 
 
 def test_strata_for_characteristic_counts():
-    assert len(strata_for_characteristic("E8", 0)) == 70
-    assert len(strata_for_characteristic("E8", 2)) == 74
-    assert len(strata_for_characteristic("E8", 3)) == 71
-    assert len(strata_for_characteristic("E8", 5)) == 70
-    assert len(strata_for_characteristic("E8", 7)) == 70
+    atlas = load_atlas()
+    assert len(atlas.strata_for_characteristic("E8", 0)) == 70
+    assert len(atlas.strata_for_characteristic("E8", 2)) == 74
+    assert len(atlas.strata_for_characteristic("E8", 3)) == 71
+    assert len(atlas.strata_for_characteristic("E8", 5)) == 70
+    assert len(atlas.strata_for_characteristic("E8", 7)) == 70
 
 
 def test_strata_for_characteristic_e7():
     # the one starred E7 row is absent away from characteristic 2
+    atlas = load_atlas()
     for char in (0, 3, 5):
-        reps = strata_for_characteristic("E7", char)
+        reps = atlas.strata_for_characteristic("E7", char)
         assert len(reps) == 45
         assert all((r.d, r.n) != (84, 15) or r.star == 0 for r in reps)
-    assert len(strata_for_characteristic("E7", 2)) == 46
+    assert len(atlas.strata_for_characteristic("E7", 2)) == 46
 
 
 def test_strata_for_characteristic_rejects_nonprimes():
     for bad in (1, 4, 6, -3):
         with pytest.raises(DomainError) as err:
-            strata_for_characteristic("G2", bad)
+            load_atlas().strata_for_characteristic("G2", bad)
         assert err.value.code == "bad_characteristic"
 
 
@@ -233,10 +232,11 @@ def test_class_dim_of_every_row_is_twice_the_positive_roots_less_2n():
 
 
 def test_cross_section_examples():
-    assert str(cross_section("F4", "9_10")) == "4A_1"
-    assert str(cross_section("G2", "1_6")) == "A_0"
-    assert str(cross_section("E8", "50_56")) == "8A_1"
-    assert str(cross_section("E8", "1400_29")) == "2A_3+2A_1"
+    atlas = load_atlas()
+    assert str(atlas.cross_section("F4", "9_10")) == "4A_1"
+    assert str(atlas.cross_section("G2", "1_6")) == "A_0"
+    assert str(atlas.cross_section("E8", "50_56")) == "8A_1"
+    assert str(atlas.cross_section("E8", "1400_29")) == "2A_3+2A_1"
 
 
 def test_cross_section_unique_everywhere():
@@ -515,28 +515,31 @@ DOUBLE_ISOLATED_EXTRAS = {
 
 
 def test_isolated_subgroups_pseudo_levi():
+    atlas = load_atlas()
     for group, want in PSEUDO_LEVI_LISTS.items():
-        got = [e.subtype for e in isolated_subgroups(group, IsoFlavor.PSEUDO_LEVI)]
+        got = [e.subtype for e in atlas.isolated_subgroups(group, IsoFlavor.PSEUDO_LEVI)]
         assert got == want, group
 
 
 def test_isolated_subgroups_double_isolated():
+    atlas = load_atlas()
     for group, extras in DOUBLE_ISOLATED_EXTRAS.items():
-        got = [e.subtype for e in isolated_subgroups(group, "double_isolated")]
+        got = [e.subtype for e in atlas.isolated_subgroups(group, "double_isolated")]
         assert got == PSEUDO_LEVI_LISTS[group] + extras, group
     # the B/C/D lists quadruple the factors instead of extending
-    assert [e.subtype for e in isolated_subgroups("B", "double_isolated")] == ["B_aB_bD_cD_d"]
-    assert [e.subtype for e in isolated_subgroups("C", "double_isolated")] == ["B_aB_bD_cD_d"]
-    assert [e.subtype for e in isolated_subgroups("D", "double_isolated")] == ["D_aD_bD_cD_d"]
+    assert [e.subtype for e in atlas.isolated_subgroups("B", "double_isolated")] == ["B_aB_bD_cD_d"]
+    assert [e.subtype for e in atlas.isolated_subgroups("C", "double_isolated")] == ["B_aB_bD_cD_d"]
+    assert [e.subtype for e in atlas.isolated_subgroups("D", "double_isolated")] == ["D_aD_bD_cD_d"]
 
 
 def test_isolated_subgroups_constraints():
-    (entry,) = isolated_subgroups("B", IsoFlavor.PSEUDO_LEVI)
+    atlas = load_atlas()
+    (entry,) = atlas.isolated_subgroups("B", IsoFlavor.PSEUDO_LEVI)
     assert entry.constraint == "a>=0, b>=0, b!=1, a+b=n"
-    (entry,) = isolated_subgroups("D", "double_isolated")
+    (entry,) = atlas.isolated_subgroups("D", "double_isolated")
     assert "a!=1" in entry.constraint and "a+b+c+d=n" in entry.constraint
     with pytest.raises(DomainError) as err:
-        isolated_subgroups("E6", "levi")
+        atlas.isolated_subgroups("E6", "levi")
     assert err.value.code == "bad_flavor"
 
 

@@ -677,6 +677,17 @@ def test_tables_raw_with_unreadable_atlas_is_an_error_envelope(tmp_path, capsys)
     assert envelope["payload"]["code"] == "atlas_io_error"
 
 
+def test_tables_raw_refuses_an_unknown_group(tmp_path, capsys):
+    status, out = run_cli(capsys, "tables", "--group", "Q9", "--raw")
+    envelope = json.loads(out)
+    ENVELOPE.validate(envelope)
+    assert (status, envelope["status"], envelope["payload"]["code"]) == (1, "error", "bad_group")
+    # an unreadable atlas is refused before the group is read, as without --raw
+    missing = str(tmp_path / "no-such-atlas.txt")
+    status, out = run_cli(capsys, "tables", "--group", "Q9", "--raw", "--data-file", missing)
+    assert (status, json.loads(out)["payload"]["code"]) == (1, "atlas_io_error")
+
+
 def test_tables_human_format_shows_dimension(capsys):
     status, out = run_cli(capsys, "tables", "--group", "G2", "--format", "table")
     assert status == 0

@@ -16,6 +16,10 @@ Records fill their slots one way, through the slot setters in
 ``Record._setters``: no module calls ``object.__setattr__`` except
 ``Record.__setstate__``, and no ``_set`` helper is defined or called.
 
+Every module parses as Python 3.10, the floor ``pyproject.toml`` declares
+(``requires-python = ">=3.10"``), so no later syntax such as ``except*``
+creeps in.
+
 ``atlas`` reads its input without recursion: none of its functions calls
 itself, directly or through other ``atlas`` functions, and none catches
 ``RecursionError``, so a bound the module states, not the interpreter's
@@ -235,6 +239,20 @@ def test_a_slot_write_past_the_setters_is_caught():
         "        object.__setattr__(self, 'x', state)\n"
     )
     assert _slot_writes_past_the_setters(source) == [2, 8, 9, 11]
+
+
+PYTHON_FLOOR = (3, 10)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=_name)
+def test_every_module_parses_at_the_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=PYTHON_FLOOR)
+
+
+def test_syntax_above_the_python_floor_is_caught():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError, match="3.11"):  # refused for its version, not as malformed
+        ast.parse(source, feature_version=PYTHON_FLOOR)
 
 
 def test_atlas_reads_without_recursion():

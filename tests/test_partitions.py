@@ -2,7 +2,7 @@ import gc
 import hashlib
 import importlib.util
 import random
-from itertools import zip_longest
+from itertools import product, zip_longest
 from pathlib import Path
 
 import pytest
@@ -25,7 +25,6 @@ from weylstrata.partitions import (
     _parse_entries,
     bp_sum,
     has_excess,
-    is_bipartition,
     n_invariant,
 )
 
@@ -123,8 +122,8 @@ def test_partition_rejects_bad_input():
 def test_partition_weight_and_multiplicity():
     p = Partition([4, 2, 2, 1])
     assert p.weight == 9
-    assert p.multiplicity(2) == 2
-    assert p.multiplicity(3) == 0
+    assert p.count(2) == 2
+    assert p.count(3) == 0
 
 
 def test_partition_conjugate():
@@ -162,22 +161,21 @@ def test_bipartition_canonical_form():
 
 
 def test_bipartition_rejects_track_violations():
-    assert not is_bipartition([0, 1, 1])   # odd track (0, 1) climbs
-    assert is_bipartition([1, 2, 0, 1])
-    assert is_bipartition([0, 1])
+    with pytest.raises(DomainError):
+        Bipartition([0, 1, 1])  # odd track (0, 1) climbs
+    assert Bipartition([1, 2, 0, 1]) == (1, 2, 0, 1)
+    assert Bipartition([0, 1]) == (0, 1)
     with pytest.raises(DomainError):
         Bipartition([1, 1, 2])
     with pytest.raises(DomainError):
         Bipartition([1, -1])
-
-
-def test_bipartition_tracks_and_entry():
-    bp = Bipartition([3, 1, 2, 1, 1])
-    assert bp.tracks() == ((3, 2, 1), (1, 1))
-    assert bp.entry(1) == 3
-    assert bp.entry(6) == 0
-    with pytest.raises(DomainError):
-        bp.entry(0)
+    # the constructor accepts exactly the nonnegative sequences the oracle accepts
+    for seq in (s for length in range(6) for s in product(range(3), repeat=length)):
+        try:
+            accepted = Bipartition(seq) is not None
+        except DomainError:
+            accepted = False
+        assert accepted == _oracle_is_bipartition(seq), seq
 
 
 @pytest.mark.parametrize(
@@ -189,7 +187,6 @@ def test_bipartition_tracks_and_entry():
         (lambda: Bipartition([1, 1, 2]), "bad_bipartition"),
         (lambda: Bipartition([1, -1]), "bad_bipartition"),
         (lambda: Bipartition([True]), "bad_entries"),
-        (lambda: Bipartition([1]).entry(0), "bad_position"),
         (lambda: has_excess(Bipartition([1]), (-1, 0)), "bad_excess"),
         (lambda: has_excess(Bipartition([1]), "x"), "bad_excess"),
         (lambda: n_invariant(Bipartition(), -1), "bad_weight"),

@@ -100,7 +100,7 @@ def _simulated_jordan(c):
     base = Partition(parts)
     labels = {}
     for v in set(parts):
-        if v % 2 == 0 and base.multiplicity(v) % 2 == 0:
+        if v % 2 == 0 and base.count(v) % 2 == 0:
             commuting = any(
                 len(o) == v and _cycle_commutes_with_tau(w, o) for o in orbits
             )
