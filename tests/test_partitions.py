@@ -172,10 +172,11 @@ def test_bipartition_rejects_track_violations():
     # the constructor accepts exactly the nonnegative sequences the oracle accepts
     for seq in (s for length in range(6) for s in product(range(3), repeat=length)):
         try:
-            accepted = Bipartition(seq) is not None
+            Bipartition(seq)
         except DomainError:
-            accepted = False
-        assert accepted == _oracle_is_bipartition(seq), seq
+            assert not _oracle_is_bipartition(seq), seq
+        else:
+            assert _oracle_is_bipartition(seq), seq
 
 
 @pytest.mark.parametrize(
