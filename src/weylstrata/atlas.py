@@ -331,10 +331,13 @@ class Atlas:
     def rows_of_class(self, group: str, label: Union[str, CarterLabel]) -> tuple[AtlasRow, ...]:
         """The rows that hold a class, in table order; a class in none raises with code "unknown_class"."""
         group = exc_group_from_name(group)
-        canon = label.raw if isinstance(label, CarterLabel) else parse_carter(label).raw
-        rows = self._by_class.get((group, canon))
-        if not rows:
-            raise DomainError(f"no class {canon!r} in the {group} table", code="unknown_class")
+        # a label in canonical form is its own key and is not parsed again
+        rows = self._by_class.get((group, label)) if type(label) is str else None
+        if rows is None:
+            canon = label.raw if isinstance(label, CarterLabel) else parse_carter(label).raw
+            rows = self._by_class.get((group, canon))
+            if not rows:
+                raise DomainError(f"no class {canon!r} in the {group} table", code="unknown_class")
         return tuple(rows)
 
     def rep_of_class(
@@ -350,9 +353,11 @@ class Atlas:
         classes in two different rows; such lookups need the hint to
         choose, and raise with code "ambiguous_class" without it.
         """
+        rows = self.rows_of_class(group, label)
+        if rep_hint is None and len(rows) == 1:
+            return rows[0].rep
         group = exc_group_from_name(group)
-        label = label if isinstance(label, CarterLabel) else parse_carter(label)
-        rows, canon = self.rows_of_class(group, label), label.raw
+        canon = label.raw if isinstance(label, CarterLabel) else parse_carter(label).raw  # for the messages
         if rep_hint is not None:
             want = self._resolve_rep(group, rep_hint)
             if want not in rows:
@@ -361,8 +366,6 @@ class Atlas:
                     code="unknown_class",
                 )
             return want.rep
-        if len(rows) == 1:
-            return rows[0].rep
         shown = ", ".join(self.format_rep(r.rep) for r in rows)
         raise DomainError(
             f"class {canon!r} occurs in several {group} rows ({shown}); "

@@ -46,6 +46,12 @@ class Series(enum.Enum):
     SO_EVEN = "SO_even"
 
 
+# the members the query paths read, bound once by name: a module global is
+# read in a fraction of the time of a member read through its enum class
+_GL, _SP, _SO_ODD, _SO_EVEN = Series.GL, Series.SP, Series.SO_ODD, Series.SO_EVEN
+_SYMPLECTIC, _SYMPLECTIC_CHAR2 = JordanFamily.SYMPLECTIC, JordanFamily.SYMPLECTIC_CHAR2
+_ORTHOGONAL, _ORTHOGONAL_CHAR2 = JordanFamily.ORTHOGONAL, JordanFamily.ORTHOGONAL_CHAR2
+
 _SERIES_NAMES = {
     "gl": Series.GL,
     "sp": Series.SP,
@@ -86,8 +92,8 @@ class GroupDescriptor(Record):
         check_characteristic(characteristic)
         if dimension < 0:
             raise DomainError(f"dimension must be nonnegative, got {dimension}", code="bad_dimension")
-        odd = series is Series.SO_ODD
-        if series is not Series.GL and dimension % 2 != odd:
+        odd = series is _SO_ODD
+        if series is not _GL and dimension % 2 != odd:
             raise DomainError(
                 f"{series.value} needs {'odd' if odd else 'even'} dimension, got {dimension}",
                 code="bad_dimension",
@@ -97,15 +103,15 @@ class GroupDescriptor(Record):
     def rank_half(self) -> int:
         """The weight of stratum labels: n, N/2, or (N-1)/2 by series."""
         # (N-1)/2 is N // 2 for the odd N of SO_odd
-        return self.dimension if self.series is Series.GL else self.dimension // 2
+        return self.dimension if self.series is _GL else self.dimension // 2
 
 
 def positive_roots(group: GroupDescriptor) -> int:
     """Number of positive roots of the group's root system."""
-    n = group.rank_half
-    if group.series is Series.GL:
+    n, series = group.rank_half, group.series
+    if series is _GL:
         return n * (n - 1) // 2
-    if group.series in (Series.SP, Series.SO_ODD):
+    if series is _SP or series is _SO_ODD:
         return n * n
     return n * n - n
 
@@ -117,6 +123,9 @@ def _bad_orbit(why: str) -> DomainError:
 class OrbitKind(enum.Enum):
     GENERIC = "generic"
     INVOLUTIVE = "involutive"
+
+
+_GENERIC, _INVOLUTIVE = OrbitKind.GENERIC, OrbitKind.INVOLUTIVE
 
 
 class EigenOrbit(Record):
@@ -136,7 +145,7 @@ class EigenOrbit(Record):
         set_jordan(self, jordan)
         if not isinstance(ident, str) or not ident:
             raise _bad_orbit(f"orbit id must be a nonempty string, got {ident!r}")
-        if kind is OrbitKind.INVOLUTIVE:
+        if kind is _INVOLUTIVE:
             if ident not in ("1", "-1"):
                 raise _bad_orbit(f"involutive orbit ids must be '1' or '-1', got {ident!r}")
         else:
@@ -156,17 +165,15 @@ def _classifying_group(g: GroupDescriptor) -> GroupDescriptor:
     # SO_odd in characteristic 2 is classified through Sp_{N-1}, characteristic
     # 2, which has the same rank and positive-root count and no pair symmetry;
     # every other group through itself
-    if g.series is Series.SO_ODD and g.characteristic == 2:
-        return GroupDescriptor(Series.SP, g.dimension - 1, 2)
+    if g.series is _SO_ODD and g.characteristic == 2:
+        return GroupDescriptor(_SP, g.dimension - 1, 2)
     return g
 
 
 def _involutive_family(series: Series, char: int) -> JordanFamily:
-    if series is Series.SP:
-        return JordanFamily.SYMPLECTIC_CHAR2 if char == 2 else JordanFamily.SYMPLECTIC
-    if char == 2:
-        return JordanFamily.ORTHOGONAL_CHAR2
-    return JordanFamily.ORTHOGONAL
+    if series is _SP:
+        return _SYMPLECTIC_CHAR2 if char == 2 else _SYMPLECTIC
+    return _ORTHOGONAL_CHAR2 if char == 2 else _ORTHOGONAL
 
 
 class SpectralDatum(Record):
@@ -200,14 +207,14 @@ class SpectralDatum(Record):
         ids = [o.ident for o in self.orbits]
         if len(set(ids)) != len(ids):
             raise _bad_orbit(f"orbit ids must be distinct, got {ids}")
-        gl = g.series is Series.GL
+        gl = g.series is _GL
         char = g.characteristic
         fam = _involutive_family(g.series, char)
         total = 0
         orbit_runs = []
         for o in self.orbits:
             weight = o.jordan.weight
-            if o.kind is OrbitKind.GENERIC:
+            if o.kind is _GENERIC:
                 # a pair {x, 1/x}, except in GL where eigenvalues are not paired
                 total += weight if gl else 2 * weight
                 orbit_runs.append(None)
@@ -224,7 +231,7 @@ class SpectralDatum(Record):
                     code="not_in_family",
                 )
             # the symplectic families already force even weight
-            want_odd = g.series is Series.SO_ODD and o.ident == "1"
+            want_odd = g.series is _SO_ODD and o.ident == "1"
             if weight % 2 != want_odd:
                 raise DomainError(
                     f"involutive orbit {o.ident!r} of {g.series.value} must have "
@@ -270,7 +277,7 @@ class StratumResult(Record):
 def _stratum(group: GroupDescriptor, bp: Bipartition) -> StratumResult:
     n_e = n_invariant(bp, group.rank_half)
     dim = 2 * positive_roots(group) - 2 * n_e
-    degenerate = bp.is_pair_symmetric if group.series is Series.SO_EVEN else None
+    degenerate = bp.is_pair_symmetric if group.series is _SO_EVEN else None
     return StratumResult(bp, n_e, dim, degenerate)
 
 
@@ -292,9 +299,9 @@ def classify(datum: SpectralDatum) -> StratumResult:
 
 def stratum_excess(series: Series) -> Excess:
     """The excess cutting out the stratum labels of a series."""
-    if series is Series.GL:
+    if series is _GL:
         return Excess(0, 0)
-    if series is Series.SO_EVEN:
+    if series is _SO_EVEN:
         return Excess(0, 4)
     return Excess(2, 2)
 
@@ -313,7 +320,7 @@ def enumerate_strata(group: GroupDescriptor) -> tuple[StratumResult, ...]:
     # a record filled through its slot setters
     half = group.rank_half
     two_roots = 2 * positive_roots(group)
-    so_even = group.series is Series.SO_EVEN
+    so_even = group.series is _SO_EVEN
     new, (set_bp, set_n, set_dim, set_degenerate) = object.__new__, StratumResult._setters
     out = []
     for bp in enumerate_bipartitions(half, stratum_excess(group.series)):

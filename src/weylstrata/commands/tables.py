@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from ..atlas import exc_group_from_name, load_atlas
+from ..errors import DomainError
 from ._shared import _rep_payload
 
 
@@ -10,6 +11,13 @@ def run(args) -> tuple[dict | str, list[str]]:
     atlas = load_atlas(args.data_file)
     group = exc_group_from_name(args.group)
     if args.raw:
+        # the file bytes are the whole table, so a filter would go unread
+        for option, value, code in (
+            ("--char", args.char, "bad_characteristic"), ("--rep", args.rep, "bad_rep"),
+            ("--class", args.class_label, "bad_class"),
+        ):
+            if value is not None:
+                raise DomainError(f"{option} does not apply with --raw, which writes the whole table", code=code)
         return atlas.text, []
     rows = atlas.rows(group)
     if args.char is not None:

@@ -100,6 +100,7 @@ for _family, _rules in {
 }.items():
     _family.paired, _family.even_count, _family.labeled = _rules
 del _family, _rules
+_LABELED_PAIRED = JordanFamily.SYMPLECTIC_CHAR2.paired  # shared by both labeled families
 
 
 # Terse aliases used in the literature and accepted by the command line.
@@ -148,16 +149,17 @@ class LabeledPartition(Record):
 
     def __init__(self, parts: Iterable[int], labels: Mapping[int, int] | None = None):
         base = parts if isinstance(parts, Partition) else Partition(parts)
-        strings = _strings(base)
-        paired = JordanFamily.SYMPLECTIC_CHAR2.paired  # shared by both labeled families
-        for v, m in strings:
-            if m % 2 and v % 2 == paired:
+        # one pass over the strings checks parity and collects the eligible values
+        eligible = []
+        for v, m in _strings(base):
+            if _is_eligible(v, m):
+                eligible.append(v)
+            elif m % 2 and v % 2 == _LABELED_PAIRED:
                 raise DomainError(
                     f"odd value {v} occurs {m} times in {tuple(base)}; "
                     "odd values must occur an even number of times",
                     code="bad_parity",
                 )
-        eligible = [v for v, m in strings if _is_eligible(v, m)]
         given = dict(labels or {})
         if set(given) != set(eligible):
             raise DomainError(

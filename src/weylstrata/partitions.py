@@ -133,6 +133,10 @@ class Partition(Bipartition):
         data = _as_int_seq(parts)
         while data and data[-1] == 0:
             data.pop()
+        # weakly decreasing to a positive last part is valid, tested in C; the
+        # loop below words a refusal
+        if not data or data[-1] > 0 and data == sorted(data, reverse=True):
+            return tuple.__new__(cls, data)
         for i, x in enumerate(data):
             if x <= 0:
                 raise DomainError(

@@ -53,8 +53,13 @@ class WeylSeries(enum.Enum):
     D = "D"
 
 
+# the members the query paths read, bound once by name
+_A, _D = WeylSeries.A, WeylSeries.D
 # the series of the classical group whose strata the classes label
 _GROUP_SERIES = {WeylSeries.A: Series.GL, WeylSeries.B: Series.SP, WeylSeries.D: Series.SO_EVEN}
+# the characteristic-2 Jordan family of that group, for the series whose
+# classes map through one; read off classical's rule once
+_STRATUM_FAMILY = {w: _involutive_family(series, 2) for w, series in _GROUP_SERIES.items() if w is not _A}
 
 
 def weyl_series_from_name(name: str) -> WeylSeries:
@@ -85,7 +90,7 @@ class WeylType(Record):
         set_series, set_rank = self._setters
         set_series(self, series)
         set_rank(self, rank)
-        lo = 1 if series is WeylSeries.A else 0
+        lo = 1 if series is _A else 0
         if rank < lo:
             raise DomainError(
                 f"rank must be at least {lo} for type {series.value}", code="bad_rank"
@@ -94,8 +99,7 @@ class WeylType(Record):
     @property
     def group(self) -> GroupDescriptor:
         """The classical group whose strata the classes label: GL_{r+1}, Sp_{2r} or SO_{2r}."""
-        series = _GROUP_SERIES[self.series]
-        return GroupDescriptor(series, self.rank + 1 if series is Series.GL else 2 * self.rank)
+        return GroupDescriptor(_GROUP_SERIES[self.series], self.rank + 1 if self.series is _A else 2 * self.rank)
 
 
 class SignedCycleType(Record):
@@ -129,14 +133,14 @@ def enumerate_classes(w: WeylType) -> tuple[WeylClass, ...]:
     """
     from .enumeration import enumerate_partitions
 
-    if w.series is WeylSeries.A:
+    if w.series is _A:
         return enumerate_partitions(w.rank + 1)
     # records of partitions, filled through their slot setters
     new, (set_positive, set_negative) = object.__new__, SignedCycleType._setters
     out: list[SignedCycleType] = []
     for a in range(w.rank, -1, -1):
         negatives = enumerate_partitions(w.rank - a)
-        if w.series is WeylSeries.D:
+        if w.series is _D:
             negatives = [neg for neg in negatives if len(neg) % 2 == 0]
         for pos in enumerate_partitions(a):
             for neg in negatives:
@@ -151,7 +155,7 @@ def _bad_class(why: str) -> DomainError:
 
 
 def _check_class(w: WeylType, c: WeylClass) -> WeylClass:
-    if w.series is WeylSeries.A:
+    if w.series is _A:
         if not isinstance(c, Partition):
             raise _bad_class(f"type A classes are partitions, got {c!r}")
         if c.weight != w.rank + 1:
@@ -163,7 +167,7 @@ def _check_class(w: WeylType, c: WeylClass) -> WeylClass:
         raise _bad_class(f"type {w.series.value} classes are signed cycle types, got {c!r}")
     if c.rank != w.rank:
         raise _bad_class(f"signed cycle type has rank {c.rank}, expected {w.rank}")
-    if w.series is WeylSeries.D and len(c.negative) % 2 == 1:
+    if w.series is _D and len(c.negative) % 2 == 1:
         raise _bad_class(f"type D classes have an even number of negative cycles, got {c}")
     return c
 
@@ -178,7 +182,7 @@ def _cycle_lengths(text: str) -> Partition:
 
 def parse_class(w: WeylType, text: str) -> WeylClass:
     """The class of w written as text: "3,1,1" in type A, "3,1;2" in types B/C/D."""
-    if w.series is WeylSeries.A:
+    if w.series is _A:
         return _check_class(w, _cycle_lengths(text))
     if text.count(";") != 1:
         raise DomainError(f"signed cycle type needs exactly one ';', got {text!r}", code="parse_error")
@@ -211,7 +215,8 @@ def jordan_of_class(c: SignedCycleType) -> LabeledPartition:
 def _stratum_rule(w: WeylType):
     # The _rule of w's stratum map, read once per call; None in type A, whose
     # classes are their own labels.
-    return None if w.series is WeylSeries.A else _rule(_involutive_family(_GROUP_SERIES[w.series], 2), 2 * w.rank)
+    family = _STRATUM_FAMILY.get(w.series)
+    return None if family is None else _rule(family, 2 * w.rank)
 
 
 def _stratum(rule, c: WeylClass) -> Bipartition:
@@ -233,7 +238,7 @@ def stratum_of_class(w: WeylType, c: WeylClass) -> Bipartition:
 
 def _fixed_space_dim(w: WeylType, c: WeylClass) -> int:
     # c is a class of w
-    return len(c) - 1 if w.series is WeylSeries.A else len(c.positive)
+    return len(c) - 1 if w.series is _A else len(c.positive)
 
 
 def fixed_space_dim(w: WeylType, c: WeylClass) -> int:

@@ -112,6 +112,41 @@ def test_rep_of_class_examples():
     assert rep_of_class("E7", "A''_5") == rep_of_class("E7", "A_5''")
 
 
+def test_every_class_key_is_its_own_canonical_form():
+    # rows_of_class, and rep_of_class through it, look a key up without parsing it
+    atlas = load_atlas()
+    assert len(atlas._by_class) == sum(LABEL_COUNTS.values()) - 1  # E7's A_3+A_2 is in two rows
+    for group, raw in atlas._by_class:
+        assert parse_carter(raw).raw == raw
+        assert atlas.rows_of_class(group, raw) == atlas.rows_of_class(group, parse_carter(raw))
+
+
+@pytest.mark.parametrize(
+    "group, spelling, canonical",
+    [
+        ("E8", " D_7 (a_1)\t", "D_7(a_1)"),
+        ("F4", "Ã_1", "~A_1"),
+        ("F4", "Ã_2 + Ã_2", "~A_2+~A_2"),
+        ("G2", "A_1+Ã_1", "A_1+~A_1"),
+        ("E7", "A''_5", "A_5''"),
+        ("E7", "(A_5 + A_1)''", "(A_5+A_1)''"),
+        ("E7", " A_3+A_2", "A_3+A_2"),
+    ],
+)
+def test_other_spellings_resolve_as_their_canonical_form(group, spelling, canonical):
+    atlas = load_atlas()
+    assert (group, spelling) not in atlas._by_class and (group, canonical) in atlas._by_class
+    assert atlas.rows_of_class(group, spelling) == atlas.rows_of_class(group, canonical)
+    assert atlas.rows_of_class(group, parse_carter(spelling)) == atlas.rows_of_class(group, canonical)
+    outcomes = []
+    for label in (spelling, canonical, parse_carter(spelling)):
+        try:
+            outcomes.append(rep_of_class(group, label))
+        except DomainError as err:  # the ambiguous class names its canonical form
+            outcomes.append((err.code, str(err)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
 def test_rep_of_class_errors():
     with pytest.raises(DomainError) as err:
         rep_of_class("G2", "A_3")

@@ -688,6 +688,28 @@ def test_tables_raw_refuses_an_unknown_group(tmp_path, capsys):
     assert (status, json.loads(out)["payload"]["code"]) == (1, "atlas_io_error")
 
 
+@pytest.mark.parametrize(
+    "filter_argv, code",
+    [
+        (("--char", "4"), "bad_characteristic"),  # a characteristic --char alone refuses
+        (("--char", "2"), "bad_characteristic"),
+        (("--rep", "1_0"), "bad_rep"),
+        (("--class", "A_1"), "bad_class"),
+        (("--class", "A_1", "--char", "0"), "bad_characteristic"),  # the first of --char, --rep, --class
+    ],
+)
+def test_tables_raw_refuses_a_filter(capsys, filter_argv, code):
+    # the file bytes are the whole table, so a filter would go unread
+    status, out = run_cli(capsys, "tables", "--group", "E8", "--raw", *filter_argv)
+    envelope = json.loads(out)
+    ENVELOPE.validate(envelope)
+    option = {"bad_characteristic": "--char", "bad_rep": "--rep", "bad_class": "--class"}[code]
+    assert (status, envelope["status"]) == (1, "error")
+    assert envelope["payload"] == {
+        "code": code, "message": f"{option} does not apply with --raw, which writes the whole table",
+    }
+
+
 def test_tables_human_format_shows_dimension(capsys):
     status, out = run_cli(capsys, "tables", "--group", "G2", "--format", "table")
     assert status == 0

@@ -24,6 +24,9 @@ creeps in.
 itself, directly or through other ``atlas`` functions, and none catches
 ``RecursionError``, so a bound the module states, not the interpreter's
 stack, limits how deep a class label may nest.
+
+The functions on the point-query path read enum members through module
+globals bound once at import, never through the enum class (``Series.GL``).
 """
 
 import ast
@@ -284,3 +287,63 @@ def test_recursion_in_a_module_is_caught():
     )
     assert _self_calling_functions(source) == ["Tree.walk", "depth", "parse_sum", "parse_term"]
     assert _recursion_error_handlers(source) == [17]
+
+
+# The point queries read enum members through module globals bound once at
+# import, by name (`_GL = Series.GL`): on CPython 3.11 a read through the enum
+# class costs about fifteen times a global's.  Each entry names a top-level
+# function or class (all of its methods), or one method as "Class.method".
+QUERY_PATHS = {
+    "classical": (
+        "GroupDescriptor", "positive_roots", "EigenOrbit", "_classifying_group", "_involutive_family",
+        "SpectralDatum._validate", "_stratum",
+    ),
+    "weyl": ("WeylType", "_check_class", "_fixed_space_dim", "_stratum_rule", "_stratum"),
+    "jordan": ("LabeledPartition",),
+}
+ENUMS = {"Series", "OrbitKind", "WeylSeries", "JordanFamily"}
+
+
+def _enum_member_reads(source: str, names) -> list[str]:
+    # each attribute read through an enum class inside the named definitions;
+    # a name the source does not define raises KeyError
+    defs = {node.name: node for node in ast.parse(source).body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    found = []
+    for name in names:
+        outer, _, method = name.partition(".")
+        node = defs[outer]
+        if method:
+            node = {fn.name: fn for fn in node.body if isinstance(fn, ast.FunctionDef)}[method]
+        found += sorted(
+            f"{name}, line {read.lineno}: {read.value.id}.{read.attr}"
+            for read in ast.walk(node)
+            if isinstance(read, ast.Attribute) and isinstance(read.value, ast.Name) and read.value.id in ENUMS
+        )
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(QUERY_PATHS))
+def test_query_paths_read_no_enum_member_through_its_class(module):
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert _enum_member_reads(source, QUERY_PATHS[module]) == []
+
+
+def test_an_enum_member_read_through_its_class_is_caught():
+    source = (
+        "_GL = Series.GL\n"
+        "class Group:\n"
+        "    def __init__(self, series):\n"
+        "        self.gl = series is _GL and isinstance(series, Series)\n"
+        "    def rank_half(self):\n"
+        "        return 1 if self.series is Series.SP else 2\n"
+        "def family(series):\n"
+        "    return JordanFamily.SYMPLECTIC.paired if series is WeylSeries.A else None\n"
+        "def other():\n"
+        "    return OrbitKind.GENERIC\n"
+    )
+    assert _enum_member_reads(source, ("Group.__init__", "family")) == [
+        "family, line 8: JordanFamily.SYMPLECTIC", "family, line 8: WeylSeries.A",
+    ]
+    assert _enum_member_reads(source, ("Group",)) == ["Group, line 6: Series.SP"]
+    with pytest.raises(KeyError):
+        _enum_member_reads(source, ("missing",))

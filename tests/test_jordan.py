@@ -72,6 +72,64 @@ def test_labeled_partition_refusal_codes(make, code):
     assert err.value.code == code
 
 
+def _reference_labeled(parts, labels):
+    # LabeledPartition's validation as two passes over the strings, kept as
+    # the reference for the one-pass constructor: (parts, labels) or a refusal
+    base = parts if isinstance(parts, Partition) else Partition(parts)
+    strings = [(v, len(list(run))) for v, run in groupby(base)]
+    for v, m in strings:
+        if m % 2 and v % 2 == 1:
+            raise DomainError(
+                f"odd value {v} occurs {m} times in {tuple(base)}; "
+                "odd values must occur an even number of times",
+                code="bad_parity",
+            )
+    eligible = [v for v, m in strings if v % 2 == 0 and m % 2 == 0]
+    given = dict(labels or {})
+    if set(given) != set(eligible):
+        raise DomainError(
+            f"labels must be given for exactly the eligible values "
+            f"{sorted(eligible, reverse=True)} of {tuple(base)}, got keys "
+            f"{sorted(given)}",
+            code="bad_labels",
+        )
+    for v, bit in given.items():
+        if bit not in (0, 1):
+            raise DomainError(f"label for value {v} must be 0 or 1, got {bit!r}", code="bad_labels")
+    return base, tuple((v, given[v]) for v in eligible)
+
+
+_BIT = st.sampled_from((0, 1, 0, 1, True, False, 2, -1))
+
+
+@st.composite
+def _labeled_inputs(draw):
+    """Parts from distinct values with multiplicities, now and then changed, and labels
+    on the eligible values, now and then with a key missing or added."""
+    values = sorted(draw(st.sets(st.integers(1, 8), max_size=5)), reverse=True)
+    parts = [v for v in values for _ in range(draw(st.integers(1, 4)))]
+    if parts and draw(st.integers(0, 4)) == 0:  # a negative, a zero, a climb or a non-int
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from((-1, 0, 9, True, 2.0)))
+    keys = {v for v in set(parts) if isinstance(v, int) and v % 2 == 0 and parts.count(v) % 2 == 0}
+    if draw(st.integers(0, 3)) == 0:
+        keys ^= {draw(st.integers(0, 9))}
+    return parts, {v: draw(_BIT) for v in sorted(keys)} if keys or draw(st.booleans()) else None
+
+
+def _labeled_outcome(make, parts, labels):
+    try:
+        out = make(parts, labels)
+    except DomainError as err:
+        return err.code, str(err)
+    return out if isinstance(out, tuple) else (out.parts, out.labels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_labeled_inputs())
+def test_labeled_partition_agrees_with_its_two_pass_reference(inputs):
+    assert _labeled_outcome(LabeledPartition, *inputs) == _labeled_outcome(_reference_labeled, *inputs)
+
+
 def test_labeled_partition_equality_and_hash():
     a = LabeledPartition([4, 4], {4: 1})
     b = LabeledPartition((4, 4), {4: 1})

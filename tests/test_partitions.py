@@ -200,6 +200,82 @@ def test_refusal_codes(make, code):
     assert err.value.code == code
 
 
+# ---------------------------------------------------------------------------
+# The constructors against their per-entry loops, kept here as the reference:
+# the same entries accepted, and each refusal with the same code and message.
+
+
+def _reference_int_seq(seq):
+    out = list(seq)
+    for x in out:
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+            raise DomainError(f"entries must be integers, got {x!r}", code="bad_entries")
+    return out
+
+
+def _reference_bipartition(entries):
+    data = _reference_int_seq(entries)
+    while data and data[-1] == 0:
+        data.pop()
+    for x in data:
+        if x < 0:
+            raise DomainError(f"bipartition entries must be nonnegative, got {data}", code="bad_bipartition")
+    for i in range(len(data) - 2):
+        if data[i] < data[i + 2]:
+            raise DomainError(
+                f"entries at positions {i + 1} and {i + 3} must weakly decrease, got {data}",
+                code="bad_bipartition",
+            )
+    return data
+
+
+def _reference_partition(parts):
+    data = _reference_int_seq(parts)
+    while data and data[-1] == 0:
+        data.pop()
+    for i, x in enumerate(data):
+        if x <= 0:
+            raise DomainError(f"partition parts must be positive, got {x} in {data}", code="bad_partition")
+        if i > 0 and data[i - 1] < x:
+            raise DomainError(f"partition parts must weakly decrease, got {data}", code="bad_partition")
+    return data
+
+
+class _Int(int):
+    """An int subclass: the constructors take it as an entry, and keep it."""
+
+
+_DESCENDING = st.lists(st.integers(0, 6), max_size=9).map(lambda xs: sorted(xs, reverse=True))
+_TRACKS = st.tuples(_DESCENDING, _DESCENDING).map(
+    lambda t: [x for pair in zip_longest(*t, fillvalue=0) for x in pair]
+)
+_ENTRY = st.one_of(st.integers(-2, 7), st.booleans(), st.integers(-1, 7).map(_Int), st.just(1.0))
+
+
+@st.composite
+def _entry_lists(draw):
+    """Valid partitions and bipartitions, some with one entry changed, and arbitrary lists."""
+    entries = draw(st.one_of(_DESCENDING, _TRACKS, st.lists(_ENTRY, max_size=9)))
+    if entries and draw(st.booleans()):  # a negative, an interior zero, a climb or a non-int
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(_ENTRY)
+    return entries
+
+
+def _construct(make, entries):
+    try:
+        out = make(list(entries))
+    except DomainError as err:
+        return err.code, str(err)
+    return tuple(out), [type(x) for x in out]
+
+
+@pytest.mark.parametrize("make, reference", [(Bipartition, _reference_bipartition), (Partition, _reference_partition)])
+@settings(max_examples=400, deadline=None)
+@given(_entry_lists())
+def test_constructors_agree_with_the_per_entry_loops(make, reference, entries):
+    assert _construct(make, entries) == _construct(reference, entries)
+
+
 @pytest.mark.parametrize(
     "text,entries",
     [
