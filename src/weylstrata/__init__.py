@@ -39,7 +39,7 @@ _MODULE_OF = {
         ("partitions", (
             "Bipartition", "Excess", "Partition", "bp_sum", "has_excess", "n_invariant",
         )),
-        ("verify", ("CheckResult", "check_names", "run_check", "run_suite")),
+        ("verify", ("CheckResult", "check_names", "run_suite")),
         ("weyl", (
             "ClassFiber", "SignedCycleType", "WeylSeries", "WeylType", "enumerate_classes",
             "fixed_space_dim", "jordan_of_class", "parse_class", "strata_fibers", "stratum_of_class",

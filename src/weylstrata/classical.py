@@ -156,10 +156,6 @@ class EigenOrbit(Record):
         if jordan.weight == 0:
             raise _bad_orbit(f"orbit {ident!r} has empty Jordan type")
 
-    @property
-    def weight(self) -> int:
-        return self.jordan.weight
-
 
 def _classifying_group(g: GroupDescriptor) -> GroupDescriptor:
     # SO_odd in characteristic 2 is classified through Sp_{N-1}, characteristic

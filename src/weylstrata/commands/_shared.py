@@ -32,16 +32,17 @@ def _parts_text(parts) -> str:
     return ",".join(map(str, parts)) if parts else "()"
 
 
+def _table_text(rows) -> str:
+    # one "label value" line per (label, value) row whose value is not None
+    return "".join(f"{label:<12} {value}\n" for label, value in rows if value is not None)
+
+
 def _render_stratum(payload: dict) -> str:
-    lines = [
-        f"stratum      {_parts_text(payload['stratum']['parts'])}",
-        f"n-invariant  {payload['n_invariant']}",
-        f"class dim    {payload['class_dim']}",
-    ]
-    if "springer_dim" in payload:
-        lines.append(f"springer dim {payload['springer_dim']}")
-    if payload.get("pair_degenerate") is not None:
-        lines.append(f"degenerate   {payload['pair_degenerate']}")
-    if "fixed_space_dim" in payload:
-        lines.append(f"fixed space  {payload['fixed_space_dim']}")
-    return "\n".join(lines) + "\n"
+    return _table_text((
+        ("stratum", _parts_text(payload["stratum"]["parts"])),
+        ("n-invariant", payload["n_invariant"]),
+        ("class dim", payload["class_dim"]),
+        ("springer dim", payload.get("springer_dim")),
+        ("degenerate", payload.get("pair_degenerate")),
+        ("fixed space", payload.get("fixed_space_dim")),
+    ))

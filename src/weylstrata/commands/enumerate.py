@@ -36,8 +36,7 @@ def run(args) -> tuple[dict, list[str]]:
 
 
 def render(payload: dict) -> str:
-    width = max((len(_parts_text(row["parts"])) for row in payload["strata"]), default=7)
-    width = max(width, len("stratum"))
+    width = max([len("stratum"), *(len(_parts_text(row["parts"])) for row in payload["strata"])])
     lines = [f"{'stratum':<{width}}  {'n':>3}  {'dim':>4}"]
     for row in payload["strata"]:
         lines.append(

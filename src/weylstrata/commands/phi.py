@@ -7,7 +7,7 @@ only the atlas.
 from __future__ import annotations
 
 from ..errors import DomainError
-from ._shared import _STRATUM_FIELDS, _group_payload, _rep_payload, _render_stratum, _stratum_payload
+from ._shared import _STRATUM_FIELDS, _group_payload, _rep_payload, _render_stratum, _stratum_payload, _table_text
 
 _CLASSICAL_LETTERS = {"A", "B", "C", "D"}
 
@@ -17,8 +17,7 @@ def run(args) -> tuple[dict, list[str]]:
     diagnostics: list[str] = []
     if name.upper() in _CLASSICAL_LETTERS:
         from ..classical import _stratum
-        from ..weyl import WeylSeries, WeylType, _fixed_space_dim, parse_class, weyl_series_from_name
-        from ..weyl import _stratum as _class_stratum, _stratum_rule
+        from ..weyl import WeylSeries, WeylType, fixed_space_dim, parse_class, stratum_of_class, weyl_series_from_name
 
         if args.rank is None:
             raise DomainError("classical series need --rank", code="bad_rank")
@@ -28,17 +27,16 @@ def run(args) -> tuple[dict, list[str]]:
         if name.upper() == "C":
             diagnostics.append("series C shares its signed cycle classes with series B")
         wt = WeylType(series, args.rank)
-        # parse_class checks the class once; the private maps below trust it
         cls = parse_class(wt, args.class_label)
         # dimensions of strata come from the algebraic group with this Weyl group
         group = wt.group
-        result = _stratum(group, _class_stratum(_stratum_rule(wt), cls))
+        result = _stratum(group, stratum_of_class(wt, cls))
         payload = {
             "weyl": {"series": series.value, "rank": args.rank},
             "class": str(cls) if series is not WeylSeries.A else ",".join(map(str, cls)),
             "group": _group_payload(group),
             **_stratum_payload(result, _STRATUM_FIELDS[:2]),
-            "fixed_space_dim": _fixed_space_dim(wt, cls),
+            "fixed_space_dim": fixed_space_dim(wt, cls),
         }
         return payload, diagnostics
     from ..atlas import exc_group_from_name, load_atlas, m_of_class, parse_carter
@@ -64,14 +62,12 @@ def run(args) -> tuple[dict, list[str]]:
 def render(payload: dict) -> str:
     if "d" not in payload:
         return _render_stratum(payload)
-    lines = [
-        f"class        {payload['class']}",
-        f"rep          {payload['display']}",
-        f"class dim    {payload['class_dim']}",
-        f"fixed space  {payload['fixed_space_dim']}",
-        f"fiber        {', '.join(payload['fiber'])}",
-        f"cross sec    {payload['cross_section']}",
-    ]
-    if payload["note"]:
-        lines.append(f"note         {payload['note']}")
-    return "\n".join(lines) + "\n"
+    return _table_text((
+        ("class", payload["class"]),
+        ("rep", payload["display"]),
+        ("class dim", payload["class_dim"]),
+        ("fixed space", payload["fixed_space_dim"]),
+        ("fiber", ", ".join(payload["fiber"])),
+        ("cross sec", payload["cross_section"]),
+        ("note", payload["note"] or None),
+    ))

@@ -15,7 +15,6 @@ DomainError, such as an unreadable atlas file, still propagates.
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Callable, Optional
 
@@ -74,11 +73,6 @@ def check_names() -> tuple[str, ...]:
     return tuple(_CHECKS)
 
 
-def run_check(name: str) -> CheckResult:
-    """Run one named check and report the result."""
-    return run_suite((name,))[0]
-
-
 def _run(name: str) -> CheckResult:
     if name not in _CHECKS:
         raise DomainError(f"unknown check {name!r}; have {', '.join(_CHECKS)}", code="bad_suite")
@@ -101,11 +95,7 @@ def run_suite(names=None) -> tuple[CheckResult, ...]:
     """Run the named checks (default: all) in registration order."""
     if names is None:
         names = check_names()
-    try:
-        return tuple(_run(name) for name in names)
-    finally:
-        # what checks share lives for one suite run, so each run does the same work
-        _signed_fibers.cache_clear()
+    return tuple(_run(name) for name in names)
 
 
 def _ensure(condition: bool, message: str) -> None:
@@ -340,13 +330,8 @@ def _check_endpoints() -> str:
     return "both endpoints exact in all five tables"
 
 
-@functools.cache
-def _signed_fibers() -> dict[WeylType, dict]:
-    # The fibers of B_1..B_10 and D_4..D_10, which cross-sections and
-    # surjectivity both check.
-    types = [WeylType(WeylSeries.B, n) for n in range(1, 11)]
-    types += [WeylType(WeylSeries.D, n) for n in range(4, 11)]
-    return {wt: strata_fibers(wt) for wt in types}
+# B_1..B_10 and D_4..D_10, whose fibers cross-sections lists and whose image surjectivity checks
+_SIGNED_TYPES = tuple(WeylType(s, n) for s, lo in ((WeylSeries.B, 1), (WeylSeries.D, 4)) for n in range(lo, 11))
 
 
 @_check("cross-sections", budget=10.0)
@@ -359,7 +344,7 @@ def _check_cross_sections() -> str:
             atlas.cross_section(group, row.rep)  # raises on a tie
             rows += 1
     # strata_fibers checks the unique minimum inside
-    fibers = sum(map(len, _signed_fibers().values()))
+    fibers = sum(len(strata_fibers(wt)) for wt in _SIGNED_TYPES)
     fibers += sum(len(strata_fibers(WeylType(WeylSeries.A, n))) for n in range(1, 9))
     return f"unique minimizer on {rows} exceptional rows and {fibers} classical fibers"
 
@@ -367,8 +352,9 @@ def _check_cross_sections() -> str:
 @_check("surjectivity")
 def _check_surjectivity() -> str:
     """Classical class-to-stratum maps hit every stratum label."""
-    for wt, fibers in _signed_fibers().items():
-        got, want = set(fibers), set(enumerate_bipartitions(wt.rank, stratum_excess(wt.group.series)))
+    for wt in _SIGNED_TYPES:
+        got = {stratum_of_class(wt, c) for c in enumerate_classes(wt)}
+        want = set(enumerate_bipartitions(wt.rank, stratum_excess(wt.group.series)))
         _ensure(
             got == want,
             f"{wt.series.value}_{wt.rank}: image covers {len(got)} of {len(want)} labels",

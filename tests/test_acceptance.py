@@ -10,15 +10,16 @@ from collections import Counter
 
 import pytest
 
-from weylstrata import jordan, verify
+from weylstrata import jordan, verify, weyl
+from weylstrata.errors import ConsistencyError
 from weylstrata.jordan import JordanFamily
-from weylstrata.verify import check_names, run_check, run_suite
+from weylstrata.verify import check_names, run_suite
 from weylstrata.weyl import WeylSeries
 
 
 @pytest.mark.parametrize("name", check_names())
 def test_acceptance(name):
-    result = run_check(name)
+    (result,) = run_suite((name,))
     print(result.line())
     assert result.passed, result.line()
 
@@ -44,20 +45,81 @@ def test_unknown_check_is_rejected():
     from weylstrata.errors import DomainError
 
     with pytest.raises(DomainError) as err:
-        run_check("no-such-check")
+        run_suite(("no-such-check",))
     assert err.value.code == "bad_suite"
 
 
 def test_suite_builds_each_signed_fiber_map_once(monkeypatch):
     built = Counter()
-    build = verify.strata_fibers
-    monkeypatch.setattr(verify, "strata_fibers", lambda wt: built.update([wt]) or build(wt))
-    for _ in range(2):
-        assert all(r.passed for r in run_suite(("cross-sections", "surjectivity")))
-    signed = {wt for wt in built if wt.series is not WeylSeries.A}
-    assert len(signed) == 17
-    # shared by the two checks of one suite run, built again by the next run
-    assert {built[wt] for wt in signed} == {2}
+    build = weyl.strata_fibers
+
+    def counted(wt):
+        built.update([wt])
+        return build(wt)
+
+    # both bindings, so a check reaching the maps through weyl is counted too
+    monkeypatch.setattr(verify, "strata_fibers", counted)
+    monkeypatch.setattr(weyl, "strata_fibers", counted)
+    first = run_suite(("cross-sections", "surjectivity"))
+    signed = {wt: times for wt, times in built.items() if wt.series is not WeylSeries.A}
+    assert len(signed) == 17 and set(signed.values()) == {1}
+    # surjectivity reads the image off stratum_of_class and builds no fiber map
+    built.clear()
+    (surjectivity,) = run_suite(("surjectivity",))
+    assert surjectivity.passed and not built
+    second = run_suite(("cross-sections", "surjectivity"))
+    assert [(r.name, r.passed, r.detail) for r in first] == [(r.name, r.passed, r.detail) for r in second]
+    assert all(r.passed for r in first)
+
+
+# the twelve checks' rows, timings left out
+SUITE_ROWS = [
+    ("golden-sp2", True, "all 9 rows exact, in enumeration order"),
+    ("golden-so2", True, "all 10 rows exact, in enumeration order"),
+    (
+        "bijectivity",
+        True,
+        "65 family/weight pairs are bijections onto their codomains; "
+        "all 7193 codomain elements invert to their preimages",
+    ),
+    ("sp4-strata", True, "5 strata with dims [8, 6, 4, 4, 0]; the two dim-4 strata are distinct"),
+    (
+        "dimension-sets",
+        True,
+        "dimension sets equal the strata's for n <= 20 and Sp_2n's char-2 unipotent dims for n <= 6",
+    ),
+    ("minimal-dimension", True, "minimal nonzero stratum dimension is 2n for ranks 3 through 60"),
+    ("e8-counts", True, "75 rows; characteristic 0/2/3 give 70/74/71 strata with unipotents"),
+    ("star-inventory", True, "starred sets exact for all five groups"),
+    ("endpoints", True, "both endpoints exact in all five tables"),
+    ("cross-sections", True, "unique minimizer on 168 exceptional rows and 1492 classical fibers"),
+    ("surjectivity", True, "B (n<=10) and D (n in 4..10) surject; A (n<=8) is the identity"),
+    ("gl-oracle", True, "272 partitions of n <= 12 agree with the conjugate-sum oracle"),
+]
+
+
+def test_suite_rows_are_pinned():
+    # run_suite() with no names runs every check, in registration order
+    assert [(r.name, r.passed, r.detail) for r in run_suite()] == SUITE_ROWS
+
+
+@pytest.mark.parametrize(
+    "row, want, message",
+    [
+        (
+            2,
+            (((4, 1, 1), {2: 1}), (2, 0, 1)),
+            "enumeration order differs at (4, 1, 1)",
+        ),
+        (2, (((4, 1, 1), {}), (2, 1)), "SYMPLECTIC_CHAR2 sends (4, 1, 1) to (2, 0, 1), table says (2, 1)"),
+    ],
+)
+def test_golden_refuses_a_perturbed_table(row, want, message):
+    table = list(verify.GOLDEN_SP2_WEIGHT6)
+    table[row] = want
+    with pytest.raises(ConsistencyError) as err:
+        verify._golden(JordanFamily.SYMPLECTIC_CHAR2, 6, table)
+    assert str(err.value) == message
 
 
 def test_library_consistency_error_fails_only_its_check(monkeypatch):

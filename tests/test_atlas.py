@@ -316,12 +316,16 @@ def test_parse_carter_examples():
         pytest.param("A_" + "9" * 5000, id="subscript-of-5000-digits"),
         pytest.param("9" * 5000 + "A_1", id="multiplicity-of-5000-digits"),
         pytest.param("(" * 1200 + "A_1" + ")''" * 1200, id="1200-nested-parentheses"),
+        pytest.param(7, id="not-a-string"),
+        pytest.param(None, id="None"),
     ],
 )
 def test_parse_carter_rejects(bad):
     with pytest.raises(DomainError) as err:
         parse_carter(bad)
     assert err.value.code == "bad_carter_label"
+    if not isinstance(bad, str):
+        assert str(err.value) == "class label must be a string"
 
 
 def test_parse_carter_nesting_bound():
@@ -524,6 +528,9 @@ def test_rep_label_validation():
         RepLabel("E6", 5, -1)
     with pytest.raises(DomainError):
         RepLabel("E6", 5, 1, star=5)
+    with pytest.raises(DomainError) as err:
+        RepLabel("E6", 5, 1, synthetic_id=-1)
+    assert (err.value.code, str(err.value)) == ("bad_rep", "synthetic id must be nonnegative")
     assert str(RepLabel("F4", 4, 8, star=2)) == "4_8*2"
 
 
@@ -605,40 +612,96 @@ def test_load_atlas_without_a_path_is_the_cached_packaged_atlas(monkeypatch):
     assert load_atlas() is load_atlas(_PACKAGED_PATH)
 
 
-# the first E8 row repeated at the end of the file
-_REPEAT_E8_ROW = lambda t: t + next(l for l in t.splitlines() if l.startswith("row|E8|")) + "\n"  # noqa: E731
+# (mangle, code, the message after the file's path); the atlas lines named are
+# those of the packaged file, whose bytes DATA_SHA256 pins
+_MALFORMED = [
+    (lambda t: t.replace("version|1", "version|9"), "atlas_version", ": unsupported atlas format version 9"),
+    (lambda t: t.replace("version|1", "# no version"), "atlas_version", ":46: missing version record"),
+    (
+        lambda t: t.replace("row|G2|1|0|0|0|G_2|", "row|G2|1|0|0|0|G_2"),
+        "atlas_parse_error",
+        ":46: row needs 8 fields, got 7",
+    ),
+    (
+        lambda t: t.replace("row|G2|1|0|0|0|G_2|", "row|H9|1|0|0|0|G_2|"),
+        "atlas_parse_error",
+        ":46: bad row: unknown exceptional group 'H9'",
+    ),
+    (
+        lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|1|0|3|A_2|"),
+        "atlas_parse_error",
+        ":47: synthetic id should be 0, got 3",
+    ),
+    (
+        lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|1|0|0|A_9|"),
+        "atlas_parse_error",
+        ":47: label 'A_9' has rank 9, beyond G2",
+    ),
+    (
+        lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|1|4|0|A_2|"),
+        "atlas_parse_error",
+        ":47: bad row: star must be 0, 2, or 3, got 4",
+    ),
+    (
+        lambda t: t.replace("iso|A|pseudo_levi|A_n|n>=0", "iso|A|levi|A_n|n>=0"),
+        "atlas_parse_error",
+        ":219: unknown flavor 'levi'",
+    ),
+    (lambda t: t + "wat|1|2\n", "atlas_parse_error", ":286: unknown record kind 'wat'"),
+    # the first E8 row repeated at the end of the file
+    (
+        lambda t: t + next(l for l in t.splitlines() if l.startswith("row|E8|")) + "\n",
+        "atlas_parse_error",
+        ":286: row 1_0 repeats line 143",
+    ),
+    (lambda t: t.replace("version|1", "version|²"), "atlas_parse_error", ":44: bad version record"),
+    (
+        lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|١|0|0|A_2|"),
+        "atlas_parse_error",
+        ":47: bad row: degree, n, star and id must be ASCII digits",
+    ),
+    (
+        lambda t: t.replace("version|1", "version|" + "9" * 5000),
+        "atlas_version",
+        ": unsupported atlas format version " + "9" * 5000,
+    ),
+    (
+        lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|1|0|0||"),
+        "atlas_parse_error",
+        ":47: malformed class label '': empty",
+    ),
+    (
+        lambda t: t.replace("version|1", "version|1\nversion|1"),
+        "atlas_parse_error",
+        ":45: version must be the first record",
+    ),
+    (
+        lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|1|0|0|A_2,A_2|"),
+        "atlas_parse_error",
+        ":47: repeated class within a row",
+    ),
+    (
+        lambda t: t.replace("iso|A|pseudo_levi|A_n|n>=0", "iso|A|pseudo_levi|A_n"),
+        "atlas_parse_error",
+        ":219: iso needs 5 fields, got 4",
+    ),
+    (
+        lambda t: t.replace("iso|A|pseudo_levi|A_n|n>=0", "iso|A|pseudo_levi||n>=0"),
+        "atlas_parse_error",
+        ":219: iso entry has no subtype",
+    ),
+    (lambda t: "# a comment and no record\n", "atlas_version", ": missing version record"),
+]
+_MESSAGE_OF = {mangle: message for mangle, _, message in _MALFORMED}
 
 
-@pytest.mark.parametrize(
-    "mangle,code",
-    [
-        (lambda t: t.replace("version|1", "version|9"), "atlas_version"),
-        (lambda t: t.replace("version|1", "# no version"), "atlas_version"),
-        (lambda t: t.replace("row|G2|1|0|0|0|G_2|", "row|G2|1|0|0|0|G_2"), "atlas_parse_error"),
-        (lambda t: t.replace("row|G2|1|0|0|0|G_2|", "row|H9|1|0|0|0|G_2|"), "atlas_parse_error"),
-        (lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|1|0|3|A_2|"), "atlas_parse_error"),
-        (lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|1|0|0|A_9|"), "atlas_parse_error"),
-        (lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|1|4|0|A_2|"), "atlas_parse_error"),
-        (lambda t: t.replace("iso|A|pseudo_levi|A_n|n>=0", "iso|A|levi|A_n|n>=0"), "atlas_parse_error"),
-        (lambda t: t + "wat|1|2\n", "atlas_parse_error"),
-        (_REPEAT_E8_ROW, "atlas_parse_error"),
-        (lambda t: t.replace("version|1", "version|²"), "atlas_parse_error"),
-        (lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|١|0|0|A_2|"), "atlas_parse_error"),
-        (lambda t: t.replace("version|1", "version|" + "9" * 5000), "atlas_version"),
-        (lambda t: t.replace("row|G2|2|1|0|0|A_2|", "row|G2|2|1|0|0||"), "atlas_parse_error"),
-    ],
-)
+@pytest.mark.parametrize("mangle,code", [row[:2] for row in _MALFORMED])
 def test_load_atlas_rejects_malformed(tmp_path, mangle, code):
     bad = tmp_path / "bad_atlas.txt"
     bad.write_text(mangle(load_atlas().text), encoding="utf-8")
     with pytest.raises(DomainError) as err:
         load_atlas(str(bad))
-    assert err.value.code == code
-    if mangle is _REPEAT_E8_ROW:
-        # the refusal names the line the row repeats
-        lines = load_atlas().text.splitlines()
-        first = next(i for i, l in enumerate(lines, 1) if l.startswith("row|E8|"))
-        assert str(err.value).endswith(f":{len(lines) + 1}: row 1_0 repeats line {first}")
+    assert (err.value.code, str(err.value)) == (code, f"{bad}{_MESSAGE_OF[mangle]}")
 
 
 def test_atlas_row_spot_checks():

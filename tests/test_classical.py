@@ -71,6 +71,7 @@ def test_group_descriptor_validation():
         (Series.SP, 5, "Sp needs even dimension, got 5"),
         (Series.SO_ODD, 6, "SO_odd needs odd dimension, got 6"),
         (Series.SO_EVEN, 7, "SO_even needs even dimension, got 7"),
+        (Series.SP, -2, "dimension must be nonnegative, got -2"),
     ],
 )
 def test_parity_refusal_messages(series, dimension, message):
@@ -242,6 +243,12 @@ def test_eigen_orbit_validation():
         EigenOrbit("1", GEN, Partition([1]))  # generic ids must differ from them
     with pytest.raises(DomainError):
         EigenOrbit("x", GEN, Partition())  # empty Jordan type
+    with pytest.raises(DomainError) as err:
+        EigenOrbit("", GEN, Partition([1]))
+    assert (err.value.code, str(err.value)) == ("bad_orbit", "orbit id must be a nonempty string, got ''")
+    with pytest.raises(DomainError) as err:
+        EigenOrbit("x", GEN, LabeledPartition([2, 2], {2: 0}))
+    assert (err.value.code, str(err.value)) == ("bad_orbit", "generic orbits carry a plain partition Jordan type")
 
 
 # ---------------------------------------------------------------------------

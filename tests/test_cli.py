@@ -5,12 +5,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import sys
 import time
 from importlib import resources
 
 import jsonschema
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from weylstrata import cli
@@ -145,77 +147,112 @@ def test_classify_labels_from_json_strings(capsys, monkeypatch):
     assert env["payload"]["stratum"]["parts"] == [1, 1, 0, 1]
 
 
-@pytest.mark.parametrize(
-    "text,code",
-    [
-        ("not json", "bad_document"),
-        ("[1, 2]", "bad_document"),
-        ('{"group": {"series": "Sp", "N": 4}}', "bad_document"),
-        ('{"group": {"series": "Sp"}, "orbits": []}', "bad_document"),
-        (
-            '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "1", "kind": "x", "parts": [2, 2]}]}',
-            "bad_document",
-        ),
-        (
-            '{"group": {"series": "Xq", "N": 4}, "orbits": []}',
-            "bad_series",
-        ),
-        (
-            '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "a", "kind": "generic", "parts": [1]}, '
-            '{"id": "a", "kind": "generic", "parts": [1]}]}',
-            "bad_orbit",
-        ),
-        (
-            '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "1", "kind": "involutive", "parts": [3, 1]}]}',
-            "not_in_family",
-        ),
-        (
-            '{"group": {"series": "SO_even", "N": 4}, "orbits": [{"id": "1", "kind": "involutive", "parts": [3]}, '
-            '{"id": "-1", "kind": "involutive", "parts": [1]}]}',
-            "bad_parity",
-        ),
-        (
-            '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "x", "kind": "generic", "parts": [-1]}]}',
-            "bad_partition",
-        ),
-        (
-            '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "x", "kind": "generic", "parts": [1, 2]}]}',
-            "bad_partition",
-        ),
-        (
-            '{"group": {"series": "Sp", "N": 4, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
-            '"parts": [2, 2], "labels": {"2": 2}}]}',
-            "bad_labels",
-        ),
-        (
-            '{"group": {"series": "Sp", "N": 4, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
-            '"parts": [2, 2], "labels": {}}]}',
-            "bad_labels",
-        ),
-        (
-            '{"group": {"series": "Sp", "N": 4, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
-            '"parts": [3, 1], "labels": {}}]}',
-            "bad_parity",
-        ),
-        # label keys follow the integer rule of class text: ASCII digits, no underscores
-        (
-            '{"group": {"series": "Sp", "N": 40, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
-            '"parts": [20, 20], "labels": {"2_0": 1}}]}',
-            "bad_document",
-        ),
-        (
-            '{"group": {"series": "Sp", "N": 4, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
-            '"parts": [2, 2], "labels": {"\u0662": 1}}]}',
-            "bad_document",
-        ),
-    ],
-)
+# (document, code, message)
+_BAD_DOCUMENTS = [
+    ("not json", "bad_document", "input is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[1, 2]", "bad_document", "input document must be a JSON object"),
+    ('{"group": {"series": "Sp", "N": 4}}', "bad_document", 'document must have "group" and "orbits"'),
+    (
+        '{"group": {"series": "Sp"}, "orbits": []}',
+        "bad_document",
+        'group must be {"series": ..., "N": ..., "char"?: ...}',
+    ),
+    (
+        '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "1", "kind": "x", "parts": [2, 2]}]}',
+        "bad_document",
+        "unknown orbit kind 'x'",
+    ),
+    (
+        '{"group": {"series": "Xq", "N": 4}, "orbits": []}',
+        "bad_series",
+        "unknown series 'Xq'; expected GL, Sp, SO_odd, or SO_even",
+    ),
+    (
+        '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "a", "kind": "generic", "parts": [1]}, '
+        '{"id": "a", "kind": "generic", "parts": [1]}]}',
+        "bad_orbit",
+        "orbit ids must be distinct, got ['a', 'a']",
+    ),
+    (
+        '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "1", "kind": "involutive", "parts": [3, 1]}]}',
+        "not_in_family",
+        "involutive orbit '1': Jordan type (3, 1) is not in the symplectic family",
+    ),
+    (
+        '{"group": {"series": "SO_even", "N": 4}, "orbits": [{"id": "1", "kind": "involutive", "parts": [3]}, '
+        '{"id": "-1", "kind": "involutive", "parts": [1]}]}',
+        "bad_parity",
+        "involutive orbit '1' of SO_even must have even weight, got 3",
+    ),
+    (
+        '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "x", "kind": "generic", "parts": [-1]}]}',
+        "bad_partition",
+        "partition parts must be positive, got -1 in [-1]",
+    ),
+    (
+        '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "x", "kind": "generic", "parts": [1, 2]}]}',
+        "bad_partition",
+        "partition parts must weakly decrease, got [1, 2]",
+    ),
+    (
+        '{"group": {"series": "Sp", "N": 4, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
+        '"parts": [2, 2], "labels": {"2": 2}}]}',
+        "bad_labels",
+        "label for value 2 must be 0 or 1, got 2",
+    ),
+    (
+        '{"group": {"series": "Sp", "N": 4, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
+        '"parts": [2, 2], "labels": {}}]}',
+        "bad_labels",
+        "labels must be given for exactly the eligible values [2] of (2, 2), got keys []",
+    ),
+    (
+        '{"group": {"series": "Sp", "N": 4, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
+        '"parts": [3, 1], "labels": {}}]}',
+        "bad_parity",
+        "odd value 3 occurs 1 times in (3, 1); odd values must occur an even number of times",
+    ),
+    # label keys follow the integer rule of class text: ASCII digits, no underscores
+    (
+        '{"group": {"series": "Sp", "N": 40, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
+        '"parts": [20, 20], "labels": {"2_0": 1}}]}',
+        "bad_document",
+        "orbit labels must map integers to bits",
+    ),
+    (
+        '{"group": {"series": "Sp", "N": 4, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
+        '"parts": [2, 2], "labels": {"\u0662": 1}}]}',
+        "bad_document",
+        "orbit labels must map integers to bits",
+    ),
+    (
+        '{"group": {"series": "Sp", "N": 4}, "orbits": [[2, 2]]}',
+        "bad_document",
+        "each orbit must be a JSON object",
+    ),
+    (
+        '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "1", "parts": [2, 2]}]}',
+        "bad_document",
+        "orbit is missing ['kind']",
+    ),
+    (
+        '{"group": {"series": "Sp", "N": 4, "char": 2}, "orbits": [{"id": "1", "kind": "involutive", '
+        '"parts": [2, 2], "labels": [2]}]}',
+        "bad_document",
+        "orbit labels must be an object",
+    ),
+    ('{"group": {"series": "Sp", "N": 4}, "orbits": {"id": "1"}}', "bad_document", '"orbits" must be a list'),
+]
+_DOCUMENT_MESSAGE = {text: message for text, _, message in _BAD_DOCUMENTS}
+
+
+@pytest.mark.parametrize("text,code", [row[:2] for row in _BAD_DOCUMENTS])
 def test_classify_rejects_bad_documents(capsys, monkeypatch, text, code):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     status, env = run_json(capsys, "classify", "-")
     assert status == 1
     assert env["status"] == "error"
-    assert env["payload"]["code"] == code
+    assert (env["payload"]["code"], env["payload"]["message"]) == (code, _DOCUMENT_MESSAGE[text])
 
 
 def test_classify_rejects_non_utf8_input(tmp_path, capsys, monkeypatch):
@@ -547,16 +584,88 @@ def _command_lines(draw):
     return [command] + [word for piece in draw(st.permutations(pieces)) for word in piece]
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(
+# a command line of the table's options, or any pieces after at most one command
+_ARGV = st.one_of(
     _command_lines(),
     st.builds(lambda head, pieces: head + [w for piece in pieces for w in piece],
               st.lists(st.sampled_from(_COMMAND_NAMES), max_size=1), st.lists(_PIECE, max_size=8)),
-))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ARGV)
 def test_option_table_reads_argv_as_argparse_did(argv):
     expected = reference_reads(argv)
     event("read" if isinstance(expected, dict) else f"exit {expected}")
     assert table_reads(argv) == expected
+
+
+# the checks that finish in under 10 ms; the fuzz below runs one of them
+# wherever it draws a longer suite
+_FAST_CHECKS = ("golden-sp2", "golden-so2", "sp4-strata", "e8-counts", "star-inventory", "endpoints", "gl-oracle")
+_SLOW_SUITES = {"all", *check_names()} - set(_FAST_CHECKS)
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    argv = []
+    for word in draw(_ARGV):
+        head, eq, value = word.partition("=")
+        if word in _SLOW_SUITES:
+            word = draw(st.sampled_from(_FAST_CHECKS))
+        elif eq and value in _SLOW_SUITES:
+            word = f"{head}={draw(st.sampled_from(_FAST_CHECKS))}"
+        argv.append(word)
+    return argv
+
+
+_ORBIT_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(("1", "-1", "x", "y", "")),
+        "kind": st.sampled_from(("involutive", "generic", "x")),
+        "parts": st.lists(st.integers(-1, 4), max_size=4),
+    },
+    optional={"labels": st.dictionaries(st.sampled_from(("1", "2", "4", "x")), st.integers(0, 2), max_size=2)},
+)
+_GROUP_DOCUMENTS = st.fixed_dictionaries(
+    {"series": st.sampled_from(("GL", "Sp", "SO", "SO_odd", "SO_even", "Xq")), "N": st.integers(-1, 8)},
+    optional={"char": st.sampled_from((0, 2, 3, 4))},
+)
+_DOCUMENTS = st.one_of(
+    st.fixed_dictionaries({"group": _GROUP_DOCUMENTS, "orbits": st.lists(_ORBIT_DOCUMENTS, max_size=3)}).map(json.dumps),
+    st.sampled_from(("not json", "[1, 2]", "{}")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzzed_argv(), _DOCUMENTS)
+def test_main_keeps_its_contract_on_fuzzed_input(argv, document):
+    read = table_reads(argv)
+    # verify without --suite runs every check; that command line is left to the acceptance tests
+    assume(not isinstance(read, dict) or read["command"] != "verify" or read["suite"] in _FAST_CHECKS)
+    out, stdin, sys.stdin = io.StringIO(), sys.stdin, io.StringIO(document)
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            status = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert time.perf_counter() - start < 5.0
+    assert status in (0, 1, 2, 3)
+    text = out.getvalue()
+    event(f"exit {status}")
+    if read == 0:
+        assert (status, text.startswith("usage: weylstrata ")) == (0, True)
+    elif isinstance(read, dict) and read["command"] == "tables" and read["raw"] and status == 0:
+        assert text == load_atlas().text
+    elif isinstance(read, dict) and read["format"] == "table":
+        # the table text, or one error line for a refusal
+        assert text.endswith("\n") and text.startswith("error [") == (status in (1, 3))
+    else:
+        envelope = json.loads(text)
+        ENVELOPE.validate(envelope)
+        if status in (0, 1, 2):
+            assert envelope["status"] == ("ok" if status == 0 else "error")
 
 
 @pytest.mark.parametrize(
@@ -643,6 +752,20 @@ def test_verify_falsified_claim_exits_3(tmp_path, capsys):
     )
     assert status == 3
     assert env["payload"]["passed"] is False
+
+
+def test_verify_data_file_restores_the_atlas_variable(tmp_path, capsys, monkeypatch):
+    # the checks read --data-file through the variable, which is set back afterwards
+    good = tmp_path / "good.txt"
+    good.write_text(load_atlas().text, encoding="utf-8")
+    bad = tmp_path / "bad.txt"
+    bad.write_text(load_atlas().text.replace("row|E8|1|120|0|0|A_0|\n", ""), encoding="utf-8")
+    monkeypatch.setenv(ATLAS_ENV_VAR, str(good))
+    status, env = run_json(capsys, "verify", "--suite", "e8-counts", "--data-file", str(bad))
+    assert (status, env["payload"]["passed"]) == (3, False)
+    assert os.environ[ATLAS_ENV_VAR] == str(good)
+    status, env = run_json(capsys, "verify", "--suite", "e8-counts")
+    assert (status, env["payload"]["passed"]) == (0, True)
 
 
 def test_tables_counts_and_filters(capsys):

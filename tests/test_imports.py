@@ -347,3 +347,42 @@ def test_an_enum_member_read_through_its_class_is_caught():
     assert _enum_member_reads(source, ("Group",)) == ["Group, line 6: Series.SP"]
     with pytest.raises(KeyError):
         _enum_member_reads(source, ("missing",))
+
+
+# The commands reach the Weyl maps through weyl's public functions, which
+# check the class they are given; the private ones trust their caller.
+COMMANDS = [p for p in MODULES if p.parent.name == "commands"]
+
+
+def _private_weyl_imports(source: str, package: str) -> list[str]:
+    # each "_"-prefixed name imported from weylstrata.weyl, relative imports
+    # resolved against the module's package
+    found, parts = [], package.split(".")
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        # level 1 is the package itself, each further level one package up
+        base = parts[: len(parts) + 1 - node.level] if node.level else []
+        module = ".".join(base + [node.module] if node.module else base)
+        if module == "weylstrata.weyl":
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", COMMANDS, ids=_name)
+def test_commands_import_no_private_weyl_name(path):
+    assert _private_weyl_imports(path.read_text(encoding="utf-8"), "weylstrata.commands") == []
+
+
+def test_a_private_weyl_import_is_caught():
+    source = (
+        "from ..weyl import WeylType, _stratum as s\n"
+        "from weylstrata.weyl import _fixed_space_dim\n"
+        "from .weyl import _stratum_rule\n"
+        "from ..classical import _stratum\n"
+        "def run():\n"
+        "    from ..weyl import parse_class, _check_class\n"
+    )
+    assert _private_weyl_imports(source, "weylstrata.commands") == [
+        "_stratum (line 1)", "_fixed_space_dim (line 2)", "_check_class (line 6)",
+    ]

@@ -20,7 +20,7 @@ from weylstrata.jordan import (
 )
 from weylstrata.jordan_inverse import count_jordan, enumerate_jordan, invert_bijection
 from weylstrata.partitions import Bipartition, Partition, has_excess
-from weylstrata.verify import run_check
+from weylstrata.verify import run_suite
 from weylstrata.weyl import WeylSeries, WeylType, strata_fibers
 
 SP = JordanFamily.SYMPLECTIC
@@ -411,17 +411,17 @@ def test_count_jordan_matches_filter_oracle():
 
 def test_bijectivity_check_asserts_the_count(monkeypatch):
     monkeypatch.setattr("weylstrata.verify.count_jordan", lambda family, N: -1)
-    result = run_check("bijectivity")
+    result = run_suite(("bijectivity",))[0]
     assert not result.passed and "counted -1" in result.detail
 
 
 def test_bijectivity_check_inverts_the_codomain(monkeypatch):
-    result = run_check("bijectivity")
+    result = run_suite(("bijectivity",))[0]
     assert result.passed and "all 7193 codomain elements invert to their preimages" in result.detail
     # an inverse that answers the empty partition is caught at the first
     # codomain element whose preimage is not empty
     monkeypatch.setattr("weylstrata.verify.invert_bijection", lambda family, N, bp: Partition())
-    result = run_check("bijectivity")
+    result = run_suite(("bijectivity",))[0]
     assert not result.passed and result.detail == "SYMPLECTIC weight 2: (1,) inverts to ()"
 
 
@@ -479,7 +479,7 @@ def test_every_path_keeps_the_consistency_checks(monkeypatch, change, message):
     broken = dict(jordan._REPLACEMENTS)
     broken[SP2, 0] = (excess, {key: change(key, *pair) for key, pair in offsets.items()})
     monkeypatch.setattr(jordan, "_REPLACEMENTS", broken)
-    result = run_check("golden-sp2")
+    result = run_suite(("golden-sp2",))[0]
     assert not result.passed and re.search(message, result.detail)
     with pytest.raises(ConsistencyError, match=message):
         strata_fibers(WeylType(WeylSeries.B, 3))

@@ -179,25 +179,46 @@ def test_bipartition_rejects_track_violations():
             assert _oracle_is_bipartition(seq), seq
 
 
-@pytest.mark.parametrize(
-    "make,code",
-    [
-        (lambda: Partition([1, 2]), "bad_partition"),
-        (lambda: Partition([2, -1]), "bad_partition"),
-        (lambda: Partition([2, 1.5]), "bad_entries"),
-        (lambda: Bipartition([1, 1, 2]), "bad_bipartition"),
-        (lambda: Bipartition([1, -1]), "bad_bipartition"),
-        (lambda: Bipartition([True]), "bad_entries"),
-        (lambda: has_excess(Bipartition([1]), (-1, 0)), "bad_excess"),
-        (lambda: has_excess(Bipartition([1]), "x"), "bad_excess"),
-        (lambda: n_invariant(Bipartition(), -1), "bad_weight"),
-        (lambda: enumerate_partitions(-1), "bad_weight"),
-    ],
-)
+# (make, code, message)
+_REFUSALS = [
+    (lambda: Partition([1, 2]), "bad_partition", "partition parts must weakly decrease, got [1, 2]"),
+    (lambda: Partition([2, -1]), "bad_partition", "partition parts must be positive, got -1 in [2, -1]"),
+    (lambda: Partition([2, 1.5]), "bad_entries", "entries must be integers, got 1.5"),
+    (
+        lambda: Bipartition([1, 1, 2]),
+        "bad_bipartition",
+        "entries at positions 1 and 3 must weakly decrease, got [1, 1, 2]",
+    ),
+    (lambda: Bipartition([1, -1]), "bad_bipartition", "bipartition entries must be nonnegative, got [1, -1]"),
+    (lambda: Bipartition([True]), "bad_entries", "entries must be integers, got True"),
+    (
+        lambda: has_excess(Bipartition([1]), (-1, 0)),
+        "bad_excess",
+        "excess components must be nonnegative, got Excess(e=-1, e_prime=0)",
+    ),
+    (lambda: has_excess(Bipartition([1]), "x"), "bad_excess", "excess must be a pair of integers, got 'x'"),
+    (lambda: n_invariant(Bipartition(), -1), "bad_weight", "half must be nonnegative, got -1"),
+    (lambda: enumerate_partitions(-1), "bad_weight", "weight must be nonnegative, got -1"),
+    # a plain list is read as a Bipartition first
+    (
+        lambda: has_excess([1, 1, 2], (0, 0)),
+        "bad_bipartition",
+        "entries at positions 1 and 3 must weakly decrease, got [1, 1, 2]",
+    ),
+    (
+        lambda: n_invariant([1, 1, 2], 4),
+        "bad_bipartition",
+        "entries at positions 1 and 3 must weakly decrease, got [1, 1, 2]",
+    ),
+]
+_REFUSAL_MESSAGE = {make: message for make, _, message in _REFUSALS}
+
+
+@pytest.mark.parametrize("make,code", [row[:2] for row in _REFUSALS])
 def test_refusal_codes(make, code):
     with pytest.raises(DomainError) as err:
         make()
-    assert err.value.code == code
+    assert (err.value.code, str(err.value)) == (code, _REFUSAL_MESSAGE[make])
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +358,8 @@ def test_has_excess_examples():
     assert has_excess(Bipartition([3]), (0, 0))
     assert has_excess(Bipartition(), (0, 0))
     assert has_excess(Bipartition([1, 0, 1]), (0, 4))
+    # a plain list is read as the Bipartition it spells
+    assert has_excess([0, 2], (2, 2)) and not has_excess([0, 2], (0, 2))
 
 
 def test_has_excess_matches_oracle():
@@ -558,6 +581,7 @@ def test_n_invariant_examples():
     assert n_invariant(Bipartition([1, 1]), 2) == 1
     assert n_invariant(Bipartition([0, 1, 0, 1]), 2) == 4
     assert n_invariant(Bipartition(), 0) == 0
+    assert n_invariant([0, 1, 0, 1], 2) == 4
 
 
 def test_n_invariant_rejects_weight_mismatch():
