@@ -1,4 +1,4 @@
-"""Line counts of the package's modules, and the code lines each CLI command compiles.
+"""Line counts of the package's modules, the code lines each CLI command compiles, and its options.
 
     python3 scripts/count_lines.py
 
@@ -9,7 +9,9 @@ under src/weylstrata, subpackages included, by its path there, then the
 totals.  Then one row per command of CORPUS, the command lines that
 tests/test_cold_start.py runs: the code lines of the weylstrata modules
 that a fresh process running that command loads, and so compiles when no
-bytecode is cached.
+bytecode is cached.  Then one row per command of weylstrata.cli's option
+table: how many values its command line can set, the options every command
+takes and its own, then their total.
 """
 
 from __future__ import annotations
@@ -86,6 +88,15 @@ def loaded_files(argv) -> list[str]:
     return [os.path.realpath(path) for path in json.loads(done.stdout.splitlines()[-1])]
 
 
+def option_counts() -> dict[str, int]:
+    """command -> the values its command line can set: the common options and its own."""
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    from weylstrata import cli
+
+    return {command: len(cli._COMMON) + len(entry[1]) for command, entry in cli._COMMANDS.items()}
+
+
 def main() -> None:
     totals, code_of = [0, 0], {}
     print(f"{'module':<20} {'lines':>6} {'code':>6}")
@@ -99,6 +110,11 @@ def main() -> None:
     print(f"\n{'command':<20} {'code':>13}")
     for command, argv in CORPUS.items():
         print(f"{command:<20} {sum(code_of[path] for path in loaded_files(argv)):>13,}")
+    options = option_counts()
+    print(f"\n{'command':<20} {'options':>13}")
+    for command, n in options.items():
+        print(f"{command:<20} {n:>13}")
+    print(f"{'total':<20} {sum(options.values()):>13}")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ _MODULE_OF = {
         ("classical", (
             "EigenOrbit", "GroupDescriptor", "OrbitKind", "Series", "SpectralDatum",
             "StratumResult", "classify", "dimension_set", "enumerate_strata", "positive_roots",
-            "series_from_name", "stratum_excess",
+            "series_from_name", "stratum_excess", "stratum_of_label",
         )),
         ("enumeration", (
             "count_bipartitions", "enumerate_bipartitions", "enumerate_partitions", "n_invariant_set",
@@ -37,7 +37,7 @@ _MODULE_OF = {
         ("jordan", ("JordanFamily", "LabeledPartition", "apply_bijection", "codomain", "family_from_name")),
         ("jordan_inverse", ("count_jordan", "enumerate_jordan", "invert_bijection")),
         ("partitions", (
-            "Bipartition", "Excess", "Partition", "bp_sum", "has_excess", "n_invariant",
+            "Bipartition", "Excess", "Partition", "bp_sum", "has_excess", "n_invariant", "parse_entries",
         )),
         ("verify", ("CheckResult", "check_names", "run_suite")),
         ("weyl", (

@@ -270,7 +270,12 @@ class StratumResult(Record):
         return self.n_invariant
 
 
-def _stratum(group: GroupDescriptor, bp: Bipartition) -> StratumResult:
+def stratum_of_label(group: GroupDescriptor, bp: Bipartition) -> StratumResult:
+    """The stratum of the group labelled bp.
+
+    bp is a Bipartition of weight ``group.rank_half``, which is checked, in
+    the series' label set, which is the caller's to establish.
+    """
     n_e = n_invariant(bp, group.rank_half)
     dim = 2 * positive_roots(group) - 2 * n_e
     degenerate = bp.is_pair_symmetric if group.series is _SO_EVEN else None
@@ -290,7 +295,7 @@ def classify(datum: SpectralDatum) -> StratumResult:
     entries = list(map(sum, zip_longest(*contributions, fillvalue=0)))
     if any(map(lt, entries, entries[2:])):
         raise ConsistencyError(f"the orbit contributions add up to {tuple(entries)}, not a bipartition")
-    return _stratum(_classifying_group(datum.group), tuple.__new__(Bipartition, entries))  # checked above
+    return stratum_of_label(_classifying_group(datum.group), tuple.__new__(Bipartition, entries))  # checked above
 
 
 def stratum_excess(series: Series) -> Excess:
@@ -312,8 +317,8 @@ def enumerate_strata(group: GroupDescriptor) -> tuple[StratumResult, ...]:
     """
     from .enumeration import enumerate_bipartitions
 
-    # each label's _stratum, without checking the enumerated label again, in
-    # a record filled through its slot setters
+    # each label's stratum_of_label, without checking the enumerated label
+    # again, in a record filled through its slot setters
     half = group.rank_half
     two_roots = 2 * positive_roots(group)
     so_even = group.series is _SO_EVEN

@@ -70,8 +70,9 @@ def _flag(value) -> bool:
 # an _one_of check, or _flag), and the default ... marks an option that must be
 # given.  A name without dashes is the command's positional argument.
 _HELP = (("-h", None, _flag, None, ""), ("--help", None, _flag, None, "show this help message and exit"))
-_COMMON = (("--format", "format", _one_of(lambda: ("json", "table")), "json", "json (default) or table"),
-           ("--data-file", "data_file", str, None, "override the packaged strata table file"))
+_COMMON = (("--format", "format", _one_of(lambda: ("json", "table")), "json", "json (default) or table"),)
+# the first option of each command that reads the exceptional tables
+_DATA_FILE = ("--data-file", "data_file", str, None, "override the packaged strata table file")
 
 # command -> (help, options).  Each command is also the name of its module in
 # weylstrata.commands, whose run(args) returns (payload, diagnostics) and
@@ -80,6 +81,7 @@ _COMMANDS = {
     "classify": ("classify a spectral datum into its stratum", (
         ("input", "input", str, ..., "path to a JSON spectral datum, or - for stdin"),)),
     "phi": ("map a Weyl conjugacy class to its stratum", (
+        _DATA_FILE,
         ("--group", "group", str, ..., "A, B, C, D (with --rank) or G2, F4, E6, E7, E8"),
         ("--rank", "rank", int, None, "rank for classical series"),
         ("--class", "class_label", str, ..., "cycle lengths '3,1' (A) or '3,1;2' (B/C/D), or a label 'D_7(a_1)'"),
@@ -89,12 +91,14 @@ _COMMANDS = {
         ("--dimension", "dimension", int, ..., "size N of the group GL_N/Sp_N/SO_N"),
         ("--char", "char", int, 0, "field characteristic (default 0)"),)),
     "tables": ("dump rows of the exceptional strata table", (
+        _DATA_FILE,
         ("--group", "group", str, ..., "G2, F4, E6, E7 or E8"),
         ("--char", "char", int, None, "keep only strata with unipotent classes in this characteristic"),
         ("--rep", "rep", str, None, "keep only the row for this representation"),
         ("--class", "class_label", str, None, "keep only rows containing this class"),
         ("--raw", "raw", _flag, False, "write the table file bytes verbatim and exit"),)),
     "verify": ("run the recorded verification checks", (
+        _DATA_FILE,
         ("--suite", "suite", _one_of(_suite_names), "all", "which check to run (default all)"),)),
     "invert": ("find the preimage of a stratum under a family bijection", (
         ("--family", "family", str, ..., "Z1, Z2, Z1P, Z2P or a family name like symplectic_char2"),

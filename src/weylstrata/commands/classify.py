@@ -8,7 +8,7 @@ import sys
 from ..classical import EigenOrbit, GroupDescriptor, OrbitKind, SpectralDatum, classify, series_from_name
 from ..errors import DomainError
 from ..jordan import LabeledPartition
-from ..partitions import _ENTRY, Partition
+from ..partitions import Partition, parse_entries
 from ._shared import _group_payload, _render_stratum, _stratum_payload
 
 
@@ -68,9 +68,9 @@ def _orbit_from_doc(doc: dict):
         if not isinstance(raw_labels, dict):
             raise DomainError("orbit labels must be an object", code="bad_document")
         try:
-            if not all(map(_ENTRY.fullmatch, raw_labels)):  # the rule of class text and --target
-                raise ValueError
-            labels = {int(k): v for k, v in raw_labels.items()}
+            # each key is one entry by the rule of class text and --target; a
+            # DomainError is a ValueError
+            labels = {key: v for (key,), v in zip(map(parse_entries, raw_labels), raw_labels.values())}
             if not all(type(v) is int for v in labels.values()):  # no floats, no bools
                 raise ValueError
         except ValueError:

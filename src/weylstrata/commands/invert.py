@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from ..jordan import LabeledPartition, family_from_name
 from ..jordan_inverse import invert_bijection
-from ..partitions import Bipartition, _parse_entries
+from ..partitions import Bipartition, parse_entries
 from ._shared import _parts_text
 
 
 def run(args) -> tuple[dict, list[str]]:
     family = family_from_name(args.family)
-    target = Bipartition(_parse_entries(args.target))
+    target = Bipartition(parse_entries(args.target))
     preimage = invert_bijection(family, args.N, target)
     payload = {"family": family.value, "N": args.N, "target": list(target)}
     if isinstance(preimage, LabeledPartition):

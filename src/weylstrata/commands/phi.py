@@ -16,7 +16,7 @@ def run(args) -> tuple[dict, list[str]]:
     name = args.group.strip()
     diagnostics: list[str] = []
     if name.upper() in _CLASSICAL_LETTERS:
-        from ..classical import _stratum
+        from ..classical import stratum_of_label
         from ..weyl import WeylSeries, WeylType, fixed_space_dim, parse_class, stratum_of_class, weyl_series_from_name
 
         if args.rank is None:
@@ -30,7 +30,7 @@ def run(args) -> tuple[dict, list[str]]:
         cls = parse_class(wt, args.class_label)
         # dimensions of strata come from the algebraic group with this Weyl group
         group = wt.group
-        result = _stratum(group, stratum_of_class(wt, cls))
+        result = stratum_of_label(group, stratum_of_class(wt, cls))
         payload = {
             "weyl": {"series": series.value, "rank": args.rank},
             "class": str(cls) if series is not WeylSeries.A else ",".join(map(str, cls)),

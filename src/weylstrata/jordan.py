@@ -322,6 +322,8 @@ _REPLACEMENTS = {
 def _rule(family: JordanFamily, N: int) -> tuple:
     # What _rewrite reads of a weight-N family map, read once per call:
     # (family, codomain excess, N // 2, offsets).
+    if type(N) is not int and (isinstance(N, bool) or not isinstance(N, int)):
+        raise DomainError(f"weight must be an integer, got {N!r}", code="bad_weight")
     if N < 0:
         raise DomainError(f"weight must be nonnegative, got {N}", code="bad_weight")
     rule = _REPLACEMENTS.get((family, N % 2))

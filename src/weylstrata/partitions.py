@@ -35,9 +35,10 @@ class Excess(NamedTuple):
 
 
 def _as_excess(x) -> Excess:
+    # exactly two components, each an int and not a bool; a DomainError is a ValueError
     try:
-        ex = Excess(int(x[0]), int(x[1]))
-    except (TypeError, ValueError, IndexError):
+        ex = Excess(*_as_int_seq(x))
+    except (TypeError, ValueError):
         raise DomainError(f"excess must be a pair of integers, got {x!r}", code="bad_excess") from None
     if ex.e < 0 or ex.e_prime < 0:
         raise DomainError(f"excess components must be nonnegative, got {ex}", code="bad_excess")
@@ -57,7 +58,7 @@ def _as_int_seq(seq) -> list[int]:
 _ENTRY = re.compile(r"[^\S\x1c-\x1f]*[+-]?[0-9]+[^\S\x1c-\x1f]*")
 
 
-def _parse_entries(text: str) -> list[int]:
+def parse_entries(text: str) -> list[int]:
     """The integers of comma-separated text, in order; empty text has none.
 
     Each piece is ASCII digits with an optional sign and optional whitespace

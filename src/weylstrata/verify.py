@@ -7,10 +7,12 @@ failing check is an internal consistency failure, not a user error.
 
 Checks are registered in a fixed order; ``run_suite`` executes them and
 reports one result per check, with wall-clock time compared against the
-stated budget where one applies.  A falsified claim has one channel: a
-ConsistencyError, raised by the check itself or by the library under it,
-becomes that check's FAIL row, and the other checks still run.  A
-DomainError, such as an unreadable atlas file, still propagates.
+stated budget where one applies.  The checks that read the exceptional
+tables are passed the atlas, read from the file ``run_suite`` is given or
+else from where ``load_atlas()`` finds it.  A falsified claim has one
+channel: a ConsistencyError, raised by the check itself or by the library
+under it, becomes that check's FAIL row, and the other checks still run.
+A DomainError, such as an unreadable atlas file, still propagates.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from .classical import (
     OrbitKind,
     Series,
     SpectralDatum,
-    _stratum,
     classify,
     dimension_set,
     enumerate_strata,
     stratum_excess,
+    stratum_of_label,
 )
 from .enumeration import enumerate_bipartitions, enumerate_partitions
 from .errors import ConsistencyError, DomainError, Record
@@ -58,12 +60,13 @@ class CheckResult(Record):
         return f"{verdict} {self.name} [{timing}]: {self.detail}"
 
 
-_CHECKS: dict[str, tuple[Callable[[], str], Optional[float]]] = {}
+# name -> (check, budget, whether the check is passed the atlas)
+_CHECKS: dict[str, tuple[Callable[..., str], Optional[float], bool]] = {}
 
 
-def _check(name: str, budget: Optional[float] = None):
-    def register(func: Callable[[], str]):
-        _CHECKS[name] = (func, budget)
+def _check(name: str, budget: Optional[float] = None, reads_atlas: bool = False):
+    def register(func: Callable[..., str]):
+        _CHECKS[name] = (func, budget, reads_atlas)
         return func
 
     return register
@@ -73,13 +76,13 @@ def check_names() -> tuple[str, ...]:
     return tuple(_CHECKS)
 
 
-def _run(name: str) -> CheckResult:
+def _run(name: str, data_file: Optional[str]) -> CheckResult:
     if name not in _CHECKS:
         raise DomainError(f"unknown check {name!r}; have {', '.join(_CHECKS)}", code="bad_suite")
-    func, budget = _CHECKS[name]
+    func, budget, reads_atlas = _CHECKS[name]
     start = time.perf_counter()
     try:
-        detail = func()
+        detail = func(load_atlas(data_file)) if reads_atlas else func()
         passed = True
     except ConsistencyError as failure:
         detail = str(failure)
@@ -91,11 +94,15 @@ def _run(name: str) -> CheckResult:
     return CheckResult(name, passed, detail, seconds, budget)
 
 
-def run_suite(names=None) -> tuple[CheckResult, ...]:
-    """Run the named checks (default: all) in registration order."""
+def run_suite(names=None, data_file: Optional[str] = None) -> tuple[CheckResult, ...]:
+    """Run the named checks (default: all) in registration order.
+
+    The checks that read the exceptional tables read them from data_file,
+    or by default from where ``load_atlas()`` finds them.
+    """
     if names is None:
         names = check_names()
-    return tuple(_run(name) for name in names)
+    return tuple(_run(name, data_file) for name in names)
 
 
 def _ensure(condition: bool, message: str) -> None:
@@ -261,7 +268,7 @@ def _check_dimension_sets() -> str:
     for n in range(1, 7):
         sp2, rule = GroupDescriptor(Series.SP, 2 * n, 2), _rule(family, 2 * n)
         # unipotent classes in characteristic 2 already realize every value
-        from_unipotents = {_stratum(sp2, _rewrite(rule, runs)).class_dim for runs in _member_runs(family, 2 * n)}
+        from_unipotents = {stratum_of_label(sp2, _rewrite(rule, runs)).class_dim for runs in _member_runs(family, 2 * n)}
         _ensure(from_unipotents == dimension_set(sp2), f"n={n}: char-2 unipotent dims differ")
     return "dimension sets equal the strata's for n <= 20 and Sp_2n's char-2 unipotent dims for n <= 6"
 
@@ -282,10 +289,9 @@ def _check_minimal_dimension() -> str:
     return "minimal nonzero stratum dimension is 2n for ranks 3 through 60"
 
 
-@_check("e8-counts")
-def _check_e8_counts() -> str:
+@_check("e8-counts", reads_atlas=True)
+def _check_e8_counts(atlas) -> str:
     """E8: 75 strata; 70 contain unipotents in char 0, 74 in char 2, 71 in char 3."""
-    atlas = load_atlas()
     counts = {
         "rows": len(atlas.rows("E8")),
         0: len(atlas.strata_for_characteristic("E8", 0)),
@@ -297,10 +303,9 @@ def _check_e8_counts() -> str:
     return "75 rows; characteristic 0/2/3 give 70/74/71 strata with unipotents"
 
 
-@_check("star-inventory")
-def _check_star_inventory() -> str:
+@_check("star-inventory", reads_atlas=True)
+def _check_star_inventory(atlas) -> str:
     """The starred representations match the recorded per-prime lists."""
-    atlas = load_atlas()
     want = {
         "G2": {(1, 3, 3)},
         "F4": {(9, 6, 2), (4, 7, 2), (4, 8, 2), (2, 16, 2)},
@@ -314,10 +319,9 @@ def _check_star_inventory() -> str:
     return "starred sets exact for all five groups"
 
 
-@_check("endpoints")
-def _check_endpoints() -> str:
+@_check("endpoints", reads_atlas=True)
+def _check_endpoints(atlas) -> str:
     """A_0 maps to 1_(positive-root count) and the Coxeter class to 1_0."""
-    atlas = load_atlas()
     coxeter = {"G2": "G_2", "F4": "F_4", "E6": "E_6", "E7": "E_7", "E8": "E_8"}
     for group in EXC_GROUPS:
         bottom = atlas.rep_of_class(group, "A_0")
@@ -334,10 +338,9 @@ def _check_endpoints() -> str:
 _SIGNED_TYPES = tuple(WeylType(s, n) for s, lo in ((WeylSeries.B, 1), (WeylSeries.D, 4)) for n in range(lo, 11))
 
 
-@_check("cross-sections", budget=10.0)
-def _check_cross_sections() -> str:
+@_check("cross-sections", budget=10.0, reads_atlas=True)
+def _check_cross_sections(atlas) -> str:
     """Fixed-space dimension has a unique minimizer on every fiber."""
-    atlas = load_atlas()
     rows = 0
     for group in EXC_GROUPS:
         for row in atlas.rows(group):

@@ -44,7 +44,7 @@ from typing import NamedTuple, Union
 from .classical import GroupDescriptor, Series, _involutive_family
 from .errors import DomainError, Record, unique_minimizer
 from .jordan import JordanFamily, LabeledPartition, _datum, _rewrite, _rule, _runs
-from .partitions import Bipartition, Partition, _parse_entries
+from .partitions import Bipartition, Partition, parse_entries
 
 
 class WeylSeries(enum.Enum):
@@ -174,7 +174,7 @@ def _check_class(w: WeylType, c: WeylClass) -> WeylClass:
 
 def _cycle_lengths(text: str) -> Partition:
     # one comma-separated side of class text
-    lengths = _parse_entries(text)
+    lengths = parse_entries(text)
     if any(l <= 0 for l in lengths):
         raise _bad_class(f"cycle lengths must be positive, got {text!r}")
     return Partition(sorted(lengths, reverse=True))

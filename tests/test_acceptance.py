@@ -6,12 +6,14 @@ asserts the verdict.  Timing budgets are part of the verdict where the
 check declares one.
 """
 
+import os
 from collections import Counter
 
 import pytest
 
-from weylstrata import jordan, verify, weyl
-from weylstrata.errors import ConsistencyError
+from weylstrata import atlas, jordan, verify, weyl
+from weylstrata.atlas import ATLAS_ENV_VAR, load_atlas
+from weylstrata.errors import ConsistencyError, DomainError
 from weylstrata.jordan import JordanFamily
 from weylstrata.verify import check_names, run_suite
 from weylstrata.weyl import WeylSeries
@@ -42,8 +44,6 @@ def test_suite_is_complete():
 
 
 def test_unknown_check_is_rejected():
-    from weylstrata.errors import DomainError
-
     with pytest.raises(DomainError) as err:
         run_suite(("no-such-check",))
     assert err.value.code == "bad_suite"
@@ -134,3 +134,43 @@ def test_library_consistency_error_fails_only_its_check(monkeypatch):
     assert (golden.name, golden.passed) == ("golden-sp2", False)
     assert "the symplectic_char2 map emitted a negative entry" in golden.detail
     assert (e8.name, e8.passed) == ("e8-counts", True)
+
+
+def test_only_the_table_checks_read_the_atlas():
+    reading = {name for name, (_, _, reads_atlas) in verify._CHECKS.items() if reads_atlas}
+    assert reading == {"e8-counts", "star-inventory", "endpoints", "cross-sections"}
+
+
+def _perturbed_atlas(tmp_path):
+    # the packaged tables less one E8 row: the file still parses, e8-counts fails
+    text = load_atlas().text
+    path = tmp_path / "atlas.txt"
+    path.write_text(text.replace("row|E8|1|120|0|0|A_0|\n", ""), encoding="utf-8")
+    return str(path)
+
+
+def test_run_suite_reads_the_given_atlas_file(tmp_path, monkeypatch):
+    monkeypatch.delenv(ATLAS_ENV_VAR, raising=False)
+    (failed,) = run_suite(("e8-counts",), data_file=_perturbed_atlas(tmp_path))
+    assert not failed.passed and failed.detail.startswith("E8 counts {'rows': 74")
+    (passed,) = run_suite(("e8-counts",))
+    assert passed.passed
+    assert ATLAS_ENV_VAR not in os.environ
+
+
+def test_run_suite_reads_the_atlas_only_for_the_table_checks(tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    (golden,) = run_suite(("golden-sp2",), data_file=missing)
+    assert golden.passed
+    with pytest.raises(DomainError) as err:
+        run_suite(("golden-sp2", "e8-counts"), data_file=missing)
+    assert err.value.code == "atlas_io_error" and missing in str(err.value)
+
+
+def test_run_suite_without_a_file_reads_the_variable(tmp_path, monkeypatch):
+    monkeypatch.setenv(ATLAS_ENV_VAR, _perturbed_atlas(tmp_path))
+    (e8,) = run_suite(("e8-counts",))
+    assert not e8.passed
+    # a given file wins over the variable
+    (e8,) = run_suite(("e8-counts",), data_file=atlas._PACKAGED_PATH)
+    assert e8.passed

@@ -12,13 +12,13 @@ from weylstrata.classical import (
     OrbitKind,
     Series,
     SpectralDatum,
-    _stratum,
     classify,
     dimension_set,
     enumerate_strata,
     positive_roots,
     series_from_name,
     stratum_excess,
+    stratum_of_label,
 )
 from weylstrata import classical
 from weylstrata.enumeration import enumerate_bipartitions, enumerate_partitions
@@ -468,10 +468,10 @@ def _groups_up_to(dimension):
 
 
 def test_enumerate_strata_is_stratum_of_each_label():
-    # _stratum checks each label and computes it alone: the oracle of the one pass
+    # stratum_of_label checks each label and computes it alone: the oracle of the one pass
     for group in _groups_up_to(30):
         labels = enumerate_bipartitions(group.rank_half, stratum_excess(group.series))
-        assert enumerate_strata(group) == tuple(_stratum(group, bp) for bp in labels), group
+        assert enumerate_strata(group) == tuple(stratum_of_label(group, bp) for bp in labels), group
 
 
 def test_dimension_set_is_the_strata_class_dimensions():

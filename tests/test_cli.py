@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from weylstrata import cli
+from weylstrata import cli, verify
 
 from weylstrata.atlas import ATLAS_ENV_VAR, load_atlas
 from weylstrata.cli import main
@@ -464,8 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json",
                         help="output format (default json)")
-    common.add_argument("--data-file", default=None, metavar="PATH",
-                        help="override the packaged strata table file")
+    # the option of the commands that read the exceptional tables, after --format
+    atlas_file = argparse.ArgumentParser(add_help=False)
+    atlas_file.add_argument("--data-file", default=None, metavar="PATH",
+                            help="override the packaged strata table file")
 
     parser = argparse.ArgumentParser(
         prog="weylstrata",
@@ -477,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="classify a spectral datum into its stratum")
     p.add_argument("input", help="path to a JSON spectral datum, or - for stdin")
 
-    p = sub.add_parser("phi", parents=[common],
+    p = sub.add_parser("phi", parents=[common, atlas_file],
                        help="map a Weyl conjugacy class to its stratum")
     p.add_argument("--group", required=True,
                    help="A, B, C, D (with --rank) or G2, F4, E6, E7, E8")
@@ -495,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimension", type=int, required=True, help="size N of the group GL_N/Sp_N/SO_N")
     p.add_argument("--char", type=int, default=0, help="field characteristic (default 0)")
 
-    p = sub.add_parser("tables", parents=[common],
+    p = sub.add_parser("tables", parents=[common, atlas_file],
                        help="dump rows of the exceptional strata table")
     p.add_argument("--group", required=True, help="G2, F4, E6, E7 or E8")
     p.add_argument("--char", type=int, default=None,
@@ -506,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true",
                    help="write the table file bytes verbatim and exit")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, atlas_file],
                        help="run the recorded verification checks")
     p.add_argument("--suite", default="all", choices=("all",) + check_names(), metavar="SUITE",
                    help="which check to run (default all): %(choices)s")
@@ -542,12 +544,13 @@ def table_reads(argv):
 _COMMAND_NAMES = ("classify", "phi", "enumerate", "tables", "verify", "invert")
 _OPTIONS_OF = {
     "classify": (),
-    "phi": ("--group", "--rank", "--class", "--rep"),
+    "phi": ("--data-file", "--group", "--rank", "--class", "--rep"),
     "enumerate": ("--series", "--dimension", "--char"),
-    "tables": ("--group", "--char", "--rep", "--class", "--raw"), "verify": ("--suite",),
+    "tables": ("--data-file", "--group", "--char", "--rep", "--class", "--raw"),
+    "verify": ("--data-file", "--suite"),
     "invert": ("--family", "--N", "--target"),
 }
-_OPTION_NAMES = ("--format", "--data-file", "--help", *{name for names in _OPTIONS_OF.values() for name in names})
+_OPTION_NAMES = ("--format", "--help", *{name for names in _OPTIONS_OF.values() for name in names})
 # every option name shortened to three characters or more, unique prefix or not, and -h
 _OPTION_WORDS = sorted({name[:k] for name in _OPTION_NAMES for k in range(3, len(name) + 1)} | {"-h"})
 _VALUE_WORDS = (
@@ -574,7 +577,7 @@ def _command_lines(draw):
     """A command, most of its own options with values, at most one noise piece, in any order."""
     command = draw(st.sampled_from(_COMMAND_NAMES))
     pieces = [(draw(st.sampled_from(("-", "--", "x.json", "-4"))),)] if command == "classify" else []
-    for name in _OPTIONS_OF[command] + ("--format", "--data-file"):
+    for name in _OPTIONS_OF[command] + ("--format",):
         if draw(st.integers(0, 9)) < 8:
             word = name[:draw(st.integers(3, len(name)))] if draw(st.booleans()) else name
             value = draw(st.sampled_from(_GOOD_VALUES.get(name, ("E8", "-", "D_7(a_1)", "-1", "x y", "", "3;"))))
@@ -696,6 +699,11 @@ def test_main_keeps_its_contract_on_fuzzed_input(argv, document):
         # help, at the top and after a command, before any later error
         ("-h",), ("--help",), ("--he", "phi"), ("--bogus", "-h"),
         ("phi", "--help"), ("tables", "--group", "E8", "-h"), ("tables", "--group", "E8", "--raw=x", "-h"),
+        # only phi, tables and verify take --data-file: the others refuse it and its
+        # prefixes, and --d is no longer ambiguous for enumerate
+        ("classify", "-", "--data-file", "x"),
+        ("enumerate", "--series", "Sp", "--da=x", "--dimension", "4"),
+        ("enumerate", "--series", "Sp", "--d", "4"),
     ],
 )
 def test_option_table_fixed_cases(argv):
@@ -722,8 +730,25 @@ def test_help_lists_the_options_of_the_table(capsys, command):
         assert main([command, flag] if command else [flag]) == 0
         out = capsys.readouterr().out
         assert out.startswith(f"usage: weylstrata {command or ''}".rstrip())
-        names = _OPTIONS_OF[command] + ("--format", "--data-file") if command else _COMMAND_NAMES
+        names = _OPTIONS_OF[command] + ("--format",) if command else _COMMAND_NAMES
         assert all(name in out for name in names)
+        assert ("--data-file" in out) == (command in ("phi", "tables", "verify"))
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (("classify", "-", "--data-file", "x"), "--data-file x"),
+        (("enumerate", "--series", "Sp", "--dimension", "4", "--data-file=x"), "--data-file=x"),
+        (("invert", "--family", "Z2", "--N", "6", "--target", "3", "--da", "x"), "--da x"),
+    ],
+    ids=["classify", "enumerate", "invert"],
+)
+def test_commands_that_read_no_atlas_refuse_data_file(capsys, argv, words):
+    # the commands that read no atlas have no --data-file: it is a word left over
+    assert main(list(argv)) == 2
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["payload"] == {"code": "usage_error", "message": f"unrecognized arguments: {words}"}
 
 
 def test_verify_single_suite(capsys):
@@ -755,17 +780,30 @@ def test_verify_falsified_claim_exits_3(tmp_path, capsys):
 
 
 def test_verify_data_file_restores_the_atlas_variable(tmp_path, capsys, monkeypatch):
-    # the checks read --data-file through the variable, which is set back afterwards
+    # verify hands --data-file to the checks as an argument: the variable is as
+    # it was, set or unset, while the checks read the atlas and after they ran
     good = tmp_path / "good.txt"
     good.write_text(load_atlas().text, encoding="utf-8")
     bad = tmp_path / "bad.txt"
     bad.write_text(load_atlas().text.replace("row|E8|1|120|0|0|A_0|\n", ""), encoding="utf-8")
-    monkeypatch.setenv(ATLAS_ENV_VAR, str(good))
-    status, env = run_json(capsys, "verify", "--suite", "e8-counts", "--data-file", str(bad))
-    assert (status, env["payload"]["passed"]) == (3, False)
-    assert os.environ[ATLAS_ENV_VAR] == str(good)
-    status, env = run_json(capsys, "verify", "--suite", "e8-counts")
-    assert (status, env["payload"]["passed"]) == (0, True)
+    read, seen = verify.load_atlas, []
+
+    def spy(path=None):
+        seen.append((path, os.environ.get(ATLAS_ENV_VAR)))
+        return read(path)
+
+    monkeypatch.setattr(verify, "load_atlas", spy)
+    for before in (str(good), None):
+        if before is None:
+            monkeypatch.delenv(ATLAS_ENV_VAR)
+        else:
+            monkeypatch.setenv(ATLAS_ENV_VAR, before)
+        seen.clear()
+        status, env = run_json(capsys, "verify", "--suite", "e8-counts", "--data-file", str(bad))
+        assert (status, env["payload"]["passed"]) == (3, False)
+        assert seen == [(str(bad), before)] and os.environ.get(ATLAS_ENV_VAR) == before
+        status, env = run_json(capsys, "verify", "--suite", "e8-counts")
+        assert (status, env["payload"]["passed"]) == (0, True)
 
 
 def test_tables_counts_and_filters(capsys):

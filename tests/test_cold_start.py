@@ -206,3 +206,15 @@ def test_count_lines_sums_the_files_a_command_loads():
         "__init__.py", "cli.py", "errors.py", "atlas.py", "commands/__init__.py", "commands/_shared.py",
         "commands/phi.py",
     }
+
+
+def test_count_lines_counts_the_values_each_command_line_sets():
+    # --format on every command, --data-file only on those that read an atlas
+    from weylstrata import cli
+
+    assert count_lines.option_counts() == {
+        "classify": 2, "phi": 6, "enumerate": 4, "tables": 7, "verify": 3, "invert": 4,
+    }
+    assert sum(count_lines.option_counts().values()) == 26
+    assert [o[0] for o in cli._COMMON] == ["--format"]
+    assert [c for c, (_, options) in cli._COMMANDS.items() if options[0][0] == "--data-file"] == ["phi", "tables", "verify"]

@@ -296,7 +296,7 @@ def test_recursion_in_a_module_is_caught():
 QUERY_PATHS = {
     "classical": (
         "GroupDescriptor", "positive_roots", "EigenOrbit", "_classifying_group", "_involutive_family",
-        "SpectralDatum._validate", "_stratum",
+        "SpectralDatum._validate", "stratum_of_label",
     ),
     "weyl": ("WeylType", "_check_class", "_fixed_space_dim", "_stratum_rule", "_stratum"),
     "jordan": ("LabeledPartition",),
@@ -349,14 +349,16 @@ def test_an_enum_member_read_through_its_class_is_caught():
         _enum_member_reads(source, ("missing",))
 
 
-# The commands reach the Weyl maps through weyl's public functions, which
-# check the class they are given; the private ones trust their caller.
+# The commands reach the library through its public names, which check
+# what they are given; the private ones trust their caller.  Only the
+# commands' own helpers in commands._shared are "_"-named.
 COMMANDS = [p for p in MODULES if p.parent.name == "commands"]
 
 
-def _private_weyl_imports(source: str, package: str) -> list[str]:
-    # each "_"-prefixed name imported from weylstrata.weyl, relative imports
-    # resolved against the module's package
+def _private_library_imports(source: str, package: str) -> list[str]:
+    # each "_"-prefixed name imported from a weylstrata module other than
+    # weylstrata.commands._shared, relative imports resolved against the
+    # module's package
     found, parts = [], package.split(".")
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ImportFrom):
@@ -364,25 +366,91 @@ def _private_weyl_imports(source: str, package: str) -> list[str]:
         # level 1 is the package itself, each further level one package up
         base = parts[: len(parts) + 1 - node.level] if node.level else []
         module = ".".join(base + [node.module] if node.module else base)
-        if module == "weylstrata.weyl":
+        if module.split(".")[0] == "weylstrata" and module != "weylstrata.commands._shared":
             found += [f"{alias.name} (line {node.lineno})" for alias in node.names if alias.name.startswith("_")]
     return found
 
 
 @pytest.mark.parametrize("path", COMMANDS, ids=_name)
 def test_commands_import_no_private_weyl_name(path):
-    assert _private_weyl_imports(path.read_text(encoding="utf-8"), "weylstrata.commands") == []
+    # nor any other private library name
+    assert _private_library_imports(path.read_text(encoding="utf-8"), "weylstrata.commands") == []
 
 
 def test_a_private_weyl_import_is_caught():
     source = (
         "from ..weyl import WeylType, _stratum as s\n"
         "from weylstrata.weyl import _fixed_space_dim\n"
-        "from .weyl import _stratum_rule\n"
-        "from ..classical import _stratum\n"
+        "from ._shared import _STRATUM_FIELDS, _table_text\n"
+        "from ..classical import stratum_of_label, _stratum\n"
+        "from os.path import _get_sep\n"
+        "from weylstrata_extra import _helper\n"
+        "from .. import _MODULE_OF\n"
         "def run():\n"
-        "    from ..weyl import parse_class, _check_class\n"
+        "    from ..partitions import parse_entries, _ENTRY\n"
     )
-    assert _private_weyl_imports(source, "weylstrata.commands") == [
-        "_stratum (line 1)", "_fixed_space_dim (line 2)", "_check_class (line 6)",
+    assert _private_library_imports(source, "weylstrata.commands") == [
+        "_stratum (line 1)", "_fixed_space_dim (line 2)", "_stratum (line 4)", "_MODULE_OF (line 7)",
+        "_ENTRY (line 9)",
     ]
+
+
+# The atlas file reaches the code that reads it as an argument: no module
+# changes the process environment, which would outlive the call that set it.
+_ENVIRON_MUTATORS = {"__setitem__", "__delitem__", "clear", "pop", "popitem", "setdefault", "update"}
+
+
+def _is_environ(node) -> bool:
+    # os.environ, or environ imported from os
+    if isinstance(node, ast.Attribute):
+        return node.attr == "environ" and isinstance(node.value, ast.Name) and node.value.id == "os"
+    return isinstance(node, ast.Name) and node.id == "environ"
+
+
+def _environment_writes(source: str) -> list[int]:
+    # lines that assign to or delete from os.environ, call one of its
+    # mutating methods, or call os.putenv or os.unsetenv
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Subscript, ast.Attribute)) and not isinstance(node.ctx, ast.Load):
+            written = node.value if isinstance(node, ast.Subscript) else node
+            if _is_environ(written):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            owner = func.value if isinstance(func, ast.Attribute) else None
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if (_is_environ(owner) and name in _ENVIRON_MUTATORS) or (
+                name in ("putenv", "unsetenv") and (owner is None or getattr(owner, "id", None) == "os")
+            ):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=_name)
+def test_no_module_writes_the_environment(path):
+    assert _environment_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_environment_write_is_caught():
+    source = (
+        "import os\n"
+        "from os import environ, putenv\n"
+        "path = os.environ.get('WEYLSTRATA_ATLAS')\n"
+        "saved, value = dict(os.environ), environ['A']\n"
+        "os.environ['A'] = 'x'\n"
+        "del environ['A']\n"
+        "os.environ.pop('A', None)\n"
+        "os.environ.update(A='x')\n"
+        "environ.setdefault('A', 'x')\n"
+        "os.putenv('A', 'x')\n"
+        "os.unsetenv('A')\n"
+        "putenv('A', 'x')\n"
+        "os.environ = {}\n"
+        "os.environ |= {'A': 'x'}\n"
+        "first, os.environ['B'] = 'x', 'y'\n"
+        "def restore(saved):\n"
+        "    os.environ.clear()\n"
+        "    other.pop('A'); other['A'] = 1; self.putenv('A')\n"
+    )
+    assert _environment_writes(source) == [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17]

@@ -435,6 +435,26 @@ def test_count_jordan_examples():
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        lambda N: codomain(SO, N),
+        lambda N: enumerate_jordan(SP, N),
+        lambda N: count_jordan(SO2, N),
+        lambda N: invert_bijection(SP2, N, Bipartition([3])),
+    ],
+    ids=["codomain", "enumerate_jordan", "count_jordan", "invert_bijection"],
+)
+def test_weight_must_be_an_integer(call):
+    # a float, a bool or a string is refused, not read as the integer it is near
+    for N, message in ((6.0, "weight must be an integer, got 6.0"), (5.0, "weight must be an integer, got 5.0"),
+                       (True, "weight must be an integer, got True"), ("6", "weight must be an integer, got '6'"),
+                       (-2, "weight must be nonnegative, got -2")):
+        with pytest.raises(DomainError) as err:
+            call(N)
+        assert (err.value.code, str(err.value)) == ("bad_weight", message)
+
+
+@pytest.mark.parametrize(
     "family,nu",
     [
         (SP, Partition([3, 1])),  # odd value once

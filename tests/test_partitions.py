@@ -22,10 +22,10 @@ from weylstrata.partitions import (
     Bipartition,
     Excess,
     Partition,
-    _parse_entries,
     bp_sum,
     has_excess,
     n_invariant,
+    parse_entries,
 )
 
 
@@ -210,6 +210,18 @@ _REFUSALS = [
         "bad_bipartition",
         "entries at positions 1 and 3 must weakly decrease, got [1, 1, 2]",
     ),
+    # an excess is exactly two components, each an int and not a bool
+    (
+        lambda: enumerate_bipartitions(3, (1.9, 0.5)),
+        "bad_excess",
+        "excess must be a pair of integers, got (1.9, 0.5)",
+    ),
+    (lambda: has_excess(Bipartition([1]), ("1", True)), "bad_excess", "excess must be a pair of integers, got ('1', True)"),
+    (lambda: has_excess(Bipartition([1]), (1, True)), "bad_excess", "excess must be a pair of integers, got (1, True)"),
+    (lambda: has_excess(Bipartition([1]), (1, 1, 5)), "bad_excess", "excess must be a pair of integers, got (1, 1, 5)"),
+    (lambda: has_excess(Bipartition([1]), (1,)), "bad_excess", "excess must be a pair of integers, got (1,)"),
+    (lambda: count_bipartitions(4, [2.9, 2.9]), "bad_excess", "excess must be a pair of integers, got [2.9, 2.9]"),
+    (lambda: count_bipartitions(4, None), "bad_excess", "excess must be a pair of integers, got None"),
 ]
 _REFUSAL_MESSAGE = {make: message for make, _, message in _REFUSALS}
 
@@ -310,7 +322,7 @@ def test_constructors_agree_with_the_per_entry_loops(make, reference, entries):
     ],
 )
 def test_parse_entries_reads_signed_ascii_integers(text, entries):
-    assert _parse_entries(text) == entries
+    assert parse_entries(text) == entries
 
 
 @pytest.mark.parametrize(
@@ -320,7 +332,7 @@ def test_parse_entries_reads_signed_ascii_integers(text, entries):
 )
 def test_parse_entries_refuses_anything_else(text):
     with pytest.raises(DomainError) as err:
-        _parse_entries(text)
+        parse_entries(text)
     assert err.value.code == "parse_error"
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from weylstrata import weyl
-from weylstrata.classical import GroupDescriptor, Series, _stratum
+from weylstrata.classical import GroupDescriptor, Series, stratum_of_label
 from weylstrata.cli import main
 from weylstrata.enumeration import enumerate_bipartitions
 from weylstrata.errors import ConsistencyError, DomainError
@@ -164,7 +164,7 @@ def test_phi_answers_every_class_as_the_library(capsys, w):
         argv = ["phi", "--group", w.series.value, "--rank", str(w.rank), "--class", text]
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)["payload"]
-        want = _stratum(w.group, stratum_of_class(w, c))
+        want = stratum_of_label(w.group, stratum_of_class(w, c))
         assert payload["class"] == text
         assert tuple(payload["stratum"]["parts"]) == want.bp
         assert (payload["n_invariant"], payload["class_dim"]) == (want.n_invariant, want.class_dim)
