@@ -35,9 +35,11 @@ class Excess(NamedTuple):
 
 
 def _as_excess(x) -> Excess:
-    # exactly two components, each an int and not a bool; a DomainError is a ValueError
+    # exactly two components, each an int and not a bool; the slice refuses an
+    # iterator and copies no more than one component too many, and a
+    # DomainError is a ValueError
     try:
-        ex = Excess(*_as_int_seq(x))
+        ex = Excess(*_as_int_seq(x[:3]))
     except (TypeError, ValueError):
         raise DomainError(f"excess must be a pair of integers, got {x!r}", code="bad_excess") from None
     if ex.e < 0 or ex.e_prime < 0:

@@ -2,7 +2,7 @@ import gc
 import hashlib
 import importlib.util
 import random
-from itertools import product, zip_longest
+from itertools import count, product, zip_longest
 from pathlib import Path
 
 import pytest
@@ -222,6 +222,9 @@ _REFUSALS = [
     (lambda: has_excess(Bipartition([1]), (1,)), "bad_excess", "excess must be a pair of integers, got (1,)"),
     (lambda: count_bipartitions(4, [2.9, 2.9]), "bad_excess", "excess must be a pair of integers, got [2.9, 2.9]"),
     (lambda: count_bipartitions(4, None), "bad_excess", "excess must be a pair of integers, got None"),
+    (lambda: has_excess(Bipartition([1]), "12"), "bad_excess", "excess must be a pair of integers, got '12'"),
+    # an iterator is refused without being read, so an endless one too
+    (lambda: count_bipartitions(4, count()), "bad_excess", "excess must be a pair of integers, got count(0)"),
 ]
 _REFUSAL_MESSAGE = {make: message for make, _, message in _REFUSALS}
 
