@@ -16,7 +16,10 @@ its HEAD, holds per workload and end-to-end metric the median, quartiles,
 minimum and maximum of each side, the ratio of the medians, the share of
 pairs in which the change is better, every run's value and a verdict;
 besides the attempted and failed counts of every run and whether the
-first-cycle digests of the two sides agree.  The verdict, with the
+first-cycle digests of the two sides agree.  Cached bytecode moves a
+whole-process time by tens of milliseconds, so the report also holds the
+number of .pyc files under src/weylstrata of each side, counted before the
+first run, and the value of PYTHONDONTWRITEBYTECODE (None when unset).  The verdict, with the
 metric's relative bound from BENCHMARK.json, is the first that holds of
 
     worse       the change's median is worse than the parent's by more than the bound
@@ -63,6 +66,18 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         "digests": digests[0] if digests else None,
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "units": {name: m["unit"] for name, m in result["metrics"].items()},
+    }
+
+
+def bytecode(parent: str, change: str) -> dict:
+    # the .pyc files under src/weylstrata of each checkout, and whether runs may write more
+    def pyc_files(checkout: str) -> int:
+        tree = os.walk(os.path.join(checkout, "src", "weylstrata"))
+        return sum(name.endswith(".pyc") for _, _, names in tree for name in names)
+
+    return {
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "pyc_files": {"parent": pyc_files(parent), "change": pyc_files(change)},
     }
 
 
@@ -130,6 +145,7 @@ def main(argv=None) -> int:
         "order": "parent first in odd-numbered pairs, change first in even-numbered ones",
         "python": sys.version.split()[0],
         "nproc": os.cpu_count(),
+        "bytecode": bytecode(args.parent, ROOT),
         "workloads": {},
     }
     for workload in args.workload:

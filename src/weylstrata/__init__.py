@@ -22,8 +22,8 @@ _MODULE_OF = {
     name: module
     for module, names in (
         ("atlas", (
-            "Atlas", "AtlasRow", "CarterLabel", "IsoFlavor", "IsolatedSubgroup", "RepLabel",
-            "exc_group_from_name", "load_atlas", "m_of_class", "parse_carter", "rep_of_class",
+            "Atlas", "AtlasRow", "CarterLabel", "RepLabel", "exc_group_from_name", "load_atlas",
+            "m_of_class", "parse_carter", "rep_of_class",
         )),
         ("classical", (
             "EigenOrbit", "GroupDescriptor", "OrbitKind", "Series", "SpectralDatum",

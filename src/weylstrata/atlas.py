@@ -6,7 +6,9 @@ data file (``data/exceptional_atlas.txt``).  Each table row pairs one
 representation (a ``RepLabel``) with the classes mapping to it; a star
 marker records that the stratum contains unipotent classes only in one
 specific characteristic.  The file also carries the reference lists of
-isolated subsystems (pseudo-Levi and doubly-isolated flavors).
+isolated subsystems (pseudo-Levi and doubly-isolated flavors); the parser
+checks those ``iso`` records and keeps them only in the file's text, so
+the library does not expose them.
 
 Classes are named by their root-subsystem labels (``CarterLabel``),
 e.g. ``"D_4(a_1)+A_1"`` or ``"(2A_3)''"``.  The parsed rank of a label
@@ -20,7 +22,6 @@ environment variable or an explicit path argument to ``load_atlas``.
 
 from __future__ import annotations
 
-import enum
 import functools
 import os
 import re
@@ -32,7 +33,9 @@ EXC_GROUPS = ("G2", "F4", "E6", "E7", "E8")
 EXC_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
 EXC_POSITIVE_ROOTS = {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
 
-CLASSICAL_SERIES = ("A", "B", "C", "D")
+# what an iso record may name: a classical series or an exceptional group, and a flavor
+_ISO_GROUPS = ("A", "B", "C", "D") + EXC_GROUPS
+_ISO_FLAVORS = ("pseudo_levi", "double_isolated")
 
 ATLAS_ENV_VAR = "WEYLSTRATA_ATLAS"
 _PACKAGED_PATH = os.path.abspath(os.path.join(os.path.dirname(__file__), "data", "exceptional_atlas.txt"))
@@ -49,10 +52,6 @@ def _group_from_name(name: str, groups: tuple[str, ...], kind: str) -> str:
 def exc_group_from_name(name: str) -> str:
     """Canonical exceptional group name: accepts "E8", "e8", "E_8"."""
     return _group_from_name(name, EXC_GROUPS, "exceptional group")
-
-
-def _iso_group_from_name(name: str) -> str:
-    return _group_from_name(name, CLASSICAL_SERIES + EXC_GROUPS, "group or series")
 
 
 class RepLabel(Record):
@@ -202,35 +201,6 @@ def m_of_class(group: str, label: Union[str, CarterLabel]) -> int:
     return m
 
 
-class IsoFlavor(enum.Enum):
-    """Which isolated-subsystem list: centralizers of one parameter or of a pair."""
-
-    PSEUDO_LEVI = "pseudo_levi"
-    DOUBLE_ISOLATED = "double_isolated"
-
-
-def _flavor_from_name(value) -> IsoFlavor:
-    if isinstance(value, IsoFlavor):
-        return value
-    try:
-        return IsoFlavor(str(value).strip().lower())
-    except ValueError:
-        raise DomainError(f"unknown flavor {value!r}", code="bad_flavor") from None
-
-
-class IsolatedSubgroup(Record):
-    """One entry of an isolated-subsystem list, e.g. type A_5A_1 in E6."""
-
-    __slots__ = ("group", "flavor", "subtype", "constraint")
-
-    def __init__(self, group: str, flavor: Union[IsoFlavor, str], subtype: str, constraint: str = ""):
-        set_group, set_flavor, set_subtype, set_constraint = self._setters
-        set_group(self, _iso_group_from_name(group))
-        set_flavor(self, _flavor_from_name(flavor))
-        set_subtype(self, subtype)
-        set_constraint(self, constraint)
-
-
 class AtlasRow(Record):
     """One table row: a representation and the classes mapping to it."""
 
@@ -245,9 +215,13 @@ class AtlasRow(Record):
 
 
 class Atlas:
-    """Parsed atlas: per-group tables plus the isolated-subsystem lists."""
+    """Parsed atlas: per-group tables, and the file's text.
 
-    def __init__(self, rows, iso_entries, text: str, source: str):
+    The isolated-subsystem lists (the ``iso`` records) are checked by the
+    parser and kept only in the text; the library does not expose them.
+    """
+
+    def __init__(self, rows, text: str, source: str):
         self.text = text
         self.source = source
         self._rows: dict[str, list[AtlasRow]] = {g: [] for g in EXC_GROUPS}
@@ -259,9 +233,6 @@ class Atlas:
             self._by_dn.setdefault((row.group, row.rep.d, row.rep.n), []).append(row)
             for c in row.classes:
                 self._by_class.setdefault((row.group, c.raw), []).append(row)
-        self._iso: dict[tuple[str, IsoFlavor], list[IsolatedSubgroup]] = {}
-        for entry in iso_entries:
-            self._iso.setdefault((entry.group, entry.flavor), []).append(entry)
 
     def checksum(self) -> str:
         import hashlib  # only tables needs it; other commands skip its import
@@ -411,11 +382,6 @@ class Atlas:
         dims = [m_of_class(row.group, c) for c in row.classes]
         return unique_minimizer(row.classes, dims, lambda: f"on {row.group} {self.format_rep(row.rep)}")
 
-    def isolated_subgroups(self, group: str, flavor) -> tuple[IsolatedSubgroup, ...]:
-        """The isolated-subsystem list of a group or classical series."""
-        key = (_iso_group_from_name(group), _flavor_from_name(flavor))
-        return tuple(self._iso.get(key, ()))
-
 
 def _parse_error(source: str, lineno: int, why: str) -> DomainError:
     return DomainError(f"{source}:{lineno}: {why}", code="atlas_parse_error")
@@ -424,7 +390,6 @@ def _parse_error(source: str, lineno: int, why: str) -> DomainError:
 def _parse_atlas(text: str, source: str) -> Atlas:
     version: Optional[str] = None
     rows: list[AtlasRow] = []
-    iso: list[IsolatedSubgroup] = []
     # line numbers of the rows read so far, per (group, d, n) in synthetic-id order
     dn_lines: dict[tuple[str, int, int], list[int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -434,7 +399,7 @@ def _parse_atlas(text: str, source: str) -> Atlas:
         fields = line.split("|")
         kind = fields[0]
         if kind == "version":
-            if version is not None or rows or iso:
+            if version is not None:
                 raise _parse_error(source, lineno, "version must be the first record")
             if len(fields) != 2 or not _NUMBER.fullmatch(fields[1]):
                 raise _parse_error(source, lineno, "bad version record")
@@ -480,19 +445,20 @@ def _parse_atlas(text: str, source: str) -> Atlas:
         elif kind == "iso":
             if len(fields) != 5:
                 raise _parse_error(source, lineno, f"iso needs 5 fields, got {len(fields)}")
-            _, group, flavor, subtype, constraint = fields
+            _, group, flavor, subtype, _ = fields
             try:
-                entry = IsolatedSubgroup(group, flavor, subtype, constraint)
+                _group_from_name(group, _ISO_GROUPS, "group or series")
             except DomainError as exc:
                 raise _parse_error(source, lineno, str(exc)) from None
+            if flavor.strip().lower() not in _ISO_FLAVORS:
+                raise _parse_error(source, lineno, f"unknown flavor {flavor!r}")
             if not subtype:
                 raise _parse_error(source, lineno, "iso entry has no subtype")
-            iso.append(entry)
         else:
             raise _parse_error(source, lineno, f"unknown record kind {kind!r}")
     if version is None:
         raise DomainError(f"{source}: missing version record", code="atlas_version")
-    return Atlas(rows, iso, text, source)
+    return Atlas(rows, text, source)
 
 
 @functools.lru_cache(maxsize=None)

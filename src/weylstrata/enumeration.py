@@ -15,8 +15,7 @@ memo is a dict local to one call, freed on return.
 
 from __future__ import annotations
 
-from .errors import DomainError
-from .partitions import Bipartition, Excess, Partition, _as_excess
+from .partitions import Bipartition, Excess, Partition, _as_excess, _check_weight
 
 
 def _start(n: int, x) -> tuple:
@@ -24,8 +23,7 @@ def _start(n: int, x) -> tuple:
     # checking both: the first entry is capped by n alone, and the climb from
     # it to the second entry uses e
     ex = _as_excess(x)
-    if n < 0:
-        raise DomainError(f"weight must be nonnegative, got {n}", code="bad_weight")
+    _check_weight(n)
     return n, n, n, ex.e_prime, ex.e
 
 

@@ -72,7 +72,7 @@ from itertools import groupby
 from typing import Container, Iterable, Mapping, Optional, Union
 
 from .errors import ConsistencyError, DomainError, Record
-from .partitions import Bipartition, Excess, Partition
+from .partitions import Bipartition, Excess, Partition, _check_weight
 
 
 class JordanFamily(enum.Enum):
@@ -322,10 +322,7 @@ _REPLACEMENTS = {
 def _rule(family: JordanFamily, N: int) -> tuple:
     # What _rewrite reads of a weight-N family map, read once per call:
     # (family, codomain excess, N // 2, offsets).
-    if type(N) is not int and (isinstance(N, bool) or not isinstance(N, int)):
-        raise DomainError(f"weight must be an integer, got {N!r}", code="bad_weight")
-    if N < 0:
-        raise DomainError(f"weight must be nonnegative, got {N}", code="bad_weight")
+    _check_weight(N)
     rule = _REPLACEMENTS.get((family, N % 2))
     if rule is None:
         raise DomainError(

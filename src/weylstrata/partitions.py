@@ -47,6 +47,14 @@ def _as_excess(x) -> Excess:
     return ex
 
 
+def _check_weight(n) -> None:
+    # an int and not a bool, then nonnegative
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
+        raise DomainError(f"weight must be an integer, got {n!r}", code="bad_weight")
+    if n < 0:
+        raise DomainError(f"weight must be nonnegative, got {n}", code="bad_weight")
+
+
 def _as_int_seq(seq) -> list[int]:
     out = list(seq)
     for x in out:

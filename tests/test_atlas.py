@@ -20,7 +20,6 @@ from weylstrata.atlas import (
     EXC_POSITIVE_ROOTS,
     MAX_NESTING,
     CarterLabel,
-    IsoFlavor,
     RepLabel,
     _parse_atlas,
     exc_group_from_name,
@@ -534,57 +533,6 @@ def test_rep_label_validation():
     assert str(RepLabel("F4", 4, 8, star=2)) == "4_8*2"
 
 
-PSEUDO_LEVI_LISTS = {
-    "A": ["A_n"],
-    "B": ["B_aD_b"],
-    "C": ["C_aC_b"],
-    "D": ["D_aD_b"],
-    "E6": ["E_6", "A_5A_1", "A_2A_2A_2"],
-    "E7": ["E_7", "D_6A_1", "A_7", "A_5A_2", "A_3A_3A_1"],
-    "E8": ["E_8", "E_7A_1", "E_6A_2", "D_5A_3", "A_4A_4", "A_5A_2A_1", "A_7A_1", "A_8", "D_8"],
-    "F4": ["F_4", "B_3A_1", "A_2A_2", "A_3A_1", "B_4"],
-    "G2": ["G_2", "A_2", "A_1A_1"],
-}
-
-DOUBLE_ISOLATED_EXTRAS = {
-    "A": [],
-    "E6": [],
-    "E7": ["D_4A_1A_1A_1"],
-    "E8": ["D_6D_2", "D_4D_4", "A_3A_3A_1A_1", "A_2A_2A_2A_2"],
-    "F4": ["tau(A_3A_1)", "tau(B_4)", "B_2B_2"],
-    "G2": ["tau(A_2)"],
-}
-
-
-def test_isolated_subgroups_pseudo_levi():
-    atlas = load_atlas()
-    for group, want in PSEUDO_LEVI_LISTS.items():
-        got = [e.subtype for e in atlas.isolated_subgroups(group, IsoFlavor.PSEUDO_LEVI)]
-        assert got == want, group
-
-
-def test_isolated_subgroups_double_isolated():
-    atlas = load_atlas()
-    for group, extras in DOUBLE_ISOLATED_EXTRAS.items():
-        got = [e.subtype for e in atlas.isolated_subgroups(group, "double_isolated")]
-        assert got == PSEUDO_LEVI_LISTS[group] + extras, group
-    # the B/C/D lists quadruple the factors instead of extending
-    assert [e.subtype for e in atlas.isolated_subgroups("B", "double_isolated")] == ["B_aB_bD_cD_d"]
-    assert [e.subtype for e in atlas.isolated_subgroups("C", "double_isolated")] == ["B_aB_bD_cD_d"]
-    assert [e.subtype for e in atlas.isolated_subgroups("D", "double_isolated")] == ["D_aD_bD_cD_d"]
-
-
-def test_isolated_subgroups_constraints():
-    atlas = load_atlas()
-    (entry,) = atlas.isolated_subgroups("B", IsoFlavor.PSEUDO_LEVI)
-    assert entry.constraint == "a>=0, b>=0, b!=1, a+b=n"
-    (entry,) = atlas.isolated_subgroups("D", "double_isolated")
-    assert "a!=1" in entry.constraint and "a+b+c+d=n" in entry.constraint
-    with pytest.raises(DomainError) as err:
-        atlas.isolated_subgroups("E6", "levi")
-    assert err.value.code == "bad_flavor"
-
-
 def test_load_atlas_from_explicit_path(tmp_path):
     text = load_atlas().text.replace(
         "row|G2|2|1|0|0|A_2|", "row|G2|2|1|0|0|A_2|spot the difference"
@@ -647,6 +595,12 @@ _MALFORMED = [
         "atlas_parse_error",
         ":219: unknown flavor 'levi'",
     ),
+    (
+        lambda t: t.replace("iso|A|pseudo_levi|A_n|n>=0", "iso|H9|pseudo_levi|A_n|n>=0"),
+        "atlas_parse_error",
+        ":219: unknown group or series 'H9'",
+    ),
+    (lambda t: "iso|A|pseudo_levi|A_n|n>=0\n" + t, "atlas_version", ":1: missing version record"),
     (lambda t: t + "wat|1|2\n", "atlas_parse_error", ":286: unknown record kind 'wat'"),
     # the first E8 row repeated at the end of the file
     (
@@ -702,6 +656,17 @@ def test_load_atlas_rejects_malformed(tmp_path, mangle, code):
     with pytest.raises(DomainError) as err:
         load_atlas(str(bad))
     assert (err.value.code, str(err.value)) == (code, f"{bad}{_MESSAGE_OF[mangle]}")
+
+
+def test_iso_record_names_are_read_loosely(tmp_path):
+    # group and flavor are read as the names of the other records are:
+    # whitespace around them and case do not matter, nor "_" in the group
+    text = load_atlas().text
+    alt = tmp_path / "loose_iso.txt"
+    alt.write_text(
+        text.replace("iso|A|pseudo_levi|A_n|n>=0", "iso| e_6 | Double_Isolated |A_5A_1|"), encoding="utf-8"
+    )
+    assert load_atlas(str(alt)).text.splitlines()[218] == "iso| e_6 | Double_Isolated |A_5A_1|"
 
 
 def test_atlas_row_spot_checks():

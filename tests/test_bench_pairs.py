@@ -1,4 +1,4 @@
-"""scripts/bench_pairs.py: the verdict rule, the spread summary and a failed run.
+"""scripts/bench_pairs.py: the verdict rule, the spread summary, a failed run and the bytecode count.
 
 The script is loaded by file path, as it is not part of the package.
 """
@@ -88,3 +88,22 @@ def test_a_failed_run_shows_its_stderr(bench, tmp_path):
     with pytest.raises(SystemExit) as stop:
         bench.run_once(str(tmp_path), "nope", 11, 0.1)
     assert "exited with 2" in str(stop.value) and "no such workload: nope" in str(stop.value)
+
+
+@pytest.mark.parametrize("flag", ["1", None])
+def test_bytecode_counts_the_pyc_files_of_each_side(bench, tmp_path, monkeypatch, flag):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    cache = parent / "src" / "weylstrata" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "atlas.cpython-311.pyc").write_bytes(b"")
+    (cache.parent / "atlas.py").write_text("")
+    (change / "src" / "weylstrata").mkdir(parents=True)
+    (change / "src" / "weylstrata" / "atlas.py").write_text("")
+    if flag is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", flag)
+    assert bench.bytecode(str(parent), str(change)) == {
+        "PYTHONDONTWRITEBYTECODE": flag,
+        "pyc_files": {"parent": 1, "change": 0},
+    }

@@ -199,6 +199,13 @@ _REFUSALS = [
     (lambda: has_excess(Bipartition([1]), "x"), "bad_excess", "excess must be a pair of integers, got 'x'"),
     (lambda: n_invariant(Bipartition(), -1), "bad_weight", "half must be nonnegative, got -1"),
     (lambda: enumerate_partitions(-1), "bad_weight", "weight must be nonnegative, got -1"),
+    # a weight is an int and not a bool, as in the Jordan maps
+    (lambda: enumerate_partitions(True), "bad_weight", "weight must be an integer, got True"),
+    (lambda: enumerate_bipartitions(3.0, (2, 2)), "bad_weight", "weight must be an integer, got 3.0"),
+    (lambda: count_bipartitions(4.5, (2, 2)), "bad_weight", "weight must be an integer, got 4.5"),
+    (lambda: n_invariant_set(2.0, (0, 0)), "bad_weight", "weight must be an integer, got 2.0"),
+    (lambda: enumerate_partitions("4"), "bad_weight", "weight must be an integer, got '4'"),
+    (lambda: count_bipartitions(None, (2, 2)), "bad_weight", "weight must be an integer, got None"),
     # a plain list is read as a Bipartition first
     (
         lambda: has_excess([1, 1, 2], (0, 0)),

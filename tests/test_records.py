@@ -1,6 +1,6 @@
 """The package's immutable records behave as value types.
 
-Each of the twelve record classes has a repr naming every field, equality
+Each of the eleven record classes has a repr naming every field, equality
 only between instances of its own class (a record never equals the tuple of
 its field values), the hash of that tuple, no attribute assignment or
 deletion, and copies and pickles equal to the original.  Records that the
@@ -13,7 +13,7 @@ import pickle
 
 import pytest
 
-from weylstrata.atlas import AtlasRow, CarterLabel, IsoFlavor, IsolatedSubgroup, RepLabel
+from weylstrata.atlas import AtlasRow, CarterLabel, RepLabel
 from weylstrata.classical import (
     EigenOrbit,
     GroupDescriptor,
@@ -57,12 +57,6 @@ RECORDS = {
         "RepLabel(group='E8', d=1050, n=10, star=2, synthetic_id=1)",
     ),
     "CarterLabel": (_carter, ("D_4(a_1)", 4), "CarterLabel(raw='D_4(a_1)', parsed_rank=4)"),
-    "IsolatedSubgroup": (
-        lambda: IsolatedSubgroup("E6", IsoFlavor.PSEUDO_LEVI, "A_5A_1", "p=2"),
-        ("E6", IsoFlavor.PSEUDO_LEVI, "A_5A_1", "p=2"),
-        "IsolatedSubgroup(group='E6', flavor=<IsoFlavor.PSEUDO_LEVI: 'pseudo_levi'>, "
-        "subtype='A_5A_1', constraint='p=2')",
-    ),
     "AtlasRow": (
         lambda: AtlasRow("E8", (_carter(),), _rep(), "note"),
         ("E8", (_carter(),), _rep(), "note"),
