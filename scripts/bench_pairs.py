@@ -18,9 +18,10 @@ pairs in which the change is better, every run's value and a verdict;
 besides the attempted and failed counts of every run and whether the
 first-cycle digests of the two sides agree.  Cached bytecode moves a
 whole-process time by tens of milliseconds, so the report also holds the
-number of .pyc files under src/weylstrata of each side, counted before the
-first run, and the value of PYTHONDONTWRITEBYTECODE (None when unset).  The verdict, with the
-metric's relative bound from BENCHMARK.json, is the first that holds of
+number of .pyc files under src/weylstrata of each side, counted before
+the first run, and the value of PYTHONDONTWRITEBYTECODE (None when
+unset).  The verdict, with the metric's relative bound from
+BENCHMARK.json, is the first that holds of
 
     worse       the change's median is worse than the parent's by more than the bound
     better      the change is better in at least 9 of 10 pairs, and its median
