@@ -66,12 +66,7 @@ class RepLabel(Record):
     __slots__ = ("group", "d", "n", "star", "synthetic_id")
 
     def __init__(self, group: str, d: int, n: int, star: int = 0, synthetic_id: int = 0):
-        set_group, set_d, set_n, set_star, set_synthetic_id = self._setters
-        set_group(self, exc_group_from_name(group))
-        set_d(self, d)
-        set_n(self, n)
-        set_star(self, star)
-        set_synthetic_id(self, synthetic_id)
+        self._fill(exc_group_from_name(group), d, n, star, synthetic_id)
         if d < 1:
             raise DomainError(f"degree must be positive, got {d}", code="bad_rep")
         if n < 0:
@@ -104,9 +99,7 @@ class CarterLabel(Record):
     __slots__ = ("raw", "parsed_rank")
 
     def __init__(self, raw: str, parsed_rank: int):
-        set_raw, set_parsed_rank = self._setters
-        set_raw(self, raw)
-        set_parsed_rank(self, parsed_rank)
+        self._fill(raw, parsed_rank)
 
     def __str__(self) -> str:
         return self.raw
@@ -207,11 +200,7 @@ class AtlasRow(Record):
     __slots__ = ("group", "classes", "rep", "note")
 
     def __init__(self, group: str, classes: tuple[CarterLabel, ...], rep: RepLabel, note: str = ""):
-        set_group, set_classes, set_rep, set_note = self._setters
-        set_group(self, group)
-        set_classes(self, classes)
-        set_rep(self, rep)
-        set_note(self, note)
+        self._fill(group, classes, rep, note)
 
 
 class Atlas:

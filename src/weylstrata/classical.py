@@ -36,7 +36,7 @@ from typing import Iterable, Optional
 
 from .errors import ConsistencyError, DomainError, Record, check_characteristic
 from .jordan import JordanDatum, JordanFamily, _rewrite, _rule, _runs_if_member
-from .partitions import Bipartition, Excess, Partition, n_invariant
+from .partitions import Bipartition, Excess, Partition, _check_int, n_invariant
 
 
 class Series(enum.Enum):
@@ -85,11 +85,9 @@ class GroupDescriptor(Record):
     def __init__(self, series: Series, dimension: int, characteristic: int = 0):
         if not isinstance(series, Series):
             series = series_from_name(str(series))
-        set_series, set_dimension, set_characteristic = self._setters
-        set_series(self, series)
-        set_dimension(self, dimension)
-        set_characteristic(self, characteristic)
+        _check_int(characteristic, "characteristic", "bad_characteristic")
         check_characteristic(characteristic)
+        _check_int(dimension, "dimension", "bad_dimension")
         if dimension < 0:
             raise DomainError(f"dimension must be nonnegative, got {dimension}", code="bad_dimension")
         odd = series is _SO_ODD
@@ -98,6 +96,7 @@ class GroupDescriptor(Record):
                 f"{series.value} needs {'odd' if odd else 'even'} dimension, got {dimension}",
                 code="bad_dimension",
             )
+        self._fill(series, dimension, characteristic)
 
     @property
     def rank_half(self) -> int:
@@ -139,10 +138,6 @@ class EigenOrbit(Record):
     __slots__ = ("ident", "kind", "jordan")
 
     def __init__(self, ident: str, kind: OrbitKind, jordan: JordanDatum):
-        set_ident, set_kind, set_jordan = self._setters
-        set_ident(self, ident)
-        set_kind(self, kind)
-        set_jordan(self, jordan)
         if not isinstance(ident, str) or not ident:
             raise _bad_orbit(f"orbit id must be a nonempty string, got {ident!r}")
         if kind is _INVOLUTIVE:
@@ -155,6 +150,7 @@ class EigenOrbit(Record):
                 raise _bad_orbit("generic orbits carry a plain partition Jordan type")
         if jordan.weight == 0:
             raise _bad_orbit(f"orbit {ident!r} has empty Jordan type")
+        self._fill(ident, kind, jordan)
 
 
 def _classifying_group(g: GroupDescriptor) -> GroupDescriptor:
@@ -192,15 +188,14 @@ class SpectralDatum(Record):
     _fields = ("group", "orbits")
 
     def __init__(self, group: GroupDescriptor, orbits: Iterable[EigenOrbit]):
-        set_group, set_orbits, set_orbit_runs = self._setters
-        set_group(self, group)
-        set_orbits(self, tuple(orbits))
-        set_orbit_runs(self, self._validate())
+        orbits = tuple(orbits)
+        self._fill(group, orbits, self._validate(group, orbits))
 
-    def _validate(self) -> tuple:
+    @staticmethod
+    def _validate(group: GroupDescriptor, orbits: tuple[EigenOrbit, ...]) -> tuple:
         # one entry per orbit: (its _rule, its runs) for an involutive one, else None
-        g = _classifying_group(self.group)
-        ids = [o.ident for o in self.orbits]
+        g = _classifying_group(group)
+        ids = [o.ident for o in orbits]
         if len(set(ids)) != len(ids):
             raise _bad_orbit(f"orbit ids must be distinct, got {ids}")
         gl = g.series is _GL
@@ -208,7 +203,7 @@ class SpectralDatum(Record):
         fam = _involutive_family(g.series, char)
         total = 0
         orbit_runs = []
-        for o in self.orbits:
+        for o in orbits:
             weight = o.jordan.weight
             if o.kind is _GENERIC:
                 # a pair {x, 1/x}, except in GL where eigenvalues are not paired
@@ -259,11 +254,7 @@ class StratumResult(Record):
     __slots__ = ("bp", "n_invariant", "class_dim", "pair_degenerate")
 
     def __init__(self, bp: Bipartition, n_invariant: int, class_dim: int, pair_degenerate: Optional[bool] = None):
-        set_bp, set_n_invariant, set_class_dim, set_pair_degenerate = self._setters
-        set_bp(self, bp)
-        set_n_invariant(self, n_invariant)
-        set_class_dim(self, class_dim)
-        set_pair_degenerate(self, pair_degenerate)
+        self._fill(bp, n_invariant, class_dim, pair_degenerate)
 
     @property
     def springer_dim(self) -> int:
@@ -318,19 +309,16 @@ def enumerate_strata(group: GroupDescriptor) -> tuple[StratumResult, ...]:
     from .enumeration import enumerate_bipartitions
 
     # each label's stratum_of_label, without checking the enumerated label
-    # again, in a record filled through its slot setters
+    # again, in a record filled through _fill
     half = group.rank_half
     two_roots = 2 * positive_roots(group)
     so_even = group.series is _SO_EVEN
-    new, (set_bp, set_n, set_dim, set_degenerate) = object.__new__, StratumResult._setters
+    new, fill = object.__new__, StratumResult._fill
     out = []
     for bp in enumerate_bipartitions(half, stratum_excess(group.series)):
         n_e = len(bp) * half - sum(accumulate(bp))
-        out.append(result := new(StratumResult))
-        set_bp(result, bp)
-        set_n(result, n_e)
-        set_dim(result, two_roots - 2 * n_e)
-        set_degenerate(result, len(bp) % 2 == 0 and bp[0::2] == bp[1::2] if so_even else None)
+        degenerate = len(bp) % 2 == 0 and bp[0::2] == bp[1::2] if so_even else None
+        out.append(fill(new(StratumResult), bp, n_e, two_roots - 2 * n_e, degenerate))
     return tuple(out)
 
 

@@ -169,21 +169,15 @@ class LabeledPartition(Record):
                 code="bad_labels",
             )
         for v, bit in given.items():
-            if bit not in (0, 1):
+            if type(bit) is not int or bit not in (0, 1):
                 raise DomainError(f"label for value {v} must be 0 or 1, got {bit!r}", code="bad_labels")
-        set_parts, set_labels = self._setters
-        set_parts(self, base)
-        set_labels(self, tuple((v, given[v]) for v in eligible))
+        self._fill(base, tuple((v, given[v]) for v in eligible))
 
     @classmethod
     def _trusted(cls, parts: Partition, labels: tuple[tuple[int, int], ...]):
         # For data valid by construction: labels keyed by the eligible values
         # of parts, descending.
-        self = object.__new__(cls)
-        set_parts, set_labels = cls._setters
-        set_parts(self, parts)
-        set_labels(self, labels)
-        return self
+        return cls._fill(object.__new__(cls), parts, labels)
 
     @property
     def weight(self) -> int:

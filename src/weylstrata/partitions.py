@@ -47,10 +47,15 @@ def _as_excess(x) -> Excess:
     return ex
 
 
+def _check_int(n, noun: str, code: str) -> None:
+    # an int and not a bool
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
+        raise DomainError(f"{noun} must be an integer, got {n!r}", code=code)
+
+
 def _check_weight(n) -> None:
     # an int and not a bool, then nonnegative
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
-        raise DomainError(f"weight must be an integer, got {n!r}", code="bad_weight")
+    _check_int(n, "weight", "bad_weight")
     if n < 0:
         raise DomainError(f"weight must be nonnegative, got {n}", code="bad_weight")
 

@@ -45,12 +45,7 @@ class CheckResult(Record):
     __slots__ = ("name", "passed", "detail", "seconds", "budget")
 
     def __init__(self, name: str, passed: bool, detail: str, seconds: float, budget: Optional[float] = None):
-        set_name, set_passed, set_detail, set_seconds, set_budget = self._setters
-        set_name(self, name)
-        set_passed(self, passed)
-        set_detail(self, detail)
-        set_seconds(self, seconds)
-        set_budget(self, budget)
+        self._fill(name, passed, detail, seconds, budget)
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

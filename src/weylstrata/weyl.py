@@ -44,7 +44,7 @@ from typing import NamedTuple, Union
 from .classical import GroupDescriptor, Series, _involutive_family
 from .errors import DomainError, Record, unique_minimizer
 from .jordan import JordanFamily, LabeledPartition, _datum, _rewrite, _rule, _runs
-from .partitions import Bipartition, Partition, parse_entries
+from .partitions import Bipartition, Partition, _check_int, parse_entries
 
 
 class WeylSeries(enum.Enum):
@@ -87,14 +87,13 @@ class WeylType(Record):
     def __init__(self, series: WeylSeries, rank: int):
         if not isinstance(series, WeylSeries):
             series = weyl_series_from_name(str(series))
-        set_series, set_rank = self._setters
-        set_series(self, series)
-        set_rank(self, rank)
+        _check_int(rank, "rank", "bad_rank")
         lo = 1 if series is _A else 0
         if rank < lo:
             raise DomainError(
                 f"rank must be at least {lo} for type {series.value}", code="bad_rank"
             )
+        self._fill(series, rank)
 
     @property
     def group(self) -> GroupDescriptor:
@@ -108,9 +107,10 @@ class SignedCycleType(Record):
     __slots__ = ("positive", "negative")
 
     def __init__(self, positive, negative):
-        set_positive, set_negative = self._setters
-        set_positive(self, positive if isinstance(positive, Partition) else Partition(positive))
-        set_negative(self, negative if isinstance(negative, Partition) else Partition(negative))
+        self._fill(
+            positive if isinstance(positive, Partition) else Partition(positive),
+            negative if isinstance(negative, Partition) else Partition(negative),
+        )
 
     @property
     def rank(self) -> int:
@@ -135,8 +135,8 @@ def enumerate_classes(w: WeylType) -> tuple[WeylClass, ...]:
 
     if w.series is _A:
         return enumerate_partitions(w.rank + 1)
-    # records of partitions, filled through their slot setters
-    new, (set_positive, set_negative) = object.__new__, SignedCycleType._setters
+    # records of partitions, filled through _fill
+    new, fill = object.__new__, SignedCycleType._fill
     out: list[SignedCycleType] = []
     for a in range(w.rank, -1, -1):
         negatives = enumerate_partitions(w.rank - a)
@@ -144,9 +144,7 @@ def enumerate_classes(w: WeylType) -> tuple[WeylClass, ...]:
             negatives = [neg for neg in negatives if len(neg) % 2 == 0]
         for pos in enumerate_partitions(a):
             for neg in negatives:
-                out.append(c := new(SignedCycleType))
-                set_positive(c, pos)
-                set_negative(c, neg)
+                out.append(fill(new(SignedCycleType), pos, neg))
     return tuple(out)
 
 

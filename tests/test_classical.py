@@ -72,6 +72,11 @@ def test_group_descriptor_validation():
         (Series.SO_ODD, 6, "SO_odd needs odd dimension, got 6"),
         (Series.SO_EVEN, 7, "SO_even needs even dimension, got 7"),
         (Series.SP, -2, "dimension must be nonnegative, got -2"),
+        # a dimension is an int and not a bool
+        (Series.SP, 4.0, "dimension must be an integer, got 4.0"),
+        (Series.GL, True, "dimension must be an integer, got True"),
+        (Series.SP, "4", "dimension must be an integer, got '4'"),
+        (Series.SO_ODD, None, "dimension must be an integer, got None"),
     ],
 )
 def test_parity_refusal_messages(series, dimension, message):
@@ -108,6 +113,15 @@ def test_characteristic_checks_agree():
         on_atlas = _accepted(p, lambda c: load_atlas().strata_for_characteristic("G2", c))
         assert on_group == on_atlas, p
         assert on_group == (p == 0 or (p >= 2 and all(p % q for q in range(2, p)))), p
+
+
+@pytest.mark.parametrize("char", [2.0, True, "2", None])
+def test_characteristic_must_be_an_integer(char):
+    with pytest.raises(DomainError) as err:
+        GroupDescriptor(Series.SP, 4, char)
+    assert (err.value.code, str(err.value)) == (
+        "bad_characteristic", f"characteristic must be an integer, got {char!r}"
+    )
 
 
 def test_positive_roots():

@@ -12,13 +12,17 @@ carries its machine-readable code rather than the generic domain_error.
 No module imports ``dataclasses``: records build on ``errors.Record``, and
 ``dataclasses`` would bring ``inspect`` into every command's start-up.
 
-Records fill their slots one way, through the slot setters in
-``Record._setters``: no module calls ``object.__setattr__`` except
-``Record.__setstate__``, and no ``_set`` helper is defined or called.
+Records fill their slots one way, through ``_fill``, which ``Record``
+generates for each record class: no module calls ``object.__setattr__``
+except ``Record.__setstate__``, no module reads a slot's ``__set__`` outside
+``Record`` or names ``_setters``, and no ``_set`` helper is defined or called.
 
 Every module parses as Python 3.10, the floor ``pyproject.toml`` declares
 (``requires-python = ">=3.10"``), so no later syntax such as ``except*``
-creeps in.
+creeps in.  Where a ``python3.10`` runs, the package also runs under it, so
+code generated at import (each record's ``_fill``) is checked too: records
+and ``phi`` print the same text as under this interpreter, and a ``verify``
+suite passes.
 
 ``atlas`` reads its input without recursion: none of its functions calls
 itself, directly or through other ``atlas`` functions, and none catches
@@ -30,6 +34,11 @@ globals bound once at import, never through the enum class (``Series.GL``).
 """
 
 import ast
+import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,12 +89,13 @@ def _uncoded_domain_errors(source: str) -> list[int]:
 
 
 def _slot_writes_past_the_setters(source: str) -> list[int]:
-    # lines calling object.__setattr__ outside Record.__setstate__, or
-    # defining or calling a _set
+    # lines calling object.__setattr__ outside Record.__setstate__, reading
+    # a __set__ outside Record, naming _setters, or defining or calling a _set
     tree = ast.parse(source)
-    allowed = set()
+    allowed, in_record = set(), set()
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef) and cls.name == "Record":
+            in_record = {id(node) for node in ast.walk(cls)}
             for fn in cls.body:
                 if isinstance(fn, ast.FunctionDef) and fn.name == "__setstate__":
                     allowed = {id(node) for node in ast.walk(fn)}
@@ -94,11 +104,14 @@ def _slot_writes_past_the_setters(source: str) -> list[int]:
         if id(node) in allowed:
             continue
         if isinstance(node, ast.Attribute) and (
-            node.attr == "_set"
+            node.attr in ("_set", "_setters")
+            or (node.attr == "__set__" and id(node) not in in_record)
             or (node.attr == "__setattr__" and isinstance(node.value, ast.Name) and node.value.id == "object")
         ):
             found.append(node.lineno)
-        elif isinstance(node, ast.FunctionDef) and node.name == "_set":
+        elif (isinstance(node, ast.FunctionDef) and node.name == "_set") or (
+            isinstance(node, ast.Name) and node.id == "_setters"
+        ):
             found.append(node.lineno)
     return sorted(found)
 
@@ -234,14 +247,19 @@ def test_a_slot_write_past_the_setters_is_caught():
         "        pass\n"
         "    def __setstate__(self, state):\n"
         "        object.__setattr__(self, 'x', state)\n"
+        "    def __init_subclass__(cls):\n"
+        "        cls._fill = cls.__dict__['x'].__set__\n"
+        "        cls._setters = ()\n"
         "class Point(Record):\n"
         "    def __init__(self, x):\n"
         "        object.__setattr__(self, 'x', x)\n"
         "        self._set(x)\n"
         "    def __setstate__(self, state):\n"
         "        object.__setattr__(self, 'x', state)\n"
+        "set_x, = _setters\n"
+        "Point.__dict__['x'].__set__(Point(0), 1)\n"
     )
-    assert _slot_writes_past_the_setters(source) == [2, 8, 9, 11]
+    assert _slot_writes_past_the_setters(source) == [2, 8, 11, 12, 14, 15, 16]
 
 
 PYTHON_FLOOR = (3, 10)
@@ -250,6 +268,63 @@ PYTHON_FLOOR = (3, 10)
 @pytest.mark.parametrize("path", ALL_MODULES, ids=_name)
 def test_every_module_parses_at_the_python_floor(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=PYTHON_FLOOR)
+
+
+def _floor_python():
+    # a python3.10 on PATH that runs, or None; a pyenv shim for a version
+    # that is installed but not selected exits nonzero
+    found = shutil.which("python3.10")
+    probe = "import sys; assert sys.version_info[:2] == (3, 10)"
+    if found and subprocess.run([found, "-c", probe], capture_output=True, timeout=60).returncode == 0:
+        return found
+    return None
+
+
+# imports every module and prints the repr of one record of each class
+_FLOOR_RECORDS = f"""
+import importlib
+for name in {sorted(_name(p) for p in MODULES)!r}:
+    importlib.import_module("weylstrata." + name)
+from weylstrata.atlas import AtlasRow, CarterLabel, RepLabel
+from weylstrata.classical import EigenOrbit, GroupDescriptor, OrbitKind, SpectralDatum, StratumResult, enumerate_strata
+from weylstrata.jordan import LabeledPartition
+from weylstrata.partitions import Bipartition, Partition
+from weylstrata.verify import CheckResult
+from weylstrata.weyl import SignedCycleType, WeylType, enumerate_classes
+orbit = EigenOrbit("1", OrbitKind.INVOLUTIVE, Partition([2, 1, 1]))
+rep = RepLabel("e_8", 1050, 10, 2, 1)
+for record in (
+    rep, AtlasRow("E8", (CarterLabel("D_4(a_1)", 4),), rep, "note"), orbit,
+    SpectralDatum(GroupDescriptor("sp", 4), [orbit]), StratumResult(Bipartition([2, 1]), 3, 10),
+    LabeledPartition([2, 2, 1, 1], {{2: 1}}), WeylType("c", 3), SignedCycleType([2, 1], [1]),
+    CheckResult("x", True, "ok", 0.5, 1.0), enumerate_strata(GroupDescriptor("so_even", 8))[-1],
+    enumerate_classes(WeylType("d", 3))[-1],
+):
+    print(repr(record))
+"""
+
+
+def test_the_package_runs_at_the_python_floor():
+    floor = _floor_python()
+    if floor is None:
+        pytest.skip("no python3.10 runs on PATH")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(python, *args):
+        return subprocess.run([python, *args], capture_output=True, text=True, env=env, timeout=120)
+
+    phi = ("-m", "weylstrata.cli", "phi", "--group", "B", "--rank", "3", "--class", "1;2")
+    for args in (("-c", _FLOOR_RECORDS), phi):
+        here, there = run(sys.executable, *args), run(floor, *args)
+        assert (here.returncode, here.stderr) == (0, "")
+        assert (there.returncode, there.stdout, there.stderr) == (0, here.stdout, "")
+    # verify prints its timings, so only the exit status and the verdict are compared
+    here, there = (
+        run(python, "-m", "weylstrata.cli", "verify", "--suite", "golden-sp2") for python in (sys.executable, floor)
+    )
+    assert there.returncode == here.returncode == 0
+    assert json.loads(there.stdout)["payload"]["passed"] is json.loads(here.stdout)["payload"]["passed"] is True
 
 
 def test_syntax_above_the_python_floor_is_caught():

@@ -64,6 +64,11 @@ def test_labeled_partition_validation():
         (lambda: LabeledPartition([2, 2, 1, 1], {}), "bad_labels"),
         (lambda: LabeledPartition([2, 2, 1, 1], {2: 2}), "bad_labels"),
         (lambda: LabeledPartition([3, 1], {}), "bad_parity"),
+        # a label is the int 0 or 1: not a bool, a float or a string equal to one
+        (lambda: LabeledPartition([2, 2], {2: True}), "bad_labels"),
+        (lambda: LabeledPartition([2, 2], {2: False}), "bad_labels"),
+        (lambda: LabeledPartition([2, 2], {2: 1.0}), "bad_labels"),
+        (lambda: LabeledPartition([2, 2], {2: "1"}), "bad_labels"),
     ],
 )
 def test_labeled_partition_refusal_codes(make, code):
@@ -94,7 +99,7 @@ def _reference_labeled(parts, labels):
             code="bad_labels",
         )
     for v, bit in given.items():
-        if bit not in (0, 1):
+        if type(bit) is not int or bit not in (0, 1):
             raise DomainError(f"label for value {v} must be 0 or 1, got {bit!r}", code="bad_labels")
     return base, tuple((v, given[v]) for v in eligible)
 

@@ -4,11 +4,13 @@ Each of the eleven record classes has a repr naming every field, equality
 only between instances of its own class (a record never equals the tuple of
 its field values), the hash of that tuple, no attribute assignment or
 deletion, and copies and pickles equal to the original.  Records that the
-listings fill through their slot setters, bypassing ``__init__``, keep the
-same contract.
+listings fill through ``_fill``, bypassing ``__init__``, keep the same
+contract.  Each class's ``_fill`` takes the record and then exactly one
+value per slot, in slot order.
 """
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -23,6 +25,7 @@ from weylstrata.classical import (
     StratumResult,
     enumerate_strata,
 )
+from weylstrata.errors import Record
 from weylstrata.jordan import JordanFamily, LabeledPartition
 from weylstrata.jordan_inverse import enumerate_jordan
 from weylstrata.partitions import Bipartition, Partition
@@ -49,7 +52,7 @@ def _listed(items, key):
 
 
 # (build, field values, repr); build is called twice, for two equal instances.
-# A name "Class/listing" is a record of Class filled through its slot setters.
+# A name "Class/listing" is a record of Class filled through _fill.
 RECORDS = {
     "RepLabel": (
         _rep,
@@ -194,3 +197,25 @@ def test_setter_filled_record_equals_its_validated_twin(name):
     record = RECORDS[name][0]()
     twin = _validated(record)
     assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+
+
+CLASSES = {type(build()) for build, _, _ in RECORDS.values()}
+
+
+def test_every_record_class_is_listed():
+    assert len(CLASSES) == 11 and CLASSES == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize("cls", sorted(CLASSES, key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__)
+def test_fill_takes_the_slots_in_order(cls):
+    parameters = inspect.signature(cls._fill).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty) for name in ("self", *cls.__slots__)
+    ]
+    record = RECORDS[cls.__name__][0]()
+    values = [getattr(record, name) for name in cls.__slots__]
+    twin = cls._fill(object.__new__(cls), *values)
+    assert type(twin) is cls and [getattr(twin, name) for name in cls.__slots__] == values and twin == record
+    for wrong in (values[:-1], [*values, None]):
+        with pytest.raises(TypeError):
+            cls._fill(object.__new__(cls), *wrong)

@@ -125,6 +125,15 @@ def test_weyl_type_validation():
     WeylType(WeylSeries.D, 2)
 
 
+@pytest.mark.parametrize(
+    "series,rank", [(WeylSeries.B, 2.0), (WeylSeries.A, True), (WeylSeries.D, "4"), (WeylSeries.B, None)]
+)
+def test_rank_must_be_an_integer(series, rank):
+    with pytest.raises(DomainError) as err:
+        WeylType(series, rank)
+    assert (err.value.code, str(err.value)) == ("bad_rank", f"rank must be an integer, got {rank!r}")
+
+
 # the classical group whose strata each Weyl type's classes label:
 # A_r -> GL_{r+1}, B_r = C_r -> Sp_{2r}, D_r -> SO_{2r}; A_0 is refused
 _GROUP_OF_WEYL_TYPE = {
