@@ -35,7 +35,7 @@ from operator import lt
 from typing import Iterable, Optional
 
 from .errors import ConsistencyError, DomainError, Record, check_characteristic
-from .jordan import JordanDatum, JordanFamily, _rewrite, _rule, _runs_if_member
+from .jordan import JordanDatum, JordanFamily, LabeledPartition, _rewrite, _rule, _runs_if_member
 from .partitions import Bipartition, Excess, Partition, _check_int, n_invariant
 
 
@@ -143,7 +143,11 @@ class EigenOrbit(Record):
         if kind is _INVOLUTIVE:
             if ident not in ("1", "-1"):
                 raise _bad_orbit(f"involutive orbit ids must be '1' or '-1', got {ident!r}")
+            if not isinstance(jordan, (Partition, LabeledPartition)):
+                raise _bad_orbit(f"involutive Jordan types are Partition or LabeledPartition records, got {jordan!r}")
         else:
+            if kind is not _GENERIC:
+                raise _bad_orbit(f"orbit kind must be an OrbitKind, got {kind!r}")
             if ident in ("1", "-1"):
                 raise _bad_orbit(f"generic orbits may not use the involutive id {ident!r}")
             if not isinstance(jordan, Partition):
@@ -194,6 +198,11 @@ class SpectralDatum(Record):
     @staticmethod
     def _validate(group: GroupDescriptor, orbits: tuple[EigenOrbit, ...]) -> tuple:
         # one entry per orbit: (its _rule, its runs) for an involutive one, else None
+        if not isinstance(group, GroupDescriptor):
+            raise DomainError(f"the group must be a GroupDescriptor, got {group!r}", code="bad_group")
+        for o in orbits:
+            if not isinstance(o, EigenOrbit):
+                raise _bad_orbit(f"orbits must be EigenOrbit records, got {o!r}")
         g = _classifying_group(group)
         ids = [o.ident for o in orbits]
         if len(set(ids)) != len(ids):

@@ -50,13 +50,18 @@ serves ``in_family``, ``apply_bijection`` and the check of each inverse.
 A member travels as its *runs*: one (value, length, label) triple per
 string, values descending, the label None unless the family is labeled and
 the value eligible.  ``_datum`` builds the member with given runs.  One
-rewrite, ``_rewrite``, maps runs to their image under a rule that
-``_rule`` reads from ``_REPLACEMENTS`` once per call, not once per image:
-``apply_bijection`` decomposes its datum once, ``classical.classify``
-rewrites the runs and rule its validation kept, and generated data and the
-Jordan types of Weyl classes (``weyl``) reach it with runs known by
-construction.  Listing, counting and inverting the weight-N members of a
-family are ``jordan_inverse``'s.
+rewrite loop, ``_emit``, emits the entries of the image of given runs
+under a rule that ``_rule`` reads from ``_REPLACEMENTS`` once per call,
+not once per image, and ``_finish`` checks them in one pass; ``_rewrite``
+is the two in turn.  ``apply_bijection`` decomposes its datum once,
+``classical.classify`` rewrites the runs and rule its validation kept, and
+generated data and the Jordan types of Weyl classes (``weyl``) reach
+``_rewrite`` with runs known by construction.  The inverse compares the
+entries ``_emit`` gives with a target it has already checked, so it needs
+no ``_finish``.  ``_rule`` and ``in_family`` refuse a family that is not a
+``JordanFamily`` member with the code bad_family, through one check.
+Listing, counting and inverting the weight-N members of a family are
+``jordan_inverse``'s.
 
 Weight always halves: each map sends weight-N Jordan data to weight-N//2
 bipartitions of the family's excess ((N-1)/2 for odd-weight orthogonal data).
@@ -68,7 +73,6 @@ entries, and a violation is reported as a consistency failure.
 from __future__ import annotations
 
 import enum
-from itertools import groupby
 from typing import Container, Iterable, Mapping, Optional, Union
 
 from .errors import ConsistencyError, DomainError, Record
@@ -83,12 +87,21 @@ class JordanFamily(enum.Enum):
     strings must have even length; ``even_count``, whether members need an
     even number of parts; and ``labeled``, whether eligible strings carry a
     0/1 label.
+
+    Members hash by identity, which agrees with the identity equality of
+    ``Enum`` (each member is a singleton: lookup by value, copying and
+    pickling all return the member itself).  ``Enum.__hash__`` is Python
+    code that hashes the member's name, and the members key the tables
+    ``_REPLACEMENTS`` and ``jordan_inverse._PARSE_ROWS`` that every map and
+    inverse reads once per call; identity hashing keeps those lookups in C.
     """
 
     SYMPLECTIC = "symplectic"
     SYMPLECTIC_CHAR2 = "symplectic_char2"
     ORTHOGONAL = "orthogonal"
     ORTHOGONAL_CHAR2 = "orthogonal_char2"
+
+    __hash__ = object.__hash__  # in C, and equal members are the same object
 
 
 # family: (paired, even_count, labeled)
@@ -127,8 +140,20 @@ def family_from_name(name: str) -> JordanFamily:
 
 
 def _strings(parts: Iterable[int]) -> list[tuple[int, int]]:
-    # One (value, multiplicity) pair per string, in the order of parts.
-    return [(v, len(list(run))) for v, run in groupby(parts)]
+    # One (value, multiplicity) pair per string, in the order of parts, in
+    # one pass.
+    out = []
+    prev, m = None, 0
+    for v in parts:
+        if v == prev:
+            m += 1
+        else:
+            if m:
+                out.append((prev, m))
+            prev, m = v, 1
+    if m:
+        out.append((prev, m))
+    return out
 
 
 def _is_eligible(value: int, length: int) -> bool:
@@ -225,6 +250,7 @@ def in_family(family: JordanFamily, nu: JordanDatum) -> bool:
     string-length parity and part-count rules.  Those rules force an even
     weight on every family but ORTHOGONAL.
     """
+    _check_family(family)
     return _runs_if_member(family, nu) is not None
 
 
@@ -245,9 +271,10 @@ def _is_member(family: JordanFamily, multiplicities: Iterable[tuple[int, int]], 
     # The family's parity rules on a partition's (value, multiplicity) pairs
     # and its part count; labels are the caller's to check.
     paired = family.paired
-    if any(m % 2 and v % 2 == paired for v, m in multiplicities):
-        return False
-    return not (family.even_count and count % 2)
+    for v, m in multiplicities:
+        if m & 1 and v & 1 == paired:
+            return False
+    return not (family.even_count and count & 1)
 
 
 def _finish(entries: list[int], family: JordanFamily, excess: Excess, half: int) -> Bipartition:
@@ -256,20 +283,21 @@ def _finish(entries: list[int], family: JordanFamily, excess: Excess, half: int)
     # construction itself, so it surfaces as a consistency error rather than a
     # bad-input one.  One pass checks each entry against 0, against the entry
     # two back (its track) and against the previous entry plus the slack
-    # between them; then the weight is summed.  Trailing zeros pass every
-    # check and are trimmed from entries, the caller's scratch list,
-    # afterwards.  A rejected image is worded by the first fault in this
-    # order: a negative entry anywhere, then a track that climbs (the
-    # Bipartition constructor's message), then the weight or excess, which
-    # is all that is left to reject once both of those hold.
-    two_back = last = half  # no entry of a weight-half image exceeds half
+    # between them, and takes it off the weight left to account for.
+    # Trailing zeros pass every check and are trimmed from entries, the
+    # caller's scratch list, afterwards.  A rejected image is worded by the
+    # first fault in this order: a negative entry anywhere, then a track
+    # that climbs (the Bipartition constructor's message), then the weight
+    # or excess, which is all that is left to reject once both of those hold.
+    two_back = last = rest = half  # no entry of a weight-half image exceeds half
     slack, next_slack = excess[1], excess[0]
     for x in entries:
         if x < 0 or x > two_back or x > last + slack:
             break
         two_back, last, slack, next_slack = last, x, next_slack, slack
+        rest -= x
     else:
-        if sum(entries) == half:
+        if not rest:
             while entries and not entries[-1]:
                 entries.pop()
             return tuple.__new__(Bipartition, entries)  # valid: checked above
@@ -313,9 +341,16 @@ _REPLACEMENTS = {
 }
 
 
+def _check_family(family) -> None:
+    # the one family gate of the Jordan entry points
+    if type(family) is not JordanFamily:
+        raise DomainError(f"Jordan family must be a JordanFamily, got {family!r}", code="bad_family")
+
+
 def _rule(family: JordanFamily, N: int) -> tuple:
-    # What _rewrite reads of a weight-N family map, read once per call:
-    # (family, codomain excess, N // 2, offsets).
+    # What _emit and _finish read of a weight-N family map, read once per
+    # call: (family, codomain excess, N // 2, offsets).
+    _check_family(family)
     _check_weight(N)
     rule = _REPLACEMENTS.get((family, N % 2))
     if rule is None:
@@ -326,23 +361,33 @@ def _rule(family: JordanFamily, N: int) -> tuple:
     return family, rule[0], N // 2, rule[1]
 
 
-def _rewrite(rule: tuple, runs: Iterable[Run]) -> Bipartition:
-    # The one rewrite loop: the image of a family member given by its runs,
-    # values descending, under a _rule of its family and weight.  Membership
-    # is the caller's to establish.
-    family, excess, half, offsets = rule
+def _emit(rule: tuple, runs: Iterable[Run]) -> list[int]:
+    # The one rewrite loop: the entries a family member given by its runs,
+    # values descending, emits under a _rule of its family and weight, not
+    # yet checked or trimmed.  A run of odd length flips the parity of the
+    # next run's origin.  Membership is the caller's to establish.
+    offsets = rule[3]
     out: list[int] = []
+    origin = 1
     for value, length, label in runs:
-        a = value // 2
-        d1, d2 = offsets[value % 2, label == 0, (len(out) + 1) % 2]
-        out += [a + d1, a + d2] * (length // 2)
-        if length % 2:
+        a = value >> 1
+        d1, d2 = offsets[value & 1, label == 0, origin]
+        out += [a + d1, a + d2] * (length >> 1)
+        if length & 1:
             out.append(a + d1)
-    return _finish(out, family, excess, half)
+            origin ^= 1
+    return out
+
+
+def _rewrite(rule: tuple, runs: Iterable[Run]) -> Bipartition:
+    # The image of a family member given by its runs, checked by _finish.
+    family, excess, half, _ = rule
+    return _finish(_emit(rule, runs), family, excess, half)
 
 
 def apply_bijection(family: JordanFamily, nu: JordanDatum) -> Bipartition:
     """Rewrite a Jordan datum string by string into its stratum bipartition."""
+    _check_family(family)
     runs = _runs_if_member(family, nu)
     if runs is None:
         raise DomainError(f"{nu} is not in the {family.value} family", code="not_in_family")

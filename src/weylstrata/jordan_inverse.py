@@ -1,17 +1,18 @@
 """The weight-N members of a Jordan family: listed, counted, and the inverse map.
 
 ``enumerate_jordan`` generates the runs of every member directly, one run
-at a time, and ``count_jordan`` counts them by a dynamic programme without
-listing them; both read the family's rules once per call.
+at a time (``_place``), and ``count_jordan`` counts them by a dynamic
+programme without listing them.
 
 The inverse, ``invert_bijection``, reads the table of ``jordan``'s family
 maps, ``_REPLACEMENTS``, backwards, parsing a bipartition left to right into
 the strings of its preimage.  Its parse rows, ``_PARSE_ROWS``, are the
 table's offsets regrouped by origin parity, built once at import.  It reads
 ``_rule`` once per call and builds the preimage from the parse's runs, then
-checks it as a weight-N member whose runs are the parse's and whose rewrite
-is the target.  The target's excess is checked by the bound check behind
-``partitions.has_excess``, on the rule's trusted excess.
+checks it as a weight-N member whose runs are the parse's and whose
+emitted entries, trimmed of trailing zeros, are the target.  The target's
+excess is checked by the bound check behind ``partitions.has_excess``, on
+the rule's trusted excess.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import ConsistencyError, DomainError
-from .jordan import _REPLACEMENTS, JordanDatum, JordanFamily, Run, _datum, _is_eligible, _rewrite, _rule
+from .jordan import _REPLACEMENTS, JordanDatum, JordanFamily, Run, _datum, _emit, _is_eligible, _rule
 from .jordan import _runs_if_member
 from .partitions import Bipartition, _within_excess
 
@@ -29,38 +30,43 @@ _PARSE_ROWS = {
     key: [[(p, label0, *pair) for (p, label0, o), pair in offsets.items() if o == origin] for origin in (0, 1)]
     for key, (_, offsets) in _REPLACEMENTS.items()
 }
+_ABOVE_ALL = float("inf")  # above every value, so the first value of a parse descends from it
 
 
 def _member_runs(family: JordanFamily, N: int) -> list[tuple[Run, ...]]:
     # The runs of every weight-N member, in the canonical order of
-    # enumerate_jordan.  Runs are placed one at a time, each value below the
-    # last and each length from longest to shortest, so base partitions come
-    # out lexicographically descending.  A run whose length breaks the parity
-    # rule is never placed, and a run of 1s must use up the remaining weight,
-    # so only the family's even part count is checked at the end.
+    # enumerate_jordan.
     _rule(family, N)
-    paired, even_count, labeled = family.paired, family.even_count, family.labeled
     out: list[tuple[Run, ...]] = []
-    choices: list[tuple[Run, ...]] = []  # per placed run, its labelings
-
-    def place(rem: int, cap: int, count: int) -> None:
-        if rem == 0:
-            if not (even_count and count % 2):
-                out.extend(product(*choices))
-            return
-        for v in range(min(cap, rem), 0, -1):
-            step = 2 if v % 2 == paired else 1
-            top = rem // v - (rem // v) % step
-            for length in range(top, rem - 1 if v == 1 else 0, -step):
-                if labeled and _is_eligible(v, length):
-                    choices.append(((v, length, 1), (v, length, 0)))
-                else:
-                    choices.append(((v, length, None),))
-                place(rem - v * length, v - 1, count + length)
-                choices.pop()
-
-    place(N, N, 0)
+    _place(family, N, N, 0, [], out)
     return out
+
+
+def _place(family: JordanFamily, rem: int, cap: int, count: int, choices: list, out: list) -> None:
+    # Places runs of total weight rem and values at most cap after the
+    # `count` parts whose labelings are `choices` (one tuple per placed run),
+    # and adds the runs of each member so completed to out.  Runs are placed
+    # one at a time, each value below the last and each length from longest
+    # to shortest, so base partitions come out lexicographically descending.
+    # A run whose length breaks the parity rule is never placed, and a run of
+    # 1s must use up the remaining weight, so only the family's even part
+    # count is checked at the end.  A module-level function, not a closure
+    # that calls itself, so a listing leaves no reference cycle behind.
+    if rem == 0:
+        if not (family.even_count and count % 2):
+            out.extend(product(*choices))
+        return
+    paired, labeled = family.paired, family.labeled
+    for v in range(min(cap, rem), 0, -1):
+        step = 2 if v % 2 == paired else 1
+        top = rem // v - (rem // v) % step
+        for length in range(top, rem - 1 if v == 1 else 0, -step):
+            if labeled and _is_eligible(v, length):
+                choices.append(((v, length, 1), (v, length, 0)))
+            else:
+                choices.append(((v, length, None),))
+            _place(family, rem - v * length, v - 1, count + length, choices, out)
+            choices.pop()
 
 
 def enumerate_jordan(family: JordanFamily, N: int) -> tuple[JordanDatum, ...]:
@@ -110,18 +116,18 @@ def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[Run]]
     # linked list of runs, newest first.  Every run advances the position, so
     # states settle position by position.  Entries past the end of t are
     # implicit zeros.
-    rows = _PARSE_ROWS[family, N % 2]
+    rows = _PARSE_ROWS[family, N & 1]
     paired, even_count, labeled = family.paired, family.even_count, family.labeled
     n = len(t)
     layers: dict[int, dict[tuple[int, int], list]] = {0: {(N + 1, N): [None]}}
     found: list = []
     i = 0
     while layers and len(found) < 2:
-        x, origin_rows = (t[i] if i < n else 0), rows[(i + 1) % 2]
+        x, origin_rows = (t[i] if i < n else 0), rows[(i + 1) & 1]
         for (prev, rem), parses in layers.pop(i, {}).items():
             if rem == 0:
-                if i >= n and not (even_count and i % 2):
-                    found.extend(parses[: 2 - len(found)])
+                if i >= n and not (even_count and i & 1):
+                    found += parses
                 continue
             for parity, label0, d1, d2 in origin_rows:
                 a = x - d1
@@ -129,21 +135,22 @@ def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[Run]]
                 if not 0 < v < prev or v > rem:
                     continue
                 # the run's entries alternate a + d1, which is x, and a + d2
-                most, e2, length = rem // v, a + d2, 0
-                while length < most and (t[i + length] if i + length < n else 0) == (e2 if length % 2 else x):
-                    length += 1
-                    if length % 2 and parity == paired:
+                stop, e2, j = i + rem // v, a + d2, i
+                while j < stop and (t[j] if j < n else 0) == (e2 if (j - i) & 1 else x):
+                    j += 1
+                    length = j - i
+                    if length & 1 and parity == paired:
                         continue  # this value parity needs an even run length
                     eligible = labeled and _is_eligible(v, length)
                     if label0 and not eligible:
                         continue
                     label = (0 if label0 else 1) if eligible else None
-                    state = layers.setdefault(i + length, {}).setdefault((v, rem - length * v), [])
+                    state = layers.setdefault(j, {}).setdefault((v, rem - length * v), [])
                     for p in parses[: 2 - len(state)]:
                         state.append((v, length, label, p))
         i += 1
     runs = []
-    for parse in found:
+    for parse in found[:2]:
         out = []
         while parse is not None:
             v, length, label, parse = parse
@@ -164,13 +171,15 @@ def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> Jorda
     no parse would falsify surjectivity and two parses injectivity; either
     raises a ConsistencyError.  The one parse is checked as it stands: its
     values must strictly descend, the datum built from it must be a weight-N
-    member whose runs are the parse's, and its rewrite must be the target;
-    a failure raises a ConsistencyError too.
+    member whose runs are the parse's, and the entries its runs emit,
+    trimmed of trailing zeros, must be the target; a failure raises a
+    ConsistencyError too.  The target is a checked codomain element, so
+    entries equal to it are a valid image.
     """
     bp = target if isinstance(target, Bipartition) else Bipartition(target)
     rule = _rule(family, N)
     excess, half = rule[1:3]
-    if bp.weight != half or not _within_excess(bp, excess):
+    if sum(bp) != half or not _within_excess(bp, excess):
         raise DomainError(
             f"{tuple(bp)} lies outside the image of weight-{N} {family.value} data "
             f"(expected weight {half}, excess {tuple(excess)})",
@@ -188,15 +197,22 @@ def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> Jorda
         )
     runs = parses[0]
     nu = _datum(family, runs)
-    values = [v for v, _, _ in runs] + [0]
-    descending = all(v > w for v, w in zip(values, values[1:]))
-    if not descending or _runs_if_member(family, nu) != runs or nu.weight != N:
-        raise ConsistencyError(
-            f"the {family.value} inverse parsed {tuple(bp)} as {nu}, which is not a weight-{N} member"
-        )
-    if _rewrite(rule, runs) != bp:
-        raise ConsistencyError(
-            f"the {family.value} inverse parsed {tuple(bp)} as {nu}, "
-            "which does not map back to it"
-        )
-    return nu
+    last = _ABOVE_ALL
+    for v, _, _ in runs:
+        if not 0 < v < last:
+            break
+        last = v
+    else:
+        if _runs_if_member(family, nu) == runs and nu.weight == N:
+            entries = _emit(rule, runs)
+            while entries and not entries[-1]:
+                entries.pop()
+            if tuple(entries) == bp:
+                return nu
+            raise ConsistencyError(
+                f"the {family.value} inverse parsed {tuple(bp)} as {nu}, "
+                "which does not map back to it"
+            )
+    raise ConsistencyError(
+        f"the {family.value} inverse parsed {tuple(bp)} as {nu}, which is not a weight-{N} member"
+    )

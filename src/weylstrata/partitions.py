@@ -211,6 +211,7 @@ def n_invariant(bp: Bipartition, half: int) -> int:
     """
     if not isinstance(bp, Bipartition):
         bp = Bipartition(bp)
+    _check_int(half, "half", "bad_weight")
     if half < 0:
         raise DomainError(f"half must be nonnegative, got {half}", code="bad_weight")
     if bp.weight != half:

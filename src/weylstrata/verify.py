@@ -72,7 +72,7 @@ def check_names() -> tuple[str, ...]:
 
 
 def _run(name: str, data_file: Optional[str]) -> CheckResult:
-    if name not in _CHECKS:
+    if not isinstance(name, str) or name not in _CHECKS:
         raise DomainError(f"unknown check {name!r}; have {', '.join(_CHECKS)}", code="bad_suite")
     func, budget, reads_atlas = _CHECKS[name]
     start = time.perf_counter()
@@ -97,6 +97,10 @@ def run_suite(names=None, data_file: Optional[str] = None) -> tuple[CheckResult,
     """
     if names is None:
         names = check_names()
+    try:
+        names = iter(names)
+    except TypeError:
+        raise DomainError(f"check names must be an iterable of strings, got {names!r}", code="bad_suite") from None
     return tuple(_run(name, data_file) for name in names)
 
 

@@ -52,6 +52,8 @@ class WeylSeries(enum.Enum):
     B = "B"
     D = "D"
 
+    __hash__ = object.__hash__  # keys _STRATUM_FAMILY; in C, and equal members are the same object
+
 
 # the members the query paths read, bound once by name
 _A, _D = WeylSeries.A, WeylSeries.D

@@ -47,6 +47,15 @@ def test_unknown_check_is_rejected():
     with pytest.raises(DomainError) as err:
         run_suite(("no-such-check",))
     assert err.value.code == "bad_suite"
+    # names that are not an iterable, or not strings, are refused with the same code
+    for names, message in (
+        (2.0, "check names must be an iterable of strings, got 2.0"),
+        ([["golden-sp2"]], "unknown check ['golden-sp2']"),
+        ([None], "unknown check None"),
+    ):
+        with pytest.raises(DomainError) as err:
+            run_suite(names)
+        assert err.value.code == "bad_suite" and str(err.value).startswith(message)
 
 
 def test_suite_builds_each_signed_fiber_map_once(monkeypatch):

@@ -242,12 +242,37 @@ def test_spectral_datum_family_checks():
             "bookkeeping",
             "orbit weights account for dimension 2, expected 4",
         ),
+        # arguments of the wrong type are refused with a code, not an AttributeError
+        ("sp4", [], "bad_group", "the group must be a GroupDescriptor, got 'sp4'"),
+        (sp(2), [3], "bad_orbit", "orbits must be EigenOrbit records, got 3"),
     ],
 )
 def test_spectral_datum_refusals(group, orbits, code, message):
     with pytest.raises(DomainError) as err:
         SpectralDatum(group, orbits)
     assert (err.value.code, str(err.value)) == (code, message)
+
+
+@pytest.mark.parametrize(
+    "ident,kind,jordan,message",
+    [
+        # a kind that is not an OrbitKind was accepted, then refused as a GL misfit
+        ("x", "generic", Partition([1]), "orbit kind must be an OrbitKind, got 'generic'"),
+        ("x", None, Partition([1]), "orbit kind must be an OrbitKind, got None"),
+        (
+            "1",
+            INV,
+            [2, 1, 1],
+            "involutive Jordan types are Partition or LabeledPartition records, got [2, 1, 1]",
+        ),
+        ("-1", INV, None, "involutive Jordan types are Partition or LabeledPartition records, got None"),
+        ("x", GEN, [1], "generic orbits carry a plain partition Jordan type"),
+    ],
+)
+def test_eigen_orbit_refusals(ident, kind, jordan, message):
+    with pytest.raises(DomainError) as err:
+        EigenOrbit(ident, kind, jordan)
+    assert (err.value.code, str(err.value)) == ("bad_orbit", message)
 
 
 def test_eigen_orbit_validation():

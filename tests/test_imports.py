@@ -271,12 +271,25 @@ def test_every_module_parses_at_the_python_floor(path):
 
 
 def _floor_python():
-    # a python3.10 on PATH that runs, or None; a pyenv shim for a version
-    # that is installed but not selected exits nonzero
+    # (a python3.10 on PATH that runs, the environment it runs in), or None.
+    # A pyenv shim for a version that is installed but not selected exits
+    # nonzero; it is tried again with PYENV_VERSION naming each installed 3.10
     found = shutil.which("python3.10")
     probe = "import sys; assert sys.version_info[:2] == (3, 10)"
-    if found and subprocess.run([found, "-c", probe], capture_output=True, timeout=60).returncode == 0:
-        return found
+
+    def runs(env):
+        return subprocess.run([found, "-c", probe], capture_output=True, timeout=60, env=env).returncode == 0
+
+    if not found:
+        return None
+    if runs(os.environ):
+        return found, dict(os.environ)
+    pyenv = shutil.which("pyenv")
+    listed = subprocess.run([pyenv, "versions", "--bare"], capture_output=True, text=True, timeout=60) if pyenv else None
+    for version in listed.stdout.split() if listed else ():
+        env = {**os.environ, "PYENV_VERSION": version}
+        if version.split(".")[:2] == ["3", "10"] and runs(env):
+            return found, env
     return None
 
 
@@ -305,17 +318,19 @@ for record in (
 
 
 def test_the_package_runs_at_the_python_floor():
-    floor = _floor_python()
-    if floor is None:
+    found = _floor_python()
+    if found is None:
         pytest.skip("no python3.10 runs on PATH")
+    floor, floor_env = found
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
 
     def run(python, *args):
+        env = {**(floor_env if python is floor else os.environ), "PYTHONPATH": path}
         return subprocess.run([python, *args], capture_output=True, text=True, env=env, timeout=120)
 
     phi = ("-m", "weylstrata.cli", "phi", "--group", "B", "--rank", "3", "--class", "1;2")
-    for args in (("-c", _FLOOR_RECORDS), phi):
+    invert = ("-m", "weylstrata.cli", "invert", "--family", "Z2", "--N", "8", "--target", "2,2")
+    for args in (("-c", _FLOOR_RECORDS), phi, invert):
         here, there = run(sys.executable, *args), run(floor, *args)
         assert (here.returncode, here.stderr) == (0, "")
         assert (there.returncode, there.stdout, there.stderr) == (0, here.stdout, "")

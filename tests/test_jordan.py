@@ -1,4 +1,7 @@
+import copy
+import gc
 import hashlib
+import pickle
 import re
 from itertools import groupby, product
 
@@ -161,6 +164,73 @@ def test_family_aliases():
     with pytest.raises(DomainError):
         family_from_name("Z3")
     assert set(FAMILY_ALIASES) == {"Z1", "Z2", "Z1P", "Z2P"}
+
+
+def test_family_members_hash_by_identity():
+    # Enum equality is identity, so an identity hash agrees with it
+    for family in JordanFamily:
+        assert type(family).__hash__ is object.__hash__
+        assert hash(family) == object.__hash__(family)
+        assert [other for other in JordanFamily if other == family] == [family]
+
+
+@pytest.mark.parametrize("family", list(JordanFamily))
+def test_every_route_to_a_family_is_the_member_itself(family):
+    # so the tables keyed by the member are found through each route
+    alias = next(name for name, member in FAMILY_ALIASES.items() if member is family)
+    routes = [
+        JordanFamily(family.value), FAMILY_ALIASES[alias], family_from_name(alias),
+        copy.copy(family), copy.deepcopy(family), pickle.loads(pickle.dumps(family)),
+    ]
+    keys = [key for key in jordan._REPLACEMENTS if key[0] is family]
+    assert keys
+    for got in routes:
+        assert got is family
+        for _, parity in keys:
+            assert jordan._REPLACEMENTS[got, parity] is jordan._REPLACEMENTS[family, parity]
+            assert jordan_inverse._PARSE_ROWS[got, parity] is jordan_inverse._PARSE_ROWS[family, parity]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda family: invert_bijection(family, 8, Bipartition([2, 2])),
+        lambda family: apply_bijection(family, Partition([2, 2])),
+        lambda family: count_jordan(family, 8),
+        lambda family: enumerate_jordan(family, 8),
+        lambda family: codomain(family, 8),
+        lambda family: in_family(family, Partition([2, 2])),
+    ],
+    ids=["invert_bijection", "apply_bijection", "count_jordan", "enumerate_jordan", "codomain", "in_family"],
+)
+def test_a_family_that_is_no_member_is_refused(call):
+    # a name, a value or another enum's member is refused, not read as the family it names
+    for family in ("Z2", "symplectic_char2", None, WeylSeries.B, 1):
+        with pytest.raises(DomainError) as err:
+            call(family)
+        message = f"Jordan family must be a JordanFamily, got {family!r}"
+        assert (err.value.code, str(err.value)) == ("bad_family", message)
+
+
+def test_jordan_listing_counting_and_inverse_leave_no_cycles():
+    # as with the bipartition listings, each call's work is freed on return,
+    # not left to the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_jordan(SP2, 28)
+        enumerate_jordan(SO, 27)
+        count_jordan(SO2, 28)
+        invert_bijection(SP2, 28, Bipartition([5, 5, 2, 1, 1]))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=12))
+def test_strings_are_the_maximal_runs_in_order(parts):
+    assert jordan._strings(parts) == [(v, len(list(run))) for v, run in groupby(parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +719,19 @@ def test_invert_checks_what_the_parse_returns(monkeypatch, family, N, target, ru
     monkeypatch.setattr("weylstrata.jordan_inverse._parse_runs", lambda *args: runs)
     with pytest.raises(ConsistencyError, match=message):
         invert_bijection(family, N, Bipartition(target))
+
+
+def test_invert_compares_the_trimmed_entries_with_the_target(monkeypatch):
+    # the emitted entries must be the target once trailing zeros are trimmed;
+    # any other entries, a negative one included, do not map back
+    emit = jordan_inverse._emit
+    nu = invert_bijection(SP2, 8, Bipartition([2, 2]))
+    monkeypatch.setattr("weylstrata.jordan_inverse._emit", lambda rule, runs: emit(rule, runs) + [0, 0])
+    assert invert_bijection(SP2, 8, Bipartition([2, 2])) == nu
+    for tail in ([-1], [0, 1], [1]):
+        monkeypatch.setattr("weylstrata.jordan_inverse._emit", lambda rule, runs: emit(rule, runs) + tail)
+        with pytest.raises(ConsistencyError, match="which does not map back to it"):
+            invert_bijection(SP2, 8, Bipartition([2, 2]))
 
 
 def test_parse_rows_regroup_the_replacement_offsets():

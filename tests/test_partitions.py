@@ -232,6 +232,10 @@ _REFUSALS = [
     (lambda: has_excess(Bipartition([1]), "12"), "bad_excess", "excess must be a pair of integers, got '12'"),
     # an iterator is refused without being read, so an endless one too
     (lambda: count_bipartitions(4, count()), "bad_excess", "excess must be a pair of integers, got count(0)"),
+    # the n-invariant's weight is an int and not a bool, as every other weight
+    (lambda: n_invariant(Bipartition([2, 1, 1]), "4"), "bad_weight", "half must be an integer, got '4'"),
+    (lambda: n_invariant(Bipartition([1, 1]), 2.0), "bad_weight", "half must be an integer, got 2.0"),
+    (lambda: n_invariant(Bipartition([1]), True), "bad_weight", "half must be an integer, got True"),
 ]
 _REFUSAL_MESSAGE = {make: message for make, _, message in _REFUSALS}
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -123,6 +125,22 @@ def test_weyl_type_validation():
         weyl_series_from_name("E")
     WeylType(WeylSeries.B, 0)  # trivial group allowed
     WeylType(WeylSeries.D, 2)
+
+
+@pytest.mark.parametrize("series", list(WeylSeries))
+def test_series_members_hash_by_identity(series):
+    # Enum equality is identity, so an identity hash agrees with it, and
+    # every route to a member is the member itself, which keys _STRATUM_FAMILY
+    assert WeylSeries.__hash__ is object.__hash__ and hash(series) == object.__hash__(series)
+    assert [other for other in WeylSeries if other == series] == [series]
+    routes = [
+        WeylSeries(series.value), weyl_series_from_name(series.value), WeylType(series.value, 4).series,
+        copy.copy(series), copy.deepcopy(series), pickle.loads(pickle.dumps(series)),
+    ]
+    for got in routes:
+        assert got is series
+        assert weyl._STRATUM_FAMILY.get(got) is weyl._STRATUM_FAMILY.get(series)
+    assert (series in weyl._STRATUM_FAMILY) == (series is not WeylSeries.A)
 
 
 @pytest.mark.parametrize(
