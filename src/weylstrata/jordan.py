@@ -58,8 +58,9 @@ is the two in turn.  ``apply_bijection`` decomposes its datum once,
 generated data and the Jordan types of Weyl classes (``weyl``) reach
 ``_rewrite`` with runs known by construction.  The inverse compares the
 entries ``_emit`` gives with a target it has already checked, so it needs
-no ``_finish``.  ``_rule`` and ``in_family`` refuse a family that is not a
-``JordanFamily`` member with the code bad_family, through one check.
+no ``_finish``.  ``_rule``, ``in_family`` and ``apply_bijection`` refuse
+a family that is not a ``JordanFamily`` member with the code bad_family,
+through one check.
 Listing, counting and inverting the weight-N members of a family are
 ``jordan_inverse``'s.
 
