@@ -13,11 +13,16 @@ The classification map sends spectral data to the stratum label: a weight
 N/2 bipartition (weight n for GL_n, weight (N-1)/2 for odd orthogonal
 groups).  Generic orbits contribute their Jordan type unchanged; involutive
 orbits contribute through the unipotent bijections; contributions add
-entrywise.  Validating the data keeps, for each involutive orbit, its runs
-and the rule of its family map at its weight, so ``classify`` only
-rewrites them, sums the contributions in one pass and checks the sum once.
+entrywise.  Validating the data keeps the group it classifies through and,
+for each involutive orbit, its runs and the rule of its family map at its
+weight, so ``classify`` only rewrites them, sums the contributions in one
+pass, checks the sum once and compares its weight once.
 The class dimension is 2 * (number of positive roots) minus
 twice the n-invariant of the label, and is constant on each stratum.
+``stratum_of_label`` also checks that its label lies in the series' label
+set; ``classify`` and the dimension-sets check of ``verify``, whose labels
+lie there by construction, call its body, ``_stratum_of_label``, without
+that check.
 
 Only whether the characteristic is 2 or not ever matters; odd primes are
 accepted and treated alike.  Odd orthogonal groups in characteristic 2 are
@@ -36,7 +41,7 @@ from typing import Iterable, Optional
 
 from .errors import ConsistencyError, DomainError, Record, check_characteristic
 from .jordan import JordanDatum, JordanFamily, LabeledPartition, _rewrite, _rule, _runs_if_member
-from .partitions import Bipartition, Excess, Partition, _check_int, n_invariant
+from .partitions import Bipartition, Excess, Partition, _check_int, _within_excess, n_invariant
 
 
 class Series(enum.Enum):
@@ -85,9 +90,14 @@ class GroupDescriptor(Record):
     def __init__(self, series: Series, dimension: int, characteristic: int = 0):
         if not isinstance(series, Series):
             series = series_from_name(str(series))
-        _check_int(characteristic, "characteristic", "bad_characteristic")
-        check_characteristic(characteristic)
-        _check_int(dimension, "dimension", "bad_dimension")
+        # a plain int passes each integer gate on one type test, and 0 and 2,
+        # the characteristics the maps read, the primality test
+        if type(characteristic) is not int:
+            _check_int(characteristic, "characteristic", "bad_characteristic")
+        if characteristic != 0 and characteristic != 2:
+            check_characteristic(characteristic)
+        if type(dimension) is not int:
+            _check_int(dimension, "dimension", "bad_dimension")
         if dimension < 0:
             raise DomainError(f"dimension must be nonnegative, got {dimension}", code="bad_dimension")
         odd = series is _SO_ODD
@@ -152,7 +162,8 @@ class EigenOrbit(Record):
                 raise _bad_orbit(f"generic orbits may not use the involutive id {ident!r}")
             if not isinstance(jordan, Partition):
                 raise _bad_orbit("generic orbits carry a plain partition Jordan type")
-        if jordan.weight == 0:
+        # the parts are positive: the weight is 0 exactly when there are none
+        if not (jordan.parts if isinstance(jordan, LabeledPartition) else jordan):
             raise _bad_orbit(f"orbit {ident!r} has empty Jordan type")
         self._fill(ident, kind, jordan)
 
@@ -182,22 +193,24 @@ class SpectralDatum(Record):
     involutive Jordan type in the family dictated by the series and
     characteristic, and its weight parity: odd exactly for the eigenvalue 1
     of an odd orthogonal group.  Validation reads each orbit's weight once
-    and keeps each involutive orbit's family rule with its runs, so
-    ``classify`` rewrites them without testing membership or reading the
-    rule again.
+    and keeps the group it classifies through and each involutive orbit's
+    family rule with its runs, so ``classify`` rewrites them without testing
+    membership, reading the rule or deriving the group again.
     """
 
-    __slots__ = ("group", "orbits", "_orbit_runs")
-    # _orbit_runs is not a field: equality, hashing and repr see group and orbits only
+    __slots__ = ("group", "orbits", "_classifying", "_orbit_runs")
+    # _classifying and _orbit_runs are not fields: equality, hashing and repr
+    # see group and orbits only
     _fields = ("group", "orbits")
 
     def __init__(self, group: GroupDescriptor, orbits: Iterable[EigenOrbit]):
         orbits = tuple(orbits)
-        self._fill(group, orbits, self._validate(group, orbits))
+        self._fill(group, orbits, *self._validate(group, orbits))
 
     @staticmethod
     def _validate(group: GroupDescriptor, orbits: tuple[EigenOrbit, ...]) -> tuple:
-        # one entry per orbit: (its _rule, its runs) for an involutive one, else None
+        # the classifying group, and one entry per orbit: (its _rule, its runs)
+        # for an involutive one, else None
         if not isinstance(group, GroupDescriptor):
             raise DomainError(f"the group must be a GroupDescriptor, got {group!r}", code="bad_group")
         for o in orbits:
@@ -213,7 +226,9 @@ class SpectralDatum(Record):
         total = 0
         orbit_runs = []
         for o in orbits:
-            weight = o.jordan.weight
+            jordan = o.jordan
+            # an EigenOrbit's Jordan type is a Partition or a LabeledPartition
+            weight = sum(jordan.parts if isinstance(jordan, LabeledPartition) else jordan)
             if o.kind is _GENERIC:
                 # a pair {x, 1/x}, except in GL where eigenvalues are not paired
                 total += weight if gl else 2 * weight
@@ -223,10 +238,10 @@ class SpectralDatum(Record):
                 raise _bad_orbit("GL spectral data uses only generic orbits")
             if o.ident == "-1" and char == 2:
                 raise _bad_orbit("the eigenvalue -1 does not exist in characteristic 2")
-            runs = _runs_if_member(fam, o.jordan)
+            runs = _runs_if_member(fam, jordan)
             if runs is None:
                 raise DomainError(
-                    f"involutive orbit {o.ident!r}: Jordan type {o.jordan} is not in "
+                    f"involutive orbit {o.ident!r}: Jordan type {jordan} is not in "
                     f"the {fam.value} family",
                     code="not_in_family",
                 )
@@ -247,7 +262,7 @@ class SpectralDatum(Record):
                 f"orbit weights account for dimension {total}, expected {g.dimension}",
                 code="bookkeeping",
             )
-        return tuple(orbit_runs)
+        return g, tuple(orbit_runs)
 
 
 class StratumResult(Record):
@@ -273,13 +288,33 @@ class StratumResult(Record):
 def stratum_of_label(group: GroupDescriptor, bp: Bipartition) -> StratumResult:
     """The stratum of the group labelled bp.
 
-    bp is a Bipartition of weight ``group.rank_half``, which is checked, in
-    the series' label set, which is the caller's to establish.
+    bp must be a bipartition of weight ``group.rank_half`` in the series'
+    label set, the bipartitions of excess ``stratum_excess(group.series)``.
+    A label of another weight is refused with the code weight_mismatch, and
+    then one outside the label set with the code bad_label.
     """
-    n_e = n_invariant(bp, group.rank_half)
-    dim = 2 * positive_roots(group) - 2 * n_e
+    bp = bp if isinstance(bp, Bipartition) else Bipartition(bp)
+    result = _stratum_of_label(group, bp)
+    excess = stratum_excess(group.series)
+    if not _within_excess(bp, excess):
+        raise DomainError(
+            f"{tuple(bp)} is no stratum label of {group.series.value}: "
+            f"its entries climb past the excess {tuple(excess)}",
+            code="bad_label",
+        )
+    return result
+
+
+def _stratum_of_label(group: GroupDescriptor, bp: Bipartition) -> StratumResult:
+    # stratum_of_label without the excess check, for a Bipartition in the
+    # series' label set.  Its weight is compared once, and n_invariant words
+    # a mismatch.
+    half = group.rank_half
+    if sum(bp) != half:
+        n_invariant(bp, half)
+    n_e = len(bp) * half - sum(accumulate(bp))
     degenerate = bp.is_pair_symmetric if group.series is _SO_EVEN else None
-    return StratumResult(bp, n_e, dim, degenerate)
+    return StratumResult._fill(object.__new__(StratumResult), bp, n_e, 2 * positive_roots(group) - 2 * n_e, degenerate)
 
 
 def classify(datum: SpectralDatum) -> StratumResult:
@@ -295,7 +330,7 @@ def classify(datum: SpectralDatum) -> StratumResult:
     entries = list(map(sum, zip_longest(*contributions, fillvalue=0)))
     if any(map(lt, entries, entries[2:])):
         raise ConsistencyError(f"the orbit contributions add up to {tuple(entries)}, not a bipartition")
-    return stratum_of_label(_classifying_group(datum.group), tuple.__new__(Bipartition, entries))  # checked above
+    return _stratum_of_label(datum._classifying, tuple.__new__(Bipartition, entries))  # checked above
 
 
 def stratum_excess(series: Series) -> Excess:

@@ -44,12 +44,16 @@ Inside the module each family's rules are plain attributes of its
 ``paired`` is the parity of the values whose strings must have even length,
 ``even_count`` whether members need an even number of parts, and ``labeled``
 whether eligible strings carry a label.  A partition is read as its strings,
-one (value, multiplicity) pair each, and ``_is_member`` is the one
-membership test on them.  ``_runs_if_member`` applies it to a datum and
-serves ``in_family``, ``apply_bijection`` and the check of each inverse.
+one (value, multiplicity) pair each.
 A member travels as its *runs*: one (value, length, label) triple per
 string, values descending, the label None unless the family is labeled and
-the value eligible.  ``_datum`` builds the member with given runs.  One
+the value eligible.  ``_is_member`` is the one membership test on the runs
+of a datum, and ``_runs_if_member`` applies it and serves ``in_family``,
+``apply_bijection``, ``classical``'s validation and the check of each
+inverse.  A validated ``LabeledPartition`` keeps the runs its validation
+read off its strings, so those callers do not split its parts again; one
+built by ``_datum``, the member with given runs, keeps none, and its runs
+are read off its parts.  One
 rewrite loop, ``_emit``, emits the entries of the image of given runs
 under a rule that ``_rule`` reads from ``_REPLACEMENTS`` once per call,
 not once per image, and ``_finish`` checks them in one pass; ``_rewrite``
@@ -60,7 +64,8 @@ generated data and the Jordan types of Weyl classes (``weyl``) reach
 entries ``_emit`` gives with a target it has already checked, so it needs
 no ``_finish``.  ``_rule``, ``in_family`` and ``apply_bijection`` refuse
 a family that is not a ``JordanFamily`` member with the code bad_family,
-through one check.
+through one check, which ``_rule`` makes only once a type test has found
+no member, as it does for a weight that is no nonnegative int.
 Listing, counting and inverting the weight-N members of a family are
 ``jordan_inverse``'s.
 
@@ -74,7 +79,7 @@ entries, and a violation is reported as a consistency failure.
 from __future__ import annotations
 
 import enum
-from typing import Container, Iterable, Mapping, Optional, Union
+from typing import Container, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ConsistencyError, DomainError, Record
 from .partitions import Bipartition, Excess, Partition, _check_weight
@@ -168,16 +173,20 @@ class LabeledPartition(Record):
     Valid instances always have every odd value occurring an even number of
     times, and carry a label for exactly the eligible values (even value,
     positive even multiplicity).  Labels are keyed by part value, not by
-    string position.
+    string position.  Validation keeps the runs it reads off the strings,
+    so a map reads them without splitting the parts again.
     """
 
-    __slots__ = ("parts", "labels")
+    __slots__ = ("parts", "labels", "_kept_runs")
+    # _kept_runs is not a field: equality, hashing and repr see parts and labels only
+    _fields = ("parts", "labels")
 
     def __init__(self, parts: Iterable[int], labels: Mapping[int, int] | None = None):
         base = parts if isinstance(parts, Partition) else Partition(parts)
         # one pass over the strings checks parity and collects the eligible values
+        strings = _strings(base)
         eligible = []
-        for v, m in _strings(base):
+        for v, m in strings:
             if _is_eligible(v, m):
                 eligible.append(v)
             elif m % 2 and v % 2 == _LABELED_PAIRED:
@@ -197,13 +206,15 @@ class LabeledPartition(Record):
         for v, bit in given.items():
             if type(bit) is not int or bit not in (0, 1):
                 raise DomainError(f"label for value {v} must be 0 or 1, got {bit!r}", code="bad_labels")
-        self._fill(base, tuple((v, given[v]) for v in eligible))
+        # the keys are the eligible values, so a string's run label is its value's, or None
+        self._fill(base, tuple([(v, given[v]) for v in eligible]), tuple([(v, m, given.get(v)) for v, m in strings]))
 
     @classmethod
     def _trusted(cls, parts: Partition, labels: tuple[tuple[int, int], ...]):
         # For data valid by construction: labels keyed by the eligible values
-        # of parts, descending.
-        return cls._fill(object.__new__(cls), parts, labels)
+        # of parts, descending.  No runs are kept: a check of the record
+        # reads them off its parts and labels.
+        return cls._fill(object.__new__(cls), parts, labels, None)
 
     @property
     def weight(self) -> int:
@@ -255,24 +266,26 @@ def in_family(family: JordanFamily, nu: JordanDatum) -> bool:
     return _runs_if_member(family, nu) is not None
 
 
-def _runs_if_member(family: JordanFamily, nu: JordanDatum) -> Optional[list[Run]]:
-    # The runs of nu when it is a member of the family, else None.
+def _runs_if_member(family: JordanFamily, nu: JordanDatum) -> Optional[Sequence[Run]]:
+    # The runs of nu when it is a member of the family, else None: a
+    # validated LabeledPartition's kept runs, or runs read off the strings.
     labeled = family.labeled
     if labeled != isinstance(nu, LabeledPartition):
         return None
-    parts = nu.parts if labeled else nu
-    strings = _strings(parts)
-    if not _is_member(family, strings, len(parts)):
-        return None
-    ones = {v for v, bit in nu.labels if bit} if labeled else ()
-    return _runs(family, strings, ones)
+    if not labeled:
+        runs, count = _runs(family, _strings(nu), ()), len(nu)
+    else:
+        runs, count = nu._kept_runs, len(nu.parts)
+        if runs is None:
+            runs = _runs(family, _strings(nu.parts), {v for v, bit in nu.labels if bit})
+    return runs if _is_member(family, runs, count) else None
 
 
-def _is_member(family: JordanFamily, multiplicities: Iterable[tuple[int, int]], count: int) -> bool:
-    # The family's parity rules on a partition's (value, multiplicity) pairs
-    # and its part count; labels are the caller's to check.
+def _is_member(family: JordanFamily, runs: Iterable[Run], count: int) -> bool:
+    # The family's parity rules on a partition's runs and its part count;
+    # labels are the caller's to check.
     paired = family.paired
-    for v, m in multiplicities:
+    for v, m, _ in runs:
         if m & 1 and v & 1 == paired:
             return False
     return not (family.even_count and count & 1)
@@ -295,7 +308,9 @@ def _finish(entries: list[int], family: JordanFamily, excess: Excess, half: int)
     for x in entries:
         if x < 0 or x > two_back or x > last + slack:
             break
-        two_back, last, slack, next_slack = last, x, next_slack, slack
+        # two pairs, not one 4-tuple: CPython swaps a pair without building a tuple
+        two_back, last = last, x
+        slack, next_slack = next_slack, slack
         rest -= x
     else:
         if not rest:
@@ -350,16 +365,20 @@ def _check_family(family) -> None:
 
 def _rule(family: JordanFamily, N: int) -> tuple:
     # What _emit and _finish read of a weight-N family map, read once per
-    # call: (family, codomain excess, N // 2, offsets).
-    _check_family(family)
-    _check_weight(N)
-    rule = _REPLACEMENTS.get((family, N % 2))
+    # call: (family, codomain excess, N // 2, offsets).  A family member and
+    # a nonnegative int pass on a type test each; anything else goes to the
+    # gate that words its refusal.
+    if type(family) is not JordanFamily:
+        _check_family(family)
+    if type(N) is not int or N < 0:
+        _check_weight(N)
+    rule = _REPLACEMENTS.get((family, N & 1))
     if rule is None:
         raise DomainError(
             f"the {family.value} family is defined for even weights, got {N}",
             code="bad_parity",
         )
-    return family, rule[0], N // 2, rule[1]
+    return family, rule[0], N >> 1, rule[1]
 
 
 def _emit(rule: tuple, runs: Iterable[Run]) -> list[int]:
@@ -373,7 +392,8 @@ def _emit(rule: tuple, runs: Iterable[Run]) -> list[int]:
     for value, length, label in runs:
         a = value >> 1
         d1, d2 = offsets[value & 1, label == 0, origin]
-        out += [a + d1, a + d2] * (length >> 1)
+        if length > 1:  # one part emits no pair: build no empty list
+            out += [a + d1, a + d2] * (length >> 1)
         if length & 1:
             out.append(a + d1)
             origin ^= 1
@@ -392,7 +412,7 @@ def apply_bijection(family: JordanFamily, nu: JordanDatum) -> Bipartition:
     runs = _runs_if_member(family, nu)
     if runs is None:
         raise DomainError(f"{nu} is not in the {family.value} family", code="not_in_family")
-    return _rewrite(_rule(family, nu.weight), runs)
+    return _rewrite(_rule(family, sum(nu.parts) if family.labeled else nu.weight), runs)
 
 
 def codomain(family: JordanFamily, N: int) -> tuple[Excess, int]:

@@ -27,11 +27,11 @@ from .classical import (
     OrbitKind,
     Series,
     SpectralDatum,
+    _stratum_of_label,
     classify,
     dimension_set,
     enumerate_strata,
     stratum_excess,
-    stratum_of_label,
 )
 from .enumeration import enumerate_bipartitions, enumerate_partitions
 from .errors import ConsistencyError, DomainError, Record
@@ -98,6 +98,8 @@ def run_suite(names=None, data_file: Optional[str] = None) -> tuple[CheckResult,
     if names is None:
         names = check_names()
     try:
+        if isinstance(names, str):  # iterates over its letters, not over names
+            raise TypeError
         names = iter(names)
     except TypeError:
         raise DomainError(f"check names must be an iterable of strings, got {names!r}", code="bad_suite") from None
@@ -267,7 +269,7 @@ def _check_dimension_sets() -> str:
     for n in range(1, 7):
         sp2, rule = GroupDescriptor(Series.SP, 2 * n, 2), _rule(family, 2 * n)
         # unipotent classes in characteristic 2 already realize every value
-        from_unipotents = {stratum_of_label(sp2, _rewrite(rule, runs)).class_dim for runs in _member_runs(family, 2 * n)}
+        from_unipotents = {_stratum_of_label(sp2, _rewrite(rule, runs)).class_dim for runs in _member_runs(family, 2 * n)}
         _ensure(from_unipotents == dimension_set(sp2), f"n={n}: char-2 unipotent dims differ")
     return "dimension sets equal the strata's for n <= 20 and Sp_2n's char-2 unipotent dims for n <= 6"
 

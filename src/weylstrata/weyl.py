@@ -89,7 +89,8 @@ class WeylType(Record):
     def __init__(self, series: WeylSeries, rank: int):
         if not isinstance(series, WeylSeries):
             series = weyl_series_from_name(str(series))
-        _check_int(rank, "rank", "bad_rank")
+        if type(rank) is not int:
+            _check_int(rank, "rank", "bad_rank")
         lo = 1 if series is _A else 0
         if rank < lo:
             raise DomainError(
@@ -165,8 +166,9 @@ def _check_class(w: WeylType, c: WeylClass) -> WeylClass:
         return c
     if not isinstance(c, SignedCycleType):
         raise _bad_class(f"type {w.series.value} classes are signed cycle types, got {c!r}")
-    if c.rank != w.rank:
-        raise _bad_class(f"signed cycle type has rank {c.rank}, expected {w.rank}")
+    rank = sum(c.positive) + sum(c.negative)  # c.rank, without its two property reads
+    if rank != w.rank:
+        raise _bad_class(f"signed cycle type has rank {rank}, expected {w.rank}")
     if w.series is _D and len(c.negative) % 2 == 1:
         raise _bad_class(f"type D classes have an even number of negative cycles, got {c}")
     return c
@@ -193,13 +195,14 @@ def parse_class(w: WeylType, text: str) -> WeylClass:
 def _class_runs(family: JordanFamily, c: SignedCycleType) -> list:
     # The runs of the labeled Jordan type of c: a value v occurs twice per
     # positive v-cycle and once per negative v/2-cycle, and 2l is labeled 1
-    # when l is a negative cycle length.
-    mult: dict[int, int] = {}
+    # when l is a negative cycle length, that is when it is a key of `negative`.
+    negative: dict[int, int] = {}
+    for l in c.negative:
+        negative[2 * l] = negative.get(2 * l, 0) + 1
+    mult = negative.copy()
     for l in c.positive:
         mult[l] = mult.get(l, 0) + 2
-    for l in c.negative:
-        mult[2 * l] = mult.get(2 * l, 0) + 1
-    return _runs(family, sorted(mult.items(), reverse=True), {2 * l for l in c.negative})
+    return _runs(family, sorted(mult.items(), reverse=True), negative)
 
 
 def jordan_of_class(c: SignedCycleType) -> LabeledPartition:

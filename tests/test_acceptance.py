@@ -58,6 +58,15 @@ def test_unknown_check_is_rejected():
         assert err.value.code == "bad_suite" and str(err.value).startswith(message)
 
 
+def test_a_string_is_no_list_of_check_names():
+    # a string iterates over its letters: it was refused as "unknown check 'g'"
+    with pytest.raises(DomainError) as err:
+        run_suite("golden-sp2")
+    assert (err.value.code, str(err.value)) == (
+        "bad_suite", "check names must be an iterable of strings, got 'golden-sp2'"
+    )
+
+
 def test_suite_builds_each_signed_fiber_map_once(monkeypatch):
     built = Counter()
     build = weyl.strata_fibers

@@ -513,6 +513,50 @@ def test_enumerate_strata_is_stratum_of_each_label():
         assert enumerate_strata(group) == tuple(stratum_of_label(group, bp) for bp in labels), group
 
 
+@pytest.mark.parametrize(
+    "group,label,message",
+    [
+        # it returned class_dim=-2
+        (
+            GroupDescriptor(Series.GL, 2),
+            [0, 2],
+            "(0, 2) is no stratum label of GL: its entries climb past the excess (0, 0)",
+        ),
+        (
+            GroupDescriptor(Series.SP, 6),
+            [0, 3],
+            "(0, 3) is no stratum label of Sp: its entries climb past the excess (2, 2)",
+        ),
+        (
+            GroupDescriptor(Series.SO_ODD, 9, 2),
+            [0, 3, 0, 1],
+            "(0, 3, 0, 1) is no stratum label of SO_odd: its entries climb past the excess (2, 2)",
+        ),
+        (
+            GroupDescriptor(Series.SO_EVEN, 4),
+            [0, 2],
+            "(0, 2) is no stratum label of SO_even: its entries climb past the excess (0, 4)",
+        ),
+    ],
+)
+def test_stratum_of_label_refuses_a_label_outside_the_label_set(group, label, message):
+    for bp in (label, Bipartition(label)):
+        with pytest.raises(DomainError) as err:
+            stratum_of_label(group, bp)
+        assert (err.value.code, str(err.value)) == ("bad_label", message)
+
+
+def test_stratum_of_label_words_the_weight_before_the_excess():
+    with pytest.raises(DomainError) as err:
+        stratum_of_label(GroupDescriptor(Series.GL, 2), Bipartition([0, 3]))
+    assert (err.value.code, str(err.value)) == (
+        "weight_mismatch", "weight mismatch: bipartition has weight 3, expected 2"
+    )
+    # a label given as a list comes back as the Bipartition it names
+    assert stratum_of_label(GroupDescriptor(Series.SP, 4), [1, 1]).bp == Bipartition([1, 1])
+    assert type(stratum_of_label(GroupDescriptor(Series.SP, 4), [1, 1]).bp) is Bipartition
+
+
 def test_dimension_set_is_the_strata_class_dimensions():
     for group in _groups_up_to(30):
         assert dimension_set(group) == {s.class_dim for s in enumerate_strata(group)}, group
