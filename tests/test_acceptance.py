@@ -47,24 +47,17 @@ def test_unknown_check_is_rejected():
     with pytest.raises(DomainError) as err:
         run_suite(("no-such-check",))
     assert err.value.code == "bad_suite"
-    # names that are not an iterable, or not strings, are refused with the same code
+    # names that are not an iterable, or not strings, are refused with the same code;
+    # a string iterates over its letters, and was refused as "unknown check 'g'"
     for names, message in (
         (2.0, "check names must be an iterable of strings, got 2.0"),
         ([["golden-sp2"]], "unknown check ['golden-sp2']"),
         ([None], "unknown check None"),
+        ("golden-sp2", "check names must be an iterable of strings, got 'golden-sp2'"),
     ):
         with pytest.raises(DomainError) as err:
             run_suite(names)
         assert err.value.code == "bad_suite" and str(err.value).startswith(message)
-
-
-def test_a_string_is_no_list_of_check_names():
-    # a string iterates over its letters: it was refused as "unknown check 'g'"
-    with pytest.raises(DomainError) as err:
-        run_suite("golden-sp2")
-    assert (err.value.code, str(err.value)) == (
-        "bad_suite", "check names must be an iterable of strings, got 'golden-sp2'"
-    )
 
 
 def test_suite_builds_each_signed_fiber_map_once(monkeypatch):
