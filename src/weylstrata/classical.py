@@ -41,7 +41,7 @@ from typing import Iterable, Optional
 
 from .errors import ConsistencyError, DomainError, Record, check_characteristic
 from .jordan import JordanDatum, JordanFamily, LabeledPartition, _rewrite, _rule, _runs_if_member
-from .partitions import Bipartition, Excess, Partition, _check_int, _within_excess, n_invariant
+from .partitions import Bipartition, Excess, Partition, _check_int, _read_name, _within_excess, n_invariant
 
 
 class Series(enum.Enum):
@@ -68,13 +68,7 @@ _SERIES_NAMES = {
 
 
 def series_from_name(name: str) -> Series:
-    key = name.strip().lower()
-    if key in _SERIES_NAMES:
-        return _SERIES_NAMES[key]
-    raise DomainError(
-        f"unknown series {name!r}; expected GL, Sp, SO_odd, or SO_even",
-        code="bad_series",
-    )
+    return _read_name(name, _SERIES_NAMES, "unknown series {name!r}; expected GL, Sp, SO_odd, or SO_even", "bad_series")
 
 
 class GroupDescriptor(Record):
@@ -89,7 +83,7 @@ class GroupDescriptor(Record):
 
     def __init__(self, series: Series, dimension: int, characteristic: int = 0):
         if not isinstance(series, Series):
-            series = series_from_name(str(series))
+            series = series_from_name(series)
         # a plain int passes each integer gate on one type test, and 0 and 2,
         # the characteristics the maps read, the primality test
         if type(characteristic) is not int:

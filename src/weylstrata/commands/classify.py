@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import sys
 
-from ..classical import EigenOrbit, GroupDescriptor, OrbitKind, SpectralDatum, classify, series_from_name
+from ..classical import EigenOrbit, GroupDescriptor, OrbitKind, SpectralDatum, classify
 from ..errors import DomainError
 from ..jordan import LabeledPartition
 from ..partitions import Partition, parse_entries
@@ -41,12 +41,8 @@ def _read_document(path: str) -> dict:
 def _group_from_doc(doc: dict):
     if not isinstance(doc, dict) or "series" not in doc or "N" not in doc:
         raise DomainError('group must be {"series": ..., "N": ..., "char"?: ...}', code="bad_document")
-    series = series_from_name(str(doc["series"]))
-    dimension = doc["N"]
-    char = doc.get("char", 0)
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in (dimension, char)):
-        raise DomainError("group N and char must be integers", code="bad_document")
-    return GroupDescriptor(series, dimension, char)
+    # GroupDescriptor reads the series name and checks N and char
+    return GroupDescriptor(doc["series"], doc["N"], doc.get("char", 0))
 
 
 def _orbit_from_doc(doc: dict):
@@ -61,7 +57,7 @@ def _orbit_from_doc(doc: dict):
     except ValueError:
         raise DomainError(f"unknown orbit kind {doc['kind']!r}", code="bad_document")
     parts = doc["parts"]
-    if not isinstance(parts, list) or not all(type(p) is int for p in parts):
+    if not isinstance(parts, list):  # Partition checks the entries
         raise DomainError("orbit parts must be a list of integers", code="bad_document")
     if "labels" in doc and doc["labels"] is not None:
         raw_labels = doc["labels"]
@@ -69,10 +65,8 @@ def _orbit_from_doc(doc: dict):
             raise DomainError("orbit labels must be an object", code="bad_document")
         try:
             # each key is one entry by the rule of class text and --target; a
-            # DomainError is a ValueError
+            # DomainError is a ValueError.  LabeledPartition checks the bits.
             labels = {key: v for (key,), v in zip(map(parse_entries, raw_labels), raw_labels.values())}
-            if not all(type(v) is int for v in labels.values()):  # no floats, no bools
-                raise ValueError
         except ValueError:
             raise DomainError("orbit labels must map integers to bits", code="bad_document")
         jordan = LabeledPartition(parts, labels)

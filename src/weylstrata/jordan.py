@@ -82,7 +82,7 @@ import enum
 from typing import Container, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ConsistencyError, DomainError, Record
-from .partitions import Bipartition, Excess, Partition, _check_weight
+from .partitions import Bipartition, Excess, Partition, _check_weight, _read_name
 
 
 class JordanFamily(enum.Enum):
@@ -131,18 +131,15 @@ FAMILY_ALIASES = {
 }
 
 
+# every spelling family_from_name accepts: the aliases and the values
+_FAMILY_NAMES = {**{alias.lower(): f for alias, f in FAMILY_ALIASES.items()}, **{f.value: f for f in JordanFamily}}
+_UNKNOWN_FAMILY = (
+    f"unknown Jordan family {{name!r}}; expected one of {sorted(FAMILY_ALIASES)} or {[f.value for f in JordanFamily]}"
+)
+
+
 def family_from_name(name: str) -> JordanFamily:
-    key = name.strip()
-    if key.upper() in FAMILY_ALIASES:
-        return FAMILY_ALIASES[key.upper()]
-    try:
-        return JordanFamily(key.lower())
-    except ValueError:
-        raise DomainError(
-            f"unknown Jordan family {name!r}; expected one of "
-            f"{sorted(FAMILY_ALIASES)} or {[f.value for f in JordanFamily]}",
-            code="bad_family",
-        ) from None
+    return _read_name(name, _FAMILY_NAMES, _UNKNOWN_FAMILY, "bad_family")
 
 
 def _strings(parts: Iterable[int]) -> list[tuple[int, int]]:

@@ -60,6 +60,16 @@ def _check_weight(n) -> None:
         raise DomainError(f"weight must be nonnegative, got {n}", code="bad_weight")
 
 
+def _read_name(name, names: dict, refusal: str, code: str):
+    # The member a table of lower-case spellings gives a name, read with case
+    # and surrounding whitespace ignored; else a refusal that words the name
+    # as given, through refusal's {name!r}.
+    member = names.get(str(name).strip().lower())
+    if member is None:
+        raise DomainError(refusal.format(name=name), code=code)
+    return member
+
+
 def _as_int_seq(seq) -> list[int]:
     out = list(seq)
     for x in out:

@@ -44,7 +44,7 @@ from typing import NamedTuple, Union
 from .classical import GroupDescriptor, Series, _involutive_family
 from .errors import DomainError, Record, unique_minimizer
 from .jordan import JordanFamily, LabeledPartition, _datum, _rewrite, _rule, _runs
-from .partitions import Bipartition, Partition, _check_int, parse_entries
+from .partitions import Bipartition, Partition, _check_int, _read_name, parse_entries
 
 
 class WeylSeries(enum.Enum):
@@ -62,18 +62,12 @@ _GROUP_SERIES = {WeylSeries.A: Series.GL, WeylSeries.B: Series.SP, WeylSeries.D:
 # the characteristic-2 Jordan family of that group, for the series whose
 # classes map through one; read off classical's rule once
 _STRATUM_FAMILY = {w: _involutive_family(series, 2) for w, series in _GROUP_SERIES.items() if w is not _A}
+# the spellings of the series; C has the Weyl group of B
+_WEYL_SERIES_NAMES = {"a": WeylSeries.A, "b": WeylSeries.B, "c": WeylSeries.B, "d": WeylSeries.D}
 
 
 def weyl_series_from_name(name: str) -> WeylSeries:
-    key = name.strip().upper()
-    if key == "C":
-        key = "B"  # same Weyl group
-    try:
-        return WeylSeries(key)
-    except ValueError:
-        raise DomainError(
-            f"unknown Weyl series {name!r}; expected A, B, C, or D", code="bad_series"
-        ) from None
+    return _read_name(name, _WEYL_SERIES_NAMES, "unknown Weyl series {name!r}; expected A, B, C, or D", "bad_series")
 
 
 class WeylType(Record):
@@ -88,7 +82,7 @@ class WeylType(Record):
 
     def __init__(self, series: WeylSeries, rank: int):
         if not isinstance(series, WeylSeries):
-            series = weyl_series_from_name(str(series))
+            series = weyl_series_from_name(series)
         if type(rank) is not int:
             _check_int(rank, "rank", "bad_rank")
         lo = 1 if series is _A else 0

@@ -288,7 +288,9 @@ def test_classify_rejects_non_integer_labels(capsys, monkeypatch, label):
     }
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     status, env = run_json(capsys, "classify", "-")
-    assert (status, env["payload"]["code"]) == (1, "bad_document")
+    # LabeledPartition refuses the bit
+    want = (1, "bad_labels", f"label for value 2 must be 0 or 1, got {label!r}")
+    assert (status, env["payload"]["code"], env["payload"]["message"]) == want
 
 
 def test_classify_rejects_deeply_nested_json(tmp_path, capsys):
@@ -308,7 +310,13 @@ def test_classify_rejects_boolean_group_fields(capsys, monkeypatch, field, value
     doc = {"group": group, "orbits": [orbit]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     status, env = run_json(capsys, "classify", "-")
-    assert (status, env["payload"]["code"]) == (1, "bad_document")
+    # the refusal of the record constructor that checks the field
+    want = {
+        "N": ("bad_dimension", "dimension must be an integer, got True"),
+        "char": ("bad_characteristic", "characteristic must be an integer, got False"),
+        "parts": ("bad_entries", "entries must be integers, got True"),
+    }[field]
+    assert (status, env["payload"]["code"], env["payload"]["message"]) == (1, *want)
 
 
 def test_classify_missing_file(capsys):
