@@ -109,6 +109,13 @@ class GroupDescriptor(Record):
         return self.dimension if self.series is _GL else self.dimension // 2
 
 
+def _check_group(group) -> None:
+    # the group gate of SpectralDatum and stratum_of_label: a GroupDescriptor
+    # passes on one type test
+    if type(group) is not GroupDescriptor and not isinstance(group, GroupDescriptor):
+        raise DomainError(f"the group must be a GroupDescriptor, got {group!r}", code="bad_group")
+
+
 def positive_roots(group: GroupDescriptor) -> int:
     """Number of positive roots of the group's root system."""
     n, series = group.rank_half, group.series
@@ -205,8 +212,7 @@ class SpectralDatum(Record):
     def _validate(group: GroupDescriptor, orbits: tuple[EigenOrbit, ...]) -> tuple:
         # the classifying group, and one entry per orbit: (its _rule, its runs)
         # for an involutive one, else None
-        if not isinstance(group, GroupDescriptor):
-            raise DomainError(f"the group must be a GroupDescriptor, got {group!r}", code="bad_group")
+        _check_group(group)
         for o in orbits:
             if not isinstance(o, EigenOrbit):
                 raise _bad_orbit(f"orbits must be EigenOrbit records, got {o!r}")
@@ -285,8 +291,10 @@ def stratum_of_label(group: GroupDescriptor, bp: Bipartition) -> StratumResult:
     bp must be a bipartition of weight ``group.rank_half`` in the series'
     label set, the bipartitions of excess ``stratum_excess(group.series)``.
     A label of another weight is refused with the code weight_mismatch, and
-    then one outside the label set with the code bad_label.
+    then one outside the label set with the code bad_label.  A group that is
+    no GroupDescriptor is refused first, with the code bad_group.
     """
+    _check_group(group)
     bp = bp if isinstance(bp, Bipartition) else Bipartition(bp)
     result = _stratum_of_label(group, bp)
     excess = stratum_excess(group.series)
@@ -317,7 +325,10 @@ def classify(datum: SpectralDatum) -> StratumResult:
     The orbits' contributions are added entrywise in one pass, and the sum
     is checked once: both of its tracks must weakly decrease.  The sum of
     bipartitions is always a bipartition, so a failure is a ConsistencyError.
+    A datum that is no SpectralDatum is refused with the code bad_datum.
     """
+    if type(datum) is not SpectralDatum and not isinstance(datum, SpectralDatum):
+        raise DomainError(f"the datum must be a SpectralDatum, got {datum!r}", code="bad_datum")
     contributions = [
         o.jordan if kept is None else _rewrite(*kept) for o, kept in zip(datum.orbits, datum._orbit_runs)
     ]

@@ -19,6 +19,7 @@ record class gets a ``_fill`` that writes its slots, generated from its
 ``__slots__`` when the class is created.
 """
 
+from functools import partial
 from operator import attrgetter
 
 
@@ -32,11 +33,16 @@ class StrataError(Exception):
         if code is not None:
             self.code = code
 
+    def __reduce__(self):
+        # copy and pickle rebuild the error with its code, which DomainError requires
+        return partial(type(self), code=self.code), self.args, self.__dict__
+
 
 class DomainError(StrataError, ValueError):
-    """Input outside the documented domain of an operation."""
+    """Input outside the documented domain of an operation; every refusal names its own code."""
 
-    code = "domain_error"
+    def __init__(self, message: str, *, code: str):
+        super().__init__(message, code=code)
 
 
 class ConsistencyError(StrataError, RuntimeError):

@@ -66,6 +66,9 @@ no ``_finish``.  ``_rule``, ``in_family`` and ``apply_bijection`` refuse
 a family that is not a ``JordanFamily`` member with the code bad_family,
 through one check, which ``_rule`` makes only once a type test has found
 no member, as it does for a weight that is no nonnegative int.
+``in_family`` and ``apply_bijection`` then refuse a datum that is no
+``Bipartition`` or ``LabeledPartition`` with the code bad_datum; a
+``Bipartition`` is a member only if it is a partition in value.
 Listing, counting and inverting the weight-N members of a family are
 ``jordan_inverse``'s.
 
@@ -259,8 +262,19 @@ def in_family(family: JordanFamily, nu: JordanDatum) -> bool:
     string-length parity and part-count rules.  Those rules force an even
     weight on every family but ORTHOGONAL.
     """
+    return _member_runs(family, nu) is not None
+
+
+def _member_runs(family: JordanFamily, nu: JordanDatum) -> Optional[Sequence[Run]]:
+    # _runs_if_member behind the gates of the public entry points: the family,
+    # then the datum.  A Bipartition that is not weakly decreasing is no member.
     _check_family(family)
-    return _runs_if_member(family, nu) is not None
+    if not isinstance(nu, (Partition, LabeledPartition)):
+        if not isinstance(nu, Bipartition):
+            raise DomainError(f"Jordan datum must be a Partition or LabeledPartition, got {nu!r}", code="bad_datum")
+        if list(nu) != sorted(nu, reverse=True):
+            return None
+    return _runs_if_member(family, nu)
 
 
 def _runs_if_member(family: JordanFamily, nu: JordanDatum) -> Optional[Sequence[Run]]:
@@ -405,8 +419,7 @@ def _rewrite(rule: tuple, runs: Iterable[Run]) -> Bipartition:
 
 def apply_bijection(family: JordanFamily, nu: JordanDatum) -> Bipartition:
     """Rewrite a Jordan datum string by string into its stratum bipartition."""
-    _check_family(family)
-    runs = _runs_if_member(family, nu)
+    runs = _member_runs(family, nu)
     if runs is None:
         raise DomainError(f"{nu} is not in the {family.value} family", code="not_in_family")
     return _rewrite(_rule(family, sum(nu.parts) if family.labeled else nu.weight), runs)

@@ -150,6 +150,9 @@ def _bad_class(why: str) -> DomainError:
 
 
 def _check_class(w: WeylType, c: WeylClass) -> WeylClass:
+    # a WeylType passes on one type test
+    if type(w) is not WeylType and not isinstance(w, WeylType):
+        raise DomainError(f"the Weyl group must be a WeylType, got {w!r}", code="bad_group")
     if w.series is _A:
         if not isinstance(c, Partition):
             raise _bad_class(f"type A classes are partitions, got {c!r}")
@@ -228,9 +231,11 @@ def stratum_of_class(w: WeylType, c: WeylClass) -> Bipartition:
     through the characteristic-2 symplectic bijection (weight-n bipartitions
     of excess (2, 2)).  Type D: through the characteristic-2 even-orthogonal
     bijection (excess (0, 4)).  The Jordan type is rewritten from the runs
-    read off the cycle type, without being built.
+    read off the cycle type, without being built.  A Weyl group that is no
+    WeylType is refused with the code bad_group.
     """
-    return _stratum(_stratum_rule(w), _check_class(w, c))
+    c = _check_class(w, c)
+    return _stratum(_stratum_rule(w), c)
 
 
 def _fixed_space_dim(w: WeylType, c: WeylClass) -> int:
@@ -239,7 +244,7 @@ def _fixed_space_dim(w: WeylType, c: WeylClass) -> int:
 
 
 def fixed_space_dim(w: WeylType, c: WeylClass) -> int:
-    """Dimension of the fixed space on the reflection representation."""
+    """Dimension of the fixed space on the reflection representation; bad_group for no WeylType."""
     return _fixed_space_dim(w, _check_class(w, c))
 
 

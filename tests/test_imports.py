@@ -31,6 +31,9 @@ stack, limits how deep a class label may nest.
 
 The functions on the point-query path read enum members through module
 globals bound once at import, never through the enum class (``Series.GL``).
+
+No command tests a value against ``int`` or ``bool``: the integer gate is
+``partitions``', and the record constructors word each refusal.
 """
 
 import ast
@@ -385,14 +388,14 @@ def test_recursion_in_a_module_is_caught():
 # function or class (all of its methods), or one method as "Class.method".
 QUERY_PATHS = {
     "classical": (
-        "GroupDescriptor", "positive_roots", "EigenOrbit", "_classifying_group", "_involutive_family",
+        "GroupDescriptor", "_check_group", "positive_roots", "EigenOrbit", "_classifying_group", "_involutive_family",
         "SpectralDatum._validate", "stratum_of_label", "_stratum_of_label", "classify",
     ),
     "weyl": (
         "WeylType", "_check_class", "_fixed_space_dim", "_class_runs", "_stratum_rule", "_stratum", "stratum_of_class",
     ),
     "jordan": (
-        "LabeledPartition", "_runs", "_runs_if_member", "_is_member", "_check_family", "_rule", "_emit", "_rewrite",
+        "LabeledPartition", "_runs", "_member_runs", "_runs_if_member", "_is_member", "_check_family", "_rule", "_emit", "_rewrite",
         "apply_bijection",
     ),
     "partitions": ("_check_int", "_check_weight", "_as_int_seq", "Bipartition", "Partition", "n_invariant"),
@@ -550,3 +553,38 @@ def test_an_environment_write_is_caught():
         "    other.pop('A'); other['A'] = 1; self.putenv('A')\n"
     )
     assert _environment_writes(source) == [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17]
+
+
+# The integer gate is partitions' (_check_int, _as_int_seq): the commands hand
+# raw values to the record constructors, which word each refusal, and test no
+# value's type against int or bool themselves.
+def _integer_gates(source: str) -> list[int]:
+    # lines calling isinstance(..., bool), or comparing type(...) with int by is or is not
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Compare) and all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            sides = [node.left, *node.comparators]
+            typed = any(isinstance(side, ast.Call) and getattr(side.func, "id", None) == "type" for side in sides)
+            if typed and any(getattr(side, "id", None) == "int" for side in sides):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", COMMANDS, ids=_name)
+def test_commands_make_no_integer_gate(path):
+    assert _integer_gates(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_integer_gate_is_caught():
+    source = (
+        "def read(doc):\n"
+        "    if any(isinstance(x, bool) or not isinstance(x, int) for x in doc):\n"
+        "        raise ValueError\n"
+        "    ok = all(type(p) is int for p in doc) and type(doc[0]) is not int\n"
+        "    return isinstance(doc, (list, bool)), int is type(doc), type(doc) is list, isinstance(doc, int)\n"
+    )
+    assert _integer_gates(source) == [2, 4, 4, 5, 5]

@@ -557,6 +557,15 @@ def test_a_bipartition_that_is_no_partition_is_refused(family):
     assert err.value.code == "not_in_family"
 
 
+def test_a_bipartition_is_read_as_the_partition_it_may_be():
+    # (2, 2, 0, 2) is a bipartition whose strings each pass the symplectic
+    # parity rule, but no partition, so no member; (2, 1, 1) as a
+    # Bipartition is the member it equals
+    assert not in_family(SP, Bipartition((2, 2, 0, 2)))
+    assert in_family(SP, Bipartition((2, 1, 1)))
+    assert apply_bijection(SP, Bipartition((2, 1, 1))) == apply_bijection(SP, Partition([2, 1, 1]))
+
+
 @pytest.mark.parametrize(
     "change,message",
     [

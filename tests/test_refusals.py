@@ -8,14 +8,19 @@ of the checks is pinned too.  The integer gates are tried with 2.0, True,
 rewrite or replacement table, to reach the checks on what the maps return.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from weylstrata import classical, jordan
-from weylstrata.classical import EigenOrbit, GroupDescriptor, OrbitKind, Series, SpectralDatum, classify
+from weylstrata.classical import (
+    EigenOrbit, GroupDescriptor, OrbitKind, Series, SpectralDatum, classify, stratum_of_label,
+)
 from weylstrata.errors import ConsistencyError, DomainError
-from weylstrata.jordan import JordanFamily, LabeledPartition, apply_bijection, codomain
+from weylstrata.jordan import JordanFamily, LabeledPartition, apply_bijection, codomain, in_family
 from weylstrata.partitions import Bipartition, Partition
-from weylstrata.weyl import SignedCycleType, WeylSeries, WeylType, parse_class, stratum_of_class
+from weylstrata.weyl import SignedCycleType, WeylSeries, WeylType, fixed_space_dim, parse_class, stratum_of_class
 
 GL, SP, SO_ODD, SO_EVEN = Series.GL, Series.SP, Series.SO_ODD, Series.SO_EVEN
 GEN, INV = OrbitKind.GENERIC, OrbitKind.INVOLUTIVE
@@ -173,13 +178,22 @@ ROWS = [
         DomainError, 'bad_parity', "involutive orbit '1' of SO_odd must have odd weight, got 4"),
     pin('datum-two-first-orbit-wins', lambda: SpectralDatum(GroupDescriptor(SP, 8), [inv("1", [3, 1]), inv("-1", [2, 1])]),
         DomainError, 'not_in_family', "involutive orbit '1': Jordan type (3, 1) is not in the symplectic family"),
-    # classify: the checks on the rewritten contributions and their sum
+    # classify: the datum's type, then the checks on the rewritten contributions and their sum
+    pin('classify-datum', lambda: classify("x"),
+        DomainError, 'bad_datum', "the datum must be a SpectralDatum, got 'x'"),
+    pin('classify-datum-group', lambda: classify(GroupDescriptor(SP, 4)),
+        DomainError, 'bad_datum', 'the datum must be a SpectralDatum, got GroupDescriptor(series=<Series.SP: \'Sp\'>, dimension=4, characteristic=0)'),
     pin('classify-not-bipartition', lambda: classify(SpectralDatum(GroupDescriptor(SP, 8), [inv("1", [2, 2]), gen("x0", [1, 1])])),
         ConsistencyError, 'consistency_error', 'the orbit contributions add up to (2, 1, 3), not a bipartition', patch='sum (1, 0, 3)'),
     pin('classify-weight', lambda: classify(SpectralDatum(GroupDescriptor(SP, 8), [inv("1", [2, 2]), gen("x0", [1, 1])])),
         DomainError, 'weight_mismatch', 'weight mismatch: bipartition has weight 3, expected 4', patch='sum (1,)'),
     pin('classify-negative-row', lambda: classify(SpectralDatum(GroupDescriptor(SP, 4, 2), [inv("1", LabeledPartition([2, 2], {2: 1}))])),
         ConsistencyError, 'consistency_error', 'the symplectic_char2 map emitted a negative entry: [-1, -1]', patch='offsets - 2'),
+    # stratum_of_label: the group's type, then the label, its weight and its excess
+    pin('label-group', lambda: stratum_of_label("gl2", Bipartition([1])),
+        DomainError, 'bad_group', "the group must be a GroupDescriptor, got 'gl2'"),
+    pin('label-two-group-label', lambda: stratum_of_label(None, [1, 2, 3]),
+        DomainError, 'bad_group', 'the group must be a GroupDescriptor, got None'),
     # WeylType: the series, then the rank
     pin('weyl-series', lambda: WeylType("E", 2),
         DomainError, 'bad_series', "unknown Weyl series 'E'; expected A, B, C, or D"),
@@ -222,7 +236,15 @@ ROWS = [
         DomainError, 'bad_class', "cycle lengths must be positive, got '0'"),
     pin('parse-two-rank-odd-negative', lambda: parse_class(WeylType(D, 3), "1;1"),
         DomainError, 'bad_class', 'signed cycle type has rank 2, expected 3'),
-    # stratum_of_class: the class against the type, then the rewrite
+    # stratum_of_class and fixed_space_dim: the Weyl group's type, then the class against it, then the rewrite
+    pin('class-weyl-type', lambda: stratum_of_class("B2", Partition([2])),
+        DomainError, 'bad_group', "the Weyl group must be a WeylType, got 'B2'"),
+    pin('class-weyl-type-group', lambda: stratum_of_class(GroupDescriptor(SP, 4), SignedCycleType([2], [])),
+        DomainError, 'bad_group', "the Weyl group must be a WeylType, got GroupDescriptor(series=<Series.SP: 'Sp'>, dimension=4, characteristic=0)"),
+    pin('fixed-weyl-type', lambda: fixed_space_dim("B2", Partition([2])),
+        DomainError, 'bad_group', "the Weyl group must be a WeylType, got 'B2'"),
+    pin('fixed-two-weyl-type-class', lambda: fixed_space_dim(None, "3;"),
+        DomainError, 'bad_group', 'the Weyl group must be a WeylType, got None'),
     pin('class-a-type', lambda: stratum_of_class(WeylType(A, 2), SignedCycleType([3], [])),
         DomainError, 'bad_class', 'type A classes are partitions, got SignedCycleType(positive=(3,), negative=())'),
     pin('class-a-weight', lambda: stratum_of_class(WeylType(A, 2), Partition([2])),
@@ -239,7 +261,22 @@ ROWS = [
         DomainError, 'bad_class', 'signed cycle type has rank 1, expected 0'),
     pin('class-broken-table', lambda: stratum_of_class(WeylType(B, 2), SignedCycleType([1], [1])),
         ConsistencyError, 'consistency_error', 'the symplectic_char2 map emitted a negative entry: [-1, -2, -1]', patch='offsets - 2'),
-    # apply_bijection: the family, then membership, then the rewrite
+    # in_family: the family, then the datum's type
+    pin('in-family-datum-list', lambda: in_family(ORTHOGONAL, [1, 3]),
+        DomainError, 'bad_datum', 'Jordan datum must be a Partition or LabeledPartition, got [1, 3]'),
+    pin('in-family-datum-str', lambda: in_family(SYMPLECTIC, "2,2"),
+        DomainError, 'bad_datum', "Jordan datum must be a Partition or LabeledPartition, got '2,2'"),
+    pin('in-family-two-family-datum', lambda: in_family("Z1", [1, 3]),
+        DomainError, 'bad_family', "Jordan family must be a JordanFamily, got 'Z1'"),
+    # apply_bijection: the family, then the datum's type, then membership, then the rewrite
+    pin('apply-datum-list', lambda: apply_bijection(SYMPLECTIC, [2, 2]),
+        DomainError, 'bad_datum', 'Jordan datum must be a Partition or LabeledPartition, got [2, 2]'),
+    pin('apply-datum-tuple', lambda: apply_bijection(SYMPLECTIC_CHAR2, (2, 2)),
+        DomainError, 'bad_datum', 'Jordan datum must be a Partition or LabeledPartition, got (2, 2)'),
+    pin('apply-two-family-datum', lambda: apply_bijection(None, [2, 2]),
+        DomainError, 'bad_family', 'Jordan family must be a JordanFamily, got None'),
+    pin('apply-bipartition-no-partition', lambda: apply_bijection(SYMPLECTIC, Bipartition([2, 2, 0, 2])),
+        DomainError, 'not_in_family', '(2, 2, 0, 2) is not in the symplectic family'),
     pin('apply-family-str', lambda: apply_bijection("Z2", Partition([2, 2])),
         DomainError, 'bad_family', "Jordan family must be a JordanFamily, got 'Z2'"),
     pin('apply-family-none', lambda: apply_bijection(None, Partition([2, 2])),
@@ -364,3 +401,16 @@ def test_refusal_is_pinned(monkeypatch, call, patch, kind, code, message):
     with pytest.raises(kind) as err:
         call()
     assert (type(err.value), err.value.code, str(err.value)) == (kind, code, message)
+
+
+def test_a_domain_error_needs_its_code():
+    with pytest.raises(TypeError):
+        DomainError("x")
+    assert ConsistencyError("x").code == "consistency_error"
+
+
+@pytest.mark.parametrize("rebuild", [copy.copy, copy.deepcopy, lambda err: pickle.loads(pickle.dumps(err))])
+def test_a_copied_error_keeps_its_code(rebuild):
+    for err in (DomainError("no", code="bad_x"), ConsistencyError("broken")):
+        again = rebuild(err)
+        assert (type(again), again.code, str(again)) == (type(err), err.code, str(err))
