@@ -20,9 +20,8 @@ pass, checks the sum once and compares its weight once.
 The class dimension is 2 * (number of positive roots) minus
 twice the n-invariant of the label, and is constant on each stratum.
 ``stratum_of_label`` also checks that its label lies in the series' label
-set; ``classify`` and the dimension-sets check of ``verify``, whose labels
-lie there by construction, call its body, ``_stratum_of_label``, without
-that check.
+set; ``classify``, whose labels lie there by construction, calls its body,
+``_stratum_of_label``, without that check.
 
 Only whether the characteristic is 2 or not ever matters; odd primes are
 accepted and treated alike.  Odd orthogonal groups in characteristic 2 are
@@ -199,19 +198,12 @@ class SpectralDatum(Record):
     membership, reading the rule or deriving the group again.
     """
 
+    # _classifying and _orbit_runs are hidden: equality, hashing and repr see
+    # group and orbits only
     __slots__ = ("group", "orbits", "_classifying", "_orbit_runs")
-    # _classifying and _orbit_runs are not fields: equality, hashing and repr
-    # see group and orbits only
-    _fields = ("group", "orbits")
 
     def __init__(self, group: GroupDescriptor, orbits: Iterable[EigenOrbit]):
         orbits = tuple(orbits)
-        self._fill(group, orbits, *self._validate(group, orbits))
-
-    @staticmethod
-    def _validate(group: GroupDescriptor, orbits: tuple[EigenOrbit, ...]) -> tuple:
-        # the classifying group, and one entry per orbit: (its _rule, its runs)
-        # for an involutive one, else None
         _check_group(group)
         for o in orbits:
             if not isinstance(o, EigenOrbit):
@@ -224,6 +216,7 @@ class SpectralDatum(Record):
         char = g.characteristic
         fam = _involutive_family(g.series, char)
         total = 0
+        # one entry per orbit: (its _rule, its runs) for an involutive one, else None
         orbit_runs = []
         for o in orbits:
             jordan = o.jordan
@@ -262,7 +255,7 @@ class SpectralDatum(Record):
                 f"orbit weights account for dimension {total}, expected {g.dimension}",
                 code="bookkeeping",
             )
-        return g, tuple(orbit_runs)
+        self._fill(group, orbits, g, tuple(orbit_runs))
 
 
 class StratumResult(Record):

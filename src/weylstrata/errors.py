@@ -71,10 +71,10 @@ def unique_minimizer(items, keys, where):
 class Record:
     """An immutable record whose fields are slots; a subclass writes its own __init__.
 
-    The fields are ``_fields``, by default the ``__slots__``: a slot left out
-    of ``_fields`` is seen by no comparison, hash or repr.  Records are equal
-    only to records of their own class with equal fields, and hash as the
-    tuple of their fields.  ``_fill(self, *values)`` takes one value per
+    The fields are ``_fields``, the ``__slots__`` whose names do not start
+    with an underscore: such a hidden slot is seen by no comparison, hash or
+    repr.  Records are equal only to records of their own class with equal
+    fields, and hash as the tuple of their fields.  ``_fill(self, *values)`` takes one value per
     slot, in slot order, writes each past the frozen ``__setattr__`` through
     the slot's own setter, and returns the record: every ``__init__`` calls
     it once, and hot paths call it on a record built with ``object.__new__``.
@@ -84,7 +84,7 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
         # every record has at least two fields, so this returns a tuple
         cls._values = attrgetter(*cls._fields)
         # one straight-line setter call per slot, generated as namedtuple does,

@@ -47,13 +47,12 @@ whether eligible strings carry a label.  A partition is read as its strings,
 one (value, multiplicity) pair each.
 A member travels as its *runs*: one (value, length, label) triple per
 string, values descending, the label None unless the family is labeled and
-the value eligible.  ``_is_member`` is the one membership test on the runs
-of a datum, and ``_runs_if_member`` applies it and serves ``in_family``,
-``apply_bijection``, ``classical``'s validation and the check of each
-inverse.  A validated ``LabeledPartition`` keeps the runs its validation
-read off its strings, so those callers do not split its parts again; one
-built by ``_datum``, the member with given runs, keeps none, and its runs
-are read off its parts.  One
+the value eligible.  ``_runs_if_member`` is the one membership test on
+the runs of a datum, and serves ``in_family``, ``apply_bijection``,
+``classical``'s validation and the check of each inverse.  A validated
+``LabeledPartition`` keeps the runs its validation read off its strings, so
+those callers do not split its parts again; one built by ``_datum``, the
+member with given runs, keeps none, and its runs are read off its parts.  One
 rewrite loop, ``_emit``, emits the entries of the image of given runs
 under a rule that ``_rule`` reads from ``_REPLACEMENTS`` once per call,
 not once per image, and ``_finish`` checks them in one pass; ``_rewrite``
@@ -177,9 +176,8 @@ class LabeledPartition(Record):
     so a map reads them without splitting the parts again.
     """
 
+    # _kept_runs is hidden: equality, hashing and repr see parts and labels only
     __slots__ = ("parts", "labels", "_kept_runs")
-    # _kept_runs is not a field: equality, hashing and repr see parts and labels only
-    _fields = ("parts", "labels")
 
     def __init__(self, parts: Iterable[int], labels: Mapping[int, int] | None = None):
         base = parts if isinstance(parts, Partition) else Partition(parts)
@@ -208,13 +206,6 @@ class LabeledPartition(Record):
                 raise DomainError(f"label for value {v} must be 0 or 1, got {bit!r}", code="bad_labels")
         # the keys are the eligible values, so a string's run label is its value's, or None
         self._fill(base, tuple([(v, given[v]) for v in eligible]), tuple([(v, m, given.get(v)) for v, m in strings]))
-
-    @classmethod
-    def _trusted(cls, parts: Partition, labels: tuple[tuple[int, int], ...]):
-        # For data valid by construction: labels keyed by the eligible values
-        # of parts, descending.  No runs are kept: a check of the record
-        # reads them off its parts and labels.
-        return cls._fill(object.__new__(cls), parts, labels, None)
 
     @property
     def weight(self) -> int:
@@ -289,17 +280,13 @@ def _runs_if_member(family: JordanFamily, nu: JordanDatum) -> Optional[Sequence[
         runs, count = nu._kept_runs, len(nu.parts)
         if runs is None:
             runs = _runs(family, _strings(nu.parts), {v for v, bit in nu.labels if bit})
-    return runs if _is_member(family, runs, count) else None
-
-
-def _is_member(family: JordanFamily, runs: Iterable[Run], count: int) -> bool:
-    # The family's parity rules on a partition's runs and its part count;
-    # labels are the caller's to check.
+    # the family's parity rules on the runs and the part count; the labels
+    # were checked when nu was built
     paired = family.paired
     for v, m, _ in runs:
         if m & 1 and v & 1 == paired:
-            return False
-    return not (family.even_count and count & 1)
+            return None
+    return None if family.even_count and count & 1 else runs
 
 
 def _finish(entries: list[int], family: JordanFamily, excess: Excess, half: int) -> Bipartition:
@@ -431,7 +418,8 @@ def codomain(family: JordanFamily, N: int) -> tuple[Excess, int]:
 
 
 def _datum(family: JordanFamily, runs: Iterable[Run]) -> JordanDatum:
-    # The family member with these runs, valid by construction.
+    # The family member with these runs, valid by construction.  A labeled
+    # one keeps no runs: a check of it reads them off its parts and labels.
     parts: list[int] = []
     labels = []
     for value, length, label in runs:
@@ -439,4 +427,6 @@ def _datum(family: JordanFamily, runs: Iterable[Run]) -> JordanDatum:
         if label is not None:
             labels.append((value, label))
     base = tuple.__new__(Partition, parts)
-    return LabeledPartition._trusted(base, tuple(labels)) if family.labeled else base
+    if not family.labeled:
+        return base
+    return LabeledPartition._fill(object.__new__(LabeledPartition), base, tuple(labels), None)

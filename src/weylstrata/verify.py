@@ -27,7 +27,6 @@ from .classical import (
     OrbitKind,
     Series,
     SpectralDatum,
-    _stratum_of_label,
     classify,
     dimension_set,
     enumerate_strata,
@@ -35,7 +34,7 @@ from .classical import (
 )
 from .enumeration import enumerate_bipartitions, enumerate_partitions
 from .errors import ConsistencyError, DomainError, Record
-from .jordan import JordanFamily, _datum, _rewrite, _rule, codomain
+from .jordan import JordanFamily, _datum, _rewrite, _rule
 from .jordan_inverse import _member_runs, count_jordan, invert_bijection
 from .partitions import Partition, n_invariant
 from .weyl import WeylSeries, WeylType, strata_fibers, stratum_of_class, enumerate_classes
@@ -188,14 +187,14 @@ def _check_bijectivity() -> str:
         else:
             weights = range(0, 25, 2)
         for weight in weights:
-            excess, half = codomain(family, weight)
+            rule = _rule(family, weight)
+            _, excess, half, _ = rule
             members = _member_runs(family, weight)
             count = count_jordan(family, weight)
             _ensure(
                 len(members) == count,
                 f"{family.name} weight {weight}: enumerated {len(members)} members, counted {count}",
             )
-            rule = _rule(family, weight)
             images = [_rewrite(rule, runs) for runs in members]
             _ensure(
                 len(set(images)) == len(images),
@@ -251,27 +250,22 @@ def _check_sp4_strata() -> str:
 
 @_check("dimension-sets", budget=5.0)
 def _check_dimension_sets() -> str:
-    """Dimension sets from the DP are the listed strata's and the unipotents'.
+    """Dimension sets from the DP are the listed strata's.
 
     For rank n <= 20, each series' dimension set, which lists no stratum,
-    equals the class dimensions of its enumerated strata; for n <= 6 the
-    characteristic-2 unipotent classes of Sp_2n realize every value.  SO_2n+1
-    and Sp_2n in either characteristic need no comparison of their own: the
-    DP reads only the weight n, the excess, (2, 2) for both series, and the
-    positive-root count, n * n for both, so their sets are one DP.
+    equals the class dimensions of its enumerated strata.  SO_2n+1 and Sp_2n
+    need no comparison of their own: the DP reads only the weight n, the
+    excess, (2, 2) for both series, and the positive-root count, n * n for
+    both, so their sets are one DP.  Neither depends on the characteristic,
+    and ``bijectivity`` shows that the characteristic-2 unipotent classes of
+    Sp_2n reach every label, so every value, for n <= 12.
     """
     for n in range(0, 21):
         # GL_n, Sp_2n, SO_2n+1 and SO_2n, in the order of Series
         for group in map(GroupDescriptor, Series, (n, 2 * n, 2 * n + 1, 2 * n)):
             dims = {s.class_dim for s in enumerate_strata(group)}
             _ensure(dimension_set(group) == dims, f"{group.series.value}_{group.dimension}: DP and strata differ")
-    family = JordanFamily.SYMPLECTIC_CHAR2
-    for n in range(1, 7):
-        sp2, rule = GroupDescriptor(Series.SP, 2 * n, 2), _rule(family, 2 * n)
-        # unipotent classes in characteristic 2 already realize every value
-        from_unipotents = {_stratum_of_label(sp2, _rewrite(rule, runs)).class_dim for runs in _member_runs(family, 2 * n)}
-        _ensure(from_unipotents == dimension_set(sp2), f"n={n}: char-2 unipotent dims differ")
-    return "dimension sets equal the strata's for n <= 20 and Sp_2n's char-2 unipotent dims for n <= 6"
+    return "dimension sets equal the strata's for n <= 20"
 
 
 @_check("minimal-dimension", budget=2.0)

@@ -94,11 +94,7 @@ SUITE_ROWS = [
         "all 7193 codomain elements invert to their preimages",
     ),
     ("sp4-strata", True, "5 strata with dims [8, 6, 4, 4, 0]; the two dim-4 strata are distinct"),
-    (
-        "dimension-sets",
-        True,
-        "dimension sets equal the strata's for n <= 20 and Sp_2n's char-2 unipotent dims for n <= 6",
-    ),
+    ("dimension-sets", True, "dimension sets equal the strata's for n <= 20"),
     ("minimal-dimension", True, "minimal nonzero stratum dimension is 2n for ranks 3 through 60"),
     ("e8-counts", True, "75 rows; characteristic 0/2/3 give 70/74/71 strata with unipotents"),
     ("star-inventory", True, "starred sets exact for all five groups"),

@@ -356,11 +356,9 @@ def test_classify_mixed_generic_and_involutive():
 def test_classify_tests_membership_once(monkeypatch):
     # validation tests each involutive orbit and reads its rule; classify
     # rewrites the runs it kept under the rule it kept
-    from weylstrata import jordan
-
     calls, rules = [], []
-    member, rule = jordan._is_member, classical._rule
-    monkeypatch.setattr(jordan, "_is_member", lambda *args: calls.append(args) or member(*args))
+    member, rule = classical._runs_if_member, classical._rule
+    monkeypatch.setattr(classical, "_runs_if_member", lambda *args: calls.append(args) or member(*args))
     monkeypatch.setattr(classical, "_rule", lambda *args: rules.append(args) or rule(*args))
     datum = SpectralDatum(
         sp(8),

@@ -389,13 +389,13 @@ def test_recursion_in_a_module_is_caught():
 QUERY_PATHS = {
     "classical": (
         "GroupDescriptor", "_check_group", "positive_roots", "EigenOrbit", "_classifying_group", "_involutive_family",
-        "SpectralDatum._validate", "stratum_of_label", "_stratum_of_label", "classify",
+        "SpectralDatum", "stratum_of_label", "_stratum_of_label", "classify",
     ),
     "weyl": (
         "WeylType", "_check_class", "_fixed_space_dim", "_class_runs", "_stratum_rule", "_stratum", "stratum_of_class",
     ),
     "jordan": (
-        "LabeledPartition", "_runs", "_member_runs", "_runs_if_member", "_is_member", "_check_family", "_rule", "_emit", "_rewrite",
+        "LabeledPartition", "_runs", "_member_runs", "_runs_if_member", "_check_family", "_rule", "_emit", "_rewrite",
         "apply_bijection",
     ),
     "partitions": ("_check_int", "_check_weight", "_as_int_seq", "Bipartition", "Partition", "n_invariant"),

@@ -446,7 +446,7 @@ def _filter_enumerate(family, N):
         if family.labeled:
             values = [v for v, m in runs if v % 2 == 0 and m % 2 == 0]
             for bits in product((1, 0), repeat=len(values)):
-                out.append(LabeledPartition._trusted(p, tuple(zip(values, bits))))
+                out.append(LabeledPartition(p, dict(zip(values, bits))))
         else:
             out.append(p)
     return tuple(out)
