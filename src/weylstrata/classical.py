@@ -84,10 +84,8 @@ class GroupDescriptor(Record):
         if not isinstance(series, Series):
             series = series_from_name(series)
         # a plain int passes each integer gate on one type test, and 0 and 2,
-        # the characteristics the maps read, the primality test
-        if type(characteristic) is not int:
-            _check_int(characteristic, "characteristic", "bad_characteristic")
-        if characteristic != 0 and characteristic != 2:
+        # the characteristics the maps read, the gate and the primality test
+        if type(characteristic) is not int or (characteristic != 0 and characteristic != 2):
             check_characteristic(characteristic)
         if type(dimension) is not int:
             _check_int(dimension, "dimension", "bad_dimension")
@@ -109,14 +107,17 @@ class GroupDescriptor(Record):
 
 
 def _check_group(group) -> None:
-    # the group gate of SpectralDatum and stratum_of_label: a GroupDescriptor
-    # passes on one type test
+    # the group gate of SpectralDatum, stratum_of_label and positive_roots,
+    # through which enumerate_strata and dimension_set pass it: a
+    # GroupDescriptor passes on one type test
     if type(group) is not GroupDescriptor and not isinstance(group, GroupDescriptor):
         raise DomainError(f"the group must be a GroupDescriptor, got {group!r}", code="bad_group")
 
 
 def positive_roots(group: GroupDescriptor) -> int:
-    """Number of positive roots of the group's root system."""
+    """Number of positive roots of the group's root system; bad_group for no GroupDescriptor."""
+    if type(group) is not GroupDescriptor:
+        _check_group(group)
     n, series = group.rank_half, group.series
     if series is _GL:
         return n * (n - 1) // 2
@@ -332,11 +333,13 @@ def classify(datum: SpectralDatum) -> StratumResult:
 
 
 def stratum_excess(series: Series) -> Excess:
-    """The excess cutting out the stratum labels of a series."""
+    """The excess cutting out the stratum labels of a series; bad_series for no Series."""
     if series is _GL:
         return Excess(0, 0)
     if series is _SO_EVEN:
         return Excess(0, 4)
+    if type(series) is not Series:
+        raise DomainError(f"the series must be a Series, got {series!r}", code="bad_series")
     return Excess(2, 2)
 
 
@@ -346,14 +349,15 @@ def enumerate_strata(group: GroupDescriptor) -> tuple[StratumResult, ...]:
     The answer does not depend on the characteristic: strata are indexed by
     weight-n bipartitions of excess (0, 0), that is partitions of n, for
     GL_n, by weight-N/2 bipartitions of excess (2, 2) for Sp_N and SO_{N+1},
-    and of excess (0, 4) for SO_N with N even.
+    and of excess (0, 4) for SO_N with N even.  A group that is no
+    GroupDescriptor is refused with the code bad_group.
     """
     from .enumeration import enumerate_bipartitions
 
     # each label's stratum_of_label, without checking the enumerated label
-    # again, in a record filled through _fill
-    half = group.rank_half
+    # again, in a record filled through _fill; positive_roots gates the group
     two_roots = 2 * positive_roots(group)
+    half = group.rank_half
     so_even = group.series is _SO_EVEN
     new, fill = object.__new__, StratumResult._fill
     out = []
@@ -365,7 +369,7 @@ def enumerate_strata(group: GroupDescriptor) -> tuple[StratumResult, ...]:
 
 
 def dimension_set(group: GroupDescriptor) -> frozenset[int]:
-    """The set of class dimensions over all strata of the group, listing no stratum."""
+    """The set of class dimensions over all strata of the group, listing no stratum; bad_group for no GroupDescriptor."""
     from .enumeration import n_invariant_set
 
     two_roots = 2 * positive_roots(group)

@@ -8,8 +8,8 @@ nonnegativity claim, a bijectivity claim); it maps to exit code 3 and should
 be treated as a falsified theorem, not a usage mistake.
 
 The module also holds the two rules that the classical and the exceptional
-side share.  ``check_characteristic`` accepts 0 or a prime and refuses
-anything else with the code bad_characteristic.  ``unique_minimizer`` is the
+side share.  ``check_characteristic`` accepts an integer that is 0 or a
+prime and refuses anything else with the code bad_characteristic.  ``unique_minimizer`` is the
 one cross-section rule: a fiber's cross-section is its unique class of least
 fixed-space dimension, and a tie raises a ConsistencyError with the code
 cross_section_tie.
@@ -149,7 +149,13 @@ def _is_prime(n: int) -> bool:
 
 
 def check_characteristic(p: int) -> int:
-    """p itself when it is 0 or a prime; otherwise a bad_characteristic error."""
+    """p itself when it is 0 or a prime; otherwise a bad_characteristic error.
+
+    An int passes the integer gate on one type test; a bool or any other
+    type is refused there.
+    """
+    if type(p) is not int and (isinstance(p, bool) or not isinstance(p, int)):
+        raise DomainError(f"characteristic must be an integer, got {p!r}", code="bad_characteristic")
     if p >= _PRIME_BOUND:
         raise DomainError(
             f"characteristic {p} is too large: primality is decided exactly only "

@@ -33,7 +33,7 @@ _PARSE_ROWS = {
 _ABOVE_ALL = float("inf")  # above every value, so the first value of a parse descends from it
 
 
-def _member_runs(family: JordanFamily, N: int) -> list[tuple[Run, ...]]:
+def _listed_runs(family: JordanFamily, N: int) -> list[tuple[Run, ...]]:
     # The runs of every weight-N member, in the canonical order of
     # enumerate_jordan.
     _rule(family, N)
@@ -77,7 +77,7 @@ def enumerate_jordan(family: JordanFamily, N: int) -> tuple[JordanDatum, ...]:
     before label 0.  Members are generated run by run, so no partition
     outside the family is ever built.
     """
-    return tuple(_datum(family, runs) for runs in _member_runs(family, N))
+    return tuple(_datum(family, runs) for runs in _listed_runs(family, N))
 
 
 def count_jordan(family: JordanFamily, N: int) -> int:

@@ -35,7 +35,7 @@ from .classical import (
 from .enumeration import enumerate_bipartitions, enumerate_partitions
 from .errors import ConsistencyError, DomainError, Record
 from .jordan import JordanFamily, _datum, _rewrite, _rule
-from .jordan_inverse import _member_runs, count_jordan, invert_bijection
+from .jordan_inverse import _listed_runs, count_jordan, invert_bijection
 from .partitions import Partition, n_invariant
 from .weyl import WeylSeries, WeylType, strata_fibers, stratum_of_class, enumerate_classes
 
@@ -144,7 +144,7 @@ def _golden(family: JordanFamily, weight: int, table) -> str:
     # The enumerated data are valid by construction, so each is compared with
     # its table row and mapped from the runs it was generated from, under the
     # one rule read for the table.
-    listed, rule = _member_runs(family, weight), _rule(family, weight)
+    listed, rule = _listed_runs(family, weight), _rule(family, weight)
     _ensure(
         len(listed) == len(table),
         f"expected {len(table)} weight-{weight} data, enumerated {len(listed)}",
@@ -189,7 +189,7 @@ def _check_bijectivity() -> str:
         for weight in weights:
             rule = _rule(family, weight)
             _, excess, half, _ = rule
-            members = _member_runs(family, weight)
+            members = _listed_runs(family, weight)
             count = count_jordan(family, weight)
             _ensure(
                 len(members) == count,

@@ -126,10 +126,12 @@ def enumerate_classes(w: WeylType) -> tuple[WeylClass, ...]:
     Type A(n): partitions of n+1, lexicographically descending.  Types B and
     D: signed cycle types ordered by descending positive weight, then
     lexicographically descending positive part, then negative part; type D
-    keeps only the types with an even number of negative cycles.
+    keeps only the types with an even number of negative cycles.  A Weyl
+    group that is no WeylType is refused with the code bad_group.
     """
     from .enumeration import enumerate_partitions
 
+    _check_weyl(w)
     if w.series is _A:
         return enumerate_partitions(w.rank + 1)
     # records of partitions, filled through _fill
@@ -149,10 +151,16 @@ def _bad_class(why: str) -> DomainError:
     return DomainError(why, code="bad_class")
 
 
+def _check_weyl(w) -> None:
+    # the Weyl group gate of the entry points that take a WeylType
+    if not isinstance(w, WeylType):
+        raise DomainError(f"the Weyl group must be a WeylType, got {w!r}", code="bad_group")
+
+
 def _check_class(w: WeylType, c: WeylClass) -> WeylClass:
     # a WeylType passes on one type test
-    if type(w) is not WeylType and not isinstance(w, WeylType):
-        raise DomainError(f"the Weyl group must be a WeylType, got {w!r}", code="bad_group")
+    if type(w) is not WeylType:
+        _check_weyl(w)
     if w.series is _A:
         if not isinstance(c, Partition):
             raise _bad_class(f"type A classes are partitions, got {c!r}")
@@ -180,7 +188,11 @@ def _cycle_lengths(text: str) -> Partition:
 
 
 def parse_class(w: WeylType, text: str) -> WeylClass:
-    """The class of w written as text: "3,1,1" in type A, "3,1;2" in types B/C/D."""
+    """The class of w written as text: "3,1,1" in type A, "3,1;2" in types B/C/D.
+
+    A Weyl group that is no WeylType is refused with the code bad_group.
+    """
+    _check_weyl(w)
     if w.series is _A:
         return _check_class(w, _cycle_lengths(text))
     if text.count(";") != 1:
@@ -261,8 +273,10 @@ def strata_fibers(w: WeylType) -> dict[Bipartition, ClassFiber]:
     Each fiber records its classes (in enumeration order) and the unique
     class minimizing the fixed-space dimension.  A tie for the minimum would
     falsify the cross-section property and raises a ConsistencyError with
-    the code cross_section_tie.
+    the code cross_section_tie.  A Weyl group that is no WeylType is refused
+    with the code bad_group.
     """
+    _check_weyl(w)
     rule = _stratum_rule(w)
     grouped: dict[Bipartition, list[WeylClass]] = {}
     for c in enumerate_classes(w):

@@ -16,6 +16,8 @@ Records fill their slots one way, through ``_fill``, which ``Record``
 generates for each record class: no module calls ``object.__setattr__``
 except ``Record.__setstate__``, no module reads a slot's ``__set__`` outside
 ``Record`` or names ``_setters``, and no ``_set`` helper is defined or called.
+No class declares ``_fields``: ``Record`` derives a record's fields from
+its slots, leaving out those whose names start with an underscore.
 
 Every module parses as Python 3.10, the floor ``pyproject.toml`` declares
 (``requires-python = ">=3.10"``), so no later syntax such as ``except*``
@@ -116,6 +118,29 @@ def _slot_writes_past_the_setters(source: str) -> list[int]:
             isinstance(node, ast.Name) and node.id == "_setters"
         ):
             found.append(node.lineno)
+    return sorted(found)
+
+
+def _declared_fields(source: str) -> list[int]:
+    # lines that declare a record's fields by hand: _fields assigned in a class
+    # body, or set as an attribute outside Record, which derives them from the
+    # slots' names
+    tree = ast.parse(source)
+    records = [cls for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Record"]
+    in_record = {id(node) for cls in records for node in ast.walk(cls)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                    found += [
+                        name.lineno
+                        for name in ast.walk(stmt)
+                        if isinstance(name, ast.Name) and name.id == "_fields" and isinstance(name.ctx, ast.Store)
+                    ]
+        elif isinstance(node, ast.Attribute) and node.attr == "_fields" and isinstance(node.ctx, ast.Store):
+            if id(node) not in in_record:
+                found.append(node.lineno)
     return sorted(found)
 
 
@@ -263,6 +288,29 @@ def test_a_slot_write_past_the_setters_is_caught():
         "Point.__dict__['x'].__set__(Point(0), 1)\n"
     )
     assert _slot_writes_past_the_setters(source) == [2, 8, 11, 12, 14, 15, 16]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=_name)
+def test_no_class_declares_its_fields(path):
+    assert _declared_fields(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_declared_fields_is_caught():
+    source = (
+        "class Record:\n"
+        "    def __init_subclass__(cls):\n"
+        "        cls._fields = cls.__slots__\n"
+        "class Point(Record):\n"
+        "    __slots__ = ('x', '_y')\n"
+        "    _fields = ('x',)\n"
+        "class Pair(Record):\n"
+        "    _fields: tuple = ()\n"
+        "    def hidden(self):\n"
+        "        _fields = ()\n"
+        "        return _fields\n"
+        "Point._fields = ('x',)\n"
+    )
+    assert _declared_fields(source) == [6, 8, 12]
 
 
 PYTHON_FLOOR = (3, 10)

@@ -6,7 +6,8 @@ its field values), the hash of that tuple, no attribute assignment or
 deletion, and copies and pickles equal to the original.  Records that the
 listings fill through ``_fill``, bypassing ``__init__``, keep the same
 contract.  Each class's ``_fill`` takes the record and then exactly one
-value per slot, in slot order.
+value per slot, in slot order.  A record's fields are its slots whose names
+do not start with an underscore.
 """
 
 import copy
@@ -204,6 +205,16 @@ CLASSES = {type(build()) for build, _, _ in RECORDS.values()}
 
 def test_every_record_class_is_listed():
     assert len(CLASSES) == 11 and CLASSES == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize("cls", sorted(CLASSES, key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__)
+def test_fields_are_the_slots_without_an_underscore(cls):
+    assert list(cls._fields) == [name for name in cls.__slots__ if not name.startswith("_")]
+
+
+def test_hidden_slots_are_no_fields():
+    assert SpectralDatum._fields == ("group", "orbits")
+    assert LabeledPartition._fields == ("parts", "labels")
 
 
 @pytest.mark.parametrize("cls", sorted(CLASSES, key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__)

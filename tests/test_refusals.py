@@ -1,4 +1,4 @@
-"""The refusals of the point-query entry points, pinned row by row.
+"""The refusals of the point-query entry points and listings, pinned row by row.
 
 Each row calls one public entry point with an input that one of its checks
 refuses, and pins the exception's type, its ``code`` and its message.  Rows
@@ -14,13 +14,18 @@ import pickle
 import pytest
 
 from weylstrata import classical, jordan
+from weylstrata.atlas import load_atlas
 from weylstrata.classical import (
-    EigenOrbit, GroupDescriptor, OrbitKind, Series, SpectralDatum, classify, stratum_of_label,
+    EigenOrbit, GroupDescriptor, OrbitKind, Series, SpectralDatum, classify, dimension_set, enumerate_strata,
+    positive_roots, stratum_excess, stratum_of_label,
 )
 from weylstrata.errors import ConsistencyError, DomainError
 from weylstrata.jordan import JordanFamily, LabeledPartition, apply_bijection, codomain, in_family
 from weylstrata.partitions import Bipartition, Partition
-from weylstrata.weyl import SignedCycleType, WeylSeries, WeylType, fixed_space_dim, parse_class, stratum_of_class
+from weylstrata.weyl import (
+    SignedCycleType, WeylSeries, WeylType, enumerate_classes, fixed_space_dim, parse_class, strata_fibers,
+    stratum_of_class,
+)
 
 GL, SP, SO_ODD, SO_EVEN = Series.GL, Series.SP, Series.SO_ODD, Series.SO_EVEN
 GEN, INV = OrbitKind.GENERIC, OrbitKind.INVOLUTIVE
@@ -189,6 +194,26 @@ ROWS = [
         DomainError, 'weight_mismatch', 'weight mismatch: bipartition has weight 3, expected 4', patch='sum (1,)'),
     pin('classify-negative-row', lambda: classify(SpectralDatum(GroupDescriptor(SP, 4, 2), [inv("1", LabeledPartition([2, 2], {2: 1}))])),
         ConsistencyError, 'consistency_error', 'the symplectic_char2 map emitted a negative entry: [-1, -1]', patch='offsets - 2'),
+    # the group listings and positive_roots: the group's type
+    pin('strata-group', lambda: enumerate_strata("sp4"),
+        DomainError, 'bad_group', "the group must be a GroupDescriptor, got 'sp4'"),
+    pin('strata-group-series', lambda: enumerate_strata(Series.SP),
+        DomainError, 'bad_group', "the group must be a GroupDescriptor, got <Series.SP: 'Sp'>"),
+    pin('dimension-set-group', lambda: dimension_set("sp4"),
+        DomainError, 'bad_group', "the group must be a GroupDescriptor, got 'sp4'"),
+    pin('dimension-set-group-weyl', lambda: dimension_set(WeylType(B, 2)),
+        DomainError, 'bad_group', "the group must be a GroupDescriptor, got WeylType(series=<WeylSeries.B: 'B'>, rank=2)"),
+    pin('roots-group', lambda: positive_roots("sp4"),
+        DomainError, 'bad_group', "the group must be a GroupDescriptor, got 'sp4'"),
+    pin('roots-group-none', lambda: positive_roots(None),
+        DomainError, 'bad_group', 'the group must be a GroupDescriptor, got None'),
+    # stratum_excess: the series' type, a name included
+    pin('excess-series-name', lambda: stratum_excess("GL"),
+        DomainError, 'bad_series', "the series must be a Series, got 'GL'"),
+    pin('excess-series-none', lambda: stratum_excess(None),
+        DomainError, 'bad_series', 'the series must be a Series, got None'),
+    pin('excess-series-weyl', lambda: stratum_excess(WeylSeries.B),
+        DomainError, 'bad_series', "the series must be a Series, got <WeylSeries.B: 'B'>"),
     # stratum_of_label: the group's type, then the label, its weight and its excess
     pin('label-group', lambda: stratum_of_label("gl2", Bipartition([1])),
         DomainError, 'bad_group', "the group must be a GroupDescriptor, got 'gl2'"),
@@ -213,7 +238,11 @@ ROWS = [
         DomainError, 'bad_series', "unknown Weyl series 'E'; expected A, B, C, or D"),
     pin('weyl-two-rank-type-value', lambda: WeylType(A, -1.0),
         DomainError, 'bad_rank', 'rank must be an integer, got -1.0'),
-    # parse_class: the text, then the class against the type
+    # parse_class: the Weyl group's type, then the text, then the class against the type
+    pin('parse-weyl-type', lambda: parse_class("B2", "1;1"),
+        DomainError, 'bad_group', "the Weyl group must be a WeylType, got 'B2'"),
+    pin('parse-two-weyl-type-text', lambda: parse_class(None, "x"),
+        DomainError, 'bad_group', 'the Weyl group must be a WeylType, got None'),
     pin('parse-a-entries', lambda: parse_class(WeylType(A, 2), "2,x"),
         DomainError, 'parse_error', "expected comma-separated integers, got '2,x'"),
     pin('parse-a-empty-piece', lambda: parse_class(WeylType(A, 2), "2,,1"),
@@ -236,6 +265,15 @@ ROWS = [
         DomainError, 'bad_class', "cycle lengths must be positive, got '0'"),
     pin('parse-two-rank-odd-negative', lambda: parse_class(WeylType(D, 3), "1;1"),
         DomainError, 'bad_class', 'signed cycle type has rank 2, expected 3'),
+    # the Weyl listings: the Weyl group's type
+    pin('classes-weyl-type', lambda: enumerate_classes("B2"),
+        DomainError, 'bad_group', "the Weyl group must be a WeylType, got 'B2'"),
+    pin('classes-weyl-type-none', lambda: enumerate_classes(None),
+        DomainError, 'bad_group', 'the Weyl group must be a WeylType, got None'),
+    pin('fibers-weyl-type', lambda: strata_fibers("B2"),
+        DomainError, 'bad_group', "the Weyl group must be a WeylType, got 'B2'"),
+    pin('fibers-weyl-type-group', lambda: strata_fibers(GroupDescriptor(SP, 4)),
+        DomainError, 'bad_group', "the Weyl group must be a WeylType, got GroupDescriptor(series=<Series.SP: 'Sp'>, dimension=4, characteristic=0)"),
     # stratum_of_class and fixed_space_dim: the Weyl group's type, then the class against it, then the rewrite
     pin('class-weyl-type', lambda: stratum_of_class("B2", Partition([2])),
         DomainError, 'bad_group', "the Weyl group must be a WeylType, got 'B2'"),
@@ -370,6 +408,17 @@ ROWS = [
         DomainError, 'bad_bipartition', 'bipartition entries must be nonnegative, got [1, 5, 2, -1]'),
     pin('bipartition-two-climbs', lambda: Bipartition([0, 0, 1, 2]),
         DomainError, 'bad_bipartition', 'entries at positions 1 and 3 must weakly decrease, got [0, 0, 1, 2]'),
+    # Atlas.strata_for_characteristic, through check_characteristic: the integer gate, then primality
+    pin('atlas-char-float', lambda: load_atlas().strata_for_characteristic("E8", 2.0),
+        DomainError, 'bad_characteristic', 'characteristic must be an integer, got 2.0'),
+    pin('atlas-char-bool', lambda: load_atlas().strata_for_characteristic("E8", True),
+        DomainError, 'bad_characteristic', 'characteristic must be an integer, got True'),
+    pin('atlas-char-str', lambda: load_atlas().strata_for_characteristic("E8", "2"),
+        DomainError, 'bad_characteristic', "characteristic must be an integer, got '2'"),
+    pin('atlas-char-none', lambda: load_atlas().strata_for_characteristic("E8", None),
+        DomainError, 'bad_characteristic', 'characteristic must be an integer, got None'),
+    pin('atlas-char-composite', lambda: load_atlas().strata_for_characteristic("E8", 4),
+        DomainError, 'bad_characteristic', 'characteristic must be 0 or a prime, got 4'),
     # codomain, through _rule: the family, then the weight, then its parity
     pin('codomain-family', lambda: codomain("Z2", 8),
         DomainError, 'bad_family', "Jordan family must be a JordanFamily, got 'Z2'"),
