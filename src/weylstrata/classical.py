@@ -369,7 +369,10 @@ def enumerate_strata(group: GroupDescriptor) -> tuple[StratumResult, ...]:
 
 
 def dimension_set(group: GroupDescriptor) -> frozenset[int]:
-    """The set of class dimensions over all strata of the group, listing no stratum; bad_group for no GroupDescriptor."""
+    """The set of class dimensions over all strata of the group, listing no stratum.
+
+    A group that is no GroupDescriptor is refused with the code bad_group.
+    """
     from .enumeration import n_invariant_set
 
     two_roots = 2 * positive_roots(group)

@@ -9,10 +9,10 @@ be treated as a falsified theorem, not a usage mistake.
 
 The module also holds the two rules that the classical and the exceptional
 side share.  ``check_characteristic`` accepts an integer that is 0 or a
-prime and refuses anything else with the code bad_characteristic.  ``unique_minimizer`` is the
-one cross-section rule: a fiber's cross-section is its unique class of least
-fixed-space dimension, and a tie raises a ConsistencyError with the code
-cross_section_tie.
+prime and refuses anything else with the code bad_characteristic.
+``unique_minimizer`` is the one cross-section rule: a fiber's cross-section
+is its unique class of least fixed-space dimension, and a tie raises a
+ConsistencyError with the code cross_section_tie.
 
 ``Record`` is the base of the package's immutable value records; each
 record class gets a ``_fill`` that writes its slots, generated from its
@@ -74,11 +74,12 @@ class Record:
     The fields are ``_fields``, the ``__slots__`` whose names do not start
     with an underscore: such a hidden slot is seen by no comparison, hash or
     repr.  Records are equal only to records of their own class with equal
-    fields, and hash as the tuple of their fields.  ``_fill(self, *values)`` takes one value per
-    slot, in slot order, writes each past the frozen ``__setattr__`` through
-    the slot's own setter, and returns the record: every ``__init__`` calls
-    it once, and hot paths call it on a record built with ``object.__new__``.
-    Afterwards assignment and deletion raise AttributeError.
+    fields, and hash as the tuple of their fields.  ``_fill(self, *values)``
+    takes one value per slot, in slot order, writes each past the frozen
+    ``__setattr__`` through the slot's own setter, and returns the record:
+    every ``__init__`` calls it once, and hot paths call it on a record
+    built with ``object.__new__``.  Afterwards assignment and deletion raise
+    AttributeError.
     """
 
     __slots__ = ()

@@ -52,8 +52,8 @@ the runs of a datum, and serves ``in_family``, ``apply_bijection``,
 ``classical``'s validation and the check of each inverse.  A validated
 ``LabeledPartition`` keeps the runs its validation read off its strings, so
 those callers do not split its parts again; one built by ``_datum``, the
-member with given runs, keeps none, and its runs are read off its parts.  One
-rewrite loop, ``_emit``, emits the entries of the image of given runs
+member with given runs, keeps none, and its runs are read off its parts.
+One rewrite loop, ``_emit``, emits the entries of the image of given runs
 under a rule that ``_rule`` reads from ``_REPLACEMENTS`` once per call,
 not once per image, and ``_finish`` checks them in one pass; ``_rewrite``
 is the two in turn.  ``apply_bijection`` decomposes its datum once,
