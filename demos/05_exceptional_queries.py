@@ -15,14 +15,14 @@ print(f"data checksum: {atlas.checksum()[:16]}...\n")
 print("The full G2 table:")
 for row in atlas.rows("G2"):
     classes = ", ".join(c.raw for c in row.classes)
-    print(f"  {atlas.format_rep(row.rep):>7}  dim {atlas.class_dim(row.rep):>2}  "
+    print(f"  {atlas.format_rep(row.rep):>7}  dim {row.class_dim:>2}  "
           f"classes: {classes}")
 
 print()
-rep = atlas.rep_of_class("E8", "D_7(a_1)")
-print(f"E8 class D_7(a_1) lies in stratum {atlas.format_rep(rep)} "
-      f"(class_dim {atlas.class_dim(rep)})")
-print(f"  note: {atlas.note('E8', rep)}")
+row = atlas.row("E8", atlas.rep_of_class("E8", "D_7(a_1)"))
+print(f"E8 class D_7(a_1) lies in stratum {atlas.format_rep(row.rep)} "
+      f"(class_dim {row.class_dim})")
+print(f"  note: {row.note}")
 
 print()
 print("How many E8 strata contain unipotent classes, by characteristic:")
@@ -31,8 +31,7 @@ for char in (0, 2, 3, 5):
     print(f"  char {char}: {count} of {len(atlas.rows('E8'))}")
 
 print()
-rep = atlas.rep_of_class("E7", "7A_1")
-fiber = atlas.fiber("E7", rep)
-print(f"The fiber over E7 stratum {atlas.format_rep(rep)} has {len(fiber)} classes:")
-print("  " + ", ".join(c.raw for c in fiber))
-print(f"  cross-section: {atlas.cross_section('E7', rep).raw}")
+row = atlas.row("E7", atlas.rep_of_class("E7", "7A_1"))
+print(f"The fiber over E7 stratum {atlas.format_rep(row.rep)} has {len(row.classes)} classes:")
+print("  " + ", ".join(c.raw for c in row.classes))
+print(f"  cross-section: {atlas.cross_section('E7', row.rep).raw}")

@@ -16,8 +16,10 @@ is the codimension of the class's fixed space in the reflection
 representation, so ``m = rank - parsed_rank`` is the fixed-space
 dimension used to select cross-sections.
 
-The data file location can be overridden with the ``WEYLSTRATA_ATLAS``
-environment variable or an explicit path argument to ``load_atlas``.
+``load_atlas(path)`` reads the data file at a given path, and without one
+the packaged file; nothing else chooses the file.  One table row is found
+by ``Atlas.row(group, rep)``, from a ``RepLabel`` or its text, and every
+lookup by representation goes through it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import os
 import re
 from typing import Optional, Union
 
-from .errors import DomainError, Record, check_characteristic, unique_minimizer
+from .errors import DomainError, Record, _check_size, check_characteristic, unique_minimizer
 
 EXC_GROUPS = ("G2", "F4", "E6", "E7", "E8")
 EXC_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
@@ -37,7 +39,6 @@ EXC_POSITIVE_ROOTS = {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
 _ISO_GROUPS = ("A", "B", "C", "D") + EXC_GROUPS
 _ISO_FLAVORS = ("pseudo_levi", "double_isolated")
 
-ATLAS_ENV_VAR = "WEYLSTRATA_ATLAS"
 _PACKAGED_PATH = os.path.abspath(os.path.join(os.path.dirname(__file__), "data", "exceptional_atlas.txt"))
 ATLAS_FORMAT_VERSION = 1
 
@@ -69,8 +70,7 @@ class RepLabel(Record):
         self._fill(exc_group_from_name(group), d, n, star, synthetic_id)
         if d < 1:
             raise DomainError(f"degree must be positive, got {d}", code="bad_rep")
-        if n < 0:
-            raise DomainError(f"n-invariant must be nonnegative, got {n}", code="bad_rep")
+        _check_size(n, "n-invariant", "bad_rep")
         if star not in (0, 2, 3):
             raise DomainError(f"star must be 0, 2, or 3, got {star}", code="bad_rep")
         if synthetic_id < 0:
@@ -195,12 +195,20 @@ def m_of_class(group: str, label: Union[str, CarterLabel]) -> int:
 
 
 class AtlasRow(Record):
-    """One table row: a representation and the classes mapping to it."""
+    """One table row: a representation and the classes mapping to it, in table order.
+
+    The note is the row's provenance, nonempty exactly for starred rows.
+    """
 
     __slots__ = ("group", "classes", "rep", "note")
 
     def __init__(self, group: str, classes: tuple[CarterLabel, ...], rep: RepLabel, note: str = ""):
         self._fill(group, classes, rep, note)
+
+    @property
+    def class_dim(self) -> int:
+        """Common dimension of the conjugacy classes in the row's stratum: 2|Phi+| - 2n."""
+        return 2 * EXC_POSITIVE_ROOTS[self.group] - 2 * self.rep.n
 
 
 class Atlas:
@@ -210,9 +218,8 @@ class Atlas:
     parser and kept only in the text; the library does not expose them.
     """
 
-    def __init__(self, rows, text: str, source: str):
+    def __init__(self, rows, text: str):
         self.text = text
-        self.source = source
         self._rows: dict[str, list[AtlasRow]] = {g: [] for g in EXC_GROUPS}
         self._by_class: dict[tuple[str, str], list[AtlasRow]] = {}
         # the rows of each (group, d, n), in synthetic-id order: every lookup by representation
@@ -275,10 +282,18 @@ class Atlas:
             )
         return cands[0].rep
 
-    def _resolve_rep(self, group: str, rep: Union[RepLabel, str]) -> AtlasRow:
+    def row(self, group: str, rep: Union[RepLabel, str]) -> AtlasRow:
+        """The table row of a representation: a RepLabel of the group, or its text.
+
+        The text is read by rep_from_string.  Anything else is refused with
+        the code "bad_rep", and a representation the group's table does not
+        hold with "unknown_rep".
+        """
         group = exc_group_from_name(group)
         if isinstance(rep, str):
             rep = self.rep_from_string(group, rep)
+        elif not isinstance(rep, RepLabel):
+            raise DomainError(f"representation must be a RepLabel, got {rep!r}", code="bad_rep")
         elif rep.group != group:
             raise DomainError(
                 f"representation {rep} belongs to {rep.group}, not {group}", code="unknown_rep"
@@ -319,7 +334,7 @@ class Atlas:
         group = exc_group_from_name(group)
         canon = label.raw if isinstance(label, CarterLabel) else parse_carter(label).raw  # for the messages
         if rep_hint is not None:
-            want = self._resolve_rep(group, rep_hint)
+            want = self.row(group, rep_hint)
             if want not in rows:
                 raise DomainError(
                     f"class {canon!r} does not occur under {self.format_rep(want.rep)}",
@@ -332,14 +347,6 @@ class Atlas:
             "pass rep_hint to choose",
             code="ambiguous_class",
         )
-
-    def fiber(self, group: str, rep: Union[RepLabel, str]) -> tuple[CarterLabel, ...]:
-        """The classes mapping to the given representation, in table order."""
-        return self._resolve_rep(group, rep).classes
-
-    def note(self, group: str, rep: Union[RepLabel, str]) -> str:
-        """Provenance note of a row (nonempty exactly for starred rows)."""
-        return self._resolve_rep(group, rep).note
 
     def strata_for_characteristic(self, group: str, char: int) -> tuple[RepLabel, ...]:
         """The representations whose strata contain unipotent classes.
@@ -356,18 +363,13 @@ class Atlas:
             if row.rep.star == 0 or row.rep.star == char
         )
 
-    def class_dim(self, rep: RepLabel) -> int:
-        """Common dimension of the conjugacy classes in the stratum of a table row."""
-        row = self._resolve_rep(rep.group, rep)
-        return 2 * EXC_POSITIVE_ROOTS[row.group] - 2 * row.rep.n
-
     def cross_section(self, group: str, rep: Union[RepLabel, str]) -> CarterLabel:
         """The unique class of the fiber with minimal fixed-space dimension.
 
         Uniqueness of the minimizer is a claimed property of the tables;
         a tie raises ConsistencyError rather than picking arbitrarily.
         """
-        row = self._resolve_rep(group, rep)
+        row = self.row(group, rep)
         dims = [m_of_class(row.group, c) for c in row.classes]
         return unique_minimizer(row.classes, dims, lambda: f"on {row.group} {self.format_rep(row.rep)}")
 
@@ -447,7 +449,7 @@ def _parse_atlas(text: str, source: str) -> Atlas:
             raise _parse_error(source, lineno, f"unknown record kind {kind!r}")
     if version is None:
         raise DomainError(f"{source}: missing version record", code="atlas_version")
-    return Atlas(rows, text, source)
+    return Atlas(rows, text)
 
 
 @functools.lru_cache(maxsize=None)
@@ -461,9 +463,7 @@ def _load_from_path(path: str) -> Atlas:
 
 
 def load_atlas(path: Optional[str] = None) -> Atlas:
-    """The atlas: from a path, the env-var override, or the packaged file."""
-    if path is None:
-        path = os.environ.get(ATLAS_ENV_VAR)
+    """The atlas read from the file at path, or else from the packaged file."""
     # the packaged path is absolute from import on, so the common call resolves no path
     return _load_from_path(_PACKAGED_PATH if path is None else os.path.abspath(path))
 

@@ -38,9 +38,9 @@ from itertools import accumulate, zip_longest
 from operator import lt
 from typing import Iterable, Optional
 
-from .errors import ConsistencyError, DomainError, Record, check_characteristic
+from .errors import ConsistencyError, DomainError, Record, _check_size, check_characteristic
 from .jordan import JordanDatum, JordanFamily, LabeledPartition, _rewrite, _rule, _runs_if_member
-from .partitions import Bipartition, Excess, Partition, _check_int, _read_name, _within_excess, n_invariant
+from .partitions import Bipartition, Excess, Partition, _read_name, _within_excess, n_invariant
 
 
 class Series(enum.Enum):
@@ -87,10 +87,8 @@ class GroupDescriptor(Record):
         # the characteristics the maps read, the gate and the primality test
         if type(characteristic) is not int or (characteristic != 0 and characteristic != 2):
             check_characteristic(characteristic)
-        if type(dimension) is not int:
-            _check_int(dimension, "dimension", "bad_dimension")
-        if dimension < 0:
-            raise DomainError(f"dimension must be nonnegative, got {dimension}", code="bad_dimension")
+        if type(dimension) is not int or dimension < 0:
+            _check_size(dimension, "dimension", "bad_dimension")
         odd = series is _SO_ODD
         if series is not _GL and dimension % 2 != odd:
             raise DomainError(

@@ -14,17 +14,18 @@ def _stratum_payload(result, fields=_STRATUM_FIELDS) -> dict:
     return payload
 
 
-def _rep_payload(atlas, group: str, rep) -> dict:
+def _rep_payload(atlas, row) -> dict:
     # the exceptional row shared by phi and tables
+    rep = row.rep
     return {
         "display": atlas.format_rep(rep),
         "d": rep.d,
         "n": rep.n,
         "star": rep.star,
         "synthetic_id": rep.synthetic_id,
-        "class_dim": atlas.class_dim(rep),
-        "cross_section": atlas.cross_section(group, rep).raw,
-        "note": atlas.note(group, rep),
+        "class_dim": row.class_dim,
+        "cross_section": atlas.cross_section(row.group, rep).raw,
+        "note": row.note,
     }
 
 

@@ -48,13 +48,13 @@ def run(args) -> tuple[dict, list[str]]:
     hint = atlas.rep_from_string(group, args.rep) if args.rep is not None else None
     # one parse of the label serves the lookup, the payload and the fixed-space dimension
     label = parse_carter(args.class_label)
-    rep = atlas.rep_of_class(group, label, rep_hint=hint)
+    row = atlas.row(group, atlas.rep_of_class(group, label, rep_hint=hint))
     payload = {
         "group": group,
         "class": label.raw,
         "fixed_space_dim": m_of_class(group, label),
-        **_rep_payload(atlas, group, rep),
-        "fiber": [c.raw for c in atlas.fiber(group, rep)],
+        **_rep_payload(atlas, row),
+        "fiber": [c.raw for c in row.classes],
     }
     return payload, diagnostics
 

@@ -34,7 +34,7 @@ def run(args) -> tuple[dict | str, list[str]]:
         "checksum": atlas.checksum(),
         "count": len(rows),
         "rows": [
-            {**_rep_payload(atlas, group, row.rep), "classes": [c.raw for c in row.classes]}
+            {**_rep_payload(atlas, row), "classes": [c.raw for c in row.classes]}
             for row in rows
         ],
     }

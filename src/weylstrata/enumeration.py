@@ -15,7 +15,8 @@ memo is a dict local to one call, freed on return.
 
 from __future__ import annotations
 
-from .partitions import Bipartition, Excess, Partition, _as_excess, _check_weight
+from .errors import _check_size
+from .partitions import Bipartition, Excess, Partition, _as_excess
 
 
 def _start(n: int, x) -> tuple:
@@ -23,7 +24,7 @@ def _start(n: int, x) -> tuple:
     # checking both: the first entry is capped by n alone, and the climb from
     # it to the second entry uses e
     ex = _as_excess(x)
-    _check_weight(n)
+    _check_size(n, "weight", "bad_weight")
     return n, n, n, ex.e_prime, ex.e
 
 

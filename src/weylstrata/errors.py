@@ -7,9 +7,14 @@ something that contradicts a structural guarantee (a uniqueness claim, a
 nonnegativity claim, a bijectivity claim); it maps to exit code 3 and should
 be treated as a falsified theorem, not a usage mistake.
 
-The module also holds the two rules that the classical and the exceptional
-side share.  ``check_characteristic`` accepts an integer that is 0 or a
-prime and refuses anything else with the code bad_characteristic.
+The module also holds the rules that the classical and the exceptional
+side share.  The integer gate, ``_check_int(n, noun, code)``, accepts an
+int that is not a bool and refuses anything else with the given code
+("{noun} must be an integer, got ..."); ``_check_size`` then refuses a
+negative one ("{noun} must be nonnegative, got ...").  Every record and
+entry point that takes an integer reads it through them.
+``check_characteristic`` accepts an integer that is 0 or a prime and
+refuses anything else with the code bad_characteristic.
 ``unique_minimizer`` is the one cross-section rule: a fiber's cross-section
 is its unique class of least fixed-space dimension, and a tie raises a
 ConsistencyError with the code cross_section_tie.
@@ -149,14 +154,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_int(n, noun: str, code: str) -> None:
+    # the integer gate: an int passes on one type test, a bool or any other type is refused
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
+        raise DomainError(f"{noun} must be an integer, got {n!r}", code=code)
+
+
+def _check_size(n, noun: str, code: str) -> None:
+    # the integer gate, then nonnegative
+    _check_int(n, noun, code)
+    if n < 0:
+        raise DomainError(f"{noun} must be nonnegative, got {n}", code=code)
+
+
 def check_characteristic(p: int) -> int:
     """p itself when it is 0 or a prime; otherwise a bad_characteristic error.
 
-    An int passes the integer gate on one type test; a bool or any other
-    type is refused there.
+    The integer gate comes first, so a bool or any other type is refused
+    before primality is tested.
     """
-    if type(p) is not int and (isinstance(p, bool) or not isinstance(p, int)):
-        raise DomainError(f"characteristic must be an integer, got {p!r}", code="bad_characteristic")
+    _check_int(p, "characteristic", "bad_characteristic")
     if p >= _PRIME_BOUND:
         raise DomainError(
             f"characteristic {p} is too large: primality is decided exactly only "

@@ -83,8 +83,8 @@ from __future__ import annotations
 import enum
 from typing import Container, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import ConsistencyError, DomainError, Record
-from .partitions import Bipartition, Excess, Partition, _check_weight, _read_name
+from .errors import ConsistencyError, DomainError, Record, _check_size
+from .partitions import Bipartition, Excess, Partition, _read_name
 
 
 class JordanFamily(enum.Enum):
@@ -369,7 +369,7 @@ def _rule(family: JordanFamily, N: int) -> tuple:
     if type(family) is not JordanFamily:
         _check_family(family)
     if type(N) is not int or N < 0:
-        _check_weight(N)
+        _check_size(N, "weight", "bad_weight")
     rule = _REPLACEMENTS.get((family, N & 1))
     if rule is None:
         raise DomainError(

@@ -24,7 +24,7 @@ import re
 from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, _check_size
 
 
 class Excess(NamedTuple):
@@ -45,19 +45,6 @@ def _as_excess(x) -> Excess:
     if ex.e < 0 or ex.e_prime < 0:
         raise DomainError(f"excess components must be nonnegative, got {ex}", code="bad_excess")
     return ex
-
-
-def _check_int(n, noun: str, code: str) -> None:
-    # an int and not a bool
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
-        raise DomainError(f"{noun} must be an integer, got {n!r}", code=code)
-
-
-def _check_weight(n) -> None:
-    # an int and not a bool, then nonnegative
-    _check_int(n, "weight", "bad_weight")
-    if n < 0:
-        raise DomainError(f"weight must be nonnegative, got {n}", code="bad_weight")
 
 
 def _read_name(name, names: dict, refusal: str, code: str):
@@ -221,9 +208,7 @@ def n_invariant(bp: Bipartition, half: int) -> int:
     """
     if not isinstance(bp, Bipartition):
         bp = Bipartition(bp)
-    _check_int(half, "half", "bad_weight")
-    if half < 0:
-        raise DomainError(f"half must be nonnegative, got {half}", code="bad_weight")
+    _check_size(half, "half", "bad_weight")
     if bp.weight != half:
         raise DomainError(
             f"weight mismatch: bipartition has weight {bp.weight}, expected {half}",

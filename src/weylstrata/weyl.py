@@ -42,9 +42,9 @@ import enum
 from typing import NamedTuple, Union
 
 from .classical import GroupDescriptor, Series, _involutive_family
-from .errors import DomainError, Record, unique_minimizer
+from .errors import DomainError, Record, _check_int, unique_minimizer
 from .jordan import JordanFamily, LabeledPartition, _datum, _rewrite, _rule, _runs
-from .partitions import Bipartition, Partition, _check_int, _read_name, parse_entries
+from .partitions import Bipartition, Partition, _read_name, parse_entries
 
 
 class WeylSeries(enum.Enum):

@@ -6,13 +6,12 @@ asserts the verdict.  Timing budgets are part of the verdict where the
 check declares one.
 """
 
-import os
 from collections import Counter
 
 import pytest
 
-from weylstrata import atlas, jordan, verify, weyl
-from weylstrata.atlas import ATLAS_ENV_VAR, load_atlas
+from weylstrata import jordan, verify, weyl
+from weylstrata.atlas import load_atlas
 from weylstrata.errors import ConsistencyError, DomainError
 from weylstrata.jordan import JordanFamily
 from weylstrata.verify import check_names, run_suite
@@ -156,13 +155,11 @@ def _perturbed_atlas(tmp_path):
     return str(path)
 
 
-def test_run_suite_reads_the_given_atlas_file(tmp_path, monkeypatch):
-    monkeypatch.delenv(ATLAS_ENV_VAR, raising=False)
+def test_run_suite_reads_the_given_atlas_file(tmp_path):
     (failed,) = run_suite(("e8-counts",), data_file=_perturbed_atlas(tmp_path))
     assert not failed.passed and failed.detail.startswith("E8 counts {'rows': 74")
     (passed,) = run_suite(("e8-counts",))
     assert passed.passed
-    assert ATLAS_ENV_VAR not in os.environ
 
 
 def test_run_suite_reads_the_atlas_only_for_the_table_checks(tmp_path):
@@ -174,10 +171,11 @@ def test_run_suite_reads_the_atlas_only_for_the_table_checks(tmp_path):
     assert err.value.code == "atlas_io_error" and missing in str(err.value)
 
 
-def test_run_suite_without_a_file_reads_the_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv(ATLAS_ENV_VAR, _perturbed_atlas(tmp_path))
+def test_run_suite_without_a_file_ignores_the_variable(tmp_path, monkeypatch):
+    # WEYLSTRATA_ATLAS names no file: the checks read the packaged one
+    perturbed = _perturbed_atlas(tmp_path)
+    monkeypatch.setenv("WEYLSTRATA_ATLAS", perturbed)
     (e8,) = run_suite(("e8-counts",))
-    assert not e8.passed
-    # a given file wins over the variable
-    (e8,) = run_suite(("e8-counts",), data_file=atlas._PACKAGED_PATH)
     assert e8.passed
+    (e8,) = run_suite(("e8-counts",), data_file=perturbed)
+    assert not e8.passed

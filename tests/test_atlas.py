@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from weylstrata.atlas import (
     _PACKAGED_PATH,
-    ATLAS_ENV_VAR,
     EXC_GROUPS,
     EXC_POSITIVE_ROOTS,
     MAX_NESTING,
@@ -187,15 +186,15 @@ def test_a_hint_must_name_a_row_holding_the_class():
 
 def test_fiber_examples():
     atlas = load_atlas()
-    assert [str(c) for c in atlas.fiber("E7", "15_28")] == ["7A_1", "6A_1", "5A_1", "(4A_1)'"]
-    assert [str(c) for c in atlas.fiber("G2", "1_0")] == ["G_2"]
-    assert [str(c) for c in atlas.fiber("E6", "10_9")] == ["3A_2", "2A_2+A_1"]
+    assert [str(c) for c in atlas.row("E7", "15_28").classes] == ["7A_1", "6A_1", "5A_1", "(4A_1)'"]
+    assert [str(c) for c in atlas.row("G2", "1_0").classes] == ["G_2"]
+    assert [str(c) for c in atlas.row("E6", "10_9").classes] == ["3A_2", "2A_2+A_1"]
     with pytest.raises(DomainError) as err:
-        atlas.fiber("G2", "17_5")
+        atlas.row("G2", "17_5")
     assert err.value.code == "unknown_rep"
 
 
-@pytest.mark.parametrize("method", ["fiber", "note", "cross_section"])
+@pytest.mark.parametrize("method", ["row", "cross_section"])
 def test_rep_label_of_another_group_is_refused(method):
     # G2's 1_0 shares its key fields with E8's 1_0, but is not an E8 row
     with pytest.raises(DomainError) as err:
@@ -207,7 +206,7 @@ def test_rep_label_of_another_group_is_refused(method):
 def test_fibers_partition_the_label_instances():
     atlas = load_atlas()
     for group in EXC_GROUPS:
-        total = sum(len(atlas.fiber(group, row.rep)) for row in atlas.rows(group))
+        total = sum(len(atlas.row(group, row.rep).classes) for row in atlas.rows(group))
         assert total == LABEL_COUNTS[group]
 
 
@@ -239,13 +238,13 @@ def test_strata_for_characteristic_rejects_nonprimes():
 
 def test_class_dim():
     atlas = load_atlas()
-    assert atlas.class_dim(RepLabel("E8", 1, 0)) == 240
-    assert atlas.class_dim(RepLabel("E8", 1, 120)) == 0
-    assert atlas.class_dim(RepLabel("G2", 2, 1)) == 10
+    assert atlas.row("E8", RepLabel("E8", 1, 0)).class_dim == 240
+    assert atlas.row("E8", RepLabel("E8", 1, 120)).class_dim == 0
+    assert atlas.row("G2", RepLabel("G2", 2, 1)).class_dim == 10
     # dimensions are even and bounded by dim G - rank
     for group in EXC_GROUPS:
         for row in atlas.rows(group):
-            dim = atlas.class_dim(row.rep)
+            dim = row.class_dim
             assert 0 <= dim <= 2 * EXC_POSITIVE_ROOTS[group]
             assert dim % 2 == 0
 
@@ -254,7 +253,7 @@ def test_class_dim_refuses_a_label_without_a_row():
     atlas = load_atlas()
     for rep in (RepLabel("G2", 1, 500), RepLabel("E8", 7, 3)):
         with pytest.raises(DomainError) as err:
-            atlas.class_dim(rep)
+            atlas.row(rep.group, rep)
         assert err.value.code == "unknown_rep"
 
 
@@ -262,7 +261,7 @@ def test_class_dim_of_every_row_is_twice_the_positive_roots_less_2n():
     atlas = load_atlas()
     for group in EXC_GROUPS:
         for row in atlas.rows(group):
-            assert atlas.class_dim(row.rep) == 2 * EXC_POSITIVE_ROOTS[group] - 2 * row.rep.n
+            assert atlas.row(group, row.rep).class_dim == 2 * EXC_POSITIVE_ROOTS[group] - 2 * row.rep.n
 
 
 def test_cross_section_examples():
@@ -540,22 +539,23 @@ def test_load_atlas_from_explicit_path(tmp_path):
     alt = tmp_path / "alt_atlas.txt"
     alt.write_text(text, encoding="utf-8")
     atlas = load_atlas(str(alt))
-    assert atlas.note("G2", "2_1") == "spot the difference"
-    assert load_atlas().note("G2", "2_1") == ""
+    assert atlas.row("G2", "2_1").note == "spot the difference"
+    assert load_atlas().row("G2", "2_1").note == ""
 
 
-def test_load_atlas_env_override(tmp_path, monkeypatch):
+def test_load_atlas_ignores_the_variable(tmp_path, monkeypatch):
+    # WEYLSTRATA_ATLAS, which once named the file, names nothing: a copy
+    # less one E8 row, named by it, is not read
     alt = tmp_path / "env_atlas.txt"
-    alt.write_text(load_atlas().text, encoding="utf-8")
-    monkeypatch.setenv(ATLAS_ENV_VAR, str(alt))
-    assert load_atlas().source == str(alt)
-    monkeypatch.delenv(ATLAS_ENV_VAR)
-    assert load_atlas().source.endswith("exceptional_atlas.txt")
+    alt.write_text(load_atlas().text.replace("row|E8|1|120|0|0|A_0|\n", ""), encoding="utf-8")
+    monkeypatch.setenv("WEYLSTRATA_ATLAS", str(alt))
+    assert len(load_atlas().rows("E8")) == ROW_COUNTS["E8"]
+    assert load_atlas() is load_atlas(_PACKAGED_PATH)
+    assert len(load_atlas(alt).rows("E8")) == ROW_COUNTS["E8"] - 1
 
 
-def test_load_atlas_without_a_path_is_the_cached_packaged_atlas(monkeypatch):
+def test_load_atlas_without_a_path_is_the_cached_packaged_atlas():
     # the packaged path is absolute from import on, so both calls read one cache entry
-    monkeypatch.delenv(ATLAS_ENV_VAR, raising=False)
     assert os.path.isabs(_PACKAGED_PATH)
     assert load_atlas() is load_atlas(_PACKAGED_PATH)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from weylstrata import cli, verify
 
-from weylstrata.atlas import ATLAS_ENV_VAR, load_atlas
+from weylstrata.atlas import load_atlas
 from weylstrata.cli import main
 from weylstrata.commands.enumerate import MAX_STRATA
 from weylstrata.enumeration import count_bipartitions
@@ -788,28 +788,27 @@ def test_verify_falsified_claim_exits_3(tmp_path, capsys):
 
 
 def test_verify_data_file_restores_the_atlas_variable(tmp_path, capsys, monkeypatch):
-    # verify hands --data-file to the checks as an argument: the variable is as
-    # it was, set or unset, while the checks read the atlas and after they ran
-    good = tmp_path / "good.txt"
-    good.write_text(load_atlas().text, encoding="utf-8")
+    # verify hands --data-file to the checks as an argument: the variable
+    # WEYLSTRATA_ATLAS, which names no file, is as it was, set or unset,
+    # while the checks read the atlas and after they ran
     bad = tmp_path / "bad.txt"
     bad.write_text(load_atlas().text.replace("row|E8|1|120|0|0|A_0|\n", ""), encoding="utf-8")
     read, seen = verify.load_atlas, []
 
     def spy(path=None):
-        seen.append((path, os.environ.get(ATLAS_ENV_VAR)))
+        seen.append((path, os.environ.get("WEYLSTRATA_ATLAS")))
         return read(path)
 
     monkeypatch.setattr(verify, "load_atlas", spy)
-    for before in (str(good), None):
+    for before in (str(bad), None):
         if before is None:
-            monkeypatch.delenv(ATLAS_ENV_VAR)
+            monkeypatch.delenv("WEYLSTRATA_ATLAS")
         else:
-            monkeypatch.setenv(ATLAS_ENV_VAR, before)
+            monkeypatch.setenv("WEYLSTRATA_ATLAS", before)
         seen.clear()
         status, env = run_json(capsys, "verify", "--suite", "e8-counts", "--data-file", str(bad))
         assert (status, env["payload"]["passed"]) == (3, False)
-        assert seen == [(str(bad), before)] and os.environ.get(ATLAS_ENV_VAR) == before
+        assert seen == [(str(bad), before)] and os.environ.get("WEYLSTRATA_ATLAS") == before
         status, env = run_json(capsys, "verify", "--suite", "e8-counts")
         assert (status, env["payload"]["passed"]) == (0, True)
 
@@ -886,14 +885,15 @@ def test_tables_human_format_shows_dimension(capsys):
 
 
 def test_data_file_flag_and_env_override(tmp_path, capsys, monkeypatch):
+    # --data-file names the file; WEYLSTRATA_ATLAS, which once did, is ignored
     text = load_atlas().text
     copy = tmp_path / "atlas_copy.txt"
-    copy.write_text(text)
+    copy.write_text(text.replace("row|G2|2|1|0|0|A_2|\n", ""))
     status, env = run_json(capsys, "tables", "--group", "G2", "--data-file", str(copy))
     assert status == 0
-    assert env["payload"]["count"] == 6
+    assert env["payload"]["count"] == 5
 
-    monkeypatch.setenv(ATLAS_ENV_VAR, str(copy))
+    monkeypatch.setenv("WEYLSTRATA_ATLAS", str(copy))
     status, env = run_json(capsys, "tables", "--group", "G2")
     assert status == 0
     assert env["payload"]["count"] == 6

@@ -446,7 +446,8 @@ QUERY_PATHS = {
         "LabeledPartition", "_runs", "_member_runs", "_runs_if_member", "_check_family", "_rule", "_emit", "_rewrite",
         "apply_bijection",
     ),
-    "partitions": ("_check_int", "_check_weight", "_as_int_seq", "Bipartition", "Partition", "n_invariant"),
+    "partitions": ("_as_int_seq", "Bipartition", "Partition", "n_invariant"),
+    "errors": ("_check_int", "_check_size"),
 }
 ENUMS = {"Series", "OrbitKind", "WeylSeries", "JordanFamily"}
 
