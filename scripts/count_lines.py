@@ -1,4 +1,4 @@
-"""Line counts of the package's modules, the code lines each CLI command compiles, and its options.
+"""Line counts of the package's modules, the code lines each CLI command compiles, and its knobs.
 
     python3 scripts/count_lines.py
 
@@ -11,7 +11,8 @@ tests/test_cold_start.py runs: the code lines of the weylstrata modules
 that a fresh process running that command loads, and so compiles when no
 bytecode is cached.  Then one row per command of weylstrata.cli's option
 table: how many values its command line can set, the options every command
-takes and its own, then their total.
+takes and its own, then their total; and last the number of environment
+variables the package's modules read, found from their syntax trees.
 """
 
 from __future__ import annotations
@@ -97,13 +98,63 @@ def option_counts() -> dict[str, int]:
     return {command: len(cli._COMMON) + len(entry[1]) for command, entry in cli._COMMANDS.items()}
 
 
+def _is_os(node, name: str) -> bool:
+    # os.<name>, or <name> imported from os
+    if isinstance(node, ast.Attribute):
+        return node.attr == name and isinstance(node.value, ast.Name) and node.value.id == "os"
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def _environment_key(node):
+    # the key of an environment read: os.environ.get(key), os.getenv(key),
+    # os.environ[key] or key in os.environ; None for any other node
+    if isinstance(node, ast.Call) and node.args:
+        func = node.func
+        got = isinstance(func, ast.Attribute) and func.attr == "get" and _is_os(func.value, "environ")
+        if got or _is_os(func, "getenv"):
+            return node.args[0]
+    elif isinstance(node, ast.Subscript) and _is_os(node.value, "environ"):
+        return node.slice
+    elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+        return node.left if _is_os(node.comparators[0], "environ") else None
+    return None
+
+
+def environment_variables(sources) -> set[str]:
+    """The environment variables that the given module sources read.
+
+    A key is a string, or a module-level name bound to one, whose string
+    is counted; any other key is counted by its text.
+    """
+    found: set[str] = set()
+    for source in sources:
+        tree = ast.parse(source)
+        strings = {
+            target.id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(getattr(node.value, "value", None), str)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            key = _environment_key(node)
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                found.add(key.value)
+            elif isinstance(key, ast.Name):
+                found.add(strings.get(key.id, key.id))
+            elif key is not None:
+                found.add(ast.unparse(key))
+    return found
+
+
 def main() -> None:
-    totals, code_of = [0, 0], {}
+    totals, code_of, sources = [0, 0], {}, []
     print(f"{'module':<20} {'lines':>6} {'code':>6}")
     paths = (os.path.join(folder, name) for folder, _, names in os.walk(PACKAGE) for name in names)
     for path in sorted(p for p in paths if p.endswith(".py")):
         with open(path, encoding="utf-8") as handle:
-            lines, code = count(handle.read())
+            sources.append(handle.read())
+        lines, code = count(sources[-1])
         totals, code_of[os.path.realpath(path)] = [totals[0] + lines, totals[1] + code], code
         print(f"{os.path.relpath(path, PACKAGE):<20} {lines:>6} {code:>6}")
     print(f"{'total':<20} {totals[0]:>6,} {totals[1]:>6,}")
@@ -115,6 +166,7 @@ def main() -> None:
     for command, n in options.items():
         print(f"{command:<20} {n:>13}")
     print(f"{'total':<20} {sum(options.values()):>13}")
+    print(f"{'environment':<20} {len(environment_variables(sources)):>13}")
 
 
 if __name__ == "__main__":

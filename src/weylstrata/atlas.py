@@ -29,7 +29,7 @@ import os
 import re
 from typing import Optional, Union
 
-from .errors import DomainError, Record, _check_size, check_characteristic, unique_minimizer
+from .errors import DomainError, Record, _check_int, _check_size, check_characteristic, unique_minimizer
 
 EXC_GROUPS = ("G2", "F4", "E6", "E7", "E8")
 EXC_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
@@ -68,11 +68,14 @@ class RepLabel(Record):
 
     def __init__(self, group: str, d: int, n: int, star: int = 0, synthetic_id: int = 0):
         self._fill(exc_group_from_name(group), d, n, star, synthetic_id)
+        _check_int(d, "degree", "bad_rep")
         if d < 1:
             raise DomainError(f"degree must be positive, got {d}", code="bad_rep")
         _check_size(n, "n-invariant", "bad_rep")
+        _check_int(star, "star", "bad_rep")
         if star not in (0, 2, 3):
             raise DomainError(f"star must be 0, 2, or 3, got {star}", code="bad_rep")
+        _check_int(synthetic_id, "synthetic id", "bad_rep")
         if synthetic_id < 0:
             raise DomainError("synthetic id must be nonnegative", code="bad_rep")
 
@@ -99,6 +102,9 @@ class CarterLabel(Record):
     __slots__ = ("raw", "parsed_rank")
 
     def __init__(self, raw: str, parsed_rank: int):
+        if not isinstance(raw, str):
+            raise DomainError(f"class label must be a string, got {raw!r}", code="bad_carter_label")
+        _check_size(parsed_rank, "parsed rank", "bad_carter_label")
         self._fill(raw, parsed_rank)
 
     def __str__(self) -> str:
@@ -194,6 +200,11 @@ def m_of_class(group: str, label: Union[str, CarterLabel]) -> int:
     return m
 
 
+def _not_a_rep(rep) -> DomainError:
+    # the refusal of Atlas.row and Atlas.format_rep for a representation of no RepLabel type
+    return DomainError(f"representation must be a RepLabel, got {rep!r}", code="bad_rep")
+
+
 class AtlasRow(Record):
     """One table row: a representation and the classes mapping to it, in table order.
 
@@ -245,6 +256,8 @@ class Atlas:
         The synthetic id is shown only when several rows share the same
         (d, n, star), as for the two unstarred 8_3 rows of F4.
         """
+        if not isinstance(rep, RepLabel):
+            raise _not_a_rep(rep)
         rows = self._by_dn.get((rep.group, rep.d, rep.n), ())
         return rep._text(sum(row.rep.star == rep.star for row in rows) > 1)
 
@@ -293,7 +306,7 @@ class Atlas:
         if isinstance(rep, str):
             rep = self.rep_from_string(group, rep)
         elif not isinstance(rep, RepLabel):
-            raise DomainError(f"representation must be a RepLabel, got {rep!r}", code="bad_rep")
+            raise _not_a_rep(rep)
         elif rep.group != group:
             raise DomainError(
                 f"representation {rep} belongs to {rep.group}, not {group}", code="unknown_rep"
@@ -462,8 +475,14 @@ def _load_from_path(path: str) -> Atlas:
     return _parse_atlas(text, path)
 
 
-def load_atlas(path: Optional[str] = None) -> Atlas:
-    """The atlas read from the file at path, or else from the packaged file."""
+def load_atlas(path: Union[str, os.PathLike, None] = None) -> Atlas:
+    """The atlas read from the file at path, or else from the packaged file.
+
+    A path is a string or an os.PathLike; anything else is refused with the
+    code bad_path.
+    """
+    if path is not None and not isinstance(path, (str, os.PathLike)):
+        raise DomainError(f"atlas path must be a string or an os.PathLike, got {path!r}", code="bad_path")
     # the packaged path is absolute from import on, so the common call resolves no path
     return _load_from_path(_PACKAGED_PATH if path is None else os.path.abspath(path))
 

@@ -75,12 +75,15 @@ def parse_entries(text: str) -> list[int]:
 
     Each piece is ASCII digits with an optional sign and optional whitespace
     around it.  Anything else, an empty piece, underscores or non-ASCII
-    digits included, is refused with the code parse_error.
+    digits included, is refused with the code parse_error, as is text that
+    is no string.
     """
-    if not text.strip():
-        return []
-    pieces = text.split(",")
     try:
+        if not isinstance(text, str):
+            raise ValueError
+        if not text.strip():
+            return []
+        pieces = text.split(",")
         if not all(map(_ENTRY.fullmatch, pieces)):
             raise ValueError
         return [int(piece) for piece in pieces]
@@ -195,9 +198,10 @@ def bp_sum(a: Bipartition, b: Bipartition) -> Bipartition:
     """Entrywise sum (implicit zeros beyond each end).
 
     The sum of two bipartitions is again one: each track is a sum of weakly
-    decreasing sequences.
+    decreasing sequences.  Both arguments are read through Bipartition,
+    which refuses anything else.
     """
-    return Bipartition(x + y for x, y in zip_longest(a, b, fillvalue=0))
+    return Bipartition(x + y for x, y in zip_longest(Bipartition(a), Bipartition(b), fillvalue=0))
 
 
 def n_invariant(bp: Bipartition, half: int) -> int:

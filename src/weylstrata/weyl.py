@@ -221,6 +221,8 @@ def jordan_of_class(c: SignedCycleType) -> LabeledPartition:
     An eligible even value 2l is labeled 1 exactly when l occurs as a
     negative cycle length.
     """
+    if not isinstance(c, SignedCycleType):
+        raise _bad_class(f"a class must be a signed cycle type, got {c!r}")
     return _datum(JordanFamily.SYMPLECTIC_CHAR2, _class_runs(JordanFamily.SYMPLECTIC_CHAR2, c))
 
 

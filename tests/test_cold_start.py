@@ -218,3 +218,23 @@ def test_count_lines_counts_the_values_each_command_line_sets():
     assert sum(count_lines.option_counts().values()) == 26
     assert [o[0] for o in cli._COMMON] == ["--format"]
     assert [c for c, (_, options) in cli._COMMANDS.items() if options[0][0] == "--data-file"] == ["phi", "tables", "verify"]
+
+
+def test_count_lines_counts_the_environment_variables_the_package_reads():
+    # none: the atlas file is an argument, and no variable chooses it
+    package = SRC / "weylstrata"
+    sources = [path.read_text(encoding="utf-8") for path in sorted(package.rglob("*.py"))]
+    assert count_lines.environment_variables(sources) == set()
+    sample = (
+        "import os\n"
+        "from os import environ, getenv\n"
+        "ATLAS_ENV_VAR = 'WEYLSTRATA_ATLAS'\n"
+        "def load_atlas(path=None):\n"
+        "    return path or os.environ.get(ATLAS_ENV_VAR)\n"
+        "trace = os.getenv('WEYLSTRATA_TRACE'), getenv('WEYLSTRATA_TRACE', '0')\n"
+        "home = 'HOME' not in os.environ, environ['USER'], os.environ[key]\n"
+        "other = os.path.join('A', 'B'), config.get('C'), self.environ['D'], os.environ.copy()\n"
+    )
+    assert count_lines.environment_variables([sample]) == {
+        "WEYLSTRATA_ATLAS", "WEYLSTRATA_TRACE", "HOME", "USER", "key",
+    }

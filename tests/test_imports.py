@@ -35,7 +35,10 @@ The functions on the point-query path read enum members through module
 globals bound once at import, never through the enum class (``Series.GL``).
 
 No command tests a value against ``int`` or ``bool``: the integer gate is
-``partitions``', and the record constructors word each refusal.
+``errors``', and the record constructors word each refusal.
+
+No library module reads the environment (``os.environ``, ``os.getenv``):
+the atlas file is an argument.  ``cli`` and the commands are left out.
 """
 
 import ast
@@ -604,9 +607,47 @@ def test_an_environment_write_is_caught():
     assert _environment_writes(source) == [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17]
 
 
-# The integer gate is partitions' (_check_int, _as_int_seq): the commands hand
-# raw values to the record constructors, which word each refusal, and test no
-# value's type against int or bool themselves.
+# The package reads no environment variable: the atlas file is an argument of
+# load_atlas and run_suite, set from --data-file.  cli and the commands are
+# left out, where a switch for the whole process would be read.
+LIBRARY = [p for p in ALL_MODULES if _name(p) != "cli" and p.parent.name != "commands"]
+
+
+def _environment_reads(source: str) -> list[int]:
+    # lines that name os.environ or os.getenv, or environ or getenv imported from os
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+            name = node.attr
+        else:
+            name = node.id if isinstance(node, ast.Name) else None
+        if name in ("environ", "getenv"):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=_name)
+def test_no_library_module_reads_the_environment(path):
+    assert _environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_environment_read_is_caught():
+    source = (
+        "import os\n"
+        "from os import environ, getenv\n"
+        "path = os.environ.get('WEYLSTRATA_ATLAS')\n"
+        "trace = os.getenv('A'), getenv('A'), environ['A']\n"
+        "def home():\n"
+        "    return 'HOME' in os.environ\n"
+        "other.environ, self.getenv('A'), os.path.join('a', 'b')\n"
+    )
+    assert _environment_reads(source) == [3, 4, 6]
+
+
+# The integer gate is errors' (_check_int, _check_size), and partitions'
+# _as_int_seq for sequences of entries: the commands hand raw values to the
+# record constructors, which word each refusal, and test no value's type
+# against int or bool themselves.
 def _integer_gates(source: str) -> list[int]:
     # lines calling isinstance(..., bool), or comparing type(...) with int by is or is not
     found = []

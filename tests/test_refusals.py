@@ -14,17 +14,17 @@ import pickle
 import pytest
 
 from weylstrata import classical, jordan
-from weylstrata.atlas import load_atlas
+from weylstrata.atlas import CarterLabel, RepLabel, load_atlas
 from weylstrata.classical import (
     EigenOrbit, GroupDescriptor, OrbitKind, Series, SpectralDatum, classify, dimension_set, enumerate_strata,
     positive_roots, stratum_excess, stratum_of_label,
 )
 from weylstrata.errors import ConsistencyError, DomainError
 from weylstrata.jordan import JordanFamily, LabeledPartition, apply_bijection, codomain, in_family
-from weylstrata.partitions import Bipartition, Partition
+from weylstrata.partitions import Bipartition, Partition, bp_sum, parse_entries
 from weylstrata.weyl import (
-    SignedCycleType, WeylSeries, WeylType, enumerate_classes, fixed_space_dim, parse_class, strata_fibers,
-    stratum_of_class,
+    SignedCycleType, WeylSeries, WeylType, enumerate_classes, fixed_space_dim, jordan_of_class, parse_class,
+    strata_fibers, stratum_of_class,
 )
 
 GL, SP, SO_ODD, SO_EVEN = Series.GL, Series.SP, Series.SO_ODD, Series.SO_EVEN
@@ -419,6 +419,69 @@ ROWS = [
         DomainError, 'bad_characteristic', 'characteristic must be an integer, got None'),
     pin('atlas-char-composite', lambda: load_atlas().strata_for_characteristic("E8", 4),
         DomainError, 'bad_characteristic', 'characteristic must be 0 or a prime, got 4'),
+    # load_atlas: a path is a string or an os.PathLike
+    pin('atlas-path-int', lambda: load_atlas(5),
+        DomainError, 'bad_path', 'atlas path must be a string or an os.PathLike, got 5'),
+    pin('atlas-path-bytes', lambda: load_atlas(b"atlas.txt"),
+        DomainError, 'bad_path', "atlas path must be a string or an os.PathLike, got b'atlas.txt'"),
+    # Atlas.row, and the lookups that read it, take a RepLabel or its text; format_rep a RepLabel
+    pin('atlas-row-int', lambda: load_atlas().row("E8", 5),
+        DomainError, 'bad_rep', 'representation must be a RepLabel, got 5'),
+    pin('atlas-cross-section-int', lambda: load_atlas().cross_section("E8", 5),
+        DomainError, 'bad_rep', 'representation must be a RepLabel, got 5'),
+    pin('atlas-rep-hint-int', lambda: load_atlas().rep_of_class("E8", "A_1", rep_hint=5),
+        DomainError, 'bad_rep', 'representation must be a RepLabel, got 5'),
+    pin('atlas-format-rep-str', lambda: load_atlas().format_rep("1_0"),
+        DomainError, 'bad_rep', "representation must be a RepLabel, got '1_0'"),
+    # RepLabel: the group, then the degree, the n-invariant, the star and the synthetic id,
+    # each through the integer gate before its range
+    pin('rep-degree-float', lambda: RepLabel("E8", 1.0, 0),
+        DomainError, 'bad_rep', 'degree must be an integer, got 1.0'),
+    pin('rep-degree-bool', lambda: RepLabel("E8", True, 0),
+        DomainError, 'bad_rep', 'degree must be an integer, got True'),
+    pin('rep-degree-str', lambda: RepLabel("E8", "1", 0),
+        DomainError, 'bad_rep', "degree must be an integer, got '1'"),
+    pin('rep-degree-none', lambda: RepLabel("E8", None, 0),
+        DomainError, 'bad_rep', 'degree must be an integer, got None'),
+    pin('rep-degree-zero', lambda: RepLabel("E8", 0, 0),
+        DomainError, 'bad_rep', 'degree must be positive, got 0'),
+    pin('rep-n-float', lambda: RepLabel("E8", 1, 2.0),
+        DomainError, 'bad_rep', 'n-invariant must be an integer, got 2.0'),
+    pin('rep-n-negative', lambda: RepLabel("E8", 1, -1),
+        DomainError, 'bad_rep', 'n-invariant must be nonnegative, got -1'),
+    pin('rep-star-bool', lambda: RepLabel("E8", 1, 0, False),
+        DomainError, 'bad_rep', 'star must be an integer, got False'),
+    pin('rep-star-float', lambda: RepLabel("E8", 1, 0, 2.0),
+        DomainError, 'bad_rep', 'star must be an integer, got 2.0'),
+    pin('rep-id-bool', lambda: RepLabel("E8", 1, 0, 0, True),
+        DomainError, 'bad_rep', 'synthetic id must be an integer, got True'),
+    pin('rep-id-str', lambda: RepLabel("E8", 1, 0, 0, "1"),
+        DomainError, 'bad_rep', "synthetic id must be an integer, got '1'"),
+    pin('rep-two-group-degree', lambda: RepLabel("H9", "1", 0),
+        DomainError, 'bad_group', "unknown exceptional group 'H9'"),
+    pin('rep-two-degree-n', lambda: RepLabel("E8", "1", -1),
+        DomainError, 'bad_rep', "degree must be an integer, got '1'"),
+    pin('rep-two-star-id', lambda: RepLabel("E8", 1, 0, 1.0, "1"),
+        DomainError, 'bad_rep', 'star must be an integer, got 1.0'),
+    # CarterLabel: the label is a string, then its rank a nonnegative int
+    pin('carter-label-int', lambda: CarterLabel(5, "x"),
+        DomainError, 'bad_carter_label', 'class label must be a string, got 5'),
+    pin('carter-rank-str', lambda: CarterLabel("A_1", "x"),
+        DomainError, 'bad_carter_label', "parsed rank must be an integer, got 'x'"),
+    pin('carter-rank-negative', lambda: CarterLabel("A_1", -1),
+        DomainError, 'bad_carter_label', 'parsed rank must be nonnegative, got -1'),
+    # parse_entries reads a string; bp_sum reads both arguments through Bipartition
+    pin('parse-entries-int', lambda: parse_entries(5),
+        DomainError, 'parse_error', 'expected comma-separated integers, got 5'),
+    pin('parse-entries-none', lambda: parse_entries(None),
+        DomainError, 'parse_error', 'expected comma-separated integers, got None'),
+    pin('bp-sum-str', lambda: bp_sum((1,), "x"),
+        DomainError, 'bad_entries', "entries must be integers, got 'x'"),
+    pin('bp-sum-climb', lambda: bp_sum((1, 0, 2), (1,)),
+        DomainError, 'bad_bipartition', 'entries at positions 1 and 3 must weakly decrease, got [1, 0, 2]'),
+    # jordan_of_class takes a signed cycle type
+    pin('jordan-of-class-str', lambda: jordan_of_class("1;1"),
+        DomainError, 'bad_class', "a class must be a signed cycle type, got '1;1'"),
     # codomain, through _rule: the family, then the weight, then its parity
     pin('codomain-family', lambda: codomain("Z2", 8),
         DomainError, 'bad_family', "Jordan family must be a JordanFamily, got 'Z2'"),
