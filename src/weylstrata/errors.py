@@ -11,8 +11,8 @@ The module also holds the rules that the classical and the exceptional
 side share.  The integer gate, ``_check_int(n, noun, code)``, accepts an
 int that is not a bool and refuses anything else with the given code
 ("{noun} must be an integer, got ..."); ``_check_size`` then refuses a
-negative one ("{noun} must be nonnegative, got ...").  Every record and
-entry point that takes an integer reads it through them.
+negative one ("{noun} must be nonnegative, got ...").  The records, the
+listings and the Jordan maps read their integer arguments through them.
 ``check_characteristic`` accepts an integer that is 0 or a prime and
 refuses anything else with the code bad_characteristic.
 ``unique_minimizer`` is the one cross-section rule: a fiber's cross-section

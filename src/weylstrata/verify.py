@@ -9,7 +9,7 @@ Checks are registered in a fixed order; ``run_suite`` executes them and
 reports one result per check, with wall-clock time compared against the
 stated budget where one applies.  The checks that read the exceptional
 tables are passed the atlas, read from the file ``run_suite`` is given or
-else from where ``load_atlas()`` finds it.  A falsified claim has one
+else from the packaged file.  A falsified claim has one
 channel: a ConsistencyError, raised by the check itself or by the library
 under it, becomes that check's FAIL row, and the other checks still run.
 A DomainError, such as an unreadable atlas file, still propagates.
@@ -92,7 +92,7 @@ def run_suite(names=None, data_file: Optional[str] = None) -> tuple[CheckResult,
     """Run the named checks (default: all) in registration order.
 
     The checks that read the exceptional tables read them from data_file,
-    or by default from where ``load_atlas()`` finds them.
+    or by default from the packaged file.
     """
     if names is None:
         names = check_names()
