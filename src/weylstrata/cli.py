@@ -29,16 +29,22 @@ from types import SimpleNamespace
 from .errors import ConsistencyError, DomainError
 
 
-def _emit(envelope: dict, fmt: str, renderer) -> None:
+def _emit(status: str, payload, diagnostics: list, fmt: str, renderer=None) -> None:
+    """Write the envelope {"status", "payload", "diagnostics"} of these parts in fmt.
+
+    In table format an error is its code and message on one line, and a
+    success is the renderer's text of the payload; either is followed by one
+    "# " line per diagnostic.
+    """
     if fmt == "json":
+        envelope = {"status": status, "payload": payload, "diagnostics": diagnostics}
         sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
         return
-    if envelope["status"] == "error":
-        err = envelope["payload"]
-        sys.stdout.write(f"error [{err['code']}]: {err['message']}\n")
+    if renderer is None:
+        sys.stdout.write(f"error [{payload['code']}]: {payload['message']}\n")
     else:
-        sys.stdout.write(renderer(envelope["payload"]))
-    for note in envelope["diagnostics"]:
+        sys.stdout.write(renderer(payload))
+    for note in diagnostics:
         sys.stdout.write(f"# {note}\n")
 
 
@@ -196,8 +202,7 @@ def main(argv=None) -> int:
         command, message = err.args
         sys.stderr.write(f"{_help(command).splitlines()[0]}\nweylstrata: error: {message}\n")
         # a usage error is a JSON envelope whatever --format says
-        error = {"code": "usage_error", "message": message}
-        _emit({"status": "error", "payload": error, "diagnostics": []}, "json", None)
+        _emit("error", {"code": "usage_error", "message": message}, [], "json")
         return 2
     if isinstance(args, str):
         # a help request is its text, not an envelope
@@ -207,14 +212,13 @@ def main(argv=None) -> int:
     try:
         payload, diagnostics = command.run(args)
     except (DomainError, ConsistencyError) as err:
-        error = {"code": err.code, "message": str(err)}
-        _emit({"status": "error", "payload": error, "diagnostics": []}, args.format, None)
+        _emit("error", {"code": err.code, "message": str(err)}, [], args.format)
         return 3 if isinstance(err, ConsistencyError) else 1
     if isinstance(payload, str):
         # tables --raw: the table file bytes, not an envelope
         sys.stdout.write(payload)
         return 0
-    _emit({"status": "ok", "payload": payload, "diagnostics": diagnostics}, args.format, command.render)
+    _emit("ok", payload, diagnostics, args.format, command.render)
     # only verify reports "passed"; a falsified check is a consistency failure
     return 3 if payload.get("passed") is False else 0
 

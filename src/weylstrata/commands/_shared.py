@@ -8,10 +8,8 @@ def _group_payload(group) -> dict:
 
 
 def _stratum_payload(result, fields=_STRATUM_FIELDS) -> dict:
-    # classical phi reports only the first two fields
-    payload = {"stratum": {"parts": list(result.bp)}}
-    payload.update((name, getattr(result, name)) for name in fields)
-    return payload
+    # the named fields of a stratum result; classical phi reports only the first two
+    return {name: getattr(result, name) for name in fields}
 
 
 def _rep_payload(atlas, row) -> dict:

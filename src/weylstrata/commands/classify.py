@@ -84,7 +84,7 @@ def run(args) -> tuple[dict, list[str]]:
     group = _group_from_doc(doc["group"])
     datum = SpectralDatum(group, [_orbit_from_doc(o) for o in doc["orbits"]])
     result = classify(datum)
-    payload = {"group": _group_payload(group), **_stratum_payload(result)}
+    payload = {"group": _group_payload(group), "stratum": {"parts": list(result.bp)}, **_stratum_payload(result)}
     diagnostics = []
     if result.pair_degenerate:
         diagnostics.append("stratum label is fixed by the even orthogonal pair symmetry")

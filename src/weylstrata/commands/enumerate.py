@@ -26,11 +26,7 @@ def run(args) -> tuple[dict, list[str]]:
         if count_bipartitions(weight, stratum_excess(group.series)) > MAX_STRATA:
             raise DomainError(f"{group.series.value}_{group.dimension} has more than {MAX_STRATA} strata, "
                               "the most enumerate lists", code="too_large")
-    rows = []
-    for result in enumerate_strata(group):
-        row = _stratum_payload(result)
-        row["parts"] = row.pop("stratum")["parts"]
-        rows.append(row)
+    rows = [{"parts": list(result.bp), **_stratum_payload(result)} for result in enumerate_strata(group)]
     payload = {"group": _group_payload(group), "count": len(rows), "strata": rows}
     return payload, []
 

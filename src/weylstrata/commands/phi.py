@@ -35,6 +35,7 @@ def run(args) -> tuple[dict, list[str]]:
             "weyl": {"series": series.value, "rank": args.rank},
             "class": str(cls) if series is not WeylSeries.A else ",".join(map(str, cls)),
             "group": _group_payload(group),
+            "stratum": {"parts": list(result.bp)},
             **_stratum_payload(result, _STRATUM_FIELDS[:2]),
             "fixed_space_dim": fixed_space_dim(wt, cls),
         }

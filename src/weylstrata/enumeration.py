@@ -8,9 +8,9 @@ descending: it walks the states depth first, and below a small state, one
 with at most ``_SHARED_WEIGHT`` left or its entry capped at 2 (the long runs
 of 2s and 1s in a partition), it lists the state's completions once per
 call and shares them with every prefix that reaches the state.
-``_dp`` counts the same sequences and collects their n-invariants without
-listing them, memoizing each state's count and n-invariant mask.  Each
-memo is a dict local to one call, freed on return.
+``_tally`` counts the same sequences and collects their n-invariants
+without listing them, memoizing each state's count and n-invariant mask.
+Each memo is a dict local to one call, freed on return.
 """
 
 from __future__ import annotations
@@ -91,7 +91,12 @@ def _enumerate(n: int, x, cls: type) -> tuple:
 
 
 def _tally(state: tuple, memo: dict) -> tuple[int, int]:
-    # (count, n-invariant mask) of a state's completions
+    # (count, n-invariant mask) of a state's completions, the sequences that
+    # _enumerate lists from it.  Bit k of the mask is set when some completion
+    # adds k to the n-invariant: an entry that leaves `rest` to place adds
+    # rest, so the child state's mask is shifted by it.  The memo is a dict
+    # local to one call from _start; nothing refers back to it, so it is freed
+    # on return and nothing outlives the call.
     if not state[0]:
         return 1, 1
     count = mask = 0
@@ -105,27 +110,14 @@ def _tally(state: tuple, memo: dict) -> tuple[int, int]:
     return count, mask
 
 
-def _dp(n: int, x) -> tuple[int, int]:
-    """(count, n-invariant mask) of the weight-n sequences that `_enumerate` lists.
-
-    It reads the states of `_children`.  Bit k of a state's mask is set when
-    some completion adds k to the n-invariant: an entry that leaves `rest` to
-    place adds rest, so the next state's mask is shifted by it.  The pair of
-    every state reached is memoized in a dict local to this call; nothing
-    refers back to the dict, so it is freed on return and nothing outlives
-    the call.
-    """
-    return _tally(_start(n, x), {})
-
-
 def count_bipartitions(n: int, x) -> int:
     """len(enumerate_bipartitions(n, x)), by a DP that lists nothing."""
-    return _dp(n, x)[0]
+    return _tally(_start(n, x), {})[0]
 
 
 def n_invariant_set(n: int, x) -> frozenset[int]:
     """The n-invariants over the weight-n bipartitions of excess x, listing none."""
-    mask = _dp(n, x)[1]
+    mask = _tally(_start(n, x), {})[1]
     return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 

@@ -30,7 +30,6 @@ _PARSE_ROWS = {
     key: [[(p, label0, *pair) for (p, label0, o), pair in offsets.items() if o == origin] for origin in (0, 1)]
     for key, (_, offsets) in _REPLACEMENTS.items()
 }
-_ABOVE_ALL = float("inf")  # above every value, so the first value of a parse descends from it
 
 
 def _listed_runs(family: JordanFamily, N: int) -> list[tuple[Run, ...]]:
@@ -38,11 +37,11 @@ def _listed_runs(family: JordanFamily, N: int) -> list[tuple[Run, ...]]:
     # enumerate_jordan.
     _rule(family, N)
     out: list[tuple[Run, ...]] = []
-    _place(family, N, N, 0, [], out)
+    _place(family, N, N, 0, (), out)
     return out
 
 
-def _place(family: JordanFamily, rem: int, cap: int, count: int, choices: list, out: list) -> None:
+def _place(family: JordanFamily, rem: int, cap: int, count: int, choices: tuple, out: list) -> None:
     # Places runs of total weight rem and values at most cap after the
     # `count` parts whose labelings are `choices` (one tuple per placed run),
     # and adds the runs of each member so completed to out.  Runs are placed
@@ -62,11 +61,10 @@ def _place(family: JordanFamily, rem: int, cap: int, count: int, choices: list, 
         top = rem // v - (rem // v) % step
         for length in range(top, rem - 1 if v == 1 else 0, -step):
             if labeled and _is_eligible(v, length):
-                choices.append(((v, length, 1), (v, length, 0)))
+                labelings = ((v, length, 1), (v, length, 0))
             else:
-                choices.append(((v, length, None),))
-            _place(family, rem - v * length, v - 1, count + length, choices, out)
-            choices.pop()
+                labelings = ((v, length, None),)
+            _place(family, rem - v * length, v - 1, count + length, choices + (labelings,), out)
 
 
 def enumerate_jordan(family: JordanFamily, N: int) -> tuple[JordanDatum, ...]:
@@ -113,13 +111,13 @@ def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[Run]]
     # Up to two run lists (value, length, label or None) whose rewrites give t,
     # for a weight N that _rule accepts.  A parse state is (position, previous
     # value, remaining weight); it keeps at most two partial parses, each a
-    # linked list of runs, newest first.  Every run advances the position, so
-    # states settle position by position.  Entries past the end of t are
-    # implicit zeros.
+    # tuple of its runs in order.  Every run advances the position, so states
+    # settle position by position.  Entries past the end of t are implicit
+    # zeros.
     rows = _PARSE_ROWS[family, N & 1]
     paired, even_count, labeled = family.paired, family.even_count, family.labeled
     n = len(t)
-    layers: dict[int, dict[tuple[int, int], list]] = {0: {(N + 1, N): [None]}}
+    layers: dict[int, dict[tuple[int, int], list]] = {0: {(N + 1, N): [()]}}
     found: list = []
     i = 0
     while layers and len(found) < 2:
@@ -147,16 +145,9 @@ def _parse_runs(family: JordanFamily, N: int, t: Bipartition) -> list[list[Run]]
                     label = (0 if label0 else 1) if eligible else None
                     state = layers.setdefault(j, {}).setdefault((v, rem - length * v), [])
                     for p in parses[: 2 - len(state)]:
-                        state.append((v, length, label, p))
+                        state.append(p + ((v, length, label),))
         i += 1
-    runs = []
-    for parse in found[:2]:
-        out = []
-        while parse is not None:
-            v, length, label, parse = parse
-            out.append((v, length, label))
-        runs.append(out[::-1])
-    return runs
+    return [list(p) for p in found[:2]]
 
 
 def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> JordanDatum:
@@ -197,7 +188,8 @@ def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> Jorda
         )
     runs = parses[0]
     nu = _datum(family, runs)
-    last = _ABOVE_ALL
+    # the parse's first value is at most N, the bound _parse_runs starts from
+    last = N + 1
     for v, _, _ in runs:
         if not 0 < v < last:
             break
