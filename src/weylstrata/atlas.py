@@ -230,16 +230,27 @@ class Atlas:
     """
 
     def __init__(self, rows, text: str):
-        self.text = text
+        # the rows, each an AtlasRow, then the text, a string: else bad_atlas
+        try:
+            rows = iter(rows)
+        except TypeError:
+            raise DomainError(
+                f"atlas rows must be an iterable of AtlasRow records, got {rows!r}", code="bad_atlas"
+            ) from None
         self._rows: dict[str, list[AtlasRow]] = {g: [] for g in EXC_GROUPS}
         self._by_class: dict[tuple[str, str], list[AtlasRow]] = {}
         # the rows of each (group, d, n), in synthetic-id order: every lookup by representation
         self._by_dn: dict[tuple[str, int, int], list[AtlasRow]] = {}
         for row in rows:
+            if not isinstance(row, AtlasRow):
+                raise DomainError(f"atlas rows must be AtlasRow records, got {row!r}", code="bad_atlas")
             self._rows[row.group].append(row)
             self._by_dn.setdefault((row.group, row.rep.d, row.rep.n), []).append(row)
             for c in row.classes:
                 self._by_class.setdefault((row.group, c.raw), []).append(row)
+        if not isinstance(text, str):
+            raise DomainError(f"atlas text must be a string, got {text!r}", code="bad_atlas")
+        self.text = text
 
     def checksum(self) -> str:
         import hashlib  # only tables needs it; other commands skip its import

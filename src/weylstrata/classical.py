@@ -202,8 +202,11 @@ class SpectralDatum(Record):
     __slots__ = ("group", "orbits", "_classifying", "_orbit_runs")
 
     def __init__(self, group: GroupDescriptor, orbits: Iterable[EigenOrbit]):
-        orbits = tuple(orbits)
         _check_group(group)
+        try:
+            orbits = tuple(orbits)
+        except TypeError:
+            raise _bad_orbit(f"orbits must be an iterable of EigenOrbit records, got {orbits!r}") from None
         for o in orbits:
             if not isinstance(o, EigenOrbit):
                 raise _bad_orbit(f"orbits must be EigenOrbit records, got {o!r}")

@@ -193,7 +193,10 @@ class LabeledPartition(Record):
                     "odd values must occur an even number of times",
                     code="bad_parity",
                 )
-        given = dict(labels or {})
+        try:
+            given = dict(labels or {})
+        except (TypeError, ValueError):
+            raise DomainError(f"labels must map values to bits, got {labels!r}", code="bad_labels") from None
         if set(given) != set(eligible):
             raise DomainError(
                 f"labels must be given for exactly the eligible values "

@@ -167,8 +167,8 @@ def invert_bijection(family: JordanFamily, N: int, target: Bipartition) -> Jorda
     ConsistencyError too.  The target is a checked codomain element, so
     entries equal to it are a valid image.
     """
-    bp = target if isinstance(target, Bipartition) else Bipartition(target)
     rule = _rule(family, N)
+    bp = target if isinstance(target, Bipartition) else Bipartition(target)
     excess, half = rule[1:3]
     if sum(bp) != half or not _within_excess(bp, excess):
         raise DomainError(

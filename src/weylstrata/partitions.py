@@ -58,7 +58,10 @@ def _read_name(name, names: dict, refusal: str, code: str):
 
 
 def _as_int_seq(seq) -> list[int]:
-    out = list(seq)
+    try:
+        out = list(seq)
+    except TypeError:
+        raise DomainError(f"entries must be an iterable of integers, got {seq!r}", code="bad_entries") from None
     for x in out:
         if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
             raise DomainError(f"entries must be integers, got {x!r}", code="bad_entries")

@@ -8,8 +8,9 @@ failing check is an internal consistency failure, not a user error.
 Checks are registered in a fixed order; ``run_suite`` executes them and
 reports one result per check, with wall-clock time compared against the
 stated budget where one applies.  The checks that read the exceptional
-tables are passed the atlas, read from the file ``run_suite`` is given or
-else from the packaged file.  A falsified claim has one
+tables are passed the atlas, read once before the first check runs from
+the file ``run_suite`` is given or else from the packaged file.  A
+falsified claim has one
 channel: a ConsistencyError, raised by the check itself or by the library
 under it, becomes that check's FAIL row, and the other checks still run.
 A DomainError, such as an unreadable atlas file, still propagates.
@@ -70,13 +71,11 @@ def check_names() -> tuple[str, ...]:
     return tuple(_CHECKS)
 
 
-def _run(name: str, data_file: Optional[str]) -> CheckResult:
-    if not isinstance(name, str) or name not in _CHECKS:
-        raise DomainError(f"unknown check {name!r}; have {', '.join(_CHECKS)}", code="bad_suite")
+def _run(name: str, atlas) -> CheckResult:
     func, budget, reads_atlas = _CHECKS[name]
     start = time.perf_counter()
     try:
-        detail = func(load_atlas(data_file)) if reads_atlas else func()
+        detail = func(atlas) if reads_atlas else func()
         passed = True
     except ConsistencyError as failure:
         detail = str(failure)
@@ -92,17 +91,23 @@ def run_suite(names=None, data_file: Optional[str] = None) -> tuple[CheckResult,
     """Run the named checks (default: all) in registration order.
 
     The checks that read the exceptional tables read them from data_file,
-    or by default from the packaged file.
+    or by default from the packaged file.  Every name, and the file when a
+    named check reads it, is checked before the first check runs, and the
+    file is read once.
     """
     if names is None:
         names = check_names()
     try:
         if isinstance(names, str):  # iterates over its letters, not over names
             raise TypeError
-        names = iter(names)
+        names = tuple(names)
     except TypeError:
         raise DomainError(f"check names must be an iterable of strings, got {names!r}", code="bad_suite") from None
-    return tuple(_run(name, data_file) for name in names)
+    for name in names:
+        if not isinstance(name, str) or name not in _CHECKS:
+            raise DomainError(f"unknown check {name!r}; have {', '.join(_CHECKS)}", code="bad_suite")
+    atlas = load_atlas(data_file) if any(_CHECKS[name][2] for name in names) else None
+    return tuple(_run(name, atlas) for name in names)
 
 
 def _ensure(condition: bool, message: str) -> None:

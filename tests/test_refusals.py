@@ -14,18 +14,20 @@ import pickle
 import pytest
 
 from weylstrata import classical, jordan
-from weylstrata.atlas import CarterLabel, RepLabel, load_atlas
+from weylstrata.atlas import Atlas, CarterLabel, RepLabel, load_atlas
 from weylstrata.classical import (
     EigenOrbit, GroupDescriptor, OrbitKind, Series, SpectralDatum, classify, dimension_set, enumerate_strata,
     positive_roots, stratum_excess, stratum_of_label,
 )
 from weylstrata.errors import ConsistencyError, DomainError
 from weylstrata.jordan import JordanFamily, LabeledPartition, apply_bijection, codomain, in_family
-from weylstrata.partitions import Bipartition, Partition, bp_sum, parse_entries
+from weylstrata.jordan_inverse import invert_bijection
+from weylstrata.partitions import Bipartition, Partition, bp_sum, has_excess, n_invariant, parse_entries
 from weylstrata.weyl import (
     SignedCycleType, WeylSeries, WeylType, enumerate_classes, fixed_space_dim, jordan_of_class, parse_class,
     strata_fibers, stratum_of_class,
 )
+from weylstrata.verify import run_suite
 
 GL, SP, SO_ODD, SO_EVEN = Series.GL, Series.SP, Series.SO_ODD, Series.SO_EVEN
 GEN, INV = OrbitKind.GENERIC, OrbitKind.INVOLUTIVE
@@ -141,6 +143,8 @@ ROWS = [
         DomainError, 'bad_group', "the group must be a GroupDescriptor, got 'sp4'"),
     pin('datum-orbit', lambda: SpectralDatum(GroupDescriptor(SP, 2), [3]),
         DomainError, 'bad_orbit', 'orbits must be EigenOrbit records, got 3'),
+    pin('datum-orbits-not-iterable', lambda: SpectralDatum(GroupDescriptor(SP, 4), 5),
+        DomainError, 'bad_orbit', 'orbits must be an iterable of EigenOrbit records, got 5'),
     pin('datum-ids', lambda: SpectralDatum(GroupDescriptor(GL, 2), [gen("x", [1]), gen("x", [1])]),
         DomainError, 'bad_orbit', "orbit ids must be distinct, got ['x', 'x']"),
     pin('datum-gl-inv', lambda: SpectralDatum(GroupDescriptor(GL, 2), [inv("1", [2])]),
@@ -169,6 +173,8 @@ ROWS = [
         DomainError, 'bad_orbit', 'the eigenvalue -1 does not exist in characteristic 2'),
     pin('datum-two-group-orbit', lambda: SpectralDatum(None, [3]),
         DomainError, 'bad_group', 'the group must be a GroupDescriptor, got None'),
+    pin('datum-two-group-orbits-iterable', lambda: SpectralDatum(5, 5),
+        DomainError, 'bad_group', 'the group must be a GroupDescriptor, got 5'),
     pin('datum-two-orbit-ids', lambda: SpectralDatum(GroupDescriptor(GL, 2), [gen("x", [1]), gen("x", [1]), 3]),
         DomainError, 'bad_orbit', 'orbits must be EigenOrbit records, got 3'),
     pin('datum-two-ids-bookkeeping', lambda: SpectralDatum(GroupDescriptor(GL, 5), [gen("x", [1]), gen("x", [1])]),
@@ -336,6 +342,8 @@ ROWS = [
     pin('apply-broken-table', lambda: apply_bijection(SYMPLECTIC_CHAR2, LabeledPartition([2, 2], {2: 0})),
         ConsistencyError, 'consistency_error', 'the symplectic_char2 map emitted a negative entry: [-2, 0]', patch='offsets - 2'),
     # LabeledPartition: the parts, then parity, then the label keys, then the bits
+    pin('labeled-not-iterable', lambda: LabeledPartition(5),
+        DomainError, 'bad_entries', 'entries must be an iterable of integers, got 5'),
     pin('labeled-entries-float', lambda: LabeledPartition([2, 2.0], {}),
         DomainError, 'bad_entries', 'entries must be integers, got 2.0'),
     pin('labeled-entries-bool', lambda: LabeledPartition([True], {}),
@@ -374,7 +382,13 @@ ROWS = [
         DomainError, 'bad_labels', 'labels must be given for exactly the eligible values [2] of (2, 2), got keys [2, 3]'),
     pin('labeled-two-bits-first', lambda: LabeledPartition([4, 4, 2, 2], {2: 7, 4: 9}),
         DomainError, 'bad_labels', 'label for value 2 must be 0 or 1, got 7'),
+    pin('labeled-labels-int', lambda: LabeledPartition([2, 2], 5),
+        DomainError, 'bad_labels', 'labels must map values to bits, got 5'),
+    pin('labeled-labels-str', lambda: LabeledPartition([2, 2], "x"),
+        DomainError, 'bad_labels', "labels must map values to bits, got 'x'"),
     # Partition: the entry types, then the parts in order
+    pin('partition-not-iterable', lambda: Partition(5),
+        DomainError, 'bad_entries', 'entries must be an iterable of integers, got 5'),
     pin('partition-float', lambda: Partition([2, 2.0]),
         DomainError, 'bad_entries', 'entries must be integers, got 2.0'),
     pin('partition-bool', lambda: Partition([True]),
@@ -396,6 +410,8 @@ ROWS = [
     pin('partition-two-zero-first', lambda: Partition([1, 0, 2]),
         DomainError, 'bad_partition', 'partition parts must be positive, got 0 in [1, 0, 2]'),
     # Bipartition: the entry types, then signs, then the two tracks
+    pin('bipartition-not-iterable', lambda: Bipartition(5),
+        DomainError, 'bad_entries', 'entries must be an iterable of integers, got 5'),
     pin('bipartition-float', lambda: Bipartition([2, 2.0]),
         DomainError, 'bad_entries', 'entries must be integers, got 2.0'),
     pin('bipartition-negative', lambda: Bipartition([1, -1]),
@@ -408,6 +424,22 @@ ROWS = [
         DomainError, 'bad_bipartition', 'bipartition entries must be nonnegative, got [1, 5, 2, -1]'),
     pin('bipartition-two-climbs', lambda: Bipartition([0, 0, 1, 2]),
         DomainError, 'bad_bipartition', 'entries at positions 1 and 3 must weakly decrease, got [0, 0, 1, 2]'),
+    # SignedCycleType, n_invariant and has_excess read their sequences through Partition or Bipartition
+    pin('signed-not-iterable', lambda: SignedCycleType(5, 5),
+        DomainError, 'bad_entries', 'entries must be an iterable of integers, got 5'),
+    pin('n-invariant-not-iterable', lambda: n_invariant(5, 5),
+        DomainError, 'bad_entries', 'entries must be an iterable of integers, got 5'),
+    pin('has-excess-not-iterable', lambda: has_excess(5, (2, 2)),
+        DomainError, 'bad_entries', 'entries must be an iterable of integers, got 5'),
+    # Atlas: the rows, each an AtlasRow, then the text
+    pin('atlas-rows-not-iterable', lambda: Atlas(5, ""),
+        DomainError, 'bad_atlas', 'atlas rows must be an iterable of AtlasRow records, got 5'),
+    pin('atlas-rows-entry', lambda: Atlas("Sp", ""),
+        DomainError, 'bad_atlas', "atlas rows must be AtlasRow records, got 'S'"),
+    pin('atlas-text', lambda: Atlas([], 5),
+        DomainError, 'bad_atlas', 'atlas text must be a string, got 5'),
+    pin('atlas-two-rows-text', lambda: Atlas(5, 5),
+        DomainError, 'bad_atlas', 'atlas rows must be an iterable of AtlasRow records, got 5'),
     # Atlas.strata_for_characteristic, through check_characteristic: the integer gate, then primality
     pin('atlas-char-float', lambda: load_atlas().strata_for_characteristic("E8", 2.0),
         DomainError, 'bad_characteristic', 'characteristic must be an integer, got 2.0'),
@@ -479,6 +511,8 @@ ROWS = [
         DomainError, 'bad_entries', "entries must be integers, got 'x'"),
     pin('bp-sum-climb', lambda: bp_sum((1, 0, 2), (1,)),
         DomainError, 'bad_bipartition', 'entries at positions 1 and 3 must weakly decrease, got [1, 0, 2]'),
+    pin('bp-sum-not-iterable', lambda: bp_sum(5, 5),
+        DomainError, 'bad_entries', 'entries must be an iterable of integers, got 5'),
     # jordan_of_class takes a signed cycle type
     pin('jordan-of-class-str', lambda: jordan_of_class("1;1"),
         DomainError, 'bad_class', "a class must be a signed cycle type, got '1;1'"),
@@ -503,6 +537,22 @@ ROWS = [
         DomainError, 'bad_family', "Jordan family must be a JordanFamily, got 'Z2'"),
     pin('codomain-two-negative-odd', lambda: codomain(SYMPLECTIC, -3),
         DomainError, 'bad_weight', 'weight must be nonnegative, got -3'),
+    # invert_bijection, through _rule: the family, then the weight, then the target
+    pin('invert-family', lambda: invert_bijection(5, 4, (2,)),
+        DomainError, 'bad_family', 'Jordan family must be a JordanFamily, got 5'),
+    pin('invert-target-not-iterable', lambda: invert_bijection(SYMPLECTIC, 4, 5),
+        DomainError, 'bad_entries', 'entries must be an iterable of integers, got 5'),
+    pin('invert-two-family-target', lambda: invert_bijection(5, 5, 5),
+        DomainError, 'bad_family', 'Jordan family must be a JordanFamily, got 5'),
+    pin('invert-two-weight-target', lambda: invert_bijection(SYMPLECTIC, 2.0, 5),
+        DomainError, 'bad_weight', 'weight must be an integer, got 2.0'),
+    # run_suite: every name, then the atlas path when a named check reads it, before any check runs
+    pin('suite-path-int', lambda: run_suite(None, 0),
+        DomainError, 'bad_path', 'atlas path must be a string or an os.PathLike, got 0'),
+    pin('suite-two-names-path', lambda: run_suite(("golden-sp2", "nope"), 0),
+        DomainError, 'bad_suite', "unknown check 'nope'; have golden-sp2, golden-so2, bijectivity, sp4-strata, "
+        "dimension-sets, minimal-dimension, e8-counts, star-inventory, endpoints, cross-sections, surjectivity, "
+        "gl-oracle"),
 ]
 
 
