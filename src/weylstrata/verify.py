@@ -10,10 +10,10 @@ reports one result per check, with wall-clock time compared against the
 stated budget where one applies.  The checks that read the exceptional
 tables are passed the atlas, read once before the first check runs from
 the file ``run_suite`` is given or else from the packaged file.  A
-falsified claim has one
-channel: a ConsistencyError, raised by the check itself or by the library
-under it, becomes that check's FAIL row, and the other checks still run.
-A DomainError, such as an unreadable atlas file, still propagates.
+falsified claim has one channel: a ConsistencyError, raised by the check
+itself or by the library under it, becomes that check's FAIL row, and the
+other checks still run.  A DomainError, such as an unreadable atlas file,
+still propagates.
 """
 
 from __future__ import annotations
