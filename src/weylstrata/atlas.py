@@ -253,9 +253,17 @@ class Atlas:
         self.text = text
 
     def checksum(self) -> str:
-        import hashlib  # only tables needs it; other commands skip its import
-
-        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
+        # the interpreter's own sha256 (_sha2 from 3.12, _sha256 before): hashlib
+        # would load OpenSSL's libcrypto, which alone raises a tables process's
+        # peak memory by a fifth; only tables calls this, so only it imports one
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:  # a build with neither
+                from hashlib import sha256
+        return sha256(self.text.encode("utf-8")).hexdigest()
 
     def rows(self, group: str) -> tuple[AtlasRow, ...]:
         """All rows of one group's table, in canonical order."""
