@@ -9,7 +9,9 @@ under src/weylstrata, subpackages included, by its path there, then the
 totals.  Then one row per command of CORPUS, the command lines that
 tests/test_cold_start.py runs: the code lines of the weylstrata modules
 that a fresh process running that command loads, and so compiles when no
-bytecode is cached.  Then one row per command of weylstrata.cli's option
+bytecode is cached, and that process's peak resident memory in MB of
+1,024 kB, as perfbench reports peak_rss_mb (VmHWM from /proc/self/status,
+else resource.getrusage).  Then one row per command of weylstrata.cli's option
 table: how many values its command line can set, the options every command
 takes and its own, then their total; and last the number of environment
 variables the package's modules read, found from their syntax trees.
@@ -44,12 +46,20 @@ CORPUS = {
 DATUM = '{"group": {"series": "Sp", "N": 4}, "orbits": [{"id": "1", "kind": "involutive", "parts": [2, 1, 1]}]}'
 
 # runs main() on argv, then prints the files of the weylstrata modules loaded
+# and the process's peak resident memory in kB: VmHWM, else ru_maxrss (bytes on macOS)
 _PROBE = """
 import contextlib, io, json, sys
 from weylstrata.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     main(sys.argv[1:])
-print(json.dumps([m.__file__ for name, m in sys.modules.items() if name.split(".")[0] == "weylstrata"]))
+files = [m.__file__ for name, m in sys.modules.items() if name.split(".")[0] == "weylstrata"]
+try:
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    import resource
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == "darwin" else 1)
+print(json.dumps([files, peak]))
 """
 
 _LAYOUT = {
@@ -81,12 +91,13 @@ def count(text: str) -> tuple[int, int]:
     return len(text.splitlines()), len(code - _docstring_lines(ast.parse(text)))
 
 
-def loaded_files(argv) -> list[str]:
-    """The source files of the weylstrata modules a fresh process running main(argv) loads."""
+def probe(argv) -> tuple[list[str], int]:
+    """The source files of the weylstrata modules a fresh process running main(argv) loads, and its peak kB."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", _PROBE, *argv], input=DATUM, capture_output=True,
                           text=True, env=env, timeout=60, check=True)
-    return [os.path.realpath(path) for path in json.loads(done.stdout.splitlines()[-1])]
+    files, peak_kb = json.loads(done.stdout.splitlines()[-1])
+    return [os.path.realpath(path) for path in files], peak_kb
 
 
 def option_counts() -> dict[str, int]:
@@ -158,9 +169,10 @@ def main() -> None:
         totals, code_of[os.path.realpath(path)] = [totals[0] + lines, totals[1] + code], code
         print(f"{os.path.relpath(path, PACKAGE):<20} {lines:>6} {code:>6}")
     print(f"{'total':<20} {totals[0]:>6,} {totals[1]:>6,}")
-    print(f"\n{'command':<20} {'code':>13}")
+    print(f"\n{'command':<20} {'code':>13} {'peak MB':>9}")
     for command, argv in CORPUS.items():
-        print(f"{command:<20} {sum(code_of[path] for path in loaded_files(argv)):>13,}")
+        files, peak_kb = probe(argv)
+        print(f"{command:<20} {sum(code_of[path] for path in files):>13,} {peak_kb / 1024:>9.1f}")
     options = option_counts()
     print(f"\n{'command':<20} {'options':>13}")
     for command, n in options.items():

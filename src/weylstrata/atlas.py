@@ -209,11 +209,23 @@ class AtlasRow(Record):
     """One table row: a representation and the classes mapping to it, in table order.
 
     The note is the row's provenance, nonempty exactly for starred rows.
+    The group is a canonical exceptional name, the classes a tuple of
+    CarterLabel records, the rep a RepLabel of that group and the note a
+    string; anything else is refused with the code bad_atlas.
     """
 
     __slots__ = ("group", "classes", "rep", "note")
 
     def __init__(self, group: str, classes: tuple[CarterLabel, ...], rep: RepLabel, note: str = ""):
+        # type tests only: the parser builds every row from fields it has checked
+        if type(group) is not str or group not in EXC_RANK:
+            raise DomainError(f"row group must be one of {', '.join(EXC_GROUPS)}, got {group!r}", code="bad_atlas")
+        if type(classes) is not tuple or not all(isinstance(c, CarterLabel) for c in classes):
+            raise DomainError(f"row classes must be a tuple of CarterLabel records, got {classes!r}", code="bad_atlas")
+        if not isinstance(rep, RepLabel) or rep.group != group:
+            raise DomainError(f"row rep must be a RepLabel of {group}, got {rep!r}", code="bad_atlas")
+        if type(note) is not str:
+            raise DomainError(f"row note must be a string, got {note!r}", code="bad_atlas")
         self._fill(group, classes, rep, note)
 
     @property

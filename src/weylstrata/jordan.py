@@ -193,10 +193,10 @@ class LabeledPartition(Record):
                     "odd values must occur an even number of times",
                     code="bad_parity",
                 )
-        try:
-            given = dict(labels or {})
-        except (TypeError, ValueError):
-            raise DomainError(f"labels must map values to bits, got {labels!r}", code="bad_labels") from None
+        # only None means no labels; anything else must be a mapping
+        if labels is not None and type(labels) is not dict and not isinstance(labels, Mapping):
+            raise DomainError(f"labels must map values to bits, got {labels!r}", code="bad_labels")
+        given = {} if labels is None else dict(labels)
         if set(given) != set(eligible):
             raise DomainError(
                 f"labels must be given for exactly the eligible values "

@@ -6,18 +6,24 @@ checksum of the shipped data file, and spot rows. Structural claims
 checked exhaustively over all five groups.
 """
 
+import hashlib
+import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylstrata
 from weylstrata.atlas import (
     _PACKAGED_PATH,
     EXC_GROUPS,
     EXC_POSITIVE_ROOTS,
     MAX_NESTING,
+    Atlas,
     CarterLabel,
     RepLabel,
     _parse_atlas,
@@ -44,6 +50,45 @@ STARS = {
 
 def test_packaged_file_checksum():
     assert load_atlas().checksum() == DATA_SHA256
+
+
+def _one_byte_changed(text):
+    i = text.index("E8")
+    return text[:i] + "E9" + text[i + 2 :]
+
+
+def test_checksum_is_the_sha256_of_the_text():
+    # the interpreter's own sha256 module, against hashlib's
+    text = load_atlas().text
+    for each in (text, _one_byte_changed(text)):
+        assert Atlas([], each).checksum() == hashlib.sha256(each.encode("utf-8")).hexdigest()
+    assert Atlas([], _one_byte_changed(text)).checksum() != DATA_SHA256
+
+
+# with neither built-in sha256 module importable, checksum falls back to hashlib
+_FALLBACK = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from weylstrata.atlas import Atlas, load_atlas
+text = load_atlas().text
+i = text.index("E8")
+sums = [Atlas([], each).checksum() for each in (text, text[:i] + "E9" + text[i + 2 :])]
+print(json.dumps(sums + ["hashlib" in sys.modules]))
+"""
+
+
+def test_checksum_falls_back_to_hashlib():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylstrata.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FALLBACK], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    text = load_atlas().text
+    assert json.loads(done.stdout) == [
+        DATA_SHA256, hashlib.sha256(_one_byte_changed(text).encode("utf-8")).hexdigest(), True,
+    ]
 
 
 def test_row_counts():

@@ -14,10 +14,10 @@ the CLI runs as ``__main__``, and no module imports ``weylstrata.cli`` a
 second time.  The commands are the corpus of ``scripts/count_lines.py``,
 which prints the code lines each of them loads.
 
-No command but ``tables`` loads ``hashlib``, which only the atlas checksum
-uses, and no command loads ``dataclasses`` or ``inspect``, nor ``argparse``,
-``gettext`` or ``locale``: the command line is read from the CLI's own option
-table.
+No command loads ``hashlib`` or OpenSSL (``_hashlib``): the atlas checksum
+that ``tables`` prints comes from the interpreter's own sha256 module.  No
+command loads ``dataclasses`` or ``inspect``, nor ``argparse``, ``gettext``
+or ``locale``: the command line is read from the CLI's own option table.
 """
 
 import importlib
@@ -56,7 +56,7 @@ _PROBE = _MAIN + """
 print(json.dumps(sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("weylstrata."))))
 """
 # ...then prints which of these standard-library modules are loaded
-_STDLIB = ("dataclasses", "inspect", "hashlib", "argparse", "gettext", "locale")
+_STDLIB = ("dataclasses", "inspect", "hashlib", "_hashlib", "argparse", "gettext", "locale")
 _STDLIB_PROBE = _MAIN + f"""
 print(json.dumps([m for m in {_STDLIB!r} if m in sys.modules]))
 """
@@ -116,19 +116,10 @@ def test_only_verify_loads_verify(argv):
     assert ("verify" in loaded) == (argv[0] == "verify")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("phi", "--group", "E8", "--class", "D_7(a_1)"),
-        ("phi", "--group", "B", "--rank", "3", "--class", "1;2"),
-        ("classify", "-"),
-        ("enumerate", "--series", "Sp", "--dimension", "4"),
-        ("invert", "--family", "Z2", "--N", "6", "--target", "3"),
-    ],
-    ids=["phi-exceptional", "phi-classical", "classify", "enumerate", "invert"],
-)
-def test_commands_load_no_dataclasses_inspect_or_hashlib(argv):
-    assert _loaded(_STDLIB_PROBE, *argv, stdin=_DATUM) == set()
+@pytest.mark.parametrize("command", CORPUS)
+def test_commands_load_no_dataclasses_inspect_or_hashlib(command):
+    # tables too: the atlas checksum uses the interpreter's own sha256 module
+    assert _loaded(_STDLIB_PROBE, *CORPUS[command], stdin=count_lines.DATUM) == set()
 
 
 @pytest.mark.parametrize(
@@ -151,10 +142,6 @@ def test_commands_load_no_dataclasses_inspect_or_hashlib(argv):
 def test_no_command_loads_argparse_gettext_or_locale(argv):
     # the command line is read from the option table of weylstrata.cli
     assert _loaded(_STDLIB_PROBE, *argv, stdin=_DATUM).isdisjoint({"argparse", "gettext", "locale"})
-
-
-def test_tables_loads_hashlib_but_no_dataclasses_or_inspect():
-    assert _loaded(_STDLIB_PROBE, "tables", "--group", "E8") == {"hashlib"}
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -201,11 +188,16 @@ def test_no_module_imports_the_cli_run_as_main(command):
 
 def test_count_lines_sums_the_files_a_command_loads():
     package = SRC / "weylstrata"
-    files = {Path(f).relative_to(package).as_posix() for f in count_lines.loaded_files(CORPUS["phi-exceptional"])}
+    files = {Path(f).relative_to(package).as_posix() for f in count_lines.probe(CORPUS["phi-exceptional"])[0]}
     assert files == {
         "__init__.py", "cli.py", "errors.py", "atlas.py", "commands/__init__.py", "commands/_shared.py",
         "commands/phi.py",
     }
+
+
+def test_count_lines_reads_the_peak_memory_of_each_probe():
+    _, peak_kb = count_lines.probe(CORPUS["tables"])
+    assert type(peak_kb) is int and 1_000 < peak_kb < 1_000_000
 
 
 def test_count_lines_counts_the_values_each_command_line_sets():

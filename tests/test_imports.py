@@ -23,8 +23,9 @@ Every module parses as Python 3.10, the floor ``pyproject.toml`` declares
 (``requires-python = ">=3.10"``), so no later syntax such as ``except*``
 creeps in.  Where a ``python3.10`` runs, the package also runs under it, so
 code generated at import (each record's ``_fill``) is checked too: records
-and ``phi`` print the same text as under this interpreter, and a ``verify``
-suite passes.
+and ``phi`` print the same text as under this interpreter, the atlas
+checksum (through the interpreter's own ``_sha256``) is the sha256 of the
+packaged file, and a ``verify`` suite passes.
 
 ``atlas`` reads its input without recursion: none of its functions calls
 itself, directly or through other ``atlas`` functions, and none catches
@@ -42,6 +43,7 @@ the atlas file is an argument.  ``cli`` and the commands are left out.
 """
 
 import ast
+import hashlib
 import json
 import os
 import shutil
@@ -347,12 +349,13 @@ def _floor_python():
     return None
 
 
-# imports every module and prints the repr of one record of each class
+# imports every module, prints the repr of one record of each class, then
+# the checksum of the packaged atlas (through _sha256 on 3.10 and 3.11)
 _FLOOR_RECORDS = f"""
 import importlib
 for name in {sorted(_name(p) for p in MODULES)!r}:
     importlib.import_module("weylstrata." + name)
-from weylstrata.atlas import AtlasRow, CarterLabel, RepLabel
+from weylstrata.atlas import AtlasRow, CarterLabel, RepLabel, load_atlas
 from weylstrata.classical import EigenOrbit, GroupDescriptor, OrbitKind, SpectralDatum, StratumResult, enumerate_strata
 from weylstrata.jordan import LabeledPartition
 from weylstrata.partitions import Bipartition, Partition
@@ -368,6 +371,7 @@ for record in (
     enumerate_classes(WeylType("d", 3))[-1],
 ):
     print(repr(record))
+print(load_atlas().checksum())
 """
 
 
@@ -384,10 +388,15 @@ def test_the_package_runs_at_the_python_floor():
 
     phi = ("-m", "weylstrata.cli", "phi", "--group", "B", "--rank", "3", "--class", "1;2")
     invert = ("-m", "weylstrata.cli", "invert", "--family", "Z2", "--N", "8", "--target", "2,2")
+    printed = []
     for args in (("-c", _FLOOR_RECORDS), phi, invert):
         here, there = run(sys.executable, *args), run(floor, *args)
         assert (here.returncode, here.stderr) == (0, "")
         assert (there.returncode, there.stdout, there.stderr) == (0, here.stdout, "")
+        printed.append(there.stdout)
+    # the floor's checksum is the sha256 of the packaged file's bytes
+    packaged = (PACKAGE / "data" / "exceptional_atlas.txt").read_bytes()
+    assert printed[0].splitlines()[-1] == hashlib.sha256(packaged).hexdigest()
     # verify prints its timings, so only the exit status and the verdict are compared
     here, there = (
         run(python, "-m", "weylstrata.cli", "verify", "--suite", "golden-sp2") for python in (sys.executable, floor)

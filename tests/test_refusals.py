@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from weylstrata import classical, jordan
-from weylstrata.atlas import Atlas, CarterLabel, RepLabel, load_atlas
+from weylstrata.atlas import Atlas, AtlasRow, CarterLabel, RepLabel, load_atlas
 from weylstrata.classical import (
     EigenOrbit, GroupDescriptor, OrbitKind, Series, SpectralDatum, classify, dimension_set, enumerate_strata,
     positive_roots, stratum_excess, stratum_of_label,
@@ -34,6 +34,9 @@ GEN, INV = OrbitKind.GENERIC, OrbitKind.INVOLUTIVE
 A, B, D = WeylSeries.A, WeylSeries.B, WeylSeries.D
 SYMPLECTIC, SYMPLECTIC_CHAR2 = JordanFamily.SYMPLECTIC, JordanFamily.SYMPLECTIC_CHAR2
 ORTHOGONAL, ORTHOGONAL_CHAR2 = JordanFamily.ORTHOGONAL, JordanFamily.ORTHOGONAL_CHAR2
+
+
+_E8_REP, _A1 = RepLabel("E8", 1, 0), CarterLabel("A_1", 1)
 
 
 def gen(ident, parts):
@@ -386,6 +389,15 @@ ROWS = [
         DomainError, 'bad_labels', 'labels must map values to bits, got 5'),
     pin('labeled-labels-str', lambda: LabeledPartition([2, 2], "x"),
         DomainError, 'bad_labels', "labels must map values to bits, got 'x'"),
+    # only None means no labels: a falsy value that is no mapping is refused, as 5 is
+    pin('labeled-labels-zero', lambda: LabeledPartition([3, 3], 0),
+        DomainError, 'bad_labels', 'labels must map values to bits, got 0'),
+    pin('labeled-labels-empty-str', lambda: LabeledPartition([3, 3], ""),
+        DomainError, 'bad_labels', "labels must map values to bits, got ''"),
+    pin('labeled-labels-empty-list', lambda: LabeledPartition([3, 3], []),
+        DomainError, 'bad_labels', 'labels must map values to bits, got []'),
+    pin('labeled-labels-pairs', lambda: LabeledPartition([2, 2], [(2, 1)]),
+        DomainError, 'bad_labels', 'labels must map values to bits, got [(2, 1)]'),
     # Partition: the entry types, then the parts in order
     pin('partition-not-iterable', lambda: Partition(5),
         DomainError, 'bad_entries', 'entries must be an iterable of integers, got 5'),
@@ -440,6 +452,28 @@ ROWS = [
         DomainError, 'bad_atlas', 'atlas text must be a string, got 5'),
     pin('atlas-two-rows-text', lambda: Atlas(5, 5),
         DomainError, 'bad_atlas', 'atlas rows must be an iterable of AtlasRow records, got 5'),
+    # AtlasRow: the group, then the classes, the rep (a RepLabel of that group) and the note
+    pin('atlas-row-group-int', lambda: AtlasRow(5, 5, 5),
+        DomainError, 'bad_atlas', 'row group must be one of G2, F4, E6, E7, E8, got 5'),
+    pin('atlas-row-group-lower', lambda: AtlasRow("e8", (), _E8_REP),
+        DomainError, 'bad_atlas', "row group must be one of G2, F4, E6, E7, E8, got 'e8'"),
+    pin('atlas-row-classes-int', lambda: AtlasRow("E8", 5, 5),
+        DomainError, 'bad_atlas', 'row classes must be a tuple of CarterLabel records, got 5'),
+    pin('atlas-row-classes-list', lambda: AtlasRow("E8", [_A1], _E8_REP),
+        DomainError, 'bad_atlas', "row classes must be a tuple of CarterLabel records, got [CarterLabel(raw='A_1', "
+        "parsed_rank=1)]"),
+    pin('atlas-row-classes-entry', lambda: AtlasRow("E8", (_A1, "A_2"), _E8_REP),
+        DomainError, 'bad_atlas', "row classes must be a tuple of CarterLabel records, got (CarterLabel(raw='A_1', "
+        "parsed_rank=1), 'A_2')"),
+    pin('atlas-row-rep-int', lambda: AtlasRow("E8", (_A1,), 5),
+        DomainError, 'bad_atlas', 'row rep must be a RepLabel of E8, got 5'),
+    pin('atlas-row-rep-group', lambda: AtlasRow("E7", (_A1,), _E8_REP),
+        DomainError, 'bad_atlas', "row rep must be a RepLabel of E7, got RepLabel(group='E8', d=1, n=0, star=0, "
+        "synthetic_id=0)"),
+    pin('atlas-row-note-none', lambda: AtlasRow("E8", (_A1,), _E8_REP, None),
+        DomainError, 'bad_atlas', 'row note must be a string, got None'),
+    pin('atlas-row-two-classes-rep', lambda: AtlasRow("E8", 5, 5, 5),
+        DomainError, 'bad_atlas', 'row classes must be a tuple of CarterLabel records, got 5'),
     # Atlas.strata_for_characteristic, through check_characteristic: the integer gate, then primality
     pin('atlas-char-float', lambda: load_atlas().strata_for_characteristic("E8", 2.0),
         DomainError, 'bad_characteristic', 'characteristic must be an integer, got 2.0'),
