@@ -12,7 +12,7 @@ and a help request or a usage error loads none.  The weight-n listing
 only for the commands that run them.  Under ``python -m weylstrata.cli``
 the CLI runs as ``__main__``, and no module imports ``weylstrata.cli`` a
 second time.  The commands are the corpus of ``scripts/count_lines.py``,
-which prints the code lines each of them loads.
+which prints the code lines each of them loads and its peak memory.
 
 No command loads ``hashlib`` or OpenSSL (``_hashlib``): the atlas checksum
 that ``tables`` prints comes from the interpreter's own sha256 module.  No
@@ -188,15 +188,13 @@ def test_no_module_imports_the_cli_run_as_main(command):
 
 def test_count_lines_sums_the_files_a_command_loads():
     package = SRC / "weylstrata"
-    files = {Path(f).relative_to(package).as_posix() for f in count_lines.probe(CORPUS["phi-exceptional"])[0]}
+    loaded, peak_kb = count_lines.probe(CORPUS["phi-exceptional"])
+    files = {Path(f).relative_to(package).as_posix() for f in loaded}
     assert files == {
         "__init__.py", "cli.py", "errors.py", "atlas.py", "commands/__init__.py", "commands/_shared.py",
         "commands/phi.py",
     }
-
-
-def test_count_lines_reads_the_peak_memory_of_each_probe():
-    _, peak_kb = count_lines.probe(CORPUS["tables"])
+    # the probe's peak resident memory, in kB
     assert type(peak_kb) is int and 1_000 < peak_kb < 1_000_000
 
 
