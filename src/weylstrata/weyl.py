@@ -25,7 +25,10 @@ stratum sets: excess (2, 2) in weight n for type B, excess (0, 4) for type
 D.  For type A the class partition itself is the stratum label.  Which
 bijection serves a type is read from ``classical``: the characteristic-2
 family of the group, GL_{r+1}, Sp_{2r} or SO_{2r}, that ``_GROUP_SERIES``
-assigns to the Weyl series.
+assigns to the Weyl series.  So in types B and D the map factors through
+the labeled Jordan type, and the bijection after it is one-to-one: a fiber
+is the set of classes sharing one Jordan type, and ``strata_fibers``
+rewrites each Jordan type once, one rewrite per fiber.
 
 Each class also carries the dimension m of the fixed space of a
 representative on the reflection representation: parts minus one in type A,
@@ -42,7 +45,7 @@ import enum
 from typing import NamedTuple, Union
 
 from .classical import GroupDescriptor, Series, _involutive_family
-from .errors import DomainError, Record, _check_int, unique_minimizer
+from .errors import ConsistencyError, DomainError, Record, _check_int, unique_minimizer
 from .jordan import JordanFamily, LabeledPartition, _datum, _rewrite, _rule, _runs
 from .partitions import Bipartition, Partition, _read_name, parse_entries
 
@@ -273,20 +276,35 @@ def strata_fibers(w: WeylType) -> dict[Bipartition, ClassFiber]:
     """Fibers of the stratum map, keyed by label in descending order.
 
     Each fiber records its classes (in enumeration order) and the unique
-    class minimizing the fixed-space dimension.  A tie for the minimum would
-    falsify the cross-section property and raises a ConsistencyError with
-    the code cross_section_tie.  A Weyl group that is no WeylType is refused
-    with the code bad_group.
+    class minimizing the fixed-space dimension.  In types B and D the map
+    factors through the labeled Jordan type, so the classes are grouped by
+    the runs of their Jordan type and each group is rewritten once, one
+    rewrite per fiber.  Two Jordan types with one label would falsify the
+    bijectivity of the family map and raise a ConsistencyError; a tie for
+    the minimum would falsify the cross-section property and raises one
+    with the code cross_section_tie.  A Weyl group that is no WeylType is
+    refused with the code bad_group.
     """
     _check_weyl(w)
     rule = _stratum_rule(w)
-    grouped: dict[Bipartition, list[WeylClass]] = {}
+    # type A classes are their own labels and keys; else the key is the runs
+    by_key: dict = {}
     for c in enumerate_classes(w):
-        grouped.setdefault(_stratum(rule, c), []).append(c)
+        by_key.setdefault(c if rule is None else tuple(_class_runs(rule[0], c)), []).append(c)
+    grouped: dict[Bipartition, list[WeylClass]] = {}
+    for key, classes in by_key.items():
+        bp = key if rule is None else _rewrite(rule, key)
+        if grouped.setdefault(bp, classes) is not classes:
+            raise ConsistencyError(
+                f"classes {grouped[bp][0]} and {classes[0]} of {w} differ in Jordan type but map to {tuple(bp)}"
+            )
     out: dict[Bipartition, ClassFiber] = {}
     for bp in sorted(grouped, reverse=True):
         classes = grouped[bp]
-        dims = [_fixed_space_dim(w, c) for c in classes]
-        best = unique_minimizer(classes, dims, lambda: f"over {tuple(bp)} in {w}")
-        out[bp] = ClassFiber(tuple(classes), best)
+        if len(classes) == 1:
+            best = classes[0]
+        else:
+            dims = [_fixed_space_dim(w, c) for c in classes]
+            best = unique_minimizer(classes, dims, lambda: f"over {tuple(bp)} in {w}")
+        out[bp] = tuple.__new__(ClassFiber, (tuple(classes), best))
     return out
