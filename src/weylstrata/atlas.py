@@ -457,6 +457,10 @@ def _parse_atlas(text: str, source: str) -> Atlas:
                 rep = RepLabel(group, *map(int, numbers))
             except (ValueError, DomainError) as exc:
                 raise _parse_error(source, lineno, f"bad row: {exc}") from None
+            # AtlasRow's rule: a nonempty note exactly for starred rows
+            if bool(note) != bool(rep.star):
+                why = "is starred and has no note" if rep.star else "is not starred and has a note"
+                raise _parse_error(source, lineno, f"row {rep} {why}")
             earlier = dn_lines.setdefault((rep.group, rep.d, rep.n), [])
             if rep.synthetic_id < len(earlier):
                 raise _parse_error(

@@ -578,14 +578,15 @@ def test_rep_label_validation():
 
 
 def test_load_atlas_from_explicit_path(tmp_path):
+    # only a starred row carries a note, so the changed note is a starred row's
     text = load_atlas().text.replace(
-        "row|G2|2|1|0|0|A_2|", "row|G2|2|1|0|0|A_2|spot the difference"
+        "row|G2|1|3|3|0|~A_1|j-induced: sign", "row|G2|1|3|3|0|~A_1|spot the difference: sign"
     )
     alt = tmp_path / "alt_atlas.txt"
     alt.write_text(text, encoding="utf-8")
     atlas = load_atlas(str(alt))
-    assert atlas.row("G2", "2_1").note == "spot the difference"
-    assert load_atlas().row("G2", "2_1").note == ""
+    assert atlas.row("G2", "1_3*3").note.startswith("spot the difference: sign")
+    assert load_atlas().row("G2", "1_3*3").note.startswith("j-induced: sign")
 
 
 def test_load_atlas_ignores_the_variable(tmp_path, monkeypatch):
@@ -690,6 +691,17 @@ _MALFORMED = [
         ":219: iso entry has no subtype",
     ),
     (lambda t: "# a comment and no record\n", "atlas_version", ": missing version record"),
+    # a nonempty note exactly for starred rows
+    (
+        lambda t: t.replace(next(l for l in t.splitlines() if l.startswith("row|E8|1050|10|2|")), "row|E8|1050|10|2|0|D_7(a_1)|"),
+        "atlas_parse_error",
+        ":158: row 1050_10*2 is starred and has no note",
+    ),
+    (
+        lambda t: t.replace("row|E8|1|0|0|0|E_8|", "row|E8|1|0|0|0|E_8|a note"),
+        "atlas_parse_error",
+        ":143: row 1_0 is not starred and has a note",
+    ),
 ]
 _MESSAGE_OF = {mangle: message for mangle, _, message in _MALFORMED}
 

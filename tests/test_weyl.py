@@ -353,6 +353,48 @@ def test_strata_fibers_keeps_the_tie_check(monkeypatch):
     assert err.value.code == "cross_section_tie"
 
 
+def _oracle_fibers(w):
+    # the fibers built class by class from the public point query
+    grouped = {}
+    for c in enumerate_classes(w):
+        grouped.setdefault(stratum_of_class(w, c), []).append(c)
+    return {bp: grouped[bp] for bp in sorted(grouped, reverse=True)}
+
+
+def test_strata_fibers_match_the_class_by_class_oracle():
+    for w in [wa(n) for n in range(1, 9)] + [f(n) for f in (wb, wd) for n in range(13)]:
+        fibers, oracle = strata_fibers(w), _oracle_fibers(w)
+        assert list(fibers) == list(oracle), w
+        for bp, classes in oracle.items():
+            fiber = fibers[bp]
+            assert type(fiber) is weyl.ClassFiber and fiber.classes == tuple(classes), (w, bp)
+            dims = [fixed_space_dim(w, c) for c in classes]
+            assert dims.count(min(dims)) == 1, (w, bp)
+            assert fiber.cross_section == classes[dims.index(min(dims))], (w, bp)
+
+
+def test_strata_fibers_rewrite_each_jordan_type_once(monkeypatch):
+    calls = []
+    rewrite = weyl._rewrite
+
+    def counted(rule, runs):
+        calls.append(runs)
+        return rewrite(rule, runs)
+
+    monkeypatch.setattr(weyl, "_rewrite", counted)
+    for w, classes, fibers in ((wb(12), 1165, 800), (wd(12), 588, 408)):
+        calls.clear()
+        assert len(enumerate_classes(w)) == classes
+        assert len(strata_fibers(w)) == fibers == len(calls) == len(set(calls)), w
+
+
+def test_strata_fibers_refuse_two_jordan_types_with_one_label(monkeypatch):
+    monkeypatch.setattr(weyl, "_rewrite", lambda rule, runs: tuple.__new__(Bipartition, (2,)))
+    with pytest.raises(ConsistencyError, match=r"classes 2; and 1,1; of .* differ in Jordan type but map to \(2,\)$") as err:
+        strata_fibers(wb(2))
+    assert err.value.code == "consistency_error"
+
+
 def test_stratum_of_class_rejects_mismatches():
     mismatches = [
         (wb(3), sct([2], [])),  # rank 2 vs 3
